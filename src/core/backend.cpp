@@ -1,35 +1,14 @@
 #include "core/backend.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace dwt::core {
-
-dsp::Subbands1d ExecutionBackend::forward_1d(const BackendRequest& req,
-                                             std::span<const double> x) const {
-  std::vector<std::int64_t> ix(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ix[i] = static_cast<std::int64_t>(std::llround(x[i]));
-  }
-  const hw::StreamResult r = stream(req, ix);
-  dsp::Subbands1d sb;
-  sb.low.assign(r.low.begin(), r.low.end());
-  sb.high.assign(r.high.begin(), r.high.end());
-  return sb;
-}
 
 std::unique_ptr<Backend2dSession> ExecutionBackend::make_2d_session(
     const BackendRequest&) const {
   throw std::invalid_argument(std::string(name()) +
                               ": 2-D transform not supported");
-}
-
-hw::Dwt2dRunStats ExecutionBackend::forward_2d(const BackendRequest& req,
-                                               dsp::Image& plane,
-                                               int octaves) const {
-  return make_2d_session(req)->forward(plane, octaves);
 }
 
 }  // namespace dwt::core

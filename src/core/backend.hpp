@@ -65,7 +65,7 @@ struct BackendCaps {
   bool cycle_accurate = false;  ///< StreamResult::cycles is meaningful
   /// Output is bit-identical to the software fixed-point reference.
   bool bit_exact = false;
-  bool forward_2d = false;  ///< make_2d_session / forward_2d supported
+  bool forward_2d = false;  ///< make_2d_session supported
   bool inverse_2d = false;  ///< 2-D sessions implement inverse()
 };
 
@@ -102,20 +102,10 @@ class ExecutionBackend {
   [[nodiscard]] virtual hw::StreamResult stream(
       const BackendRequest& req, std::span<const std::int64_t> x) const = 0;
 
-  /// One-octave 1-D transform in the dsp double domain.  Fixed-point and
-  /// gate-level backends produce exact integers stored in doubles; the
-  /// float backend produces fractional coefficients.
-  [[nodiscard]] virtual dsp::Subbands1d forward_1d(
-      const BackendRequest& req, std::span<const double> x) const;
-
   /// Creates a per-worker 2-D session.  Throws std::invalid_argument when
   /// caps().forward_2d is false.
   [[nodiscard]] virtual std::unique_ptr<Backend2dSession> make_2d_session(
       const BackendRequest& req) const;
-
-  /// One-shot 2-D convenience wrapper around make_2d_session().
-  hw::Dwt2dRunStats forward_2d(const BackendRequest& req, dsp::Image& plane,
-                               int octaves) const;
 };
 
 }  // namespace dwt::core

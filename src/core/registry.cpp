@@ -68,8 +68,8 @@ class SoftwareBackend final : public ExecutionBackend {
     r.high.resize(sb.high.size());
     // The fixed-point model already produces exact integers; the float
     // model's fractional coefficients are rounded into the integer stream
-    // domain (hence caps().bit_exact == false for it -- use forward_1d for
-    // its full-precision output).
+    // domain (hence caps().bit_exact == false for it -- dsp::dwt1d_forward
+    // gives its full-precision output).
     for (std::size_t i = 0; i < sb.low.size(); ++i) {
       r.low[i] = static_cast<std::int64_t>(std::llround(sb.low[i]));
     }
@@ -77,11 +77,6 @@ class SoftwareBackend final : public ExecutionBackend {
       r.high[i] = static_cast<std::int64_t>(std::llround(sb.high[i]));
     }
     return r;
-  }
-
-  dsp::Subbands1d forward_1d(const BackendRequest& req,
-                             std::span<const double> x) const override {
-    return dsp::dwt1d_forward(method_, x, req.frac_bits);
   }
 
   std::unique_ptr<Backend2dSession> make_2d_session(

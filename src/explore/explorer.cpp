@@ -64,8 +64,8 @@ DesignEvaluation Explorer::evaluate(const hw::DesignSpec& spec) const {
   eval.timing = sta.analyze();
 
   // Switching activity: stream the workload through the mapped-netlist
-  // unit-delay model (LUT outputs filter cone-internal glitches the way a
-  // real LE does).
+  // transport-delay model (LUT outputs filter cone-internal glitches the way
+  // a real LE does).
   {
     fpga::MappedActivitySim sim(eval.mapped);
     const std::vector<std::int64_t> samples = workload_stream();

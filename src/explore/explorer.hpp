@@ -1,8 +1,9 @@
 // Design-space exploration driver -- the paper's methodology as an API.
 // For each architecture it elaborates the netlist, runs synthesis-style
 // cleanup, maps to APEX logic elements, analyzes timing, streams an
-// image-like workload through the unit-delay simulator to measure switching
-// activity, and estimates power at the Table-3 reference frequency.
+// image-like workload through the transport-delay mapped simulator to
+// measure switching activity (glitches included), and estimates power at
+// the Table-3 reference frequency.
 #pragma once
 
 #include <memory>
@@ -34,7 +35,7 @@ struct DesignEvaluation {
   hw::DesignSpec spec;
   std::shared_ptr<const rtl::Netlist> netlist;  ///< simplified netlist
   fpga::MappedNetlist mapped;                   ///< source == netlist.get()
-  rtl::ActivityStats activity;
+  fpga::ActivityStats activity;
   rtl::NetlistStats netlist_stats;
   fpga::TimingReport timing;
   fpga::SynthesisReport report;

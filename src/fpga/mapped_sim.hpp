@@ -15,9 +15,24 @@
 
 #include "fpga/device.hpp"
 #include "fpga/tech_mapper.hpp"
-#include "rtl/activity_sim.hpp"
+#include "rtl/netlist.hpp"
 
 namespace dwt::fpga {
+
+/// Transition counts from a MappedActivitySim run, indexed by source-netlist
+/// net id -- the input of fpga::estimate_power.
+struct ActivityStats {
+  std::uint64_t cycles = 0;
+  std::vector<std::uint64_t> toggles;  ///< per net, summed over all cycles
+  std::uint64_t total_toggles = 0;
+
+  /// Mean transitions per cycle on net `n`.
+  [[nodiscard]] double rate(rtl::NetId n) const {
+    return cycles == 0 ? 0.0
+                       : static_cast<double>(toggles[n]) /
+                             static_cast<double>(cycles);
+  }
+};
 
 class MappedActivitySim {
  public:
@@ -36,7 +51,7 @@ class MappedActivitySim {
   [[nodiscard]] bool value(rtl::NetId net) const { return values_[net] != 0; }
   [[nodiscard]] std::int64_t read_bus(const rtl::Bus& bus) const;
 
-  [[nodiscard]] const rtl::ActivityStats& stats() const { return stats_; }
+  [[nodiscard]] const ActivityStats& stats() const { return stats_; }
   void reset_stats();
 
  private:
@@ -66,7 +81,7 @@ class MappedActivitySim {
   std::uint64_t now_ = 0;
   std::size_t pending_events_ = 0;
 
-  rtl::ActivityStats stats_;
+  ActivityStats stats_;
 };
 
 }  // namespace dwt::fpga

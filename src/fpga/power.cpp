@@ -16,7 +16,7 @@ double net_capacitance_pf(const MappedNetlist& m, const ApexDeviceParams& p,
 }  // namespace
 
 PowerBreakdown estimate_power(const MappedNetlist& mapped,
-                              const rtl::ActivityStats& activity,
+                              const ActivityStats& activity,
                               const ApexDeviceParams& params, double f_mhz) {
   if (activity.cycles == 0) {
     throw std::invalid_argument("estimate_power: no simulated cycles");
@@ -62,20 +62,8 @@ PowerBreakdown estimate_power(const MappedNetlist& mapped,
   return pb;
 }
 
-PowerBreakdown estimate_power_batched(
-    const MappedNetlist& mapped, const rtl::ActivityStats& zero_delay_activity,
-    const ApexDeviceParams& params, double f_mhz, double glitch_margin) {
-  if (glitch_margin < 1.0) {
-    throw std::invalid_argument("estimate_power_batched: margin < 1");
-  }
-  PowerBreakdown pb =
-      estimate_power(mapped, zero_delay_activity, params, f_mhz);
-  pb.logic_mw *= glitch_margin;
-  return pb;
-}
-
 double mean_activity(const MappedNetlist& mapped,
-                     const rtl::ActivityStats& activity) {
+                     const ActivityStats& activity) {
   double total = 0.0;
   std::size_t nets = 0;
   for (const LogicElement& le : mapped.les) {

@@ -1,6 +1,7 @@
 // Activity-based dynamic power estimation.  Per-net switching activity
-// (including glitches) comes from the unit-delay ActivitySim; each physical
-// net charges its LE output + interconnect capacitance per transition:
+// (including glitches) comes from the transport-delay MappedActivitySim;
+// each physical net charges its LE output + interconnect capacitance per
+// transition:
 //   P_logic = sum over nets of  rate * 1/2 * C * Vdd^2 * f
 // plus the clock network (two edges per cycle per FF) and static power.
 #pragma once
@@ -8,9 +9,9 @@
 #include <string>
 
 #include "fpga/device.hpp"
+#include "fpga/mapped_sim.hpp"
 #include "fpga/tech_mapper.hpp"
 #include "fpga/timing.hpp"
-#include "rtl/activity_sim.hpp"
 
 namespace dwt::fpga {
 
@@ -28,24 +29,13 @@ struct PowerBreakdown {
 
 /// Estimates power at `f_mhz` given measured switching activity.
 [[nodiscard]] PowerBreakdown estimate_power(const MappedNetlist& mapped,
-                                            const rtl::ActivityStats& activity,
+                                            const ActivityStats& activity,
                                             const ApexDeviceParams& params,
                                             double f_mhz);
 
 /// Average switching activity (transitions per cycle) over physical nets --
 /// the headline glitch metric the pipelined designs improve.
 [[nodiscard]] double mean_activity(const MappedNetlist& mapped,
-                                   const rtl::ActivityStats& activity);
-
-/// Batched activity path: consumes zero-delay ActivityStats produced by the
-/// compiled bit-parallel engine (rtl::compiled::CompiledSimulator, 64 packed
-/// vector streams per tape pass -- see hw::run_stream_lanes), which counts
-/// settled per-cycle toggles but no combinational glitches.  The result is a
-/// fast screening estimate that lower-bounds the unit-delay number;
-/// `glitch_margin` (>= 1) scales the logic term to approximate the glitch
-/// contribution when calibrating against a unit-delay reference.
-[[nodiscard]] PowerBreakdown estimate_power_batched(
-    const MappedNetlist& mapped, const rtl::ActivityStats& zero_delay_activity,
-    const ApexDeviceParams& params, double f_mhz, double glitch_margin = 1.0);
+                                   const ActivityStats& activity);
 
 }  // namespace dwt::fpga

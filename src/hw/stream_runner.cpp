@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "dsp/fir_filter.hpp"
 
@@ -13,22 +15,79 @@ namespace {
 std::size_t low_count(std::size_t n) { return (n + 1) / 2; }
 std::size_t high_count(std::size_t n) { return n / 2; }
 
+/// Cycles the pair schedule takes for `pairs` fed pairs: leading guards,
+/// payload, trailing guards, then `latency` flush cycles.
+std::uint64_t schedule_cycles(std::size_t pairs, int latency) {
+  return static_cast<std::uint64_t>(pairs + 2 * kGuardPairs +
+                                    static_cast<std::size_t>(latency));
+}
+
+/// The one port/latency check every harness shares.
+void check_core(const rtl::Bus& in_a, const rtl::Bus& in_b,
+                const rtl::Bus& out_a, const rtl::Bus& out_b, int latency,
+                const char* who) {
+  if (in_a.bits.empty() || in_b.bits.empty() || out_a.bits.empty() ||
+      out_b.bits.empty()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": datapath port bus is empty");
+  }
+  if (latency < 0) {
+    throw std::invalid_argument(std::string(who) + ": negative latency");
+  }
+}
+
+/// The Fig. 4 memory controller's pair schedule -- the one cycle loop of
+/// every harness.  At cycle c it drives pair t = c - kGuardPairs, as
+/// returned by `pair(t)`, onto the core's two input buses and clocks the
+/// simulator; negative t are the leading guards, and once the trailing
+/// guards are through, the last one is re-fed while the pipeline flushes.
+/// It then calls `capture(i)` for output index i = c - latency -
+/// kGuardPairs + 1 while 0 <= i < pairs.  Returns the cycles consumed,
+/// schedule_cycles(pairs, latency).
+template <typename Sim, typename Pair, typename Capture>
+std::uint64_t run_schedule(Sim& sim, const rtl::Bus& in_a,
+                           const rtl::Bus& in_b, std::size_t pairs,
+                           int latency, const Pair& pair,
+                           const Capture& capture) {
+  const auto np = static_cast<std::ptrdiff_t>(pairs);
+  const std::uint64_t total = schedule_cycles(pairs, latency);
+  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(total); ++c) {
+    const auto [a, b] = pair(std::min(c - kGuardPairs, np + kGuardPairs - 1));
+    sim.set_bus(in_a, a);
+    sim.set_bus(in_b, b);
+    if constexpr (requires { sim.step(); }) {
+      sim.step();
+    } else {
+      sim.cycle();
+    }
+    const std::ptrdiff_t i = c - latency - kGuardPairs + 1;
+    if (i >= 0 && i < np) capture(static_cast<std::size_t>(i));
+  }
+  return total;
+}
+
+/// Extended pair t of `x` under the whole-sample symmetric extension:
+/// (x_ext[2t], x_ext[2t+1]).  For odd n the last payload pair's odd slot is
+/// the mirrored sample x[n-2]; the high-band value it produces is the
+/// extension's phantom d[nd] = d[nd-1] and is simply not captured, so n
+/// samples yield ceil(n/2) low and floor(n/2) high coefficients.
+auto mirrored_pairs(std::span<const std::int64_t> x) {
+  return [x](std::ptrdiff_t t) {
+    return std::pair{x[dsp::mirror_index(2 * t, x.size())],
+                     x[dsp::mirror_index(2 * t + 1, x.size())]};
+  };
+}
+
 /// A single-sample stream passes through the controller untouched (the
 /// JPEG2000 single-sample rule); the datapath never runs, so the identity
-/// result is reported with the same cycle formula as a streamed pair.
+/// result is reported with the cycle count of a one-pair stream.
 StreamResult single_sample_result(std::int64_t x0, int latency) {
   StreamResult out;
   out.low = {x0};
-  out.cycles = static_cast<std::uint64_t>(1 + 2 * kGuardPairs + latency);
+  out.cycles = schedule_cycles(1, latency);
   return out;
 }
 
-/// Feeds extended pairs t = -guard .. ns-1+guard; pair t is
-/// (x_ext[2t], x_ext[2t+1]) with whole-sample symmetric extension.  For odd
-/// n the last fed pair's odd slot is the mirrored sample x[n-2]; the
-/// high-band value it produces is the extension's phantom d[nd] = d[nd-1]
-/// and is simply not captured, so n samples yield ceil(n/2) low and
-/// floor(n/2) high coefficients.
 template <typename Sim>
 StreamResult run_impl(const rtl::Bus& in_even, const rtl::Bus& in_odd,
                       const rtl::Bus& out_low, const rtl::Bus& out_high,
@@ -36,54 +95,25 @@ StreamResult run_impl(const rtl::Bus& in_even, const rtl::Bus& in_odd,
   if (x.empty()) {
     throw std::invalid_argument("run_stream: empty signal");
   }
-  if (in_even.bits.empty() || in_odd.bits.empty() || out_low.bits.empty() ||
-      out_high.bits.empty()) {
-    throw std::invalid_argument("run_stream: datapath port bus is empty");
-  }
-  if (latency < 0) {
-    throw std::invalid_argument("run_stream: negative latency");
-  }
+  check_core(in_even, in_odd, out_low, out_high, latency, "run_stream");
   if (x.size() == 1) return single_sample_result(x[0], latency);
-  const std::ptrdiff_t ns = static_cast<std::ptrdiff_t>(low_count(x.size()));
-  const std::ptrdiff_t nd = static_cast<std::ptrdiff_t>(high_count(x.size()));
   StreamResult out;
-  out.low.assign(static_cast<std::size_t>(ns), 0);
-  out.high.assign(static_cast<std::size_t>(nd), 0);
-
-  auto x_ext = [&x](std::ptrdiff_t pos) {
-    return x[dsp::mirror_index(pos, x.size())];
-  };
-
-  // Feed pairs; pair index t enters at cycle c = t + kGuardPairs, and the
-  // coefficients for index i emerge `latency` cycles after pair i entered.
-  const std::ptrdiff_t total_cycles =
-      ns + 2 * kGuardPairs + latency;  // payload + guards + flush
-  for (std::ptrdiff_t c = 0; c < total_cycles; ++c) {
-    const std::ptrdiff_t t = c - kGuardPairs;
-    const std::ptrdiff_t feed = t < ns + kGuardPairs ? t : ns + kGuardPairs - 1;
-    sim.set_bus(in_even, x_ext(2 * feed));
-    sim.set_bus(in_odd, x_ext(2 * feed + 1));
-    if constexpr (requires { sim.step(); }) {
-      sim.step();
-    } else {
-      sim.cycle();
-    }
-    const std::ptrdiff_t i = c - latency - kGuardPairs + 1;
-    if (i >= 0 && i < ns) {
-      out.low[static_cast<std::size_t>(i)] = sim.read_bus(out_low);
-      if (i < nd) {
-        out.high[static_cast<std::size_t>(i)] = sim.read_bus(out_high);
-      }
-    }
-  }
-  out.cycles = static_cast<std::uint64_t>(total_cycles);
+  out.low.assign(low_count(x.size()), 0);
+  out.high.assign(high_count(x.size()), 0);
+  out.cycles = run_schedule(
+      sim, in_even, in_odd, out.low.size(), latency, mirrored_pairs(x),
+      [&](std::size_t i) {
+        out.low[i] = sim.read_bus(out_low);
+        if (i < out.high.size()) out.high[i] = sim.read_bus(out_high);
+      });
   return out;
 }
 
-/// Shared body of the batched runners: any session with the batched
-/// streaming surface (set_bus / step / per-lane read_bus and a kTotalLanes
-/// bound) runs the same feed schedule, so the full-tape and cone-restricted
-/// sessions stream identically by construction.
+/// Shared body of the batched runners: every lane sees the same samples,
+/// and the per-lane overlays inside the session produce the divergence.
+/// Output capture goes through the sessions' bulk read (one slot resolution
+/// per bus bit, fanned out to all lanes) -- with hundreds of lanes the
+/// per-lane read_bus calls otherwise rival the settle itself.
 template <typename Session>
 std::vector<StreamResult> run_batch_impl(const BuiltDatapath& dp,
                                          Session& session,
@@ -96,49 +126,31 @@ std::vector<StreamResult> run_batch_impl(const BuiltDatapath& dp,
     throw std::invalid_argument("run_stream_batch: bad lane count");
   }
   const int latency = dp.info.latency;
+  check_core(dp.in_even, dp.in_odd, dp.out_low, dp.out_high, latency,
+             "run_stream_batch");
   if (x.size() == 1) {
     // Pass-through stream: no datapath activity, so no fault can land.
     return std::vector<StreamResult>(lanes,
                                      single_sample_result(x[0], latency));
   }
-  const std::ptrdiff_t ns = static_cast<std::ptrdiff_t>(low_count(x.size()));
-  const std::ptrdiff_t nd = static_cast<std::ptrdiff_t>(high_count(x.size()));
+  const std::size_t nd = high_count(x.size());
   std::vector<StreamResult> out(lanes);
   for (StreamResult& r : out) {
-    r.low.assign(static_cast<std::size_t>(ns), 0);
-    r.high.assign(static_cast<std::size_t>(nd), 0);
+    r.low.assign(low_count(x.size()), 0);
+    r.high.assign(nd, 0);
   }
-  auto x_ext = [&x](std::ptrdiff_t pos) {
-    return x[dsp::mirror_index(pos, x.size())];
-  };
-  // Same feed schedule as run_impl; every lane sees the same samples, and
-  // the per-lane overlays inside the session produce the divergence.
-  // Output capture goes through the sessions' bulk read (one slot
-  // resolution per bus bit, fanned out to all lanes) -- with hundreds of
-  // lanes the per-lane read_bus calls otherwise rival the settle itself.
   std::vector<std::int64_t> lane_values(lanes);
-  const std::ptrdiff_t total_cycles = ns + 2 * kGuardPairs + latency;
-  for (std::ptrdiff_t c = 0; c < total_cycles; ++c) {
-    const std::ptrdiff_t t = c - kGuardPairs;
-    const std::ptrdiff_t feed = t < ns + kGuardPairs ? t : ns + kGuardPairs - 1;
-    session.set_bus(dp.in_even, x_ext(2 * feed));
-    session.set_bus(dp.in_odd, x_ext(2 * feed + 1));
-    session.step();
-    const std::ptrdiff_t i = c - latency - kGuardPairs + 1;
-    if (i >= 0 && i < ns) {
-      session.read_bus_all(dp.out_low, lane_values.data(), lanes);
-      for (unsigned l = 0; l < lanes; ++l) {
-        out[l].low[static_cast<std::size_t>(i)] = lane_values[l];
-      }
-      if (i < nd) {
-        session.read_bus_all(dp.out_high, lane_values.data(), lanes);
-        for (unsigned l = 0; l < lanes; ++l) {
-          out[l].high[static_cast<std::size_t>(i)] = lane_values[l];
+  const std::uint64_t cycles = run_schedule(
+      session, dp.in_even, dp.in_odd, low_count(x.size()), latency,
+      mirrored_pairs(x), [&](std::size_t i) {
+        session.read_bus_all(dp.out_low, lane_values.data(), lanes);
+        for (unsigned l = 0; l < lanes; ++l) out[l].low[i] = lane_values[l];
+        if (i < nd) {
+          session.read_bus_all(dp.out_high, lane_values.data(), lanes);
+          for (unsigned l = 0; l < lanes; ++l) out[l].high[i] = lane_values[l];
         }
-      }
-    }
-  }
-  for (StreamResult& r : out) r.cycles = static_cast<std::uint64_t>(total_cycles);
+      });
+  for (StreamResult& r : out) r.cycles = cycles;
   return out;
 }
 
@@ -146,12 +158,6 @@ std::vector<StreamResult> run_batch_impl(const BuiltDatapath& dp,
 
 StreamResult run_stream(const BuiltDatapath& dp, rtl::Simulator& sim,
                         std::span<const std::int64_t> x) {
-  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
-                  dp.info.latency, sim, x);
-}
-
-StreamResult run_stream_activity(const BuiltDatapath& dp, rtl::ActivitySim& sim,
-                                 std::span<const std::int64_t> x) {
   return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
                   dp.info.latency, sim, x);
 }
@@ -202,97 +208,11 @@ template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::ConeBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);
 
-LaneStreamResult run_stream_lanes(const BuiltDatapath& dp,
-                                  rtl::compiled::CompiledSimulator& sim,
-                                  std::span<const std::int64_t> x) {
-  if (x.empty()) {
-    throw std::invalid_argument("run_stream_lanes: empty signal");
-  }
-  // Chunk in fed pairs so no trailing sample is dropped: an odd signal's
-  // final chunk covers an odd number of samples and is mirror-extended
-  // like any other odd stream.
-  const std::size_t pairs = low_count(x.size());
-  const std::size_t chunk_pairs =
-      (pairs + rtl::compiled::kLanes - 1) / rtl::compiled::kLanes;
-  const unsigned lanes =
-      static_cast<unsigned>((pairs + chunk_pairs - 1) / chunk_pairs);
-  const int latency = dp.info.latency;
-
-  LaneStreamResult out;
-  out.lanes.resize(lanes);
-  std::vector<std::size_t> lane_samples(lanes);  // chunk length, may be odd
-  std::vector<std::size_t> lane_pairs(lanes);    // fed pairs = ceil(len/2)
-  for (unsigned l = 0; l < lanes; ++l) {
-    const std::size_t base = 2 * l * chunk_pairs;
-    lane_samples[l] = std::min(2 * chunk_pairs, x.size() - base);
-    lane_pairs[l] = low_count(lane_samples[l]);
-    out.lanes[l].low.assign(low_count(lane_samples[l]), 0);
-    out.lanes[l].high.assign(high_count(lane_samples[l]), 0);
-  }
-
-  // Each lane mirror-extends its own chunk, exactly like run_impl does for
-  // the whole signal.
-  const auto lane_sample = [&](unsigned l, std::ptrdiff_t pos) {
-    const std::size_t base = 2 * l * chunk_pairs;
-    return x[base + dsp::mirror_index(pos, lane_samples[l])];
-  };
-  std::vector<std::uint64_t> bits;
-  const auto drive = [&](const rtl::Bus& bus, std::ptrdiff_t t, int parity) {
-    const std::size_t width = bus.bits.size();
-    bits.assign(width, 0);
-    for (unsigned l = 0; l < lanes; ++l) {
-      const std::ptrdiff_t lane_half = static_cast<std::ptrdiff_t>(lane_pairs[l]);
-      const std::ptrdiff_t feed =
-          t < lane_half + kGuardPairs ? t : lane_half + kGuardPairs - 1;
-      const std::int64_t v = lane_sample(l, 2 * feed + parity);
-      for (std::size_t b = 0; b < width; ++b) {
-        bits[b] |= static_cast<std::uint64_t>((v >> b) & 1) << l;
-      }
-    }
-    for (std::size_t b = 0; b < width; ++b) {
-      sim.set_input_mask(bus.bits[b], bits[b]);
-    }
-  };
-
-  const std::ptrdiff_t total_cycles =
-      static_cast<std::ptrdiff_t>(chunk_pairs) + 2 * kGuardPairs + latency;
-  for (std::ptrdiff_t c = 0; c < total_cycles; ++c) {
-    const std::ptrdiff_t t = c - kGuardPairs;
-    drive(dp.in_even, t, 0);
-    drive(dp.in_odd, t, 1);
-    sim.step();
-    const std::ptrdiff_t i = c - latency - kGuardPairs + 1;
-    for (unsigned l = 0; l < lanes; ++l) {
-      if (i >= 0 && i < static_cast<std::ptrdiff_t>(out.lanes[l].low.size())) {
-        out.lanes[l].low[static_cast<std::size_t>(i)] =
-            sim.read_bus(dp.out_low, l);
-        if (i < static_cast<std::ptrdiff_t>(out.lanes[l].high.size())) {
-          out.lanes[l].high[static_cast<std::size_t>(i)] =
-              sim.read_bus(dp.out_high, l);
-        }
-      }
-    }
-  }
-  // Single-sample chunks pass through (the JPEG2000 single-sample rule, as
-  // run_stream applies); overwrite whatever the constant-fed core produced.
-  for (unsigned l = 0; l < lanes; ++l) {
-    if (lane_samples[l] == 1) {
-      out.lanes[l].low[0] = x[2 * l * chunk_pairs];
-    }
-  }
-  out.cycles = static_cast<std::uint64_t>(total_cycles);
-  for (unsigned l = 0; l < lanes; ++l) {
-    out.lanes[l].cycles = out.cycles;
-  }
-  return out;
-}
-
 std::uint64_t stream_cycle_count(const BuiltDatapath& dp, std::size_t n) {
   if (n == 0) {
     throw std::invalid_argument("stream_cycle_count: empty signal");
   }
-  return static_cast<std::uint64_t>(low_count(n) + 2 * kGuardPairs +
-                                    static_cast<std::size_t>(dp.info.latency));
+  return schedule_cycles(low_count(n), dp.info.latency);
 }
 
 StreamResult run_stream53(const BuiltDatapath53& dp, rtl::Simulator& sim,
@@ -310,39 +230,34 @@ InverseStreamResult run_stream_inverse(const BuiltInverseDatapath& dp,
   if (ns == 0 || (nd != ns && nd + 1 != ns)) {
     throw std::invalid_argument("run_stream_inverse: bad sub-band sizes");
   }
-  const int latency = dp.latency;
+  check_core(dp.in_low, dp.in_high, dp.out_even, dp.out_odd, dp.latency,
+             "run_stream_inverse");
   InverseStreamResult out;
   if (ns == 1 && nd == 0) {
     out.samples = {low[0]};
-    out.cycles = static_cast<std::uint64_t>(1 + 2 * kGuardPairs + latency);
+    out.cycles = schedule_cycles(1, dp.latency);
     return out;
   }
-  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(ns);
   out.samples.assign(ns + nd, 0);
   // Edge replication matches the software inverse model's boundary handling
   // (d_before(0) = d[0], s_at(ns) = s[ns-1]); for an odd-length signal the
   // high band is one short, so its clamp point comes one pair earlier
   // (d[nd] = d[nd-1], the (1,1) extension's phantom value).
   auto clamp_to = [](std::ptrdiff_t t, std::size_t count) {
-    return static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-        0, std::min<std::ptrdiff_t>(t, static_cast<std::ptrdiff_t>(count) - 1)));
+    return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
+        t, 0, static_cast<std::ptrdiff_t>(count) - 1));
   };
-  const std::ptrdiff_t total_cycles = half + 2 * kGuardPairs + latency;
-  for (std::ptrdiff_t c = 0; c < total_cycles; ++c) {
-    const std::ptrdiff_t t = c - kGuardPairs;
-    sim.set_bus(dp.in_low, low[clamp_to(t, ns)]);
-    sim.set_bus(dp.in_high, high[clamp_to(t, nd)]);
-    sim.step();
-    const std::ptrdiff_t i = c - latency - kGuardPairs + 1;
-    if (i >= 0 && i < half) {
-      out.samples[static_cast<std::size_t>(2 * i)] = sim.read_bus(dp.out_even);
-      if (static_cast<std::size_t>(2 * i + 1) < out.samples.size()) {
-        out.samples[static_cast<std::size_t>(2 * i + 1)] =
-            sim.read_bus(dp.out_odd);
-      }
-    }
-  }
-  out.cycles = static_cast<std::uint64_t>(total_cycles);
+  out.cycles = run_schedule(
+      sim, dp.in_low, dp.in_high, ns, dp.latency,
+      [&](std::ptrdiff_t t) {
+        return std::pair{low[clamp_to(t, ns)], high[clamp_to(t, nd)]};
+      },
+      [&](std::size_t i) {
+        out.samples[2 * i] = sim.read_bus(dp.out_even);
+        if (2 * i + 1 < out.samples.size()) {
+          out.samples[2 * i + 1] = sim.read_bus(dp.out_odd);
+        }
+      });
   return out;
 }
 

@@ -2,6 +2,9 @@
 // extended sample stream (the boundary treatment of paper section 2, which
 // the memory controller performs in the 2D system of figure 4) into a
 // simulated datapath and collects the valid low/high coefficient window.
+// Every harness below -- scalar, faulty, mapped, batched, 5/3 and inverse --
+// runs the same pair schedule: kGuardPairs guard pairs, the payload,
+// kGuardPairs trailing guards, then `latency` flush cycles.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +15,7 @@
 #include "hw/inverse_lifting_datapath.hpp"
 #include "hw/lifting53_datapath.hpp"
 #include "hw/lifting_datapath.hpp"
-#include "rtl/activity_sim.hpp"
 #include "rtl/compiled/batch_fault.hpp"
-#include "rtl/compiled/compiled_simulator.hpp"
 #include "rtl/compiled/cone_session.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/simulator.hpp"
@@ -41,12 +42,8 @@ inline constexpr int kGuardPairs = 4;
                                       rtl::Simulator& sim,
                                       std::span<const std::int64_t> x);
 
-/// Same, on the unit-delay activity simulator (used for power workloads).
-[[nodiscard]] StreamResult run_stream_activity(const BuiltDatapath& dp,
-                                               rtl::ActivitySim& sim,
-                                               std::span<const std::int64_t> x);
-
-/// Same, on the mapped-netlist unit-delay simulator (LUT-level glitches).
+/// Same, on the mapped-netlist transport-delay simulator (LUT-level
+/// glitches) -- the switching-activity workload behind the power model.
 [[nodiscard]] StreamResult run_stream_mapped(const BuiltDatapath& dp,
                                              fpga::MappedActivitySim& sim,
                                              std::span<const std::int64_t> x);
@@ -100,24 +97,10 @@ extern template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::ConeBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);
 
-/// Batched activity path: partitions a signal of any non-zero length into
-/// up to 64 contiguous chunks (the final chunk may be odd), one per lane,
-/// and streams them all in one
-/// compiled pass (each chunk is mirror-extended independently, so sub-band
-/// values near chunk seams differ from the single-stream transform -- fine
-/// for switching-activity workloads, not for codec output).  Enable the
-/// simulator's activity counters first to harvest toggle statistics.
-struct LaneStreamResult {
-  std::vector<StreamResult> lanes;  ///< per-lane chunk transforms
-  std::uint64_t cycles = 0;         ///< batch cycles (all lanes in parallel)
-};
-[[nodiscard]] LaneStreamResult run_stream_lanes(
-    const BuiltDatapath& dp, rtl::compiled::CompiledSimulator& sim,
-    std::span<const std::int64_t> x);
-
-/// Cycles one call to run_stream/run_stream_faulty consumes for an
-/// `n`-sample signal on `dp` (payload + guards + flush); campaign schedulers
-/// use it to draw in-range injection cycles.
+/// Cycles one run_stream / run_stream_faulty / run_stream_mapped /
+/// run_stream_batch call on `dp` consumes for an `n`-sample signal:
+/// ceil(n/2) + 2*kGuardPairs + latency (payload + guards + flush).
+/// Campaign schedulers use it to draw in-range injection cycles.
 [[nodiscard]] std::uint64_t stream_cycle_count(const BuiltDatapath& dp,
                                                std::size_t n);
 

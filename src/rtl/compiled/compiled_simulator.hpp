@@ -2,7 +2,7 @@
 // independent test vectors packed into one std::uint64_t "lane word" per
 // signal slot.  Bit L of every word belongs to lane L, so one pass over the
 // instruction tape advances all 64 vectors by one settle -- the machinery
-// behind the compiled campaign runner and the batched activity path.
+// behind the compiled campaign runner and the rtl-compiled backend.
 //
 // Semantics match the scalar zero-delay rtl::Simulator lane-for-lane:
 //   * eval() settles the combinational cloud (dependency-ordered tape pass);
@@ -15,12 +15,6 @@
 // chosen values during eval (the compiled analogue of FaultInjector's
 // settle-with-pins), flip_state() XORs freshly clocked DFF lanes (SEU).
 //
-// Optional per-slot toggle counters accumulate popcount(new ^ old) across
-// cycles; activity_stats() exports them as rtl::ActivityStats (indexed by
-// NetId) so fpga::estimate_power consumes batched runs directly.  Zero-delay
-// toggles exclude combinational glitches -- a fast screening lower bound,
-// not a replacement for the unit-delay simulators.
-//
 // This is the one-word instantiation of the width-templated engine in
 // wide_simulator.hpp, kept as a named class so the packed-mask std::uint64_t
 // surface of the original simulator survives unchanged; WideSimulator<2>/<4>
@@ -31,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "rtl/activity_sim.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
 #include "rtl/netlist.hpp"
@@ -68,12 +61,6 @@ class CompiledSimulator : public WideSimulator<1> {
   /// clock_edge() and the next eval(); throws if `net` is not a DFF output.
   void flip_state(NetId net, std::uint64_t lanes) {
     WideSimulator<1>::flip_state(net, blk(lanes));
-  }
-
-  /// Starts counting per-slot toggles on the lanes of `lane_mask` (default
-  /// all).  Counting costs one extra pass over the state per step().
-  void enable_activity(std::uint64_t lane_mask = ~std::uint64_t{0}) {
-    WideSimulator<1>::enable_activity(blk(lane_mask));
   }
 
  private:

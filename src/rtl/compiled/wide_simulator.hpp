@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "rtl/activity_sim.hpp"
 #include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/native_block.hpp"
 #include "rtl/compiled/tape.hpp"
@@ -117,11 +115,6 @@ struct LaneBlock {
       if (word != 0) return true;
     }
     return false;
-  }
-  [[nodiscard]] unsigned popcount() const {
-    unsigned n = 0;
-    for (const std::uint64_t word : w) n += std::popcount(word);
-    return n;
   }
   LaneBlock& operator|=(const LaneBlock& o) {
     for (unsigned k = 0; k < W; ++k) w[k] |= o.w[k];
@@ -327,14 +320,6 @@ class WideSimulator {
     eval();
     clock_edge();
     ++cycles_;
-    if (activity_on_) {
-      const std::size_t n = state_.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        toggles_[i / W] += static_cast<std::uint64_t>(std::popcount(
-            (state_[i] ^ prev_state_[i]) & activity_lanes_.w[i % W]));
-        prev_state_[i] = state_[i];
-      }
-    }
   }
 
   // Observation -----------------------------------------------------------
@@ -452,43 +437,12 @@ class WideSimulator {
     for (unsigned k = 0; k < W; ++k) state_[s * W + k] ^= lanes.w[k];
   }
 
-  // Activity --------------------------------------------------------------
-  /// Starts counting per-slot toggles on the lanes of `lanes` (default all).
-  /// Counting costs one extra pass over the state per step().
-  void enable_activity(const Block& lanes = Block::ones()) {
-    activity_on_ = true;
-    activity_lanes_ = lanes;
-    prev_state_ = state_;
-    toggles_.assign(tape_->slot_count(), 0);
-  }
-  /// Toggle totals summed over counted lanes, as ActivityStats indexed by
-  /// NetId; `cycles` is steps * popcount(counted lanes) -- each lane is one
-  /// simulated vector stream.
-  [[nodiscard]] ActivityStats activity_stats() const {
-    if (!activity_on_) {
-      throw std::logic_error(
-          "WideSimulator::activity_stats: activity not enabled");
-    }
-    ActivityStats stats;
-    stats.cycles = cycles_ * activity_lanes_.popcount();
-    stats.toggles.assign(tape_->net_count(), 0);
-    for (Slot s = 0; s < toggles_.size(); ++s) {
-      stats.toggles[tape_->net_of(s)] = toggles_[s];
-      stats.total_toggles += toggles_[s];
-    }
-    return stats;
-  }
-
-  /// Clears all state (and toggle counters) back to power-on zero: one copy
-  /// of the tape's constant image, no per-slot bookkeeping.
+  /// Clears all state back to power-on zero: one copy of the tape's
+  /// constant image, no per-slot bookkeeping.
   void reset() {
     load_const_image();
     for (const Slot s : restore_pending_) restore_flag_[s] = 0;
     restore_pending_.clear();
-    if (activity_on_) {
-      prev_state_ = state_;
-      toggles_.assign(toggles_.size(), 0);
-    }
     cycles_ = 0;
   }
 
@@ -752,11 +706,6 @@ class WideSimulator {
   std::vector<Slot> restore_pending_;      // const slots to reload at eval()
   std::vector<std::uint8_t> restore_flag_;  // per slot: in restore_pending_
   StateVec dff_scratch_;
-
-  bool activity_on_ = false;
-  Block activity_lanes_ = Block::ones();
-  StateVec prev_state_;                    // per word, for toggle XOR
-  std::vector<std::uint64_t> toggles_;     // per slot
   std::uint64_t cycles_ = 0;
 };
 

@@ -96,5 +96,20 @@ TEST(Codec, RejectsBadInputs) {
   EXPECT_THROW(decode_image({0x00, 0x01, 0x02}), std::invalid_argument);
 }
 
+TEST(Codec, RejectsHeaderDeclaringMorePixelsThanBits) {
+  // 11 bytes: magic, lossy mode, 65535x65535, 1 octave, step 4.0, then a
+  // single payload byte -- a 34 GB plane the stream cannot possibly fill.
+  const std::vector<std::uint8_t> bytes{0xD9, 0x7C, 0x00, 0xFF, 0xFF, 0xFF,
+                                        0xFF, 0x01, 0x00, 0x40, 0x00};
+  EXPECT_THROW((void)decode_image(bytes), std::invalid_argument);
+}
+
+TEST(Codec, RejectsUnknownModeByte) {
+  std::vector<std::uint8_t> bytes = encode_image(integer_image(16, 3)).bytes;
+  EXPECT_NO_THROW((void)decode_image(bytes));
+  bytes[2] = 7;  // the mode byte follows the 16-bit magic
+  EXPECT_THROW((void)decode_image(bytes), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dwt::codec

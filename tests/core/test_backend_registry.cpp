@@ -93,33 +93,22 @@ TEST(BackendRegistry, BitExactBackendsMatchTheFixedPointReference) {
   }
 }
 
-TEST(BackendRegistry, Forward1dRoundsThroughTheStreamPath) {
-  const ExecutionBackend* backend = find_backend("rtl-compiled");
-  ASSERT_NE(backend, nullptr);
-  const std::vector<double> x{12.0, -3.0, 55.0, 7.0, -90.0, 4.0, 31.0};
-  const dsp::Subbands1d sb = backend->forward_1d(BackendRequest{}, x);
-  EXPECT_EQ(sb.low.size(), 4u);
-  EXPECT_EQ(sb.high.size(), 3u);
-  const ExecutionBackend* reference = find_backend("software-fixed");
-  const dsp::Subbands1d ref = reference->forward_1d(BackendRequest{}, x);
-  EXPECT_EQ(sb.low, ref.low);
-  EXPECT_EQ(sb.high, ref.high);
-}
-
 TEST(BackendRegistry, TwoDimensionalSessionsAgreeWithTheSoftwareModel) {
   dsp::Image reference = dsp::make_still_tone_image(33, 21, 7);
   dsp::level_shift_forward(reference);
   dsp::round_coefficients(reference);
   const dsp::Image source = reference;
-  (void)find_backend("software-fixed")->forward_2d(BackendRequest{},
-                                                   reference, 2);
+  (void)find_backend("software-fixed")
+      ->make_2d_session(BackendRequest{})
+      ->forward(reference, 2);
   for (const ExecutionBackend* backend : all_backends()) {
     if (!backend->caps().forward_2d || !backend->caps().bit_exact) continue;
     if (backend->name() == "software-fixed") continue;
     BackendRequest req;
     req.max_octaves = 2;
     dsp::Image plane = source;
-    const hw::Dwt2dRunStats stats = backend->forward_2d(req, plane, 2);
+    const hw::Dwt2dRunStats stats =
+        backend->make_2d_session(req)->forward(plane, 2);
     EXPECT_EQ(plane.data(), reference.data()) << backend->name();
     if (backend->caps().cycle_accurate) {
       EXPECT_GT(stats.total_cycles, 0u) << backend->name();
@@ -130,9 +119,6 @@ TEST(BackendRegistry, TwoDimensionalSessionsAgreeWithTheSoftwareModel) {
 TEST(BackendRegistry, UnsupportedEntryPointsThrow) {
   const ExecutionBackend* mapped = find_backend("fpga-mapped");
   ASSERT_NE(mapped, nullptr);
-  dsp::Image plane = dsp::make_still_tone_image(16, 16, 3);
-  EXPECT_THROW((void)mapped->forward_2d(BackendRequest{}, plane, 1),
-               std::invalid_argument);
   EXPECT_THROW((void)mapped->make_2d_session(BackendRequest{}),
                std::invalid_argument);
 }

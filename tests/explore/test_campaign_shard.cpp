@@ -71,7 +71,7 @@ TEST(ExactAcc, HexRoundTrips) {
   const std::string hex = acc.to_hex();
   EXPECT_EQ(hex.size(), 576u);
   EXPECT_EQ(common::ExactAcc::from_hex(hex), acc);
-  EXPECT_THROW(common::ExactAcc::from_hex("zz"), std::invalid_argument);
+  EXPECT_THROW((void)common::ExactAcc::from_hex("zz"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 #include "common/rng.hpp"
 #include "fpga/mapped_sim.hpp"
 #include "rtl/builder.hpp"
-#include "rtl/compiled/compiled_simulator.hpp"
 
 namespace dwt::fpga {
 namespace {
@@ -34,7 +33,7 @@ struct Harness {
     mapped = map_to_apex(nl);
   }
 
-  rtl::ActivityStats run(std::uint64_t seed, int cycles) {
+  ActivityStats run(std::uint64_t seed, int cycles) {
     MappedActivitySim sim(mapped);
     common::Rng rng(seed);
     for (int t = 0; t < cycles; ++t) {
@@ -42,21 +41,6 @@ struct Harness {
       sim.cycle();
     }
     return sim.stats();
-  }
-
-  /// Batched zero-delay activity: 64 random vector streams in one compiled
-  /// pass, the workload estimate_power_batched consumes.
-  rtl::ActivityStats run_batched(std::uint64_t seed, int cycles) {
-    rtl::compiled::CompiledSimulator sim(nl);
-    sim.enable_activity();
-    common::Rng rng(seed);
-    for (int t = 0; t < cycles; ++t) {
-      for (unsigned lane = 0; lane < rtl::compiled::kLanes; ++lane) {
-        sim.set_bus(in, lane, rng.uniform(-128, 127));
-      }
-      sim.step();
-    }
-    return sim.activity_stats();
   }
 };
 
@@ -111,46 +95,9 @@ TEST(Power, RejectsDegenerateInputs) {
   Harness h(1);
   const auto stats = h.run(5, 10);
   const auto& p = ApexDeviceParams::apex20ke();
-  EXPECT_THROW((void)estimate_power(h.mapped, rtl::ActivityStats{}, p, 15.0),
+  EXPECT_THROW((void)estimate_power(h.mapped, ActivityStats{}, p, 15.0),
                std::invalid_argument);
   EXPECT_THROW((void)estimate_power(h.mapped, stats, p, 0.0), std::invalid_argument);
-}
-
-TEST(Power, BatchedEstimateMatchesBaseAtUnityMargin) {
-  Harness h(2);
-  const auto stats = h.run_batched(8, 50);
-  const auto& p = ApexDeviceParams::apex20ke();
-  const PowerBreakdown base = estimate_power(h.mapped, stats, p, 15.0);
-  const PowerBreakdown batched =
-      estimate_power_batched(h.mapped, stats, p, 15.0);
-  EXPECT_DOUBLE_EQ(batched.logic_mw, base.logic_mw);
-  EXPECT_DOUBLE_EQ(batched.clock_mw, base.clock_mw);
-  EXPECT_DOUBLE_EQ(batched.total_mw(), base.total_mw());
-}
-
-TEST(Power, BatchedGlitchMarginScalesLogicOnly) {
-  Harness h(2);
-  const auto stats = h.run_batched(9, 50);
-  const auto& p = ApexDeviceParams::apex20ke();
-  const PowerBreakdown base = estimate_power(h.mapped, stats, p, 15.0);
-  const PowerBreakdown margined =
-      estimate_power_batched(h.mapped, stats, p, 15.0, 1.3);
-  EXPECT_NEAR(margined.logic_mw, 1.3 * base.logic_mw, 1e-9);
-  EXPECT_DOUBLE_EQ(margined.clock_mw, base.clock_mw);
-  EXPECT_DOUBLE_EQ(margined.static_mw, base.static_mw);
-  EXPECT_THROW((void)estimate_power_batched(h.mapped, stats, p, 15.0, 0.5),
-               std::invalid_argument);
-}
-
-TEST(Power, BatchedActivityTracksUnitDelayWorkload) {
-  // The zero-delay batched stats are a glitch-free lower bound on the
-  // unit-delay workload's switching; both must light up the same design.
-  Harness h(3);
-  const auto batched = h.run_batched(10, 100);
-  const auto& p = ApexDeviceParams::apex20ke();
-  const double mw = estimate_power(h.mapped, batched, p, 15.0).logic_mw;
-  EXPECT_GT(mw, 0.0);
-  EXPECT_GT(mean_activity(h.mapped, batched), 0.05);
 }
 
 TEST(Power, MeanActivityPositiveUnderStimulus) {

@@ -1,16 +1,15 @@
 // Randomized cross-validation of the hardware substrate: generate random
 // netlists (gates, adders of every AdderArch, multipliers, registers), then
-// require that the zero-delay simulator, the unit-delay simulator, the
-// technology mapper + mapped-netlist simulator, and the simplify() rewrite
-// all agree cycle by cycle.  This is the strongest guard against mapper or
-// rewrite bugs: any truth-table, packing, liveness or folding error shows up
-// as a divergence.
+// require that the zero-delay simulator, the technology mapper + the
+// transport-delay mapped-netlist simulator (the power model's activity
+// source), and the simplify() rewrite all agree cycle by cycle.  This is the
+// strongest guard against mapper or rewrite bugs: any truth-table, packing,
+// liveness or folding error shows up as a divergence.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "fpga/mapped_sim.hpp"
 #include "fpga/tech_mapper.hpp"
-#include "rtl/activity_sim.hpp"
 #include "rtl/adders.hpp"
 #include "rtl/multipliers.hpp"
 #include "rtl/simplify.hpp"
@@ -108,7 +107,6 @@ TEST_P(NetlistFuzz, AllEnginesAgree) {
   const fpga::MappedNetlist mapped = fpga::map_to_apex(simplified);
 
   rtl::Simulator zero_delay(nl);
-  rtl::ActivitySim unit_delay(nl);
   rtl::Simulator zero_delay_simplified(simplified);
   fpga::MappedActivitySim mapped_sim(mapped);
 
@@ -122,20 +120,15 @@ TEST_P(NetlistFuzz, AllEnginesAgree) {
     const std::int64_t vb = rng.uniform(lb, hb);
     zero_delay.set_bus(in_a, va);
     zero_delay.set_bus(in_b, vb);
-    unit_delay.set_bus(in_a, va);
-    unit_delay.set_bus(in_b, vb);
     zero_delay_simplified.set_bus(sa, va);
     zero_delay_simplified.set_bus(sb, vb);
     mapped_sim.set_bus(sa, va);
     mapped_sim.set_bus(sb, vb);
     zero_delay.step();
-    unit_delay.cycle();
     zero_delay_simplified.step();
     mapped_sim.cycle();
     if (cycle < depth + 1) continue;  // pipeline warm-up
     const std::int64_t expected = zero_delay.read_bus(nl.output("y"));
-    EXPECT_EQ(unit_delay.read_bus(nl.output("y")), expected)
-        << "unit-delay diverged, cycle " << cycle;
     EXPECT_EQ(zero_delay_simplified.read_bus(simplified.output("y")), expected)
         << "simplify() diverged, cycle " << cycle;
     EXPECT_EQ(mapped_sim.read_bus(simplified.output("y")), expected)

@@ -48,14 +48,19 @@ TEST_P(SumSignedTest, ComputesSignedSums) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, SumSignedTest,
-    ::testing::Values(SumCase{SumStructure::kSequential, AdderStyle::kCarryChain, false},
-                      SumCase{SumStructure::kSequential, AdderStyle::kRippleGates, false},
-                      SumCase{SumStructure::kTree, AdderStyle::kCarryChain, false},
-                      SumCase{SumStructure::kTree, AdderStyle::kRippleGates, false},
-                      SumCase{SumStructure::kSequential, AdderStyle::kCarryChain, true},
-                      SumCase{SumStructure::kTree, AdderStyle::kCarryChain, true}));
+// gtest (and the ctest names discovered from it) label each case with a dump
+// of the SumCase bytes, padding included. Cases built as stack temporaries
+// left that padding uninitialised, so the names changed from run to run; a
+// static table keeps the padding zero and the names stable.
+constexpr SumCase kSumCases[] = {
+    {SumStructure::kSequential, AdderStyle::kCarryChain, false},
+    {SumStructure::kSequential, AdderStyle::kRippleGates, false},
+    {SumStructure::kTree, AdderStyle::kCarryChain, false},
+    {SumStructure::kTree, AdderStyle::kRippleGates, false},
+    {SumStructure::kSequential, AdderStyle::kCarryChain, true},
+    {SumStructure::kTree, AdderStyle::kCarryChain, true}};
+
+INSTANTIATE_TEST_SUITE_P(Configs, SumSignedTest, ::testing::ValuesIn(kSumCases));
 
 TEST(SumTree, DepthIsLogarithmicWhenPipelined) {
   Netlist nl;

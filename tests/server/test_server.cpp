@@ -119,7 +119,9 @@ std::vector<std::uint8_t> cli_tile_bytes(const dsp::Image& input,
   opt.threads = 1;
   opt.backend = backend.empty() ? nullptr : core::find_backend(backend);
   opt.design = design;
-  if (!backend.empty()) EXPECT_NE(opt.backend, nullptr) << backend;
+  if (!backend.empty()) {
+    EXPECT_NE(opt.backend, nullptr) << backend;
+  }
   dsp::level_shift_forward(img);
   dsp::round_coefficients(img);
   (void)hw::tile_forward(img, opt);
