@@ -7,8 +7,8 @@
 //
 // Besides the throughput matrix the bench reports the optimizer's
 // per-level instruction counts and reductions, the execution-tier matrix
-// (switch interpreter vs threaded dispatch vs native x86-64 block over a
-// precomputed stimulus ring, per level and lane width), and the
+// (switch interpreter vs native x86-64 block over a precomputed stimulus
+// ring, per level and lane width), and the
 // fault-campaign throughput of the 64-lane seed path vs the 256-lane wide
 // path on the smoke workload (the acceptance metric for the wide engine).
 //
@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -94,20 +95,22 @@ std::int64_t wide_vectors_per_sec(
   return checksum;
 }
 
-// Execution-tier probe: same tape, same stimulus, different tape walker.
-// Stimulus comes from a precomputed ring of input frames so the timed loop
-// is set_input_block + step() -- per-lane random generation costs more
-// than an optimized tape pass and would otherwise time the RNG, hiding the
-// tier difference the record exists to measure.
+// Execution-tier probe: same tape, same stimulus, different tape walker
+// (the interpreter when `native` is null).  Stimulus comes from a
+// precomputed ring of input frames so the timed loop is set_input_block +
+// step() -- per-lane random generation costs more than an optimized tape
+// pass and would otherwise time the RNG, hiding the tier difference the
+// record exists to measure.
 template <unsigned W>
 std::int64_t tier_vectors_per_sec(
     const std::shared_ptr<const dwt::rtl::compiled::Tape>& tape,
-    const dwt::hw::BuiltDatapath& dp, dwt::rtl::compiled::ExecTier tier,
+    const dwt::hw::BuiltDatapath& dp,
+    std::shared_ptr<const dwt::rtl::compiled::NativeBlock> native,
     std::uint64_t cycles, std::uint64_t seed, double* vps) {
   using Sim = dwt::rtl::compiled::WideSimulator<W>;
   using Block = dwt::rtl::compiled::LaneBlock<W>;
   Sim sim(tape);
-  sim.set_exec_tier(tier);
+  sim.set_native(std::move(native));
   const std::vector<dwt::rtl::NetId>& pis = dp.netlist.primary_inputs();
   constexpr std::size_t kRing = 16;
   std::vector<std::vector<Block>> ring(kRing);
@@ -282,13 +285,12 @@ int main(int argc, char** argv) {
     json.add(spec.name, "compiled_speedup", vps_max / interp_vps, "ratio");
 
     // Execution-tier matrix: the same tape walked by the switch
-    // interpreter, the threaded-dispatch interpreter, and the native
-    // x86-64 block, per (level, width), over the stimulus-ring harness.
-    // On hosts without the emitter the native point demotes to threaded
-    // (the production fallback) and the records document that.
+    // interpreter and the native x86-64 block, per (level, width), over the
+    // stimulus-ring harness.  On hosts without the emitter the native point
+    // demotes to the interpreter (the production fallback) and the records
+    // document that.
     using dwt::rtl::compiled::ExecTier;
-    constexpr ExecTier kTiers[] = {ExecTier::kSwitch, ExecTier::kThreaded,
-                                   ExecTier::kNative};
+    constexpr ExecTier kTiers[] = {ExecTier::kSwitch, ExecTier::kNative};
     double gate_switch = 0.0;  // o2/l256 switch interpreter, best of reps
     double gate_native = 0.0;  // o2/l256 native tier, best of reps
     for (const OptLevel level : kLevels) {
@@ -299,15 +301,16 @@ int main(int argc, char** argv) {
         for (const ExecTier tier : kTiers) {
           // The o2/l256 gate points get best-of-3: one descheduled slice
           // must not decide a 3x acceptance ratio.
-          const bool gate_point = level == OptLevel::kFull && width == 4 &&
-                                  tier != ExecTier::kThreaded;
+          const bool gate_point = level == OptLevel::kFull && width == 4;
+          const auto native = cache.native_for(
+              tier, spec.config, dwt::rtl::HardeningStyle::kNone, level, width);
           double best = 0.0;
           for (int rep = 0; rep < (gate_point ? 3 : 1); ++rep) {
             double vps = 0.0;
             if (width == 1) {
-              tier_vectors_per_sec<1>(tape, dp, tier, tier_cycles, 7, &vps);
+              tier_vectors_per_sec<1>(tape, dp, native, tier_cycles, 7, &vps);
             } else {
-              tier_vectors_per_sec<4>(tape, dp, tier, tier_cycles, 7, &vps);
+              tier_vectors_per_sec<4>(tape, dp, native, tier_cycles, 7, &vps);
             }
             best = std::max(best, vps);
           }
@@ -386,7 +389,7 @@ int main(int argc, char** argv) {
   // geometric mean of the per-design ratios (the deeply pipelined Design 3
   // is edge-copy-dominated and individually sits below its peers; every
   // per-design ratio is still a published record).  Skipped when
-  // DWT_EXEC_TIER forces a portable tier -- the records then measure the
+  // DWT_EXEC_TIER forces the interpreter -- the records then measure the
   // forced tier -- or the host has no emitter.
   const double native_speedup_geomean =
       std::exp(native_speedup_logsum / 5.0);
@@ -399,7 +402,7 @@ int main(int argc, char** argv) {
   std::printf("\nNative tier o2/l256 speedup over the switch interpreter: "
               "%.2fx geomean%s\n",
               native_speedup_geomean,
-              native_live ? "" : " (native demoted: portable tier forced)");
+              native_live ? "" : " (native demoted: interpreter forced)");
   if (smoke && native_live && native_speedup_geomean < 3.0) {
     perf_ok = false;
     std::printf("native tier BELOW 3x geomean across the design matrix\n");

@@ -149,6 +149,17 @@ std::shared_ptr<const rtl::compiled::NativeBlock> ArtifactCache::native_block(
       });
 }
 
+std::shared_ptr<const rtl::compiled::NativeBlock> ArtifactCache::native_for(
+    rtl::compiled::ExecTier tier, const hw::DatapathConfig& cfg,
+    rtl::HardeningStyle harden, rtl::compiled::OptLevel level,
+    unsigned words) {
+  if (rtl::compiled::resolve_exec_tier(tier, words) !=
+      rtl::compiled::ExecTier::kNative) {
+    return nullptr;
+  }
+  return native_block(cfg, harden, level, words);
+}
+
 std::shared_ptr<const MappedDesign> ArtifactCache::mapped(
     const hw::DatapathConfig& cfg, rtl::HardeningStyle harden) {
   const std::string key = config_key(cfg, harden);

@@ -28,6 +28,7 @@
 #include "fpga/tech_mapper.hpp"
 #include "hw/designs.hpp"
 #include "rtl/compiled/cone_index.hpp"
+#include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/native_block.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/harden.hpp"
@@ -105,10 +106,20 @@ class ArtifactCache {
   /// (";native=W" suffix) so one emitted block feeds every simulator of a
   /// configuration at that width.  Returns null (and still caches the
   /// null, the build attempt is counted once) when the host cannot run
-  /// native code for this width; callers fall back to the portable tiers.
+  /// native code for this width; callers fall back to the interpreter.
   [[nodiscard]] std::shared_ptr<const rtl::compiled::NativeBlock> native_block(
       const hw::DatapathConfig& cfg, rtl::HardeningStyle harden,
       rtl::compiled::OptLevel level, unsigned words);
+
+  /// The one execution-tier decision for compiled simulators: the shared
+  /// native_block() when `tier` resolves to native (resolve_exec_tier folds
+  /// in kAuto, the DWT_EXEC_TIER override and host support), otherwise
+  /// null -- which WideSimulator::set_native() takes as "run the
+  /// interpreter".  Nothing is emitted when the answer is the interpreter.
+  [[nodiscard]] std::shared_ptr<const rtl::compiled::NativeBlock> native_for(
+      rtl::compiled::ExecTier tier, const hw::DatapathConfig& cfg,
+      rtl::HardeningStyle harden, rtl::compiled::OptLevel level,
+      unsigned words);
 
   /// simplify() + APEX mapping of the (possibly hardened) datapath.
   [[nodiscard]] std::shared_ptr<const MappedDesign> mapped(

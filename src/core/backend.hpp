@@ -52,7 +52,7 @@ struct BackendRequest {
   rtl::compiled::OptLevel opt_level = rtl::compiled::OptLevel::kFull;
   /// Execution tier for the rtl-compiled backend (other engines ignore it).
   /// kAuto resolves to the fastest tier the host supports -- the JIT'd
-  /// native tier where available, the threaded interpreter otherwise -- and
+  /// native tier where available, the switch interpreter otherwise -- and
   /// the DWT_EXEC_TIER environment variable overrides any request.  Tier
   /// choice never changes results; every tier computes identical words.
   rtl::compiled::ExecTier exec_tier = rtl::compiled::ExecTier::kAuto;

@@ -95,23 +95,6 @@ class SoftwareBackend final : public ExecutionBackend {
 // Gate-level engines.  All artifacts come from the shared ArtifactCache;
 // per-call/per-session objects carry only simulator state.
 
-/// The cache-shared native block for a compiled-engine request, or null
-/// when the resolved tier is not native (kAuto resolution, DWT_EXEC_TIER
-/// override and host support all folded in by resolve_exec_tier).  A null
-/// return simply means "let the simulator resolve the portable tier";
-/// native_block() itself also returns (and caches) null on hosts that
-/// cannot run emitted code, which set_native() demotes to threaded.
-std::shared_ptr<const rtl::compiled::NativeBlock> shared_native(
-    ArtifactCache& cache, const hw::DatapathConfig& cfg,
-    const BackendRequest& req) {
-  if (rtl::compiled::resolve_exec_tier(req.exec_tier, /*words=*/1) !=
-      rtl::compiled::ExecTier::kNative) {
-    return nullptr;
-  }
-  return cache.native_block(cfg, rtl::HardeningStyle::kNone, req.opt_level,
-                            /*words=*/1);
-}
-
 /// 2-D session around the figure-4 system model, on either line engine.
 class GateSession final : public Backend2dSession {
  public:
@@ -119,11 +102,8 @@ class GateSession final : public Backend2dSession {
       : system_(std::move(core)) {}
   GateSession(std::shared_ptr<const hw::BuiltDatapath> core,
               std::shared_ptr<const rtl::compiled::Tape> tape,
-              rtl::compiled::ExecTier tier,
               std::shared_ptr<const rtl::compiled::NativeBlock> native)
-      : system_(std::move(core), std::move(tape)) {
-    system_.set_exec_tier(tier, std::move(native));
-  }
+      : system_(std::move(core), std::move(tape), std::move(native)) {}
 
   hw::Dwt2dRunStats forward(dsp::Image& plane, int octaves) override {
     return system_.transform(plane, octaves);
@@ -202,11 +182,8 @@ class RtlCompiledBackend final : public ExecutionBackend {
     const std::shared_ptr<const CachedDesign> d = cache.design(cfg);
     rtl::compiled::BatchFaultSession session(
         cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level));
-    if (auto native = shared_native(cache, cfg, req)) {
-      session.sim().set_native(std::move(native));
-    } else {
-      session.sim().set_exec_tier(req.exec_tier);
-    }
+    session.sim().set_native(cache.native_for(
+        req.exec_tier, cfg, rtl::HardeningStyle::kNone, req.opt_level, 1));
     return std::move(
         hw::run_stream_batch(d->dp, session, x, /*lanes=*/1).front());
   }
@@ -219,7 +196,8 @@ class RtlCompiledBackend final : public ExecutionBackend {
     return std::make_unique<GateSession>(
         share_datapath(cache.design(cfg)),
         cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level),
-        req.exec_tier, shared_native(cache, cfg, req));
+        cache.native_for(req.exec_tier, cfg, rtl::HardeningStyle::kNone,
+                         req.opt_level, 1));
   }
 };
 

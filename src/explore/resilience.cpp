@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "common/json_writer.hpp"
@@ -285,30 +284,6 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     trace = std::make_shared<rtl::compiled::GoldenTrace>(tape->slot_count());
   }
 
-  // Execution-tier selection for the compiled sessions.  Full-tape sessions
-  // share the cache's one native block per (hardening, width); sessions
-  // whose settles are cone-restricted run the portable threaded tier (the
-  // native block is a whole-tape settle, so it never fires for them --
-  // skipping the attach just avoids a pointless emit).  Tier choice never
-  // changes a trial's bytes: forced settles drop to the portable kernels on
-  // every tier.
-  const auto attach_tier = [&](auto& sess, rtl::HardeningStyle h,
-                               bool full_range) {
-    constexpr unsigned kW =
-        std::remove_reference_t<decltype(sess)>::Sim::kWords;
-    if (rtl::compiled::resolve_exec_tier(options.exec_tier, kW) ==
-        rtl::compiled::ExecTier::kNative) {
-      if (full_range) {
-        sess.sim().set_native(
-            cache.native_block(result.spec.config, h, level, kW));
-      } else {
-        sess.sim().set_exec_tier(rtl::compiled::ExecTier::kThreaded);
-      }
-    } else {
-      sess.sim().set_exec_tier(options.exec_tier);
-    }
-  };
-
   // Golden references: the unhardened design defines correctness; the
   // hardened one must reproduce it fault-free (a transform bug fails loudly
   // here rather than skewing the campaign).  Each engine produces its own
@@ -317,7 +292,9 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   if (compiled) {
     rtl::compiled::BatchFaultSession sess(
         cache.tape(result.spec.config, rtl::HardeningStyle::kNone, level));
-    attach_tier(sess, rtl::HardeningStyle::kNone, /*full_range=*/true);
+    sess.sim().set_native(
+        cache.native_for(options.exec_tier, result.spec.config,
+                         rtl::HardeningStyle::kNone, level, 1));
     golden = std::move(hw::run_stream_batch(built, sess, stimulus, 1).front());
   } else {
     rtl::Simulator sim(built.netlist);
@@ -328,7 +305,8 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     bool flagged = false;
     if (compiled) {
       rtl::compiled::BatchFaultSession clean(tape);
-      attach_tier(clean, options.harden, /*full_range=*/true);
+      clean.sim().set_native(cache.native_for(
+          options.exec_tier, result.spec.config, options.harden, level, 1));
       if (flag_net != rtl::kNullNet) clean.watch(flag_net);
       // The fault-free pass doubles as the golden trace recording for the
       // cone-restricted batches.
@@ -515,6 +493,13 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
             : std::max(1u, std::thread::hardware_concurrency());
     n_threads =
         static_cast<unsigned>(std::min<std::size_t>(n_threads, n_batches));
+    // Full-tape batches share the cache's native block.  Cone-restricted
+    // settles never span the whole tape, so those sessions attach nothing
+    // and run the interpreter.
+    const std::shared_ptr<const rtl::compiled::NativeBlock> native =
+        cone_active ? nullptr
+                    : cache.native_for(options.exec_tier, result.spec.config,
+                                       options.harden, level, W);
     std::atomic<std::size_t> next_batch{0};
     std::mutex error_mutex;
     std::exception_ptr first_error;
@@ -542,11 +527,10 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
               static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
           if (cone_active) {
             rtl::compiled::ConeBatchSession<W> sess(tape, run_cone, trace);
-            attach_tier(sess, options.harden, /*full_range=*/false);
             run_one(sess, t0, lanes);
           } else {
             rtl::compiled::WideBatchSession<W> sess(tape);
-            attach_tier(sess, options.harden, /*full_range=*/true);
+            sess.sim().set_native(native);
             run_one(sess, t0, lanes);
           }
         }

@@ -30,21 +30,14 @@ Dwt2dSystem::Dwt2dSystem(std::shared_ptr<const BuiltDatapath> core)
     : core_(std::move(core)),
       sim_(std::make_unique<rtl::Simulator>(core_->netlist)) {}
 
-Dwt2dSystem::Dwt2dSystem(std::shared_ptr<const BuiltDatapath> core,
-                         std::shared_ptr<const rtl::compiled::Tape> tape)
+Dwt2dSystem::Dwt2dSystem(
+    std::shared_ptr<const BuiltDatapath> core,
+    std::shared_ptr<const rtl::compiled::Tape> tape,
+    std::shared_ptr<const rtl::compiled::NativeBlock> native)
     : core_(std::move(core)),
       batch_(std::make_unique<rtl::compiled::BatchFaultSession>(
-          std::move(tape))) {}
-
-void Dwt2dSystem::set_exec_tier(
-    rtl::compiled::ExecTier tier,
-    std::shared_ptr<const rtl::compiled::NativeBlock> native) {
-  if (!batch_) return;
-  if (native) {
-    batch_->sim().set_native(std::move(native));
-  } else {
-    batch_->sim().set_exec_tier(tier);
-  }
+          std::move(tape))) {
+  batch_->sim().set_native(std::move(native));
 }
 
 void Dwt2dSystem::transform_line(std::vector<std::int64_t>& line,

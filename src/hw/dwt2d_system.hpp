@@ -12,7 +12,6 @@
 #include "dsp/image.hpp"
 #include "hw/designs.hpp"
 #include "hw/stream_runner.hpp"
-#include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/native_block.hpp"
 
 namespace dwt::hw {
@@ -44,25 +43,19 @@ class Dwt2dSystem {
   explicit Dwt2dSystem(std::shared_ptr<const BuiltDatapath> core);
 
   /// Shares a pre-elaborated core plus its compiled tape and runs lines on
-  /// the bit-parallel compiled engine (lane 0).
+  /// the bit-parallel compiled engine (lane 0).  `native` is the tape's
+  /// cache-shared JIT block (core::ArtifactCache::native_for), or null to
+  /// run the interpreter; tier choice never changes the transform's
+  /// coefficients or cycle counts.
   Dwt2dSystem(std::shared_ptr<const BuiltDatapath> core,
-              std::shared_ptr<const rtl::compiled::Tape> tape);
+              std::shared_ptr<const rtl::compiled::Tape> tape,
+              std::shared_ptr<const rtl::compiled::NativeBlock> native);
 
   /// In-place multi-octave forward transform of an integer-valued plane
   /// (pixels already DC-level-shifted to signed values).  Returns cycle
   /// accounting.  The transformed plane matches the software fixed-point
   /// lifting transform bit for bit.
   Dwt2dRunStats transform(dsp::Image& plane, int octaves);
-
-  /// Selects the compiled engine's execution tier (a no-op on the scalar
-  /// interpreter constructors, which have no tiers).  Pass the cache-shared
-  /// native block to run the JIT tier without a private emit; with a null
-  /// `native` the simulator resolves `tier` itself (DWT_EXEC_TIER override,
-  /// kAuto resolution, host-support fallback).  Tier choice never changes
-  /// the transform's coefficients or cycle counts.
-  void set_exec_tier(
-      rtl::compiled::ExecTier tier,
-      std::shared_ptr<const rtl::compiled::NativeBlock> native = nullptr);
 
   [[nodiscard]] const BuiltDatapath& core() const { return *core_; }
 

@@ -29,6 +29,83 @@
 
 namespace dwt::rtl::compiled {
 
+/// The faults armed on one batch session, one per lane, and the per-cycle
+/// overlay that applies them.  WideBatchSession and ConeBatchSession both
+/// run their faults through it, so the two pin and strike identically.
+template <unsigned W>
+class FaultSchedule {
+ public:
+  using Block = LaneBlock<W>;
+  struct Armed {
+    unsigned lane;
+    Fault fault;
+  };
+
+  /// Schedules `f` on one lane.  Throws std::invalid_argument on a bad
+  /// lane/net, an SEU whose target is not a DFF output, or a tape rewritten
+  /// beyond the fault-overlay-safe optimization level.
+  void arm(const Tape& tape, unsigned lane, const Fault& f) {
+    if (lane >= Block::kLaneCount) {
+      throw std::invalid_argument("FaultSchedule::arm: bad lane");
+    }
+    if (f.net >= tape.net_count()) {
+      throw std::invalid_argument("FaultSchedule::arm: net out of range");
+    }
+    if (f.kind == FaultKind::kSeuFlip && !tape.is_dff_output(f.net)) {
+      throw std::invalid_argument(
+          "FaultSchedule::arm: SEU target is not a DFF output");
+    }
+    if (!tape.fault_overlay_safe()) {
+      throw std::invalid_argument(
+          "FaultSchedule::arm: tape is not fault-overlay safe "
+          "(compiled at OptLevel::kFull)");
+    }
+    armed_.push_back({lane, f});
+  }
+
+  /// Activates `cycle`'s pins before its settle.  Stuck forces persist once
+  /// applied; glitch forces live for exactly this settle+edge and are
+  /// released by strike().
+  void pin(WideSimulator<W>& sim, std::uint64_t cycle) const {
+    for (const Armed& a : armed_) {
+      if (a.fault.cycle != cycle) continue;
+      const Block bit = Block::lane_bit(a.lane);
+      switch (a.fault.kind) {
+        case FaultKind::kGlitch:
+          sim.force(a.fault.net, bit,
+                    a.fault.glitch_value ? bit : Block::zeros());
+          break;
+        case FaultKind::kStuckAt0:
+          sim.force(a.fault.net, bit, Block::zeros());
+          break;
+        case FaultKind::kStuckAt1:
+          sim.force(a.fault.net, bit, bit);
+          break;
+        case FaultKind::kSeuFlip:
+          break;  // struck after the edge
+      }
+    }
+  }
+
+  /// After `cycle`'s clock edge: SEUs flip the freshly clocked state and
+  /// that cycle's glitches release.
+  void strike(WideSimulator<W>& sim, std::uint64_t cycle) const {
+    for (const Armed& a : armed_) {
+      if (a.fault.cycle != cycle) continue;
+      if (a.fault.kind == FaultKind::kSeuFlip) {
+        sim.flip_state(a.fault.net, Block::lane_bit(a.lane));
+      } else if (a.fault.kind == FaultKind::kGlitch) {
+        sim.release(a.fault.net, Block::lane_bit(a.lane));
+      }
+    }
+  }
+
+  [[nodiscard]] const std::vector<Armed>& armed() const { return armed_; }
+
+ private:
+  std::vector<Armed> armed_;
+};
+
 template <unsigned W>
 class WideBatchSession {
  public:
@@ -39,26 +116,9 @@ class WideBatchSession {
   explicit WideBatchSession(std::shared_ptr<const Tape> tape)
       : sim_(std::move(tape)) {}
 
-  /// Schedules `f` on one lane.  Throws std::invalid_argument on a bad
-  /// lane/net, an SEU whose target is not a DFF output, or a tape rewritten
-  /// beyond the fault-overlay-safe optimization level.
+  /// Schedules `f` on one lane (see FaultSchedule::arm).
   void arm(unsigned lane, const Fault& f) {
-    if (lane >= kTotalLanes) {
-      throw std::invalid_argument("BatchFaultSession::arm: bad lane");
-    }
-    if (f.net >= sim_.tape().net_count()) {
-      throw std::invalid_argument("BatchFaultSession::arm: net out of range");
-    }
-    if (f.kind == FaultKind::kSeuFlip && !sim_.tape().is_dff_output(f.net)) {
-      throw std::invalid_argument(
-          "BatchFaultSession::arm: SEU target is not a DFF output");
-    }
-    if (!sim_.tape().fault_overlay_safe()) {
-      throw std::invalid_argument(
-          "BatchFaultSession::arm: tape is not fault-overlay safe "
-          "(compiled at OptLevel::kFull)");
-    }
-    faults_.push_back({lane, f});
+    schedule_.arm(sim_.tape(), lane, f);
   }
 
   /// Monitors a net (e.g. the parity error flag) on every lane: bit L of
@@ -84,38 +144,12 @@ class WideBatchSession {
   }
   /// One clock cycle for all lanes with each lane's overlay applied.
   void step() {
-    // Activate this cycle's pins.  Stuck forces persist once applied; glitch
-    // forces live for exactly this settle+edge and are released below.
-    for (const Armed& a : faults_) {
-      if (a.fault.cycle != cycle_) continue;
-      const Block bit = Block::lane_bit(a.lane);
-      switch (a.fault.kind) {
-        case FaultKind::kGlitch:
-          sim_.force(a.fault.net, bit,
-                     a.fault.glitch_value ? bit : Block::zeros());
-          break;
-        case FaultKind::kStuckAt0:
-          sim_.force(a.fault.net, bit, Block::zeros());
-          break;
-        case FaultKind::kStuckAt1:
-          sim_.force(a.fault.net, bit, bit);
-          break;
-        case FaultKind::kSeuFlip:
-          break;  // struck after the edge, below
-      }
-    }
+    schedule_.pin(sim_, cycle_);
     sim_.eval();
     if (trace_ != nullptr) trace_->append(sim_);
     for (const NetId n : watched_) watch_mask_ |= sim_.block(n);
     sim_.clock_edge();
-    for (const Armed& a : faults_) {
-      if (a.fault.cycle != cycle_) continue;
-      if (a.fault.kind == FaultKind::kSeuFlip) {
-        sim_.flip_state(a.fault.net, Block::lane_bit(a.lane));
-      } else if (a.fault.kind == FaultKind::kGlitch) {
-        sim_.release(a.fault.net, Block::lane_bit(a.lane));
-      }
-    }
+    schedule_.strike(sim_, cycle_);
     ++cycle_;
   }
   [[nodiscard]] std::int64_t read_bus(const Bus& bus, unsigned lane) const {
@@ -177,11 +211,7 @@ class WideBatchSession {
 
  private:
   Sim sim_;
-  struct Armed {
-    unsigned lane;
-    Fault fault;
-  };
-  std::vector<Armed> faults_;
+  FaultSchedule<W> schedule_;
   std::vector<NetId> watched_;
   Block watch_mask_{};
   GoldenTrace* trace_ = nullptr;

@@ -86,22 +86,7 @@ class ConeBatchSession {
     if (prepared_) {
       throw std::logic_error("ConeBatchSession::arm: session already stepped");
     }
-    if (lane >= kTotalLanes) {
-      throw std::invalid_argument("ConeBatchSession::arm: bad lane");
-    }
-    if (f.net >= sim_.tape().net_count()) {
-      throw std::invalid_argument("ConeBatchSession::arm: net out of range");
-    }
-    if (f.kind == FaultKind::kSeuFlip && !sim_.tape().is_dff_output(f.net)) {
-      throw std::invalid_argument(
-          "ConeBatchSession::arm: SEU target is not a DFF output");
-    }
-    if (!sim_.tape().fault_overlay_safe()) {
-      throw std::invalid_argument(
-          "ConeBatchSession::arm: tape is not fault-overlay safe "
-          "(compiled at OptLevel::kFull)");
-    }
-    faults_.push_back({lane, f});
+    schedule_.arm(sim_.tape(), lane, f);
   }
 
   /// Monitors a net on every lane, exactly like WideBatchSession::watch.
@@ -151,25 +136,7 @@ class ConeBatchSession {
         sim_.broadcast_slot(q, trace_->broadcast(c - 1, cone_->d_of_q(q)));
       }
     }
-    // This cycle's pins, exactly as the full session arms them.
-    for (const Armed& a : faults_) {
-      if (a.fault.cycle != c) continue;
-      const Block bit = Block::lane_bit(a.lane);
-      switch (a.fault.kind) {
-        case FaultKind::kGlitch:
-          sim_.force(a.fault.net, bit,
-                     a.fault.glitch_value ? bit : Block::zeros());
-          break;
-        case FaultKind::kStuckAt0:
-          sim_.force(a.fault.net, bit, Block::zeros());
-          break;
-        case FaultKind::kStuckAt1:
-          sim_.force(a.fault.net, bit, bit);
-          break;
-        case FaultKind::kSeuFlip:
-          break;  // struck after the edge, below
-      }
-    }
+    schedule_.pin(sim_, c);
     // Golden refresh before the settle: frontier slots are computed by
     // instructions the interval never executes, and forced fault slots may
     // hold a stale released value when their writer lies outside the
@@ -198,14 +165,7 @@ class ConeBatchSession {
       sim_.broadcast_slot(d, trace_->broadcast(c, d));
     }
     sim_.clock_edge();
-    for (const Armed& a : faults_) {
-      if (a.fault.cycle != c) continue;
-      if (a.fault.kind == FaultKind::kSeuFlip) {
-        sim_.flip_state(a.fault.net, Block::lane_bit(a.lane));
-      } else if (a.fault.kind == FaultKind::kGlitch) {
-        sim_.release(a.fault.net, Block::lane_bit(a.lane));
-      }
-    }
+    schedule_.strike(sim_, c);
     // Reconvergence: with all strikes delivered and every remaining pin a
     // no-op, golden live DFF outputs after the edge mean golden everything
     // from here on (the combinational state is a function of registers and
@@ -365,18 +325,13 @@ class ConeBatchSession {
   }
 
  private:
-  struct Armed {
-    unsigned lane;
-    Fault fault;
-  };
-
   /// Freezes the union interval, live set, frontier and refresh lists from
   /// the armed faults.  Runs once, on the first step().
   void prepare() {
     prepared_ = true;
     const Tape& tape = sim_.tape();
     live_.assign(tape.slot_count(), 0);
-    for (const Armed& a : faults_) {
+    for (const auto& a : schedule_.armed()) {
       const ConeSpan span = cone_->span_of_net(tape, a.fault.net);
       if (!span.empty()) {
         if (interval_.empty()) {
@@ -409,7 +364,7 @@ class ConeBatchSession {
     // Slots the interval computes or the edge writes MUST NOT be refreshed:
     // they carry other lanes' diverged values, which a broadcast would
     // destroy.
-    for (const Armed& a : faults_) {
+    for (const auto& a : schedule_.armed()) {
       const Slot s = tape.slot_of(a.fault.net);
       if (s == kNullSlot || a.fault.kind == FaultKind::kSeuFlip) continue;
       if (!interval_out[s] && cone_->d_of_q(s) == kNullSlot) {
@@ -427,7 +382,7 @@ class ConeBatchSession {
     // tape slot cannot be checked against the trace, so it conservatively
     // pins the tail to the end of the run (such a batch never retires
     // early, exactly as before).
-    for (const Armed& a : faults_) {
+    for (const auto& a : schedule_.armed()) {
       if (a.fault.kind != FaultKind::kStuckAt0 &&
           a.fault.kind != FaultKind::kStuckAt1) {
         continue;
@@ -475,7 +430,7 @@ class ConeBatchSession {
   Sim sim_;
   std::shared_ptr<const ConeIndex> cone_;
   std::shared_ptr<const GoldenTrace> trace_;
-  std::vector<Armed> faults_;
+  FaultSchedule<W> schedule_;
   std::vector<NetId> watched_;
   std::vector<Slot> watched_slots_;
   Block watch_mask_{};

@@ -1,5 +1,7 @@
 #include "rtl/compiled/exec_tier.hpp"
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 
 namespace dwt::rtl::compiled {
@@ -10,8 +12,6 @@ const char* to_string(ExecTier tier) {
       return "auto";
     case ExecTier::kSwitch:
       return "interpreter";
-    case ExecTier::kThreaded:
-      return "threaded";
     case ExecTier::kNative:
       return "native";
   }
@@ -23,8 +23,6 @@ bool parse_exec_tier(const std::string& text, ExecTier* out) {
     *out = ExecTier::kAuto;
   } else if (text == "interpreter" || text == "switch") {
     *out = ExecTier::kSwitch;
-  } else if (text == "threaded") {
-    *out = ExecTier::kThreaded;
   } else if (text == "native") {
     *out = ExecTier::kNative;
   } else {
@@ -51,19 +49,28 @@ bool native_supported(unsigned words) {
 ExecTier resolve_exec_tier(ExecTier requested, unsigned words) {
   // The environment override wins over every programmatic request: it is
   // the operational kill-switch (disable the JIT fleet-wide) and the CI
-  // lever that forces the portable tier through full workloads.
-  if (const char* env = std::getenv("DWT_EXEC_TIER")) {
-    ExecTier from_env = ExecTier::kAuto;
-    if (parse_exec_tier(env, &from_env) && from_env != ExecTier::kAuto) {
-      requested = from_env;
+  // lever that forces the interpreter through full workloads.  A value it
+  // cannot parse fails safe to the interpreter.
+  if (const char* env = std::getenv("DWT_EXEC_TIER");
+      env != nullptr && *env != '\0') {
+    ExecTier from_env = ExecTier::kSwitch;
+    if (!parse_exec_tier(env, &from_env)) {
+      static std::atomic<bool> warned{false};
+      if (!warned.exchange(true)) {
+        std::fprintf(stderr,
+                     "DWT_EXEC_TIER=%s is not interpreter|native|auto; "
+                     "running the interpreter\n",
+                     env);
+      }
     }
+    if (from_env != ExecTier::kAuto) requested = from_env;
   }
   if (requested == ExecTier::kAuto) {
     requested =
-        native_supported(words) ? ExecTier::kNative : ExecTier::kThreaded;
+        native_supported(words) ? ExecTier::kNative : ExecTier::kSwitch;
   }
   if (requested == ExecTier::kNative && !native_supported(words)) {
-    return ExecTier::kThreaded;
+    return ExecTier::kSwitch;
   }
   return requested;
 }

@@ -14,7 +14,7 @@
 // WideSimulator::exec<false>, so outputs are byte-identical by
 // construction.  Fault overlays (forced lanes) and cone-restricted partial
 // ranges are NOT handled here; WideSimulator only enters the native block
-// for full-range unforced evals and drops to the threaded interpreter
+// for full-range unforced evals and drops to the switch interpreter
 // otherwise.
 //
 // A second entry point, run_edge(), lowers the clock edge: the portable
@@ -30,7 +30,7 @@
 //
 // build() returns nullptr when the host cannot run the code (non-x86-64,
 // missing AVX2 for W>1, W^X mapping refused by the kernel, or a tape too
-// large for disp32 addressing) -- callers fall back to the portable tiers.
+// large for disp32 addressing) -- callers fall back to the interpreter.
 // Blocks are immutable after construction and safe to share across threads.
 #pragma once
 

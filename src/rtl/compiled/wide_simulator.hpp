@@ -37,15 +37,6 @@
 #include "rtl/compiled/tape.hpp"
 #include "rtl/netlist.hpp"
 
-// Direct-threaded dispatch (the kThreaded tier) relies on the GNU
-// labels-as-values extension; elsewhere it silently degrades to the switch
-// interpreter, which computes the same words.
-#if defined(__GNUC__) || defined(__clang__)
-#define DWT_HAS_COMPUTED_GOTO 1
-#else
-#define DWT_HAS_COMPUTED_GOTO 0
-#endif
-
 namespace dwt::rtl::compiled {
 
 /// Lanes carried by one state word.
@@ -170,42 +161,26 @@ class WideSimulator {
   [[nodiscard]] const Tape& tape() const { return *tape_; }
 
   // Execution tier --------------------------------------------------------
-  /// Selects how eval() walks the tape.  The request goes through
-  /// resolve_exec_tier() (DWT_EXEC_TIER override, kAuto resolution,
-  /// native-support fallback), so the stored tier is always concrete.
-  /// kNative without an attached block builds one privately; prefer
-  /// set_native() with an ArtifactCache-shared block when many simulators
-  /// run one configuration.  Tier choice never changes results: all tiers
-  /// compute identical words.
-  void set_exec_tier(ExecTier tier) {
-    tier = resolve_exec_tier(tier, W);
-    if (tier == ExecTier::kNative) {
-      if (!native_) native_ = NativeBlock::build(*tape_, W);
-      if (!native_) tier = ExecTier::kThreaded;
-    }
-    if (tier != ExecTier::kNative) native_.reset();
-    tier_ = tier;
-  }
-  /// Attaches a pre-built (typically cache-shared) native block and selects
-  /// the native tier.  A null block, an unsupported host, or a DWT_EXEC_TIER
-  /// override demoting the request leaves the resolved portable tier
-  /// instead.  Throws if the block was built for another width or tape.
+  /// Attaches a pre-built native block (core::ArtifactCache::native_for
+  /// hands out the cache-shared one) so whole-tape unforced settles and
+  /// clock edges run the JIT'd code.  A null block, or a DWT_EXEC_TIER
+  /// override demoting native, leaves the switch interpreter.  Throws if
+  /// the block was built for another width or tape.  Tier choice never
+  /// changes results: both tiers compute identical words.
   void set_native(std::shared_ptr<const NativeBlock> block) {
     if (block && (block->words() != W ||
                   block->instr_count() != tape_->instrs().size())) {
       throw std::invalid_argument(
           "WideSimulator::set_native: block does not match tape");
     }
-    const ExecTier resolved = resolve_exec_tier(ExecTier::kNative, W);
-    if (resolved == ExecTier::kNative && block) {
-      native_ = std::move(block);
-      tier_ = ExecTier::kNative;
-    } else {
-      native_.reset();
-      tier_ = resolved == ExecTier::kNative ? ExecTier::kThreaded : resolved;
+    if (block && resolve_exec_tier(ExecTier::kNative, W) != ExecTier::kNative) {
+      block.reset();
     }
+    native_ = std::move(block);
   }
-  [[nodiscard]] ExecTier exec_tier() const { return tier_; }
+  [[nodiscard]] ExecTier exec_tier() const {
+    return native_ ? ExecTier::kNative : ExecTier::kSwitch;
+  }
   /// The attached native block (null unless the native tier is active).
   [[nodiscard]] const std::shared_ptr<const NativeBlock>& native_block()
       const {
@@ -274,30 +249,21 @@ class WideSimulator {
     if (forced_slots_.empty()) {
       // The native block is a full-tape settle with no overlay hooks: it
       // only runs for unforced whole-range evals.  Cone-restricted ranges
-      // and forced evals below drop to the portable tiers, which compute
-      // the same words -- so tier choice never changes results.
-      if (tier_ == ExecTier::kNative && lo == 0 &&
-          hi == tape_->instrs().size()) {
+      // and forced evals drop to the interpreter, which computes the same
+      // words -- so tier choice never changes results.
+      if (native_ && lo == 0 && hi == tape_->instrs().size()) {
         native_->run(s);
-        return;
-      }
-      if (tier_ != ExecTier::kSwitch) {
-        run_threaded<false>(s, tape, lo, hi);
         return;
       }
       for (std::size_t i = lo; i < hi; ++i) exec<false>(s, tape[i]);
       return;
     }
     apply_forces();
-    if (tier_ != ExecTier::kSwitch) {
-      run_threaded<true>(s, tape, lo, hi);
-      return;
-    }
     for (std::size_t i = lo; i < hi; ++i) exec<true>(s, tape[i]);
   }
 
   void clock_edge() {
-    if (tier_ == ExecTier::kNative) {
+    if (native_) {
       // Single dependency-ordered pass (see native_block.hpp); scratch is
       // only touched for registers on a copy cycle.
       native_->run_edge(state_.data(), dff_scratch_.data());
@@ -524,125 +490,6 @@ class WideSimulator {
     for (unsigned k = 0; k < W; ++k) o[k] = v[k];
   }
 
-  /// Pins (when Forced) and stores one result block -- the common tail of
-  /// every threaded kernel.
-  template <bool Forced>
-  void store_result(std::uint64_t* const s, Slot out,
-                    const std::uint64_t* const v) {
-    std::uint64_t* const o = s + std::size_t{out} * W;
-    if constexpr (Forced) {
-      if (forced_[out]) {
-        for (unsigned k = 0; k < W; ++k) {
-          o[k] = (v[k] & force_keep_[out * W + k]) | force_val_[out * W + k];
-        }
-        return;
-      }
-    }
-    for (unsigned k = 0; k < W; ++k) o[k] = v[k];
-  }
-
-  /// Direct-threaded tape walk: each kernel ends by jumping straight to the
-  /// next instruction's kernel (computed goto), so there is no loop test or
-  /// switch dispatch between instructions.  Kernel bodies are word-for-word
-  /// the exec<Forced> cases; the label table is indexed by Op, whose
-  /// enumerators are contiguous from kNot.
-  template <bool Forced>
-  void run_threaded(std::uint64_t* const s, const Instr* const tape,
-                    std::size_t lo, std::size_t hi) {
-#if DWT_HAS_COMPUTED_GOTO
-    if (lo >= hi) return;
-    static const void* const targets[] = {
-        &&op_not, &&op_and,     &&op_or,       &&op_xor,
-        &&op_mux, &&op_add_sum, &&op_add_carry, &&op_full_add};
-    const Instr* ip = tape + lo;
-    const Instr* const end = tape + hi;
-#define DWT_THREADED_NEXT()                           \
-  do {                                                \
-    if (++ip == end) return;                          \
-    goto* targets[static_cast<unsigned>(ip->op)];     \
-  } while (0)
-    goto* targets[static_cast<unsigned>(ip->op)];
-  op_not : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = ~a[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_and : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] & b[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_or : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] | b[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_xor : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] ^ b[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_mux : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = (c[k] & b[k]) | (~c[k] & a[k]);
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_add_sum : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) v[k] = a[k] ^ b[k] ^ c[k];
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_add_carry : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    for (unsigned k = 0; k < W; ++k) {
-      v[k] = (a[k] & b[k]) | (c[k] & (a[k] ^ b[k]));
-    }
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-  op_full_add : {
-    const std::uint64_t* const a = s + std::size_t{ip->a} * W;
-    const std::uint64_t* const b = s + std::size_t{ip->b} * W;
-    const std::uint64_t* const c = s + std::size_t{ip->c} * W;
-    std::uint64_t v[W];
-    std::uint64_t v2[W];
-    for (unsigned k = 0; k < W; ++k) {
-      const std::uint64_t ax = a[k], bx = b[k], cx = c[k];
-      v[k] = ax ^ bx ^ cx;
-      v2[k] = (ax & bx) | (cx & (ax ^ bx));
-    }
-    store_result<Forced>(s, ip->out2, v2);
-    store_result<Forced>(s, ip->out, v);
-    DWT_THREADED_NEXT();
-  }
-#undef DWT_THREADED_NEXT
-#else   // !DWT_HAS_COMPUTED_GOTO
-    for (std::size_t i = lo; i < hi; ++i) exec<Forced>(s, tape[i]);
-#endif  // DWT_HAS_COMPUTED_GOTO
-  }
-
   void apply_forces() {
     // Source slots (primary inputs, DFF outputs, constants) are never
     // written by tape instructions; pin them up front.  Instruction outputs
@@ -695,8 +542,7 @@ class WideSimulator {
   }
 
   std::shared_ptr<const Tape> tape_;
-  ExecTier tier_ = ExecTier::kSwitch;            // always concrete, never kAuto
-  std::shared_ptr<const NativeBlock> native_;    // non-null iff tier_ == kNative
+  std::shared_ptr<const NativeBlock> native_;  // null: switch interpreter
   StateVec state_;                         // slot-major, W words per slot
   std::vector<std::uint64_t> force_keep_;  // per word: ~forced-lanes mask
   std::vector<std::uint64_t> force_val_;   // per word: pinned values

@@ -16,6 +16,7 @@
 #include "hw/designs.hpp"
 #include "rtl/compiled/equivalence.hpp"
 #include "rtl/compiled/exec_tier.hpp"
+#include "rtl/compiled/native_block.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
 #include "rtl/harden.hpp"
 #include "rtl/simulator.hpp"
@@ -181,12 +182,11 @@ TEST(CompiledEquivalence, OptMeetsInstructionReductionTarget) {
   }
 }
 
-/// Three execution tiers over one shared tape: the switch interpreter (the
-/// semantic reference), the threaded-dispatch interpreter, and the native
-/// x86-64 block.  Same stimulus into all three, every materialized net
-/// word-compared every cycle.  On hosts where the native tier is
-/// unsupported the third simulator demotes to threaded and the comparison
-/// degrades to a (still meaningful) two-way check.
+/// Both execution tiers over one shared tape: the switch interpreter (the
+/// semantic reference) and the native x86-64 block.  Same stimulus into
+/// both, every materialized net word-compared every cycle.  On hosts where
+/// the native tier is unsupported the block is null, the subject runs the
+/// interpreter too, and the check degrades to a determinism check.
 template <unsigned W>
 void expect_tiers_match(const rtl::Netlist& nl,
                         const std::shared_ptr<const rtl::compiled::Tape>& tape,
@@ -194,14 +194,10 @@ void expect_tiers_match(const rtl::Netlist& nl,
   using Block = rtl::compiled::LaneBlock<W>;
   using rtl::compiled::ExecTier;
   rtl::compiled::WideSimulator<W> ref(tape);
-  rtl::compiled::WideSimulator<W> threaded(tape);
   rtl::compiled::WideSimulator<W> native(tape);
-  ref.set_exec_tier(ExecTier::kSwitch);
-  threaded.set_exec_tier(ExecTier::kThreaded);
-  native.set_exec_tier(ExecTier::kNative);
+  native.set_native(rtl::compiled::NativeBlock::build(*tape, W));
   if (std::getenv("DWT_EXEC_TIER") == nullptr) {
     ASSERT_EQ(ref.exec_tier(), ExecTier::kSwitch);
-    ASSERT_EQ(threaded.exec_tier(), ExecTier::kThreaded);
     if (rtl::compiled::native_supported(W)) {
       ASSERT_EQ(native.exec_tier(), ExecTier::kNative) << what;
     }
@@ -213,21 +209,15 @@ void expect_tiers_match(const rtl::Netlist& nl,
       Block b;
       for (unsigned k = 0; k < W; ++k) b.w[k] = rng.next_u64();
       ref.set_input_block(pi, b);
-      threaded.set_input_block(pi, b);
       native.set_input_block(pi, b);
     }
     ref.step();
-    threaded.step();
     native.step();
     for (rtl::NetId n = 0; n < nl.net_count(); ++n) {
       if (!tape->materialized(n)) continue;
       const Block want = ref.block(n);
-      const Block got_threaded = threaded.block(n);
       const Block got_native = native.block(n);
       for (unsigned k = 0; k < W; ++k) {
-        ASSERT_EQ(want.w[k], got_threaded.w[k])
-            << what << " W=" << W << " threaded tier, net " << n << " word "
-            << k << " cycle " << cycle;
         ASSERT_EQ(want.w[k], got_native.w[k])
             << what << " W=" << W << " native tier, net " << n << " word "
             << k << " cycle " << cycle;
@@ -238,7 +228,7 @@ void expect_tiers_match(const rtl::Netlist& nl,
 
 TEST(CompiledEquivalence, ThreeWayTierMatrixMatches) {
   // The full seam matrix from the ISSUE: five designs x hardening x opt
-  // level x lane width, interpreter vs threaded vs native.  Tapes are
+  // level x lane width, interpreter vs native.  Tapes are
   // width-independent, so each (netlist, level) compiles once and feeds
   // both widths.
   const rtl::HardeningStyle styles[] = {rtl::HardeningStyle::kNone,
@@ -262,8 +252,8 @@ TEST(CompiledEquivalence, ThreeWayTierMatrixMatches) {
       }
     }
   }
-  // The 128-lane instantiation rides a spot check (native demotes to
-  // threaded there unless AVX2 is present, same as production).
+  // The 128-lane instantiation rides a spot check (native demotes to the
+  // interpreter there unless AVX2 is present, same as production).
   const hw::BuiltDatapath dp3 = hw::build_design(hw::DesignId::kDesign3);
   const rtl::Netlist hardened =
       rtl::apply_hardening(dp3.netlist, rtl::HardeningStyle::kParity);
@@ -290,7 +280,7 @@ TEST(CompiledEquivalence, AdderVariantsMatchInterpreted) {
 }
 
 TEST(CompiledEquivalence, AdderVariantTierAndHardeningSpotChecks) {
-  // Prefix-adder netlists through the remaining seams: the three execution
+  // Prefix-adder netlists through the remaining seams: both execution
   // tiers at every opt level, and the TMR/parity hardening transforms.
   const hw::BuiltDatapath ks = hw::build_lifting_datapath(hw::design_config(
       hw::DesignId::kDesign3, /*max_octaves=*/1, rtl::AdderArch::kKoggeStone));

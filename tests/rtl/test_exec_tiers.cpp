@@ -1,13 +1,16 @@
-// Execution-tier seam: the threaded and native tiers must compute exactly
-// the words the switch interpreter computes -- on clean runs, under fault
-// overlays (where the native tier transparently drops to threaded), and
-// across resets.  Also pins the tier-resolution policy: kAuto picks the
-// fastest supported tier and DWT_EXEC_TIER overrides every request.
+// Execution-tier seam: the native tier must compute exactly the words the
+// switch interpreter computes -- on clean runs, under fault overlays (where
+// the native tier transparently drops to the interpreter), and across
+// resets.  Also pins the tier-resolution policy: kAuto picks the fastest
+// supported tier and DWT_EXEC_TIER overrides every request, failing safe to
+// the interpreter on values it cannot parse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,17 +29,20 @@ using rtl::compiled::OptLevel;
 using rtl::compiled::Tape;
 using rtl::compiled::WideSimulator;
 
-/// Drives identical random stimulus into a switch-tier reference and a
-/// `tier` subject over the same tape, and requires every materialized net
-/// to match on every cycle.
+/// Drives identical random stimulus into an interpreter reference and a
+/// native-tier subject over the same tape, and requires every materialized
+/// net to match on every cycle.
 template <unsigned W>
-void expect_tier_matches(const rtl::Netlist& nl, OptLevel level, ExecTier tier,
-                         std::uint64_t seed, bool with_faults) {
+void expect_native_matches(const rtl::Netlist& nl, OptLevel level,
+                           std::uint64_t seed, bool with_faults) {
   using Block = rtl::compiled::LaneBlock<W>;
   const std::shared_ptr<const Tape> tape = rtl::compiled::compile(nl, level);
   WideSimulator<W> ref(tape);
   WideSimulator<W> sub(tape);
-  sub.set_exec_tier(tier);
+  sub.set_native(NativeBlock::build(*tape, W));
+  if (std::getenv("DWT_EXEC_TIER") == nullptr) {
+    ASSERT_EQ(sub.exec_tier(), ExecTier::kNative);
+  }
 
   const std::vector<rtl::NetId>& pis = nl.primary_inputs();
   common::Rng rng(seed);
@@ -49,7 +55,7 @@ void expect_tier_matches(const rtl::Netlist& nl, OptLevel level, ExecTier tier,
     }
     if (with_faults && cycle == 6) {
       // Pin a handful of lanes of the first few nets; the native tier must
-      // drop to the portable path and still match.
+      // drop to the interpreter and still match.
       for (rtl::NetId n = 0; n < nl.net_count() && n < 5; ++n) {
         Block lanes;
         Block values;
@@ -72,7 +78,7 @@ void expect_tier_matches(const rtl::Netlist& nl, OptLevel level, ExecTier tier,
     for (rtl::NetId n = 0; n < nl.net_count(); ++n) {
       if (!tape->materialized(n)) continue;
       ASSERT_EQ(ref.block(n), sub.block(n))
-          << "tier " << to_string(tier) << " W=" << W << " net " << n
+          << "native W=" << W << " net " << n
           << " cycle " << cycle << " faults=" << with_faults;
     }
   }
@@ -84,14 +90,13 @@ TEST(ExecTier, ParseAndPrintRoundTrip) {
   EXPECT_EQ(t, ExecTier::kSwitch);
   EXPECT_TRUE(rtl::compiled::parse_exec_tier("switch", &t));
   EXPECT_EQ(t, ExecTier::kSwitch);
-  EXPECT_TRUE(rtl::compiled::parse_exec_tier("threaded", &t));
-  EXPECT_EQ(t, ExecTier::kThreaded);
   EXPECT_TRUE(rtl::compiled::parse_exec_tier("native", &t));
   EXPECT_EQ(t, ExecTier::kNative);
   EXPECT_TRUE(rtl::compiled::parse_exec_tier("auto", &t));
   EXPECT_EQ(t, ExecTier::kAuto);
   EXPECT_FALSE(rtl::compiled::parse_exec_tier("jit", &t));
-  EXPECT_STREQ(to_string(ExecTier::kThreaded), "threaded");
+  EXPECT_FALSE(rtl::compiled::parse_exec_tier("threaded", &t));
+  EXPECT_STREQ(to_string(ExecTier::kSwitch), "interpreter");
   EXPECT_STREQ(to_string(ExecTier::kNative), "native");
 }
 
@@ -102,42 +107,49 @@ TEST(ExecTier, AutoResolvesToConcreteTier) {
     if (rtl::compiled::native_supported(words)) {
       EXPECT_EQ(t, ExecTier::kNative);
     } else {
-      EXPECT_EQ(t, ExecTier::kThreaded);
+      EXPECT_EQ(t, ExecTier::kSwitch);
     }
   }
 }
 
 TEST(ExecTier, EnvOverrideWinsOverRequest) {
+  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign1);
+  const auto tape = rtl::compiled::compile(dp.netlist, OptLevel::kNone);
+  WideSimulator<1> sim(tape);
   ::setenv("DWT_EXEC_TIER", "interpreter", 1);
   EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kNative, 4),
             ExecTier::kSwitch);
-  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign1);
-  WideSimulator<1> sim(dp.netlist);
-  sim.set_exec_tier(ExecTier::kNative);
+  sim.set_native(NativeBlock::build(*tape, 1));
   EXPECT_EQ(sim.exec_tier(), ExecTier::kSwitch);
   EXPECT_EQ(sim.native_block(), nullptr);
-  ::setenv("DWT_EXEC_TIER", "threaded", 1);
-  sim.set_exec_tier(ExecTier::kAuto);
-  EXPECT_EQ(sim.exec_tier(), ExecTier::kThreaded);
-  ::unsetenv("DWT_EXEC_TIER");
-}
-
-TEST(ExecTier, ThreadedMatchesSwitchAllWidths) {
-  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign2);
-  for (const OptLevel level :
-       {OptLevel::kNone, OptLevel::kSafe, OptLevel::kFull}) {
-    expect_tier_matches<1>(dp.netlist, level, ExecTier::kThreaded, 101, false);
-    expect_tier_matches<2>(dp.netlist, level, ExecTier::kThreaded, 102, false);
-    expect_tier_matches<4>(dp.netlist, level, ExecTier::kThreaded, 103, false);
+  // A value the kill-switch cannot parse -- the retired "threaded" tier or
+  // a typo -- must not leave the JIT on: it selects the interpreter, and
+  // the first one is reported once on stderr.
+  testing::internal::CaptureStderr();
+  for (const char* bad : {"threaded", "bogus"}) {
+    ::setenv("DWT_EXEC_TIER", bad, 1);
+    EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kNative, 1),
+              ExecTier::kSwitch)
+        << bad;
+    EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kAuto, 1),
+              ExecTier::kSwitch)
+        << bad;
+    sim.set_native(NativeBlock::build(*tape, 1));
+    EXPECT_EQ(sim.native_block(), nullptr) << bad;
+    EXPECT_EQ(sim.exec_tier(), ExecTier::kSwitch) << bad;
   }
-}
-
-TEST(ExecTier, ThreadedMatchesSwitchUnderFaultOverlays) {
-  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign4);
-  expect_tier_matches<1>(dp.netlist, OptLevel::kSafe, ExecTier::kThreaded, 201,
-                         true);
-  expect_tier_matches<4>(dp.netlist, OptLevel::kSafe, ExecTier::kThreaded, 202,
-                         true);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("DWT_EXEC_TIER=threaded"), std::string::npos) << err;
+  // Empty and "auto" are no override at all.
+  for (const char* none : {"", "auto"}) {
+    ::setenv("DWT_EXEC_TIER", none, 1);
+    EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kSwitch, 1),
+              ExecTier::kSwitch);
+    EXPECT_EQ(rtl::compiled::resolve_exec_tier(ExecTier::kAuto, 1),
+              rtl::compiled::resolve_exec_tier(ExecTier::kNative, 1));
+  }
+  ::unsetenv("DWT_EXEC_TIER");
 }
 
 TEST(ExecTier, NativeMatchesSwitchAllWidths) {
@@ -145,11 +157,11 @@ TEST(ExecTier, NativeMatchesSwitchAllWidths) {
   for (const OptLevel level :
        {OptLevel::kNone, OptLevel::kSafe, OptLevel::kFull}) {
     if (rtl::compiled::native_supported(1)) {
-      expect_tier_matches<1>(dp.netlist, level, ExecTier::kNative, 301, false);
+      expect_native_matches<1>(dp.netlist, level, 301, false);
     }
     if (rtl::compiled::native_supported(4)) {
-      expect_tier_matches<2>(dp.netlist, level, ExecTier::kNative, 302, false);
-      expect_tier_matches<4>(dp.netlist, level, ExecTier::kNative, 303, false);
+      expect_native_matches<2>(dp.netlist, level, 302, false);
+      expect_native_matches<4>(dp.netlist, level, 303, false);
     }
   }
 }
@@ -160,8 +172,7 @@ TEST(ExecTier, NativeMatchesSwitchUnderFaultOverlays) {
     GTEST_SKIP() << "native tier unsupported on this host";
   }
   const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign5);
-  expect_tier_matches<4>(dp.netlist, OptLevel::kSafe, ExecTier::kNative, 401,
-                         true);
+  expect_native_matches<4>(dp.netlist, OptLevel::kSafe, 401, true);
 }
 
 TEST(ExecTier, NativeBlockIsDeterministicAndSized) {
@@ -229,9 +240,8 @@ TEST(ExecTier, NativeEdgeOrdersChainsRingsAndSelfLoops) {
   const rtl::NetId obs2 = nl.add_cell(rtl::CellKind::kXor2, qs, qx);
   nl.bind_output("obs", rtl::Bus{{obs1, obs2}});
 
-  expect_tier_matches<1>(nl, OptLevel::kNone, ExecTier::kNative, 501, false);
-  expect_tier_matches<4>(nl, OptLevel::kNone, ExecTier::kNative, 502, false);
-  expect_tier_matches<4>(nl, OptLevel::kNone, ExecTier::kThreaded, 503, false);
+  expect_native_matches<1>(nl, OptLevel::kNone, 501, false);
+  expect_native_matches<4>(nl, OptLevel::kNone, 502, false);
 }
 
 TEST(ExecTier, TierSurvivesReset) {
@@ -239,7 +249,7 @@ TEST(ExecTier, TierSurvivesReset) {
   const auto tape = rtl::compiled::compile(dp.netlist, OptLevel::kFull);
   WideSimulator<2> a(tape);
   WideSimulator<2> b(tape);
-  b.set_exec_tier(ExecTier::kAuto);
+  b.set_native(NativeBlock::build(*tape, 2));
   common::Rng rng(77);
   const std::vector<rtl::NetId>& pis = dp.netlist.primary_inputs();
   for (int round = 0; round < 2; ++round) {

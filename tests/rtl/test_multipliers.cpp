@@ -39,19 +39,23 @@ TEST_P(ShiftAddMultiplierTest, ExactProduct) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperConstants, ShiftAddMultiplierTest,
-    ::testing::Values(
-        MultCase{-406, AdderStyle::kCarryChain, SumStructure::kSequential, false},
-        MultCase{-14, AdderStyle::kCarryChain, SumStructure::kSequential, false},
-        MultCase{226, AdderStyle::kCarryChain, SumStructure::kSequential, false},
-        MultCase{114, AdderStyle::kRippleGates, SumStructure::kSequential, false},
-        MultCase{-315, AdderStyle::kRippleGates, SumStructure::kSequential, false},
-        MultCase{208, AdderStyle::kCarryChain, SumStructure::kTree, false},
-        MultCase{-406, AdderStyle::kCarryChain, SumStructure::kSequential, true},
-        MultCase{-14, AdderStyle::kCarryChain, SumStructure::kSequential, true},
-        MultCase{-315, AdderStyle::kRippleGates, SumStructure::kSequential, true},
-        MultCase{226, AdderStyle::kCarryChain, SumStructure::kTree, true}));
+// gtest names each case by dumping the MultCase bytes, padding included; a
+// static table keeps that padding zero, so the discovered ctest names are
+// the same on every run (stack temporaries left it uninitialised).
+constexpr MultCase kMultCases[] = {
+    {-406, AdderStyle::kCarryChain, SumStructure::kSequential, false},
+    {-14, AdderStyle::kCarryChain, SumStructure::kSequential, false},
+    {226, AdderStyle::kCarryChain, SumStructure::kSequential, false},
+    {114, AdderStyle::kRippleGates, SumStructure::kSequential, false},
+    {-315, AdderStyle::kRippleGates, SumStructure::kSequential, false},
+    {208, AdderStyle::kCarryChain, SumStructure::kTree, false},
+    {-406, AdderStyle::kCarryChain, SumStructure::kSequential, true},
+    {-14, AdderStyle::kCarryChain, SumStructure::kSequential, true},
+    {-315, AdderStyle::kRippleGates, SumStructure::kSequential, true},
+    {226, AdderStyle::kCarryChain, SumStructure::kTree, true}};
+
+INSTANTIATE_TEST_SUITE_P(PaperConstants, ShiftAddMultiplierTest,
+                         ::testing::ValuesIn(kMultCases));
 
 TEST(ShiftAddMultiplier, RangeCoversProduct) {
   Netlist nl;

@@ -5,7 +5,7 @@
 //   dwt97cli tile          <in.pgm> <out.pgm> [--octaves N] [--tile N]
 //                          [--threads N] [--backend NAME] [--design D]
 //                          [--adder ARCH] [--opt-level 0|1|2]
-//                          [--exec-tier interpreter|threaded|native|auto]
+//                          [--exec-tier interpreter|native|auto]
 //   dwt97cli gen           <out.pgm> <width> <height> [seed]
 //   dwt97cli synth         [design 1..5] [--adder ARCH]
 //   dwt97cli verilog       <design 1..5> <out.v> [--adder ARCH]
@@ -57,7 +57,7 @@ int usage() {
                "                      [--backend NAME] [--design D] "
                "[--adder ARCH]\n"
                "                      [--opt-level 0|1|2] [--exec-tier "
-               "interpreter|threaded|native|auto]\n"
+               "interpreter|native|auto]\n"
                "  dwt97cli gen        <out.pgm> <width> <height> [seed]\n"
                "  dwt97cli synth      [design 1..5] [--adder ARCH]\n"
                "  dwt97cli verilog    <design 1..5> <out.v> [--adder ARCH]\n"
@@ -236,7 +236,7 @@ int cmd_tile(int argc, char** argv) {
       }
       opt.opt_level = static_cast<dwt::rtl::compiled::OptLevel>(v);
     } else if (std::strcmp(argv[i], "--exec-tier") == 0 && i + 1 < argc) {
-      // How the rtl-compiled backend walks its tape: the switch or threaded
+      // How the rtl-compiled backend walks its tape: the switch
       // interpreter, the JIT'd native tier, or auto (fastest supported).
       // Every tier writes bit-identical output; DWT_EXEC_TIER overrides.
       if (!dwt::rtl::compiled::parse_exec_tier(argv[++i], &opt.exec_tier)) {
