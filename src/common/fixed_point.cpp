@@ -39,13 +39,6 @@ std::string Fixed::to_binary_string(int int_bits) const {
   return out;
 }
 
-std::int64_t mul_const_truncate(std::int64_t sample, const Fixed& c) {
-  const std::int64_t product = sample * c.raw();
-  // Arithmetic right shift: C++20 guarantees two's complement and defines
-  // right shift of negative values as arithmetic.
-  return product >> c.frac_bits();
-}
-
 int signed_bits_for_range(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("signed_bits_for_range: lo > hi");
   int bits = 1;

@@ -51,7 +51,12 @@ class Fixed {
 /// product back to an integer with an arithmetic right shift -- exactly the
 /// datapath operation the paper's designs perform ("adjusted by 8-bit right
 /// shift", section 3.2).
-[[nodiscard]] std::int64_t mul_const_truncate(std::int64_t sample, const Fixed& c);
+[[nodiscard]] constexpr std::int64_t mul_const_truncate(std::int64_t sample,
+                                                      const Fixed& c) {
+  // Arithmetic right shift: C++20 guarantees two's complement and defines
+  // right shift of negative values as arithmetic.
+  return (sample * c.raw()) >> c.frac_bits();
+}
 
 /// Number of bits required to represent all integers in [lo, hi] in two's
 /// complement.

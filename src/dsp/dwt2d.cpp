@@ -1,7 +1,10 @@
 #include "dsp/dwt2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "dsp/lifting_ladder.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -13,16 +16,78 @@ void require_nonzero(std::size_t w, std::size_t h, const char* who) {
   }
 }
 
+void require_region(const Image& plane, std::size_t w, std::size_t h,
+                    const char* who) {
+  require_nonzero(w, h, who);
+  if (w > plane.width() || h > plane.height()) {
+    throw std::out_of_range(std::string(who) + ": region exceeds the plane");
+  }
+}
+
 /// Low-pass side of the ceil/floor split an N-sample line produces.
 std::size_t low_size(std::size_t n) { return (n + 1) / 2; }
 
-// Packs subbands (low first, then high) into a single line.
-std::vector<double> pack(const Subbands1d& s) {
-  std::vector<double> out;
-  out.reserve(s.low.size() + s.high.size());
-  out.insert(out.end(), s.low.begin(), s.low.end());
-  out.insert(out.end(), s.high.begin(), s.high.end());
-  return out;
+/// The integer ladders lift one int64 copy of the region, rounded on entry
+/// as the integer 1-D functions round their input.
+template <class Mul, std::size_t Steps>
+void lift_int_region(const StepTable<Mul, Steps>& steps, Image& plane,
+                     std::size_t w, std::size_t h, bool inverse) {
+  double* p = plane.data().data();
+  const std::size_t pitch = plane.width();
+  std::vector<std::int64_t> r(w * h);
+  for (std::size_t y = 0; y < h; ++y) {
+    std::transform(p + y * pitch, p + y * pitch + w, r.begin() + y * w,
+                   [](double v) { return std::llround(v); });
+  }
+  sweep_octave(r.data(), w, w, h, inverse, LiftingLadder(steps, inverse));
+  for (std::size_t y = 0; y < h; ++y) {
+    std::copy_n(r.begin() + y * w, w, p + y * pitch);
+  }
+}
+
+/// The FIR methods run a line at a time through their 1-D functions.
+void fir_region(Method m, Image& plane, std::size_t w, std::size_t h,
+                int frac_bits, bool inverse) {
+  std::vector<double> x;
+  const auto line = [&](double* first, std::size_t n, std::size_t stride) {
+    x.resize(n);
+    for (std::size_t k = 0; k < n; ++k) x[k] = first[k * stride];
+    if (inverse) {
+      const std::span<const double> packed(x);
+      x = dwt1d_inverse(m, packed.first(low_size(n)),
+                        packed.subspan(low_size(n)), frac_bits);
+    } else {
+      Subbands1d s = dwt1d_forward(m, x, frac_bits);
+      x = std::move(s.low);
+      x.insert(x.end(), s.high.begin(), s.high.end());
+    }
+    for (std::size_t k = 0; k < n; ++k) first[k * stride] = x[k];
+  };
+  sweep_octave(plane.data().data(), plane.width(), w, h, inverse, line);
+}
+
+void octave(Method m, Image& plane, std::size_t w, std::size_t h,
+            int frac_bits, bool inverse) {
+  switch (m) {
+    case Method::kLiftingFloat:
+      return sweep_octave(
+          plane.data().data(), plane.width(), w, h, inverse,
+          LiftingLadder(float97_steps(LiftingCoeffs::daubechies97()), inverse));
+    case Method::kLiftingFixed:
+      return lift_int_region(
+          fixed97_steps(LiftingFixedCoeffs::rounded(frac_bits)), plane, w, h,
+          inverse);
+    case Method::kLiftingHwFloat:
+      return lift_int_region(hw97_steps(LiftingCoeffs::daubechies97()), plane,
+                             w, h, inverse);
+    case Method::kReversible53:
+      return lift_int_region(kReversible53Steps, plane, w, h, inverse);
+    case Method::kFirFloat:
+    case Method::kFirFixed:
+    case Method::kFirHwFloat:
+      return fir_region(m, plane, w, h, frac_bits, inverse);
+  }
+  throw std::invalid_argument("dwt2d: unknown Method");
 }
 
 }  // namespace
@@ -50,32 +115,14 @@ SubbandRect subband_rect(std::size_t w, std::size_t h, int octave, Band band) {
 
 void dwt2d_forward_octave(Method m, Image& plane, std::size_t w, std::size_t h,
                           int frac_bits) {
-  require_nonzero(w, h, "dwt2d_forward_octave");
-  for (std::size_t y = 0; y < h; ++y) {
-    plane.set_row(y, pack(dwt1d_forward(m, plane.row(y, w), frac_bits)));
-  }
-  for (std::size_t x = 0; x < w; ++x) {
-    plane.set_col(x, pack(dwt1d_forward(m, plane.col(x, h), frac_bits)));
-  }
+  require_region(plane, w, h, "dwt2d_forward_octave");
+  octave(m, plane, w, h, frac_bits, /*inverse=*/false);
 }
 
 void dwt2d_inverse_octave(Method m, Image& plane, std::size_t w, std::size_t h,
                           int frac_bits) {
-  require_nonzero(w, h, "dwt2d_inverse_octave");
-  const auto lh = static_cast<std::ptrdiff_t>(low_size(h));
-  for (std::size_t x = 0; x < w; ++x) {
-    const std::vector<double> c = plane.col(x, h);
-    const std::vector<double> low(c.begin(), c.begin() + lh);
-    const std::vector<double> high(c.begin() + lh, c.end());
-    plane.set_col(x, dwt1d_inverse(m, low, high, frac_bits));
-  }
-  const auto lw = static_cast<std::ptrdiff_t>(low_size(w));
-  for (std::size_t y = 0; y < h; ++y) {
-    const std::vector<double> r = plane.row(y, w);
-    const std::vector<double> low(r.begin(), r.begin() + lw);
-    const std::vector<double> high(r.begin() + lw, r.end());
-    plane.set_row(y, dwt1d_inverse(m, low, high, frac_bits));
-  }
+  require_region(plane, w, h, "dwt2d_inverse_octave");
+  octave(m, plane, w, h, frac_bits, /*inverse=*/true);
 }
 
 void dwt2d_forward(Method m, Image& plane, int octaves, int frac_bits) {

@@ -24,9 +24,34 @@ struct SubbandRect {
 [[nodiscard]] SubbandRect subband_rect(std::size_t w, std::size_t h,
                                        int octave, Band band);
 
+/// The octave sweep every 2-D transform shares: one octave over the
+/// top-left w x h region of a row-major plane holding `pitch` values per
+/// row.  The forward sweep lifts every row then every column, the inverse
+/// every column then every row; `line(first, n, stride)` transforms
+/// first[0], first[stride], ..., first[(n - 1) * stride] in place, a forward
+/// line leaving ceil(n/2) low then floor(n/2) high values.
+template <class T, class Line>
+void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
+                  bool inverse, Line&& line) {
+  const auto rows = [&] {
+    for (std::size_t y = 0; y < h; ++y) line(plane + y * pitch, w, 1);
+  };
+  const auto cols = [&] {
+    for (std::size_t x = 0; x < w; ++x) line(plane + x, h, pitch);
+  };
+  if (inverse) {
+    cols();
+    rows();
+  } else {
+    rows();
+    cols();
+  }
+}
+
 /// In-place one-octave forward transform of the top-left region w x h of
 /// `plane` (any non-zero w, h; odd lines split as ceil(n/2) low /
-/// floor(n/2) high with (1,1) symmetric extension).
+/// floor(n/2) high with (1,1) symmetric extension).  Throws
+/// std::out_of_range when the region is wider or taller than the plane.
 void dwt2d_forward_octave(Method m, Image& plane, std::size_t w, std::size_t h,
                           int frac_bits = kDefaultFracBits);
 void dwt2d_inverse_octave(Method m, Image& plane, std::size_t w, std::size_t h,

@@ -1,76 +1,17 @@
 #include "dsp/dwt53.hpp"
 
-#include <stdexcept>
+#include "dsp/lifting_ladder.hpp"
 
 namespace dwt::dsp {
-namespace {
-
-// Whole-sample symmetric extension on the polyphase arrays (s = ceil(N/2)
-// even samples, d = floor(N/2) odd samples): x[-1] = x[1] gives d[-1] = d[0];
-// x[N] = x[N-2] gives s[ns] = s[ns-1] for even N and d[nd] = d[nd-1] for odd
-// N -- the JPEG2000 (1,1) extension, valid for any N >= 2.
-std::int64_t s_at(std::span<const std::int64_t> s, std::size_t i) {
-  return i < s.size() ? s[i] : s[s.size() - 1];
-}
-std::int64_t d_at(std::span<const std::int64_t> d, std::ptrdiff_t i) {
-  if (i < 0) return d.front();
-  if (i >= static_cast<std::ptrdiff_t>(d.size())) return d.back();
-  return d[static_cast<std::size_t>(i)];
-}
-std::int64_t d_pair(std::span<const std::int64_t> d, std::size_t i) {
-  return d_at(d, static_cast<std::ptrdiff_t>(i) - 1) +
-         d_at(d, static_cast<std::ptrdiff_t>(i));
-}
-
-/// Floor division by a power of two (arithmetic shift).
-std::int64_t floor_div_pow2(std::int64_t v, int k) { return v >> k; }
-
-}  // namespace
 
 LiftSubbands53 lifting53_forward(std::span<const std::int64_t> x) {
-  if (x.empty()) {
-    throw std::invalid_argument("lifting53_forward: empty signal");
-  }
-  if (x.size() == 1) {
-    // JPEG2000 single-sample rule: an even-indexed singleton passes through.
-    return {{x[0]}, {}};
-  }
-  const std::size_t ns = (x.size() + 1) / 2;
-  const std::size_t nd = x.size() / 2;
-  std::vector<std::int64_t> s(ns);
-  std::vector<std::int64_t> d(nd);
-  for (std::size_t i = 0; i < ns; ++i) s[i] = x[2 * i];
-  for (std::size_t i = 0; i < nd; ++i) d[i] = x[2 * i + 1];
-  for (std::size_t i = 0; i < nd; ++i) {
-    d[i] -= floor_div_pow2(s[i] + s_at(s, i + 1), 1);
-  }
-  for (std::size_t i = 0; i < ns; ++i) {
-    s[i] += floor_div_pow2(d_pair(d, i) + 2, 2);
-  }
-  return {std::move(s), std::move(d)};
+  return lift_forward<LiftSubbands53>(kReversible53Steps, x,
+                                      "lifting53_forward");
 }
 
 std::vector<std::int64_t> lifting53_inverse(std::span<const std::int64_t> low,
                                             std::span<const std::int64_t> high) {
-  const std::size_t ns = low.size();
-  const std::size_t nd = high.size();
-  if (ns == 0 || (nd != ns && nd + 1 != ns)) {
-    throw std::invalid_argument(
-        "lifting53_inverse: subband sizes must satisfy ceil/floor split");
-  }
-  if (ns == 1 && nd == 0) return {low[0]};
-  std::vector<std::int64_t> s(low.begin(), low.end());
-  std::vector<std::int64_t> d(high.begin(), high.end());
-  for (std::size_t i = 0; i < ns; ++i) {
-    s[i] -= floor_div_pow2(d_pair(d, i) + 2, 2);
-  }
-  for (std::size_t i = 0; i < nd; ++i) {
-    d[i] += floor_div_pow2(s[i] + s_at(s, i + 1), 1);
-  }
-  std::vector<std::int64_t> x(ns + nd);
-  for (std::size_t i = 0; i < ns; ++i) x[2 * i] = s[i];
-  for (std::size_t i = 0; i < nd; ++i) x[2 * i + 1] = d[i];
-  return x;
+  return lift_inverse(kReversible53Steps, low, high, "lifting53_inverse");
 }
 
 }  // namespace dwt::dsp

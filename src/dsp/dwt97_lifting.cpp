@@ -1,98 +1,18 @@
 #include "dsp/dwt97_lifting.hpp"
 
-#include <stdexcept>
+#include "dsp/lifting_ladder.hpp"
 
 namespace dwt::dsp {
-namespace {
-
-void require_nonempty(std::size_t n, const char* who) {
-  if (n == 0) {
-    throw std::invalid_argument(std::string(who) + ": empty signal");
-  }
-}
-
-// Boundary access derived from whole-sample symmetric extension of the
-// original signal about samples 0 and N-1:
-//   x[-1] = x[1]            implies d[-1] = d[0];
-//   x[N] = x[N-2], N even   implies s[ns] = s[ns-1];
-//   x[N] = x[N-2], N odd    implies d[nd] = d[nd-1].
-// With s holding the ceil(N/2) even-phase samples and d the floor(N/2)
-// odd-phase samples, every lifting sweep below stays on the extended
-// signal's restriction, so any N >= 2 transforms exactly.
-double s_at(std::span<const double> s, std::size_t i) {
-  return i < s.size() ? s[i] : s[s.size() - 1];
-}
-double d_at(std::span<const double> d, std::ptrdiff_t i) {
-  if (i < 0) return d.front();
-  if (i >= static_cast<std::ptrdiff_t>(d.size())) return d.back();
-  return d[static_cast<std::size_t>(i)];
-}
-
-}  // namespace
 
 LiftSubbands lifting97_forward(std::span<const double> x,
                                const LiftingCoeffs& c) {
-  require_nonempty(x.size(), "lifting97_forward");
-  if (x.size() == 1) {
-    // JPEG2000 single-sample rule: an even-indexed singleton passes through.
-    return {{x[0]}, {}};
-  }
-  const std::size_t ns = (x.size() + 1) / 2;  // even phase, ceil(N/2)
-  const std::size_t nd = x.size() / 2;        // odd phase, floor(N/2)
-  std::vector<double> s(ns);
-  std::vector<double> d(nd);
-  for (std::size_t i = 0; i < ns; ++i) s[i] = x[2 * i];
-  for (std::size_t i = 0; i < nd; ++i) d[i] = x[2 * i + 1];
-  for (std::size_t i = 0; i < nd; ++i)  // predict 1
-    d[i] += c.alpha * (s[i] + s_at(s, i + 1));
-  for (std::size_t i = 0; i < ns; ++i)  // update 1
-    s[i] += c.beta * (d_at(d, static_cast<std::ptrdiff_t>(i) - 1) +
-                      d_at(d, static_cast<std::ptrdiff_t>(i)));
-  for (std::size_t i = 0; i < nd; ++i)  // predict 2
-    d[i] += c.gamma * (s[i] + s_at(s, i + 1));
-  for (std::size_t i = 0; i < ns; ++i)  // update 2
-    s[i] += c.delta * (d_at(d, static_cast<std::ptrdiff_t>(i) - 1) +
-                       d_at(d, static_cast<std::ptrdiff_t>(i)));
-
-  LiftSubbands out;
-  out.low.resize(ns);
-  out.high.resize(nd);
-  for (std::size_t i = 0; i < ns; ++i) out.low[i] = s[i] / c.k;
-  for (std::size_t i = 0; i < nd; ++i) out.high[i] = -c.k * d[i];
-  return out;
+  return lift_forward<LiftSubbands>(float97_steps(c), x, "lifting97_forward");
 }
 
 std::vector<double> lifting97_inverse(std::span<const double> low,
                                       std::span<const double> high,
                                       const LiftingCoeffs& c) {
-  const std::size_t ns = low.size();
-  const std::size_t nd = high.size();
-  if (ns == 0 || (nd != ns && nd + 1 != ns)) {
-    throw std::invalid_argument(
-        "lifting97_inverse: subband sizes must satisfy ceil/floor split");
-  }
-  if (ns == 1 && nd == 0) return {low[0]};
-  std::vector<double> s(ns);
-  std::vector<double> d(nd);
-  for (std::size_t i = 0; i < ns; ++i) s[i] = low[i] * c.k;
-  for (std::size_t i = 0; i < nd; ++i) d[i] = high[i] / -c.k;
-  // Inverse lifting steps in reverse order.  Within a step every output
-  // depends only on the *other* phase, so in-place sweeps are exact inverses.
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] -= c.delta * (d_at(d, static_cast<std::ptrdiff_t>(i) - 1) +
-                       d_at(d, static_cast<std::ptrdiff_t>(i)));
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] -= c.gamma * (s[i] + s_at(s, i + 1));
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] -= c.beta * (d_at(d, static_cast<std::ptrdiff_t>(i) - 1) +
-                      d_at(d, static_cast<std::ptrdiff_t>(i)));
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] -= c.alpha * (s[i] + s_at(s, i + 1));
-
-  std::vector<double> x(ns + nd);
-  for (std::size_t i = 0; i < ns; ++i) x[2 * i] = s[i];
-  for (std::size_t i = 0; i < nd; ++i) x[2 * i + 1] = d[i];
-  return x;
+  return lift_inverse(float97_steps(c), low, high, "lifting97_inverse");
 }
 
 }  // namespace dwt::dsp

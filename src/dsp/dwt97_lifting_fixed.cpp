@@ -1,7 +1,8 @@
 #include "dsp/dwt97_lifting_fixed.hpp"
 
-#include <cmath>
 #include <stdexcept>
+
+#include "dsp/lifting_ladder.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -12,18 +13,12 @@ void require_nonempty(std::size_t n, const char* who) {
   }
 }
 
-void require_subband_split(std::size_t ns, std::size_t nd, const char* who) {
-  if (ns == 0 || (nd != ns && nd + 1 != ns)) {
-    throw std::invalid_argument(
-        std::string(who) + ": subband sizes must satisfy ceil/floor split");
-  }
-}
-
 // Whole-sample symmetric extension on the polyphase arrays (s = ceil(N/2)
 // even samples, d = floor(N/2) odd samples): x[-1] = x[1] gives d[-1] = d[0];
 // x[N] = x[N-2] gives s[ns] = s[ns-1] for even N and d[nd] = d[nd-1] for odd
-// N.  Every sweep below therefore computes the extended signal's lifting
-// restricted to the valid window, for any N >= 2.
+// N.  The trace below therefore computes the extended signal's lifting
+// restricted to the valid window, for any N >= 2, independently of the
+// shared ladder (dsp/lifting_ladder.hpp) it is the reference for.
 std::int64_t s_at(std::span<const std::int64_t> s, std::size_t i) {
   return i < s.size() ? s[i] : s[s.size() - 1];
 }
@@ -35,10 +30,6 @@ std::int64_t d_at(std::span<const std::int64_t> d, std::ptrdiff_t i) {
 
 std::int64_t d_before(std::span<const std::int64_t> d, std::size_t i) {
   return d_at(d, static_cast<std::ptrdiff_t>(i) - 1);
-}
-
-std::int64_t d_pair(std::span<const std::int64_t> d, std::size_t i) {
-  return d_before(d, i) + d_at(d, static_cast<std::ptrdiff_t>(i));
 }
 
 }  // namespace
@@ -94,104 +85,29 @@ LiftingTrace lifting97_forward_fixed_trace(std::span<const std::int64_t> x,
 
 LiftSubbandsFixed lifting97_forward_fixed(std::span<const std::int64_t> x,
                                           const LiftingFixedCoeffs& c) {
-  LiftingTrace t = lifting97_forward_fixed_trace(x, c);
-  return {std::move(t.low), std::move(t.high)};
+  return lift_forward<LiftSubbandsFixed>(fixed97_steps(c), x,
+                                         "lifting97_forward_fixed");
 }
 
 std::vector<std::int64_t> lifting97_inverse_fixed(
     std::span<const std::int64_t> low, std::span<const std::int64_t> high,
     const LiftingFixedCoeffs& c) {
-  const std::size_t ns = low.size();
-  const std::size_t nd = high.size();
-  require_subband_split(ns, nd, "lifting97_inverse_fixed");
-  if (ns == 1 && nd == 0) return {low[0]};
-  std::vector<std::int64_t> s(ns);
-  std::vector<std::int64_t> d(nd);
-  for (std::size_t i = 0; i < ns; ++i) {
-    s[i] = scale_step(low[i], c.k);  // undo 1/k (lossy in fixed point)
-  }
-  for (std::size_t i = 0; i < nd; ++i) {
-    d[i] = scale_step(high[i], c.minus_inv_k);  // undo -k (lossy in fixed point)
-  }
-  // The lifting-step subtractions recompute the identical truncated update
-  // term, so they invert the forward steps exactly; only the k scaling and
-  // the coefficient rounding introduce error.
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] -= common::mul_const_truncate(d_pair(d, i), c.delta);
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] -= common::mul_const_truncate(s[i] + s_at(s, i + 1), c.gamma);
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] -= common::mul_const_truncate(d_pair(d, i), c.beta);
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] -= common::mul_const_truncate(s[i] + s_at(s, i + 1), c.alpha);
-
-  std::vector<std::int64_t> x(ns + nd);
-  for (std::size_t i = 0; i < ns; ++i) x[2 * i] = s[i];
-  for (std::size_t i = 0; i < nd; ++i) x[2 * i + 1] = d[i];
-  return x;
+  // The subtractions recompute the identical truncated update terms, so
+  // they invert the lifting steps exactly; only the k scaling and the
+  // coefficient rounding introduce error.
+  return lift_inverse(fixed97_steps(c), low, high, "lifting97_inverse_fixed");
 }
-
-namespace {
-
-std::int64_t floor_mul(double c, std::int64_t v) {
-  return static_cast<std::int64_t>(std::floor(c * static_cast<double>(v)));
-}
-
-}  // namespace
 
 LiftSubbandsFixed lifting97_forward_hw(std::span<const std::int64_t> x,
                                        const LiftingCoeffs& c) {
-  require_nonempty(x.size(), "lifting97_forward_hw");
-  if (x.size() == 1) return {{x[0]}, {}};
-  const std::size_t ns = (x.size() + 1) / 2;
-  const std::size_t nd = x.size() / 2;
-  std::vector<std::int64_t> s(ns);
-  std::vector<std::int64_t> d(nd);
-  for (std::size_t i = 0; i < ns; ++i) s[i] = x[2 * i];
-  for (std::size_t i = 0; i < nd; ++i) d[i] = x[2 * i + 1];
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] += floor_mul(c.alpha, s[i] + s_at(s, i + 1));
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] += floor_mul(c.beta, d_pair(d, i));
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] += floor_mul(c.gamma, s[i] + s_at(s, i + 1));
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] += floor_mul(c.delta, d_pair(d, i));
-  LiftSubbandsFixed out;
-  out.low.resize(ns);
-  out.high.resize(nd);
-  for (std::size_t i = 0; i < ns; ++i) out.low[i] = floor_mul(1.0 / c.k, s[i]);
-  for (std::size_t i = 0; i < nd; ++i) out.high[i] = floor_mul(-c.k, d[i]);
-  return out;
+  return lift_forward<LiftSubbandsFixed>(hw97_steps(c), x,
+                                         "lifting97_forward_hw");
 }
 
 std::vector<std::int64_t> lifting97_inverse_hw(
     std::span<const std::int64_t> low, std::span<const std::int64_t> high,
     const LiftingCoeffs& c) {
-  const std::size_t ns = low.size();
-  const std::size_t nd = high.size();
-  require_subband_split(ns, nd, "lifting97_inverse_hw");
-  if (ns == 1 && nd == 0) return {low[0]};
-  std::vector<std::int64_t> s(ns);
-  std::vector<std::int64_t> d(nd);
-  for (std::size_t i = 0; i < ns; ++i) {
-    s[i] = floor_mul(c.k, low[i]);  // undo 1/k (lossy)
-  }
-  for (std::size_t i = 0; i < nd; ++i) {
-    d[i] = floor_mul(-1.0 / c.k, high[i]);  // undo -k (lossy)
-  }
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] -= floor_mul(c.delta, d_pair(d, i));
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] -= floor_mul(c.gamma, s[i] + s_at(s, i + 1));
-  for (std::size_t i = 0; i < ns; ++i)
-    s[i] -= floor_mul(c.beta, d_pair(d, i));
-  for (std::size_t i = 0; i < nd; ++i)
-    d[i] -= floor_mul(c.alpha, s[i] + s_at(s, i + 1));
-  std::vector<std::int64_t> x(ns + nd);
-  for (std::size_t i = 0; i < ns; ++i) x[2 * i] = s[i];
-  for (std::size_t i = 0; i < nd; ++i) x[2 * i + 1] = d[i];
-  return x;
+  return lift_inverse(hw97_steps(c), low, high, "lifting97_inverse_hw");
 }
 
 }  // namespace dwt::dsp

@@ -21,38 +21,6 @@ const double& Image::at(std::size_t x, std::size_t y) const {
   return data_[y * width_ + x];
 }
 
-std::vector<double> Image::row(std::size_t y, std::size_t n) const {
-  if (y >= height_ || n > width_) throw std::out_of_range("Image::row");
-  std::vector<double> out(n);
-  for (std::size_t x = 0; x < n; ++x) out[x] = data_[y * width_ + x];
-  return out;
-}
-
-std::vector<double> Image::col(std::size_t x, std::size_t n) const {
-  if (x >= width_ || n > height_) throw std::out_of_range("Image::col");
-  std::vector<double> out(n);
-  for (std::size_t y = 0; y < n; ++y) out[y] = data_[y * width_ + x];
-  return out;
-}
-
-void Image::set_row(std::size_t y, const std::vector<double>& values) {
-  if (y >= height_ || values.size() > width_) {
-    throw std::out_of_range("Image::set_row");
-  }
-  for (std::size_t x = 0; x < values.size(); ++x) {
-    data_[y * width_ + x] = values[x];
-  }
-}
-
-void Image::set_col(std::size_t x, const std::vector<double>& values) {
-  if (x >= width_ || values.size() > height_) {
-    throw std::out_of_range("Image::set_col");
-  }
-  for (std::size_t y = 0; y < values.size(); ++y) {
-    data_[y * width_ + x] = values[y];
-  }
-}
-
 Image Image::crop(std::size_t w, std::size_t h) const {
   if (w > width_ || h > height_) throw std::out_of_range("Image::crop");
   Image out(w, h);

@@ -26,13 +26,6 @@ class Image {
   [[nodiscard]] std::vector<double>& data() { return data_; }
   [[nodiscard]] const std::vector<double>& data() const { return data_; }
 
-  /// Extracts row y restricted to the first `n` columns.
-  [[nodiscard]] std::vector<double> row(std::size_t y, std::size_t n) const;
-  /// Extracts column x restricted to the first `n` rows.
-  [[nodiscard]] std::vector<double> col(std::size_t x, std::size_t n) const;
-  void set_row(std::size_t y, const std::vector<double>& values);
-  void set_col(std::size_t x, const std::vector<double>& values);
-
   /// Copies the w x h top-left sub-image (tile extraction).
   [[nodiscard]] Image crop(std::size_t w, std::size_t h) const;
 

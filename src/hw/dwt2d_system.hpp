@@ -60,8 +60,6 @@ class Dwt2dSystem {
   [[nodiscard]] const BuiltDatapath& core() const { return *core_; }
 
  private:
-  void transform_line(std::vector<std::int64_t>& line, Dwt2dRunStats& stats);
-
   std::shared_ptr<const BuiltDatapath> core_;
   std::unique_ptr<rtl::Simulator> sim_;
   std::unique_ptr<rtl::compiled::BatchFaultSession> batch_;

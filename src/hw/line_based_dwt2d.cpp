@@ -6,6 +6,7 @@
 
 #include "dsp/dwt1d.hpp"
 #include "dsp/fir_filter.hpp"
+#include "dsp/lifting_ladder.hpp"
 #include "dsp/streaming_lifting.hpp"
 
 namespace dwt::hw {
@@ -14,21 +15,6 @@ namespace {
 /// Guard row pairs fed before/after the payload (vertical mirror extension
 /// plus pipeline flush), matching the 1-D streaming harness.
 constexpr std::ptrdiff_t kGuardRowPairs = 4;
-
-std::vector<std::int64_t> row_transform(const dsp::Image& img,
-                                        std::size_t row) {
-  const auto packed = dsp::dwt1d_forward(dsp::Method::kLiftingFixed,
-                                         img.row(row, img.width()));
-  std::vector<std::int64_t> out;
-  out.reserve(img.width());
-  for (const double v : packed.low) {
-    out.push_back(static_cast<std::int64_t>(std::llround(v)));
-  }
-  for (const double v : packed.high) {
-    out.push_back(static_cast<std::int64_t>(std::llround(v)));
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -46,14 +32,26 @@ LineBasedStats line_based_forward_octave(dsp::Image& plane) {
   // from a sensor); model that by reading from a pristine copy while the
   // transformed rows are written out.
   const dsp::Image source = plane;
+  // The row transform: one source row through the fixed-point ladder,
+  // ceil(w/2) low then floor(w/2) high coefficients.
+  const auto coeffs = dsp::LiftingFixedCoeffs::rounded(dsp::kDefaultFracBits);
+  dsp::LiftingLadder ladder(dsp::fixed97_steps(coeffs), /*inverse=*/false);
+  const auto row_transform = [&](std::size_t row) {
+    std::vector<std::int64_t> out(w);
+    for (std::size_t c = 0; c < w; ++c) {
+      out[c] = static_cast<std::int64_t>(std::llround(source.at(c, row)));
+    }
+    ladder(out.data(), w);
+    return out;
+  };
 
   if (h == 1) {
     // Single-row plane: the vertical pass is the JPEG2000 single-sample
     // pass-through, so only the row transform runs.
-    std::vector<double> row(w);
-    const std::vector<std::int64_t> packed = row_transform(source, 0);
-    for (std::size_t c = 0; c < w; ++c) row[c] = static_cast<double>(packed[c]);
-    plane.set_row(0, row);
+    const std::vector<std::int64_t> packed = row_transform(0);
+    for (std::size_t c = 0; c < w; ++c) {
+      plane.data()[c] = static_cast<double>(packed[c]);
+    }
     stats.rows_processed = 1;
     stats.line_buffer_words = 2 * w + 5 * w;
     return stats;
@@ -72,8 +70,8 @@ LineBasedStats line_based_forward_octave(dsp::Image& plane) {
     // controller provides.
     const std::size_t even_row = dsp::mirror_index(2 * t, h);
     const std::size_t odd_row = dsp::mirror_index(2 * t + 1, h);
-    const std::vector<std::int64_t> even = row_transform(source, even_row);
-    const std::vector<std::int64_t> odd = row_transform(source, odd_row);
+    const std::vector<std::int64_t> even = row_transform(even_row);
+    const std::vector<std::int64_t> odd = row_transform(odd_row);
     stats.rows_processed += 2;
 
     const std::ptrdiff_t emit =

@@ -24,6 +24,10 @@ namespace dwt::server {
 
 namespace {
 
+/// A frame's payload buffer grows by at most this much per read, so a
+/// declared length costs memory only as its bytes arrive.
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
 /// Full-buffer read; false on EOF, error, or a shutdown() wakeup.
 bool read_exact(int fd, void* buf, std::size_t n) {
   auto* p = static_cast<std::uint8_t*>(buf);
@@ -348,6 +352,16 @@ void DwtServer::accept_loop() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
     const std::lock_guard<std::mutex> lock(conn_mutex_);
+    // Join the readers whose clients have gone, so a finished connection
+    // does not keep its thread stack mapped until stop().
+    for (const std::thread::id id : finished_conns_) {
+      const auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      conn_threads_.erase(it);
+    }
+    finished_conns_.clear();
     conn_fds_.push_back(fd);
     conn_threads_.emplace_back(&DwtServer::connection_loop, this, fd);
   }
@@ -372,8 +386,14 @@ void DwtServer::connection_loop(int fd) {
                                  std::to_string(kMaxFrameBytes)));
       break;
     }
-    std::vector<std::uint8_t> buf(len);
-    if (!read_exact(fd, buf.data(), buf.size())) break;
+    std::vector<std::uint8_t> buf;
+    bool complete = true;
+    while (complete && buf.size() < len) {
+      const std::size_t have = buf.size();
+      buf.resize(std::min<std::size_t>(len, have + kReadChunkBytes));
+      complete = read_exact(fd, buf.data() + have, buf.size() - have);
+    }
+    if (!complete) break;
     std::string parse_error;
     std::optional<Request> req =
         decode_request(buf.data(), buf.size(), &parse_error);
@@ -410,6 +430,7 @@ void DwtServer::connection_loop(int fd) {
   const std::lock_guard<std::mutex> lock(conn_mutex_);
   conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
   ::close(fd);
+  finished_conns_.push_back(std::this_thread::get_id());
 }
 
 void DwtServer::submit(int fd, Request&& req) {

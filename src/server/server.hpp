@@ -139,6 +139,8 @@ class DwtServer {
   std::mutex conn_mutex_;
   std::vector<int> conn_fds_;  ///< live connection sockets (for drain wakeup)
   std::vector<std::thread> conn_threads_;
+  /// Readers that have closed their socket, joined at the next accept.
+  std::vector<std::thread::id> finished_conns_;
 
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;

@@ -26,31 +26,6 @@ TEST(Image, AtBoundsChecked) {
   EXPECT_THROW((void)img.at(0, 3), std::out_of_range);
 }
 
-TEST(Image, RowColRoundTrip) {
-  Image img(5, 4);
-  for (std::size_t y = 0; y < 4; ++y) {
-    for (std::size_t x = 0; x < 5; ++x) {
-      img.at(x, y) = static_cast<double>(10 * y + x);
-    }
-  }
-  const auto row = img.row(2, 5);
-  EXPECT_EQ(row, (std::vector<double>{20, 21, 22, 23, 24}));
-  const auto col = img.col(3, 4);
-  EXPECT_EQ(col, (std::vector<double>{3, 13, 23, 33}));
-  Image copy(5, 4);
-  copy.set_row(2, row);
-  EXPECT_EQ(copy.at(4, 2), 24.0);
-  copy.set_col(3, col);
-  EXPECT_EQ(copy.at(3, 0), 3.0);
-}
-
-TEST(Image, PartialRowAccess) {
-  Image img(8, 2, 1.0);
-  EXPECT_EQ(img.row(0, 3).size(), 3u);
-  EXPECT_EQ(img.col(0, 2).size(), 2u);
-  EXPECT_THROW(img.row(0, 9), std::out_of_range);
-}
-
 TEST(Image, Crop) {
   Image img(8, 8);
   img.at(2, 3) = 42.0;

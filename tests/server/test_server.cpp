@@ -15,8 +15,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -414,6 +416,66 @@ TEST(DwtServer, ExecuteRequestMatchesOpContracts) {
   Request metrics;
   metrics.op = Op::kMetrics;
   EXPECT_EQ(execute_request(metrics).status, Status::kBadRequest);
+}
+
+/// A /proc/self/status size field ("VmRSS", "VmSize") in bytes.
+long long proc_status_bytes(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoll(line.substr(field.size() + 1)) * 1024;
+    }
+  }
+  ADD_FAILURE() << field << " missing from /proc/self/status";
+  return 0;
+}
+
+TEST(DwtServer, DeclaredFrameLengthCostsMemoryOnlyAsBytesArrive) {
+  ServerOptions opt;
+  opt.workers = 1;
+  DwtServer server(opt);
+  server.start();
+  const long long before = proc_status_bytes("VmRSS");
+  // 16 clients each declare a maximal frame and then send nothing.
+  std::uint8_t len[4];
+  for (int i = 0; i < 4; ++i) {
+    len[i] = static_cast<std::uint8_t>((kMaxFrameBytes >> (8 * i)) & 0xFF);
+  }
+  std::vector<int> fds;
+  for (int i = 0; i < 16; ++i) {
+    fds.push_back(connect_tcp(server.port()));
+    EXPECT_EQ(::send(fds.back(), len, 4, MSG_NOSIGNAL), 4);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const long long grown = proc_status_bytes("VmRSS") - before;
+  for (const int fd : fds) ::close(fd);
+  server.stop();
+  EXPECT_LT(grown, 64LL << 20) << "VmRSS grew by " << (grown >> 20) << " MiB";
+}
+
+TEST(DwtServer, FinishedConnectionsReleaseTheirThreads) {
+  ServerOptions opt;
+  opt.workers = 1;
+  DwtServer server(opt);
+  server.start();
+  // Each connection is answered before it closes, so the server has taken
+  // every earlier one by the time the next connects.
+  Request metrics;
+  metrics.op = Op::kMetrics;
+  const auto cycle = [&] {
+    const int fd = connect_tcp(server.port());
+    EXPECT_EQ(exchange(fd, metrics).status, Status::kOk);
+    ::close(fd);
+  };
+  // Warm-up: malloc's per-thread arenas (64 MiB of address space each) and
+  // the thread-stack cache reach their working size before the baseline.
+  for (int i = 0; i < 50; ++i) cycle();
+  const long long before = proc_status_bytes("VmSize");
+  for (int i = 0; i < 500; ++i) cycle();
+  const long long grown = proc_status_bytes("VmSize") - before;
+  server.stop();
+  EXPECT_LT(grown, 256LL << 20) << "VmSize grew by " << (grown >> 20) << " MiB";
 }
 
 }  // namespace
