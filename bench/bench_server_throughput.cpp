@@ -12,15 +12,13 @@
 // bench/schema.md record set (request counts, cache discipline and the
 // mismatch/rejection counters are deterministic; throughput and latency
 // records are perf and tolerance-gated).
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,68 +33,12 @@
 #include "hw/tile_scheduler.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "server/transport.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 using namespace dwt;
-
-int connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-// Length prefix and body in one send(), matching the server: two segments
-// per frame would trip Nagle + delayed ACK and throttle the whole bench.
-bool send_frame(int fd, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + payload.size());
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<std::uint8_t>((n >> (8 * i)) & 0xFF));
-  }
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t put =
-        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (put <= 0) return false;
-    off += static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
-bool recv_frame(int fd, std::vector<std::uint8_t>* out) {
-  std::uint8_t len[4];
-  std::size_t got = 0;
-  while (got < 4) {
-    const ssize_t r = ::recv(fd, len + got, 4 - got, 0);
-    if (r <= 0) return false;
-    got += static_cast<std::size_t>(r);
-  }
-  std::uint32_t n = 0;
-  for (int i = 0; i < 4; ++i) n |= static_cast<std::uint32_t>(len[i]) << (8 * i);
-  if (n == 0 || n > server::kMaxFrameBytes) return false;
-  out->resize(n);
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::recv(fd, out->data() + off, n - off, 0);
-    if (r <= 0) return false;
-    off += static_cast<std::size_t>(r);
-  }
-  return true;
-}
 
 std::vector<std::uint8_t> pgm_bytes(const dsp::Image& img) {
   std::ostringstream out;
@@ -172,8 +114,10 @@ PhaseResult run_phase(std::uint16_t port, const std::vector<Case>& cases,
   clients.reserve(connections);
   for (unsigned cidx = 0; cidx < connections; ++cidx) {
     clients.emplace_back([&] {
-      const int fd = connect_tcp(port);
-      if (fd < 0) {
+      int fd = -1;
+      try {
+        fd = server::connect_endpoint(std::to_string(port));
+      } catch (const std::exception&) {
         errors.fetch_add(1);
         return;
       }
@@ -182,7 +126,9 @@ PhaseResult run_phase(std::uint16_t port, const std::vector<Case>& cases,
         if (i >= total) break;
         const Case& c = cases[i % cases.size()];
         std::vector<std::uint8_t> frame;
-        if (!send_frame(fd, c.frame) || !recv_frame(fd, &frame)) {
+        std::uint32_t len = 0;
+        if (!server::write_frame(fd, c.frame) ||
+            server::read_frame(fd, &frame, &len) != server::FrameStatus::kOk) {
           errors.fetch_add(1);
           break;
         }

@@ -64,7 +64,10 @@ std::string need_field(std::istringstream& in, const std::string& key) {
   return line.substr(key.size() + 1);
 }
 
-std::uint64_t parse_u64(const std::string& s, const char* what) {
+/// Non-negative decimal no larger than `max`.
+std::uint64_t parse_u64(const std::string& s, const char* what,
+                        std::uint64_t max =
+                            std::numeric_limits<std::uint64_t>::max()) {
   if (s.empty() ||
       s.find_first_not_of("0123456789") != std::string::npos) {
     throw std::runtime_error(std::string("campaign checkpoint: bad number (") +
@@ -73,22 +76,11 @@ std::uint64_t parse_u64(const std::string& s, const char* what) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) {
+  if (errno != 0 || end != s.c_str() + s.size() || v > max) {
     throw std::runtime_error(std::string("campaign checkpoint: bad number (") +
                              what + ")");
   }
   return static_cast<std::uint64_t>(v);
-}
-
-std::int64_t parse_i64(const std::string& s, const char* what) {
-  std::string mag = s;
-  bool neg = false;
-  if (!mag.empty() && mag[0] == '-') {
-    neg = true;
-    mag.erase(0, 1);
-  }
-  const std::uint64_t v = parse_u64(mag, what);
-  return neg ? -static_cast<std::int64_t>(v) : static_cast<std::int64_t>(v);
 }
 
 }  // namespace
@@ -221,7 +213,10 @@ CampaignCheckpoint parse_checkpoint(const std::string& text) {
       throw std::runtime_error("campaign checkpoint: bad outcome");
     }
     t.outcome = static_cast<FaultOutcome>(o);
-    t.max_abs_error = parse_i64(max_err, "trial max_abs_error");
+    // An absolute error: never negative, and within the int64 it loads into.
+    t.max_abs_error = static_cast<std::int64_t>(
+        parse_u64(max_err, "trial max_abs_error",
+                  std::numeric_limits<std::int64_t>::max()));
     t.psnr_db = std::bit_cast<double>(parse_u64_hex(psnr));
     std::string name;
     std::getline(line, name);

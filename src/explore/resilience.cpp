@@ -141,22 +141,6 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t total,
 
 }  // namespace
 
-const char* to_string(CampaignEngine e) {
-  switch (e) {
-    case CampaignEngine::kInterpreted: return "interpreted";
-    case CampaignEngine::kCompiled: return "compiled";
-  }
-  return "?";
-}
-
-const char* backend_name(CampaignEngine e) {
-  switch (e) {
-    case CampaignEngine::kInterpreted: return "rtl-interpreted";
-    case CampaignEngine::kCompiled: return "rtl-compiled";
-  }
-  return "?";
-}
-
 std::optional<CampaignEngine> engine_from_backend(std::string_view name) {
   if (name == "rtl-interpreted") return CampaignEngine::kInterpreted;
   if (name == "rtl-compiled") return CampaignEngine::kCompiled;
@@ -493,13 +477,11 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
             : std::max(1u, std::thread::hardware_concurrency());
     n_threads =
         static_cast<unsigned>(std::min<std::size_t>(n_threads, n_batches));
-    // Full-tape batches share the cache's native block.  Cone-restricted
-    // settles never span the whole tape, so those sessions attach nothing
-    // and run the interpreter.
+    // Both session kinds share the cache's native block; the simulator
+    // runs it for clock edges and whole-tape unforced settles only.
     const std::shared_ptr<const rtl::compiled::NativeBlock> native =
-        cone_active ? nullptr
-                    : cache.native_for(options.exec_tier, result.spec.config,
-                                       options.harden, level, W);
+        cache.native_for(options.exec_tier, result.spec.config, options.harden,
+                         level, W);
     std::atomic<std::size_t> next_batch{0};
     std::mutex error_mutex;
     std::exception_ptr first_error;
@@ -527,6 +509,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
               static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
           if (cone_active) {
             rtl::compiled::ConeBatchSession<W> sess(tape, run_cone, trace);
+            sess.sim().set_native(native);
             run_one(sess, t0, lanes);
           } else {
             rtl::compiled::WideBatchSession<W> sess(tape);

@@ -32,15 +32,10 @@ enum class CampaignEngine {
   kCompiled,     ///< rtl::compiled batch engine, 64 trials per tape pass
 };
 
-[[nodiscard]] const char* to_string(CampaignEngine e);
-
-/// core registry name of the backend a campaign engine runs on
-/// ("rtl-interpreted" / "rtl-compiled").
-[[nodiscard]] const char* backend_name(CampaignEngine e);
-
-/// Inverse of backend_name: maps a registry backend name onto the campaign
-/// engine that uses it.  nullopt for every other backend (campaigns inject
-/// faults at netlist granularity, so only the gate-level rtl engines apply).
+/// Maps a core registry backend name onto the campaign engine that runs on
+/// it ("rtl-interpreted" / "rtl-compiled").  nullopt for every other backend
+/// (campaigns inject faults at netlist granularity, so only the gate-level
+/// rtl engines apply).
 [[nodiscard]] std::optional<CampaignEngine> engine_from_backend(
     std::string_view name);
 
@@ -105,7 +100,7 @@ struct ResilienceOptions {
   /// resumed, making campaigns crash-tolerant with byte-identical output.
   std::string checkpoint_file;
   /// Trials per execution chunk (summary fold + checkpoint cadence);
-  /// 0 = default (8192).  Chunking bounds memory: only one chunk of trial
+  /// 0 = default (16384).  Chunking bounds memory: only one chunk of trial
   /// records is in flight at a time.
   std::size_t checkpoint_every = 0;
   /// Test hook: invoked after each checkpoint write with the number of

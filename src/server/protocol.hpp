@@ -2,9 +2,10 @@
 // requests (raw or PGM tiles in) and responses (round-trip PGM, forward
 // subbands, or codec output back), plus the metrics / shutdown control ops.
 //
-// Transport framing is a little-endian u32 payload length followed by that
-// many payload bytes; the length is capped (kMaxFrameBytes) so a hostile
-// header cannot make the server allocate unbounded memory.  Every decode
+// Transport framing (server/transport.hpp) is a little-endian u32 payload
+// length followed by that many payload bytes; the length is capped
+// (kMaxFrameBytes) so a hostile header cannot make a reader allocate
+// unbounded memory.  Every decode
 // failure maps to a structured error response frame (status + message) --
 // the server answers malformed requests instead of dropping the connection,
 // and the hardened dsp::read_pgm validation path (truncated payloads,

@@ -19,47 +19,11 @@
 #include "core/registry.hpp"
 #include "dsp/dwt2d.hpp"
 #include "hw/tile_scheduler.hpp"
+#include "server/transport.hpp"
 
 namespace dwt::server {
 
 namespace {
-
-/// A frame's payload buffer grows by at most this much per read, so a
-/// declared length costs memory only as its bytes arrive.
-constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
-
-/// Full-buffer read; false on EOF, error, or a shutdown() wakeup.
-bool read_exact(int fd, void* buf, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t got = ::recv(fd, p, n, 0);
-    if (got > 0) {
-      p += got;
-      n -= static_cast<std::size_t>(got);
-      continue;
-    }
-    if (got < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-/// Full-buffer write; MSG_NOSIGNAL so a vanished client surfaces as an
-/// error return instead of SIGPIPE.
-bool write_all(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (put > 0) {
-      p += put;
-      n -= static_cast<std::size_t>(put);
-      continue;
-    }
-    if (put < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
 
 dsp::Image decode_image_payload(const Request& req) {
   if (req.format == PayloadFormat::kPgm) {
@@ -315,19 +279,7 @@ std::string DwtServer::metrics_json() const {
 }
 
 bool DwtServer::send_response(int fd, const Response& resp) {
-  const std::vector<std::uint8_t> payload = encode_response(resp);
-  // Length prefix and body go out in ONE send: a separate 4-byte segment
-  // would interact with Nagle + delayed ACK on loopback and cap small-tile
-  // throughput at ~25 req/s per connection.
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + payload.size());
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  frame.push_back(static_cast<std::uint8_t>(n & 0xFF));
-  frame.push_back(static_cast<std::uint8_t>((n >> 8) & 0xFF));
-  frame.push_back(static_cast<std::uint8_t>((n >> 16) & 0xFF));
-  frame.push_back(static_cast<std::uint8_t>(n >> 24));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return write_all(fd, frame.data(), frame.size());
+  return write_frame(fd, encode_response(resp));
 }
 
 void DwtServer::accept_loop() {
@@ -369,14 +321,11 @@ void DwtServer::accept_loop() {
 
 void DwtServer::connection_loop(int fd) {
   for (;;) {
-    std::uint8_t len_bytes[4];
-    if (!read_exact(fd, len_bytes, 4)) break;  // clean EOF or reset
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(len_bytes[0]) |
-        (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len == 0 || len > kMaxFrameBytes) {
+    std::vector<std::uint8_t> buf;
+    std::uint32_t len = 0;
+    const FrameStatus got = read_frame(fd, &buf, &len);
+    if (got == FrameStatus::kClosed) break;  // clean EOF or reset
+    if (got == FrameStatus::kBadLength) {
       // Framing is unrecoverable: answer, then close.
       metrics_.record_protocol_error();
       (void)send_response(
@@ -386,14 +335,6 @@ void DwtServer::connection_loop(int fd) {
                                  std::to_string(kMaxFrameBytes)));
       break;
     }
-    std::vector<std::uint8_t> buf;
-    bool complete = true;
-    while (complete && buf.size() < len) {
-      const std::size_t have = buf.size();
-      buf.resize(std::min<std::size_t>(len, have + kReadChunkBytes));
-      complete = read_exact(fd, buf.data() + have, buf.size() - have);
-    }
-    if (!complete) break;
     std::string parse_error;
     std::optional<Request> req =
         decode_request(buf.data(), buf.size(), &parse_error);

@@ -209,7 +209,8 @@ TEST(CampaignCheckpointTest, SerializationRoundTrips) {
   t.net_name = "alpha.mul pp[3]";  // space survives the round trip
   t.outcome = FaultOutcome::kSilentCorruption;
   t.psnr_db = 21.75;
-  t.max_abs_error = -3;
+  // An absolute error; the largest one the int64 field holds survives.
+  t.max_abs_error = std::numeric_limits<std::int64_t>::max();
   cp.kept.push_back(t);
   const CampaignCheckpoint back = parse_checkpoint(serialize_checkpoint(cp));
   EXPECT_EQ(back.fingerprint, cp.fingerprint);
@@ -241,6 +242,23 @@ TEST(CampaignCheckpointTest, RejectsCorruptFiles) {
   std::string bad = good;
   bad.replace(bad.find("cursor "), 7, "cursro ");
   EXPECT_THROW(parse_checkpoint(bad), std::runtime_error);
+
+  // A trial's max_abs_error is an absolute error that loads into an int64:
+  // negative or wrapping values are corrupt, not -1 or INT64_MIN.
+  CampaignCheckpoint one;
+  one.kept.emplace_back();
+  one.kept.back().max_abs_error = 7;
+  one.kept.back().net_name = "n";
+  const std::string trial_ok = serialize_checkpoint(one);
+  EXPECT_EQ(parse_checkpoint(trial_ok).kept.at(0).max_abs_error, 7);
+  const std::size_t at = trial_ok.find(" 7 ", trial_ok.find("\ntrial "));
+  ASSERT_NE(at, std::string::npos);
+  for (const char* err : {"18446744073709551615", "-9223372036854775808",
+                          "-1"}) {
+    std::string corrupt = trial_ok;
+    corrupt.replace(at + 1, 1, err);
+    EXPECT_THROW(parse_checkpoint(corrupt), std::runtime_error) << err;
+  }
 }
 
 TEST(CampaignCheckpointTest, CrashAndResumeIsByteIdentical) {

@@ -15,6 +15,7 @@
 #include "rtl/builder.hpp"
 #include "rtl/compiled/batch_fault.hpp"
 #include "rtl/compiled/cone_index.hpp"
+#include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/harden.hpp"
@@ -116,8 +117,15 @@ std::vector<std::int64_t> stimulus(std::size_t samples) {
 
 /// Draws a campaign-like random schedule over all fault kinds, arms it on
 /// both sessions, and requires bit-identical per-lane streams and watch
-/// masks.
-void expect_cone_matches_full(hw::DesignId id, HardeningStyle harden) {
+/// masks.  With `native`, the cone session runs the cache's native block as
+/// a campaign attaches it (full clock edges JIT'd, cone intervals and forced
+/// settles on the interpreter) against an interpreter-only full session.
+template <unsigned W>
+void expect_cone_matches_full(hw::DesignId id, HardeningStyle harden,
+                              bool native = false) {
+  if (native && resolve_exec_tier(ExecTier::kNative, W) != ExecTier::kNative) {
+    GTEST_SKIP() << "native tier unavailable for " << W << " words";
+  }
   core::ArtifactCache& cache = core::ArtifactCache::instance();
   const hw::DesignSpec spec = hw::design_spec(id);
   const auto design = cache.design(spec.config, harden);
@@ -145,9 +153,14 @@ void expect_cone_matches_full(hw::DesignId id, HardeningStyle harden) {
                              FaultKind::kStuckAt0, FaultKind::kStuckAt1};
 
   common::Rng rng(1234);
-  constexpr unsigned kLanes = 64;
-  BatchFaultSession full(tape);
-  ConeBatchSession<1> restricted(tape, cone, trace);
+  constexpr unsigned kLanes = WideBatchSession<W>::kTotalLanes;
+  WideBatchSession<W> full(tape);
+  ConeBatchSession<W> restricted(tape, cone, trace);
+  if (native) {
+    restricted.sim().set_native(cache.native_for(
+        ExecTier::kNative, spec.config, harden, OptLevel::kSafe, W));
+    ASSERT_EQ(restricted.sim().exec_tier(), ExecTier::kNative);
+  }
   std::vector<Fault> faults(kLanes);
   for (unsigned l = 0; l < kLanes; ++l) {
     Fault& f = faults[l];
@@ -174,22 +187,47 @@ void expect_cone_matches_full(hw::DesignId id, HardeningStyle harden) {
     EXPECT_EQ(want[l].low, got[l].low) << "lane " << l;
     EXPECT_EQ(want[l].high, got[l].high) << "lane " << l;
   }
-  EXPECT_EQ(full.watch_mask(), restricted.watch_block().w[0]);
+  for (unsigned k = 0; k < W; ++k) {
+    EXPECT_EQ(full.watch_block().w[k], restricted.watch_block().w[k]);
+  }
   // The restriction must actually restrict (and never exceed full cost).
   EXPECT_LE(restricted.executed_instructions(),
             restricted.full_instructions());
 }
 
 TEST(ConeSession, MatchesFullSessionDesign1) {
-  expect_cone_matches_full(hw::DesignId::kDesign1, HardeningStyle::kNone);
+  expect_cone_matches_full<1>(hw::DesignId::kDesign1, HardeningStyle::kNone);
 }
 
 TEST(ConeSession, MatchesFullSessionDesign3Tmr) {
-  expect_cone_matches_full(hw::DesignId::kDesign3, HardeningStyle::kTmr);
+  expect_cone_matches_full<1>(hw::DesignId::kDesign3, HardeningStyle::kTmr);
 }
 
 TEST(ConeSession, MatchesFullSessionDesign2Parity) {
-  expect_cone_matches_full(hw::DesignId::kDesign2, HardeningStyle::kParity);
+  expect_cone_matches_full<1>(hw::DesignId::kDesign2, HardeningStyle::kParity);
+}
+
+// The same cases with the native block attached to the cone session, at
+// the campaign's 64- and 256-lane widths.
+TEST(ConeSession, MatchesFullSessionDesign1Native) {
+  expect_cone_matches_full<1>(hw::DesignId::kDesign1, HardeningStyle::kNone,
+                              true);
+  expect_cone_matches_full<4>(hw::DesignId::kDesign1, HardeningStyle::kNone,
+                              true);
+}
+
+TEST(ConeSession, MatchesFullSessionDesign3TmrNative) {
+  expect_cone_matches_full<1>(hw::DesignId::kDesign3, HardeningStyle::kTmr,
+                              true);
+  expect_cone_matches_full<4>(hw::DesignId::kDesign3, HardeningStyle::kTmr,
+                              true);
+}
+
+TEST(ConeSession, MatchesFullSessionDesign2ParityNative) {
+  expect_cone_matches_full<1>(hw::DesignId::kDesign2, HardeningStyle::kParity,
+                              true);
+  expect_cone_matches_full<4>(hw::DesignId::kDesign2, HardeningStyle::kParity,
+                              true);
 }
 
 TEST(ConeSession, SkipsCyclesBeforeEarliestFault) {

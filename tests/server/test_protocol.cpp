@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace dwt::server {
 namespace {
@@ -125,6 +129,102 @@ TEST(ServerProtocol, RejectsCorruptResponseFrames) {
   bad = frame;
   bad[1] = 200;  // status
   EXPECT_FALSE(decode_response(bad.data(), bad.size(), &error).has_value());
+}
+
+/// Every request shape the encoder produces (each op and payload format,
+/// with and without a backend name) plus an ok and an error response.
+std::vector<std::vector<std::uint8_t>> protocol_seeds() {
+  std::vector<std::vector<std::uint8_t>> seeds;
+  const std::string pgm = "P5\n3 2\n255\n\x01\x02\x03\x04\x05\x06";
+  for (const Op op : {Op::kTileRoundTrip, Op::kForward, Op::kCompress,
+                      Op::kMetrics, Op::kShutdown}) {
+    for (const PayloadFormat format : {PayloadFormat::kRaw8,
+                                       PayloadFormat::kPgm}) {
+      for (const char* backend : {"", "rtl-compiled"}) {
+        Request req;
+        req.op = op;
+        req.format = format;
+        req.octaves = 2;
+        req.width = 3;
+        req.height = 2;
+        req.backend = backend;
+        if (format == PayloadFormat::kRaw8) {
+          req.payload = {1, 2, 3, 4, 5, 6};
+        } else {
+          req.payload.assign(pgm.begin(), pgm.end());
+        }
+        seeds.push_back(encode_request(req));
+      }
+    }
+  }
+  Response ok;
+  ok.op = Op::kForward;
+  ok.width = 3;
+  ok.height = 2;
+  ok.payload = {9, 8, 7, 6};
+  seeds.push_back(encode_response(ok));
+  seeds.push_back(encode_response(error_response(Status::kQueueFull, "busy")));
+  return seeds;
+}
+
+/// A decoder either refuses `bytes` with a message, or returns a value whose
+/// encoding decodes and re-encodes to the same bytes.
+template <class T, class Decode, class Encode>
+bool decodes_or_rejects_cleanly(const std::vector<std::uint8_t>& bytes,
+                                Decode decode, Encode encode) {
+  std::string error;
+  const std::optional<T> value = decode(bytes.data(), bytes.size(), &error);
+  if (!value) return !error.empty();
+  const std::vector<std::uint8_t> once = encode(*value);
+  const std::optional<T> again = decode(once.data(), once.size(), &error);
+  return again.has_value() && encode(*again) == once;
+}
+
+TEST(ServerProtocol, MutatedFramesDecodeOrRejectCleanly) {
+  const std::vector<std::vector<std::uint8_t>> seeds = protocol_seeds();
+  common::Rng rng(20261017);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::size_t unclean = 0;
+  for (int iter = 0; iter < 50000; ++iter) {
+    std::vector<std::uint8_t> m = seeds[pick(seeds.size())];
+    switch (iter % 4) {
+      case 0:  // 1-8 bit flips
+        for (std::size_t f = pick(8) + 1; f > 0; --f) {
+          m[pick(m.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+        }
+        break;
+      case 1:  // truncation
+        m.resize(pick(m.size()));
+        break;
+      case 2: {  // splice: a prefix of this seed, a suffix of another
+        const std::vector<std::uint8_t>& other = seeds[pick(seeds.size())];
+        m.resize(pick(m.size() + 1));
+        m.insert(m.end(), other.begin() + static_cast<std::ptrdiff_t>(
+                                              pick(other.size() + 1)),
+                 other.end());
+        break;
+      }
+      default: {  // one header byte at an extreme or random value
+        const std::uint8_t values[] = {
+            0x00, 0xFF, static_cast<std::uint8_t>(rng.next_u64())};
+        m[pick(std::min<std::size_t>(m.size(), 13))] = values[pick(3)];
+        break;
+      }
+    }
+    const bool clean =
+        decodes_or_rejects_cleanly<Request>(m, decode_request,
+                                            encode_request) &&
+        decodes_or_rejects_cleanly<Response>(m, decode_response,
+                                             encode_response);
+    if (!clean && ++unclean <= 3) {
+      ADD_FAILURE() << "mutation " << iter << " (" << m.size()
+                    << " bytes) decoded uncleanly";
+    }
+  }
+  EXPECT_EQ(unclean, 0u);
 }
 
 TEST(ServerProtocol, StatusStringsAreStable) {

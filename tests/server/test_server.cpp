@@ -9,16 +9,15 @@
 
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,75 +29,38 @@
 #include "dsp/image_gen.hpp"
 #include "hw/tile_scheduler.hpp"
 #include "server/protocol.hpp"
+#include "server/transport.hpp"
 
 namespace dwt::server {
 namespace {
 
-int connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  return fd;
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  return fd;
-}
-
-bool send_frame(int fd, const std::vector<std::uint8_t>& payload) {
-  std::uint8_t len[4];
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    len[i] = static_cast<std::uint8_t>((n >> (8 * i)) & 0xFF);
+/// A client connection to `server`'s TCP port; -1 (and a test failure)
+/// when the connect fails, so client threads never throw.
+int dial(const DwtServer& server) {
+  try {
+    return connect_endpoint(std::to_string(server.port()));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+    return -1;
   }
-  if (::send(fd, len, 4, MSG_NOSIGNAL) != 4) return false;
-  std::size_t off = 0;
-  while (off < payload.size()) {
-    const ssize_t put =
-        ::send(fd, payload.data() + off, payload.size() - off, MSG_NOSIGNAL);
-    if (put <= 0) return false;
-    off += static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
-bool recv_frame(int fd, std::vector<std::uint8_t>* out) {
-  std::uint8_t len[4];
-  std::size_t got = 0;
-  while (got < 4) {
-    const ssize_t r = ::recv(fd, len + got, 4 - got, 0);
-    if (r <= 0) return false;
-    got += static_cast<std::size_t>(r);
-  }
-  std::uint32_t n = 0;
-  for (int i = 0; i < 4; ++i) n |= static_cast<std::uint32_t>(len[i]) << (8 * i);
-  if (n == 0 || n > kMaxFrameBytes) return false;
-  out->resize(n);
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::recv(fd, out->data() + off, n - off, 0);
-    if (r <= 0) return false;
-    off += static_cast<std::size_t>(r);
-  }
-  return true;
 }
 
 Response exchange(int fd, const Request& req) {
-  EXPECT_TRUE(send_frame(fd, encode_request(req)));
-  std::vector<std::uint8_t> frame;
-  EXPECT_TRUE(recv_frame(fd, &frame));
   std::string error;
-  const auto resp = decode_response(frame.data(), frame.size(), &error);
+  const std::optional<Response> resp =
+      dwt::server::exchange(fd, req, &error);
+  EXPECT_TRUE(resp.has_value()) << error;
+  return resp.value_or(Response{});
+}
+
+/// Reads and decodes the next response frame.
+Response receive(int fd) {
+  std::vector<std::uint8_t> frame;
+  std::uint32_t len = 0;
+  EXPECT_EQ(read_frame(fd, &frame, &len), FrameStatus::kOk);
+  std::string error;
+  const std::optional<Response> resp =
+      decode_response(frame.data(), frame.size(), &error);
   EXPECT_TRUE(resp.has_value()) << error;
   return resp.value_or(Response{});
 }
@@ -182,7 +144,7 @@ TEST(DwtServer, MixedDesignResponsesByteIdenticalAtEveryWorkerCount) {
     std::vector<std::vector<std::uint8_t>> got(cases.size());
     for (std::size_t i = 0; i < cases.size(); ++i) {
       clients.emplace_back([&, i] {
-        const int fd = connect_tcp(server.port());
+        const int fd = dial(server);
         const Response resp =
             exchange(fd, tile_request(*cases[i].img, cases[i].backend,
                                       cases[i].design, cases[i].octaves));
@@ -208,20 +170,16 @@ TEST(DwtServer, MalformedFramesGetStructuredErrorsWithoutDroppingConnection) {
   opt.workers = 1;
   DwtServer server(opt);
   server.start();
-  const int fd = connect_tcp(server.port());
+  const int fd = dial(server);
 
   // Unparseable request (bad protocol version): structured kBadFrame
   // answer, connection stays usable.
   const std::vector<std::uint8_t> bad = {99, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0, 0,
                                          0};
-  ASSERT_TRUE(send_frame(fd, bad));
-  std::vector<std::uint8_t> frame;
-  ASSERT_TRUE(recv_frame(fd, &frame));
-  std::string error;
-  auto resp = decode_response(frame.data(), frame.size(), &error);
-  ASSERT_TRUE(resp.has_value()) << error;
-  EXPECT_EQ(resp->status, Status::kBadFrame);
-  EXPECT_FALSE(response_message(*resp).empty());
+  ASSERT_TRUE(write_frame(fd, bad));
+  Response r = receive(fd);
+  EXPECT_EQ(r.status, Status::kBadFrame);
+  EXPECT_FALSE(response_message(r).empty());
 
   // Well-formed frame, invalid content (truncated PGM): kBadRequest via the
   // hardened read_pgm validation, connection still usable.
@@ -230,7 +188,7 @@ TEST(DwtServer, MalformedFramesGetStructuredErrorsWithoutDroppingConnection) {
   truncated.format = PayloadFormat::kPgm;
   const std::string header = "P5\n64 64\n255\n";
   truncated.payload.assign(header.begin(), header.end());
-  Response r = exchange(fd, truncated);
+  r = exchange(fd, truncated);
   EXPECT_EQ(r.status, Status::kBadRequest);
   EXPECT_NE(response_message(r).find("truncated"), std::string::npos);
 
@@ -254,10 +212,7 @@ TEST(DwtServer, MalformedFramesGetStructuredErrorsWithoutDroppingConnection) {
     len[i] = static_cast<std::uint8_t>((huge >> (8 * i)) & 0xFF);
   }
   ASSERT_EQ(::send(fd, len, 4, MSG_NOSIGNAL), 4);
-  ASSERT_TRUE(recv_frame(fd, &frame));
-  resp = decode_response(frame.data(), frame.size(), &error);
-  ASSERT_TRUE(resp.has_value()) << error;
-  EXPECT_EQ(resp->status, Status::kBadFrame);
+  EXPECT_EQ(receive(fd).status, Status::kBadFrame);
   ::close(fd);
 
   const MetricsSnapshot m = server.metrics();
@@ -277,26 +232,21 @@ TEST(DwtServer, QueueFullRejectionIsDeterministic) {
   const dsp::Image img = dsp::make_still_tone_image(16, 16, 2);
   const Request req = tile_request(img, "", hw::DesignId::kDesign2, 1);
 
-  const int first = connect_tcp(server.port());
-  ASSERT_TRUE(send_frame(first, encode_request(req)));
+  const int first = dial(server);
+  ASSERT_TRUE(write_frame(first, encode_request(req)));
   while (server.queue_size() < 1) {
     std::this_thread::yield();
   }
 
   // The queue (depth 1) is now full and the pool is frozen: the second
   // request is rejected with kQueueFull, deterministically.
-  const int second = connect_tcp(server.port());
+  const int second = dial(server);
   const Response rejected = exchange(second, req);
   EXPECT_EQ(rejected.status, Status::kQueueFull);
   ::close(second);
 
   server.set_paused(false);
-  std::vector<std::uint8_t> frame;
-  ASSERT_TRUE(recv_frame(first, &frame));
-  std::string error;
-  const auto resp = decode_response(frame.data(), frame.size(), &error);
-  ASSERT_TRUE(resp.has_value()) << error;
-  EXPECT_EQ(resp->status, Status::kOk);
+  EXPECT_EQ(receive(first).status, Status::kOk);
   ::close(first);
 
   const MetricsSnapshot m = server.metrics();
@@ -315,8 +265,8 @@ TEST(DwtServer, GracefulDrainFinishesQueuedWorkAndRejectsNew) {
   const dsp::Image img = dsp::make_still_tone_image(16, 16, 5);
   const Request req = tile_request(img, "", hw::DesignId::kDesign2, 1);
 
-  const int queued = connect_tcp(server.port());
-  ASSERT_TRUE(send_frame(queued, encode_request(req)));
+  const int queued = dial(server);
+  ASSERT_TRUE(write_frame(queued, encode_request(req)));
   while (server.queue_size() < 1) {
     std::this_thread::yield();
   }
@@ -325,19 +275,14 @@ TEST(DwtServer, GracefulDrainFinishesQueuedWorkAndRejectsNew) {
   EXPECT_TRUE(server.shutdown_requested());
 
   // Post-drain arrivals are answered with kShuttingDown, not dropped.
-  const int late = connect_tcp(server.port());
+  const int late = dial(server);
   const Response rejected = exchange(late, req);
   EXPECT_EQ(rejected.status, Status::kShuttingDown);
   ::close(late);
 
   // The queued request still completes once the pool thaws.
   server.set_paused(false);
-  std::vector<std::uint8_t> frame;
-  ASSERT_TRUE(recv_frame(queued, &frame));
-  std::string error;
-  const auto resp = decode_response(frame.data(), frame.size(), &error);
-  ASSERT_TRUE(resp.has_value()) << error;
-  EXPECT_EQ(resp->status, Status::kOk);
+  EXPECT_EQ(receive(queued).status, Status::kOk);
   ::close(queued);
 
   server.stop();
@@ -352,7 +297,7 @@ TEST(DwtServer, MetricsAndShutdownOpsServeOverUnixSocket) {
   opt.unix_socket_path = testing::TempDir() + "dwt97d_test.sock";
   DwtServer server(opt);
   server.start();
-  const int fd = connect_unix(opt.unix_socket_path);
+  const int fd = connect_endpoint("unix:" + opt.unix_socket_path);
 
   const dsp::Image img = dsp::make_still_tone_image(16, 16, 8);
   Response r = exchange(fd, tile_request(img, "", hw::DesignId::kDesign2, 1));
@@ -444,7 +389,7 @@ TEST(DwtServer, DeclaredFrameLengthCostsMemoryOnlyAsBytesArrive) {
   }
   std::vector<int> fds;
   for (int i = 0; i < 16; ++i) {
-    fds.push_back(connect_tcp(server.port()));
+    fds.push_back(dial(server));
     EXPECT_EQ(::send(fds.back(), len, 4, MSG_NOSIGNAL), 4);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
@@ -464,7 +409,7 @@ TEST(DwtServer, FinishedConnectionsReleaseTheirThreads) {
   Request metrics;
   metrics.op = Op::kMetrics;
   const auto cycle = [&] {
-    const int fd = connect_tcp(server.port());
+    const int fd = dial(server);
     EXPECT_EQ(exchange(fd, metrics).status, Status::kOk);
     ::close(fd);
   };

@@ -1,0 +1,152 @@
+// The shared frame transport over a socketpair: bounded reads of hostile
+// length headers, EOF anywhere inside a frame, and write/read round trips
+// across the 64 KiB buffer-growth step.
+#include "server/transport.hpp"
+
+#include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdint>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "server/protocol.hpp"
+
+namespace dwt::server {
+namespace {
+
+/// A connected pair of stream sockets, closed on scope exit.
+struct SocketPair {
+  int fds[2] = {-1, -1};
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+  ~SocketPair() {
+    for (const int fd : fds) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  void close_writer() {
+    ::close(fds[1]);
+    fds[1] = -1;
+  }
+};
+
+/// Writes raw header bytes only: the frames under test are malformed or
+/// header-only, which write_frame cannot produce.
+void send_raw(int fd, const std::vector<std::uint8_t>& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+std::vector<std::uint8_t> header(std::uint32_t len) {
+  return {static_cast<std::uint8_t>(len & 0xFF),
+          static_cast<std::uint8_t>((len >> 8) & 0xFF),
+          static_cast<std::uint8_t>((len >> 16) & 0xFF),
+          static_cast<std::uint8_t>(len >> 24)};
+}
+
+long long vm_rss_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
+  }
+  ADD_FAILURE() << "VmRSS missing from /proc/self/status";
+  return 0;
+}
+
+TEST(FrameTransport, BareMaximalHeaderCostsNoMemoryUntilBytesArrive) {
+  SocketPair sp;
+  const long long before = vm_rss_bytes();
+  FrameStatus got = FrameStatus::kOk;
+  std::uint32_t declared = 0;
+  std::vector<std::uint8_t> payload;
+  std::thread reader(
+      [&] { got = read_frame(sp.fds[0], &payload, &declared); });
+  send_raw(sp.fds[1], header(kMaxFrameBytes));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const long long grown = vm_rss_bytes() - before;
+  sp.close_writer();
+  reader.join();
+  EXPECT_LT(grown, 16LL << 20) << "VmRSS grew by " << (grown >> 20) << " MiB";
+  EXPECT_EQ(got, FrameStatus::kClosed);
+  EXPECT_EQ(declared, kMaxFrameBytes);
+}
+
+TEST(FrameTransport, RejectsOutOfRangeLengthsAndReportsThem) {
+  for (const std::uint32_t len :
+       {std::uint32_t{0}, kMaxFrameBytes + 1, std::uint32_t{0xFFFFFFFF}}) {
+    SocketPair sp;
+    send_raw(sp.fds[1], header(len));
+    std::vector<std::uint8_t> payload;
+    std::uint32_t declared = 12345;
+    EXPECT_EQ(read_frame(sp.fds[0], &payload, &declared),
+              FrameStatus::kBadLength)
+        << len;
+    EXPECT_EQ(declared, len);
+    EXPECT_TRUE(payload.empty());
+  }
+}
+
+TEST(FrameTransport, EofInsideHeaderOrPayloadIsClosed) {
+  const std::vector<std::vector<std::uint8_t>> partial = {
+      {},                                   // nothing at all
+      {0x10, 0x00},                         // half a header
+      {0x10, 0x00, 0x00, 0x00, 1, 2, 3}};  // 3 of 16 payload bytes
+  for (const std::vector<std::uint8_t>& bytes : partial) {
+    SocketPair sp;
+    if (!bytes.empty()) send_raw(sp.fds[1], bytes);
+    sp.close_writer();
+    std::vector<std::uint8_t> payload;
+    std::uint32_t declared = 0;
+    EXPECT_EQ(read_frame(sp.fds[0], &payload, &declared),
+              FrameStatus::kClosed)
+        << bytes.size() << " bytes before EOF";
+  }
+}
+
+TEST(FrameTransport, WriteThenReadRoundTripsAcrossChunkBoundaries) {
+  constexpr std::size_t kChunk = std::size_t{64} << 10;
+  for (const std::size_t size : {std::size_t{1}, kChunk - 1, kChunk + 1,
+                                 (std::size_t{3} << 20) + 7}) {
+    std::vector<std::uint8_t> sent(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      sent[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+    }
+    SocketPair sp;
+    bool wrote = false;
+    // The socket buffer is smaller than the larger frames, so the writer
+    // needs its own thread.
+    std::thread writer([&] { wrote = write_frame(sp.fds[1], sent); });
+    std::vector<std::uint8_t> got;
+    std::uint32_t declared = 0;
+    EXPECT_EQ(read_frame(sp.fds[0], &got, &declared), FrameStatus::kOk);
+    writer.join();
+    EXPECT_TRUE(wrote);
+    EXPECT_EQ(declared, size);
+    EXPECT_EQ(got, sent) << size << " bytes";
+  }
+}
+
+TEST(FrameTransport, WriteToVanishedPeerFailsWithoutSignal) {
+  SocketPair sp;
+  ::close(sp.fds[0]);
+  sp.fds[0] = -1;
+  EXPECT_FALSE(write_frame(sp.fds[1], std::vector<std::uint8_t>{1, 2, 3}));
+}
+
+TEST(FrameTransport, ConnectEndpointRejectsMalformedSpecs) {
+  for (const char* spec : {"", "0", "65536", "80x", "-1", "unix:"}) {
+    EXPECT_THROW((void)connect_endpoint(spec), std::runtime_error) << spec;
+  }
+}
+
+}  // namespace
+}  // namespace dwt::server

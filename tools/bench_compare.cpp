@@ -18,14 +18,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <exception>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cli_args.hpp"
+
 namespace {
+
+namespace cli = dwt::cli;
 
 struct Record {
   double value = 0.0;
@@ -74,15 +78,8 @@ bool number_field(const std::string& line, const char* key, double* out) {
 }
 
 bool load(const char* path, Document* doc) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_compare: cannot open %s\n", path);
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
   std::string line;
-  std::istringstream lines(buf.str());
+  std::istringstream lines(cli::read_file(path));
   while (std::getline(lines, line)) {
     if (line.find("\"metric\"") == std::string::npos) continue;
     const std::string design = string_field(line, "design");
@@ -123,36 +120,21 @@ bool is_perf(const std::string& key, const Record& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* baseline_path = nullptr;
-  const char* fresh_path = nullptr;
   double rel_tol = 0.5;
   bool skip_perf = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--rel-tol") == 0) {
-      // Flag first, value check second: a trailing `--rel-tol` used to fall
-      // through to the positional branch and be opened as a file path.
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "bench_compare: missing value for --rel-tol\n");
-        return 2;
-      }
-      char* end = nullptr;
-      rel_tol = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || rel_tol < 0.0) {
-        std::fprintf(stderr, "bench_compare: bad --rel-tol %s\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--skip-perf") == 0) {
-      skip_perf = true;
-    } else if (baseline_path == nullptr) {
-      baseline_path = argv[i];
-    } else if (fresh_path == nullptr) {
-      fresh_path = argv[i];
-    } else {
-      std::fprintf(stderr, "bench_compare: unexpected argument %s\n", argv[i]);
-      return 2;
-    }
+  std::vector<const char*> paths;
+  if (!cli::parse_flags(
+          argc, argv, 1,
+          {cli::value_flag("--rel-tol",
+                           [&](const char* v) {
+                             return cli::parse_double(v, &rel_tol) &&
+                                    rel_tol >= 0.0;
+                           }),
+           cli::switch_flag("--skip-perf", [&] { skip_perf = true; })},
+          &paths)) {
+    return 2;
   }
-  if (baseline_path == nullptr || fresh_path == nullptr) {
+  if (paths.size() != 2) {
     std::fprintf(stderr,
                  "usage: bench_compare <baseline.json> <fresh.json> "
                  "[--rel-tol R] [--skip-perf]\n");
@@ -161,7 +143,12 @@ int main(int argc, char** argv) {
 
   Document baseline;
   Document fresh;
-  if (!load(baseline_path, &baseline) || !load(fresh_path, &fresh)) return 2;
+  try {
+    if (!load(paths[0], &baseline) || !load(paths[1], &fresh)) return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_compare: %s\n", e.what());
+    return 2;
+  }
 
   int failures = 0;
   std::size_t compared = 0;

@@ -12,17 +12,15 @@
 //   dwt97cli psnr          <a.pgm> <b.pgm>
 //   dwt97cli list-backends      (also accepted: --list-backends)
 //   dwt97cli list-designs       (also accepted: --list-designs)
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <initializer_list>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "codec/codec.hpp"
 #include "core/registry.hpp"
 #include "dsp/dwt2d.hpp"
@@ -36,6 +34,8 @@
 #include "rtl/verilog_writer.hpp"
 
 namespace {
+
+namespace cli = dwt::cli;
 
 std::string adder_arch_names() {
   std::string names;
@@ -70,89 +70,40 @@ int usage() {
   return 2;
 }
 
-/// Strict numeric parsing: the whole token must be consumed and the value
-/// must be in range, otherwise the command falls through to the usage error
-/// (atoi-style silent zeros swallow typos like "--octaves 3x").
-bool parse_long(const char* s, long min, long max, long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  // Check after the write AND the close: a full disk must exit nonzero, not
-  // hand a truncated bitstream to the next pipeline stage.
-  out.close();
-  if (!out) throw std::runtime_error("write failed for " + path);
-}
-
-/// True when `arg` is one of the value-taking `flags`: prints the missing-
-/// value diagnostic so a trailing flag does not fall through as an unknown
-/// argument.
-bool report_missing_value(const char* arg,
-                          std::initializer_list<const char*> flags) {
-  for (const char* f : flags) {
-    if (std::strcmp(arg, f) == 0) {
-      std::fprintf(stderr, "missing value for %s\n", f);
-      return true;
-    }
-  }
-  return false;
+/// `--adder ARCH`: the adder-architecture override of the gate-level
+/// datapath.  Every architecture streams bit-identical coefficients (the
+/// adders are functionally equivalent), so this is an area/f_max knob and a
+/// CI cross-check hook, not a mode switch.
+cli::Flag adder_flag(std::optional<dwt::rtl::AdderArch>* dst) {
+  return cli::value_flag(
+      "--adder",
+      [dst](const char* v) {
+        *dst = dwt::rtl::parse_adder(v);
+        return dst->has_value();
+      },
+      "have: " + adder_arch_names());
 }
 
 int cmd_compress(int argc, char** argv) {
   if (argc < 4) return usage();
   dwt::codec::EncodeOptions opt;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lossless") == 0) {
-      opt.mode = dwt::codec::CodecMode::kLossless53;
-    } else if (std::strcmp(argv[i], "--step") == 0 && i + 1 < argc) {
-      if (!parse_double(argv[++i], &opt.base_step) || opt.base_step <= 0.0) {
-        std::fprintf(stderr, "bad --step value: %s\n", argv[i]);
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--octaves") == 0 && i + 1 < argc) {
-      long octaves = 0;
-      if (!parse_long(argv[++i], 1, 16, &octaves)) {
-        std::fprintf(stderr, "bad --octaves value: %s\n", argv[i]);
-        return usage();
-      }
-      opt.octaves = static_cast<int>(octaves);
-    } else {
-      (void)report_missing_value(argv[i], {"--step", "--octaves"});
-      return usage();
-    }
+  if (!cli::parse_flags(
+          argc, argv, 4,
+          {cli::switch_flag(
+               "--lossless",
+               [&] { opt.mode = dwt::codec::CodecMode::kLossless53; }),
+           cli::value_flag("--step",
+                           [&](const char* v) {
+                             return cli::parse_double(v, &opt.base_step) &&
+                                    opt.base_step > 0.0;
+                           }),
+           cli::uint_flag("--octaves", 1, 16, &opt.octaves)})) {
+    return usage();
   }
   dwt::dsp::Image img = dwt::dsp::read_pgm(argv[2]);
   for (double& v : img.data()) v = std::round(v);
   const auto enc = dwt::codec::encode_image(img, opt);
-  write_file(argv[3], enc.bytes);
+  cli::write_file(argv[3], enc.bytes);
   std::printf("%s: %zux%zu -> %zu bytes (%.2f bpp, %s)\n", argv[3],
               img.width(), img.height(), enc.bytes.size(),
               enc.bits_per_pixel(img.width(), img.height()),
@@ -163,7 +114,8 @@ int cmd_compress(int argc, char** argv) {
 
 int cmd_decompress(int argc, char** argv) {
   if (argc != 4) return usage();
-  const dwt::dsp::Image img = dwt::codec::decode_image(read_file(argv[2]));
+  const dwt::dsp::Image img = dwt::codec::decode_image(
+      cli::read_file<std::vector<std::uint8_t>>(argv[2]));
   dwt::dsp::write_pgm(img, argv[3]);
   std::printf("%s: %zux%zu\n", argv[3], img.width(), img.height());
   return 0;
@@ -177,79 +129,40 @@ int cmd_tile(int argc, char** argv) {
   dwt::hw::TileOptions opt;
   opt.method = dwt::dsp::Method::kLiftingFixed;
   opt.octaves = 2;
-  for (int i = 4; i < argc; ++i) {
-    long v = 0;
-    if (std::strcmp(argv[i], "--octaves") == 0 && i + 1 < argc) {
-      if (!parse_long(argv[++i], 1, 16, &v)) {
-        std::fprintf(stderr, "bad --octaves value: %s\n", argv[i]);
-        return usage();
-      }
-      opt.octaves = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--tile") == 0 && i + 1 < argc) {
-      if (!parse_long(argv[++i], 1, 1 << 20, &v)) {
-        std::fprintf(stderr, "bad --tile value: %s\n", argv[i]);
-        return usage();
-      }
-      opt.tile_w = static_cast<std::size_t>(v);
-      opt.tile_h = static_cast<std::size_t>(v);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_long(argv[++i], 0, 1024, &v)) {
-        std::fprintf(stderr, "bad --threads value: %s\n", argv[i]);
-        return usage();
-      }
-      opt.threads = static_cast<unsigned>(v);
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      opt.backend = dwt::core::find_backend(argv[++i]);
-      if (opt.backend == nullptr) {
-        std::fprintf(stderr, "unknown backend: %s (have: %s)\n", argv[i],
-                     dwt::core::backend_names().c_str());
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--design") == 0 && i + 1 < argc) {
-      const std::optional<dwt::hw::DesignId> design =
-          dwt::hw::parse_design(argv[++i]);
-      if (!design) {
-        std::fprintf(stderr, "bad --design value: %s\n", argv[i]);
-        return usage();
-      }
-      opt.design = *design;
-    } else if (std::strcmp(argv[i], "--adder") == 0 && i + 1 < argc) {
-      // Adder-architecture override for the gate-level engines' datapath.
-      // Every architecture streams bit-identical coefficients (the adders
-      // are functionally equivalent), so like --opt-level this is an
-      // area/f_max knob and a CI cross-check hook, not a mode switch.
-      const std::optional<dwt::rtl::AdderArch> adder =
-          dwt::rtl::parse_adder(argv[++i]);
-      if (!adder) {
-        std::fprintf(stderr, "bad --adder value: %s (have: %s)\n", argv[i],
-                     adder_arch_names().c_str());
-        return usage();
-      }
-      opt.adder = adder;
-    } else if (std::strcmp(argv[i], "--opt-level") == 0 && i + 1 < argc) {
-      // Tape optimization level for the rtl-compiled backend; other engines
-      // ignore it.  Every level streams bit-identical output, so this is a
-      // perf knob (and a CI cross-check hook), not a mode switch.
-      if (!parse_long(argv[++i], 0, 2, &v)) {
-        std::fprintf(stderr, "bad --opt-level value: %s\n", argv[i]);
-        return usage();
-      }
-      opt.opt_level = static_cast<dwt::rtl::compiled::OptLevel>(v);
-    } else if (std::strcmp(argv[i], "--exec-tier") == 0 && i + 1 < argc) {
-      // How the rtl-compiled backend walks its tape: the switch
-      // interpreter, the JIT'd native tier, or auto (fastest supported).
-      // Every tier writes bit-identical output; DWT_EXEC_TIER overrides.
-      if (!dwt::rtl::compiled::parse_exec_tier(argv[++i], &opt.exec_tier)) {
-        std::fprintf(stderr, "bad --exec-tier value: %s\n", argv[i]);
-        return usage();
-      }
-    } else {
-      (void)report_missing_value(
-          argv[i], {"--octaves", "--tile", "--threads", "--backend",
-                    "--design", "--adder", "--opt-level", "--exec-tier"});
-      return usage();
-    }
+  if (!cli::parse_flags(
+          argc, argv, 4,
+          {cli::uint_flag("--octaves", 1, 16, &opt.octaves),
+           cli::uint_flag("--tile", 1, 1 << 20, &opt.tile_w),
+           cli::uint_flag("--threads", 0, 1024, &opt.threads),
+           cli::value_flag(
+               "--backend",
+               [&](const char* v) {
+                 opt.backend = dwt::core::find_backend(v);
+                 return opt.backend != nullptr;
+               },
+               "have: " + dwt::core::backend_names()),
+           cli::value_flag("--design",
+                           [&](const char* v) {
+                             const std::optional<dwt::hw::DesignId> design =
+                                 dwt::hw::parse_design(v);
+                             if (design) opt.design = *design;
+                             return design.has_value();
+                           }),
+           adder_flag(&opt.adder),
+           // Tape optimization level for the rtl-compiled backend; other
+           // engines ignore it.  Every level streams bit-identical output,
+           // so this is a perf knob (and a CI cross-check hook).
+           cli::uint_flag("--opt-level", 0, 2, &opt.opt_level),
+           // How the rtl-compiled backend walks its tape: the switch
+           // interpreter, the JIT'd native tier, or auto (fastest
+           // supported).  Every tier writes bit-identical output;
+           // DWT_EXEC_TIER overrides.
+           cli::value_flag("--exec-tier", [&](const char* v) {
+             return dwt::rtl::compiled::parse_exec_tier(v, &opt.exec_tier);
+           })})) {
+    return usage();
   }
+  opt.tile_h = opt.tile_w;
   dwt::dsp::Image img = dwt::dsp::read_pgm(argv[2]);
   const dwt::dsp::Image original = img;
   dwt::dsp::level_shift_forward(img);
@@ -275,10 +188,10 @@ int cmd_tile(int argc, char** argv) {
 // pipeline on arbitrary (e.g. odd) dimensions without binary fixtures.
 int cmd_gen(int argc, char** argv) {
   if (argc < 5 || argc > 6) return usage();
-  long w = 0, h = 0, seed = 1;
-  if (!parse_long(argv[3], 1, 1 << 16, &w) ||
-      !parse_long(argv[4], 1, 1 << 16, &h) ||
-      (argc == 6 && !parse_long(argv[5], 0, 1L << 40, &seed))) {
+  unsigned long long w = 0, h = 0, seed = 1;
+  if (!cli::parse_uint(argv[3], 1, 1 << 16, &w) ||
+      !cli::parse_uint(argv[4], 1, 1 << 16, &h) ||
+      (argc == 6 && !cli::parse_uint(argv[5], 0, 1ULL << 40, &seed))) {
     std::fprintf(stderr, "bad gen arguments\n");
     return usage();
   }
@@ -286,7 +199,7 @@ int cmd_gen(int argc, char** argv) {
       static_cast<std::size_t>(w), static_cast<std::size_t>(h),
       static_cast<std::uint64_t>(seed));
   dwt::dsp::write_pgm(img, argv[2]);
-  std::printf("%s: %ldx%ld seed %ld\n", argv[2], w, h, seed);
+  std::printf("%s: %llux%llu seed %llu\n", argv[2], w, h, seed);
   return 0;
 }
 
@@ -299,19 +212,7 @@ int cmd_synth(int argc, char** argv) {
     if (!design) return usage();
     ++i;
   }
-  for (; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--adder") == 0 && i + 1 < argc) {
-      adder = dwt::rtl::parse_adder(argv[++i]);
-      if (!adder) {
-        std::fprintf(stderr, "bad --adder value: %s (have: %s)\n", argv[i],
-                     adder_arch_names().c_str());
-        return usage();
-      }
-    } else {
-      (void)report_missing_value(argv[i], {"--adder"});
-      return usage();
-    }
-  }
+  if (!cli::parse_flags(argc, argv, i, {adder_flag(&adder)})) return usage();
   if (adder.has_value() && !design.has_value()) {
     std::fprintf(stderr, "--adder needs a design argument\n");
     return usage();
@@ -340,30 +241,15 @@ int cmd_verilog(int argc, char** argv) {
       dwt::hw::parse_design(argv[2]);
   if (!design) return usage();
   std::optional<dwt::rtl::AdderArch> adder;
-  for (int i = 4; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--adder") == 0 && i + 1 < argc) {
-      adder = dwt::rtl::parse_adder(argv[++i]);
-      if (!adder) {
-        std::fprintf(stderr, "bad --adder value: %s (have: %s)\n", argv[i],
-                     adder_arch_names().c_str());
-        return usage();
-      }
-    } else {
-      (void)report_missing_value(argv[i], {"--adder"});
-      return usage();
-    }
-  }
+  if (!cli::parse_flags(argc, argv, 4, {adder_flag(&adder)})) return usage();
   const auto dp =
       adder.has_value()
           ? dwt::hw::build_lifting_datapath(
                 dwt::hw::design_config(*design, /*max_octaves=*/1, adder))
           : dwt::hw::build_design(*design);
-  std::ofstream out(argv[3]);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", argv[3]);
-    return 1;
-  }
-  dwt::rtl::write_verilog(dp.netlist, "dwt_lifting_core", out);
+  std::ostringstream verilog;
+  dwt::rtl::write_verilog(dp.netlist, "dwt_lifting_core", verilog);
+  cli::write_file(argv[3], verilog.str());
   std::printf("%s: design %d (%zu cells, latency %d)\n", argv[3],
               dwt::hw::design_index(*design), dp.netlist.cell_count(),
               dp.info.latency);
