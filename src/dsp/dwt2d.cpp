@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "dsp/lifting_ladder.hpp"
 
@@ -16,78 +22,196 @@ void require_nonzero(std::size_t w, std::size_t h, const char* who) {
   }
 }
 
-void require_region(const Image& plane, std::size_t w, std::size_t h,
-                    const char* who) {
+/// Low-pass side of the ceil/floor split an N-sample line produces.
+std::size_t low_size(std::size_t n) { return (n + 1) / 2; }
+
+template <class T>
+void require_window(PlaneView<T> p, int octaves, const char* who) {
+  require_nonzero(p.width, p.height, who);
+  if (octaves < 1) throw std::invalid_argument(std::string(who) + ": octaves < 1");
+}
+
+/// The regions the octaves of a w x h transform cover, outermost first.
+std::vector<std::pair<std::size_t, std::size_t>> octave_regions(
+    std::size_t w, std::size_t h, int octaves) {
+  std::vector<std::pair<std::size_t, std::size_t>> sizes;
+  for (int o = 0; o < octaves; ++o) {
+    sizes.emplace_back(w, h);
+    w = low_size(w);
+    h = low_size(h);
+  }
+  return sizes;
+}
+
+/// Every octave of a transform through `line`: forward from the whole
+/// window inwards, inverse from the smallest LL outwards.
+template <class T, class Line>
+void sweep_octaves(PlaneView<T> p, int octaves, bool inverse, Line&& line) {
+  const auto sizes = octave_regions(p.width, p.height, octaves);
+  const auto one = [&](const std::pair<std::size_t, std::size_t>& wh) {
+    sweep_octave(p.data, p.pitch, wh.first, wh.second, inverse, line);
+  };
+  if (inverse) {
+    std::for_each(sizes.rbegin(), sizes.rend(), one);
+  } else {
+    std::for_each(sizes.begin(), sizes.end(), one);
+  }
+}
+
+/// Calls f with the step table of integer method `m` on samples of type T.
+template <class T, class F>
+void with_integer_steps(Method m, int frac_bits, F&& f) {
+  switch (m) {
+    case Method::kLiftingFixed:
+      return f(fixed97_steps<T>(LiftingFixedCoeffs::rounded(frac_bits)));
+    case Method::kLiftingHwFloat:
+      return f(hw97_steps<T>(LiftingCoeffs::daubechies97()));
+    case Method::kReversible53:
+      return f(reversible53_steps<T>());
+    default:
+      throw std::invalid_argument(
+          "dwt2d: " + to_string(m) + " is not an integer lifting method");
+  }
+}
+
+template <class T>
+void lift_integer(Method m, PlaneView<T> p, int octaves, int frac_bits,
+                  bool inverse) {
+  with_integer_steps<T>(m, frac_bits, [&](const auto& steps) {
+    sweep_octaves(p, octaves, inverse, LiftingLadder(steps, inverse));
+  });
+}
+
+/// A pass bound per (method, frac_bits, direction), computed once.
+PassBound cached_pass_bound(Method m, int frac_bits, bool inverse) {
+  static std::mutex mutex;
+  static std::map<std::tuple<Method, int, bool>, PassBound> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  const auto key = std::make_tuple(m, frac_bits, inverse);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  PassBound b;
+  with_integer_steps<std::int64_t>(m, frac_bits, [&](const auto& steps) {
+    b = pass_bound(steps, inverse);
+  });
+  return cache.emplace(key, b).first->second;
+}
+
+/// The largest magnitude in a window (a plain min/max reduction, which
+/// vectorises where minmax_element does not).
+template <class T>
+double max_abs(PlaneView<T> p) {
+  T lo = 0, hi = 0;
+  for (std::size_t y = 0; y < p.height; ++y) {
+    const T* row = p.row(y);
+    for (std::size_t x = 0; x < p.width; ++x) {
+      lo = std::min(lo, row[x]);
+      hi = std::max(hi, row[x]);
+    }
+  }
+  return std::max(-static_cast<double>(lo), static_cast<double>(hi));
+}
+
+/// Copies window `from` into `to` (same shape), converting each value.
+template <class From, class To, class Convert>
+void copy_window(PlaneView<From> from, PlaneView<To> to, Convert convert) {
+  for (std::size_t y = 0; y < from.height; ++y) {
+    std::transform(from.row(y), from.row(y) + from.width, to.row(y), convert);
+  }
+}
+
+int lift_int32(Method m, PlaneView<std::int32_t> p, int octaves, int frac_bits,
+               bool inverse) {
+  require_window(p, octaves, inverse ? "dwt2d_inverse" : "dwt2d_forward");
+  const ChainBound b =
+      lifting_bound(m, frac_bits, inverse, octaves, max_abs(p));
+  if (fits_int32(b)) {
+    lift_integer(m, p, octaves, frac_bits, inverse);
+    return 32;
+  }
+  Plane<std::int64_t> wide(p.width, p.height);
+  copy_window(p, wide.view(), [](std::int32_t v) { return std::int64_t{v}; });
+  lift_integer(m, wide.view(), octaves, frac_bits, inverse);
+  copy_window(wide.view(), p, [](std::int64_t v) {
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max()) {
+      throw std::overflow_error("dwt2d: coefficient " + std::to_string(v) +
+                                " outside int32");
+    }
+    return static_cast<std::int32_t>(v);
+  });
+  return 64;
+}
+
+/// The integer methods on a window of doubles: one rounded copy as a plane
+/// of T (int32 where the guard admits the window, else int64).
+template <class T>
+void lift_rounded(Method m, PlaneView<double> p, int octaves, int frac_bits,
+                  bool inverse) {
+  Plane<T> q(p.width, p.height);
+  copy_window(p, q.view(),
+              [](double v) { return static_cast<T>(std::llround(v)); });
+  lift_integer(m, q.view(), octaves, frac_bits, inverse);
+  copy_window(q.view(), p, [](T v) { return static_cast<double>(v); });
+}
+
+/// The FIR methods run a line at a time through their 1-D functions.
+void fir_octaves(Method m, PlaneView<double> p, int octaves, int frac_bits,
+                 bool inverse) {
+  std::vector<double> x;
+  const auto line = [&](double* first, std::size_t n, std::size_t stride,
+                        std::size_t lanes) {
+    for (std::size_t j = 0; j < lanes; ++j) {
+      x.resize(n);
+      for (std::size_t k = 0; k < n; ++k) x[k] = first[k * stride + j];
+      if (inverse) {
+        const std::span<const double> packed(x);
+        x = dwt1d_inverse(m, packed.first(low_size(n)),
+                          packed.subspan(low_size(n)), frac_bits);
+      } else {
+        Subbands1d s = dwt1d_forward(m, x, frac_bits);
+        x = std::move(s.low);
+        x.insert(x.end(), s.high.begin(), s.high.end());
+      }
+      for (std::size_t k = 0; k < n; ++k) first[k * stride + j] = x[k];
+    }
+  };
+  sweep_octaves(p, octaves, inverse, line);
+}
+
+void lift_doubles(Method m, PlaneView<double> p, int octaves, int frac_bits,
+                  bool inverse) {
+  require_window(p, octaves, inverse ? "dwt2d_inverse" : "dwt2d_forward");
+  switch (m) {
+    case Method::kLiftingFloat:
+      return sweep_octaves(
+          p, octaves, inverse,
+          LiftingLadder(float97_steps(LiftingCoeffs::daubechies97()), inverse));
+    case Method::kLiftingFixed:
+    case Method::kLiftingHwFloat:
+    case Method::kReversible53: {
+      // |round(v)| = round(|v|): the largest magnitude after rounding.
+      const double r = std::round(max_abs(p));
+      if (fits_int32(lifting_bound(m, frac_bits, inverse, octaves, r))) {
+        return lift_rounded<std::int32_t>(m, p, octaves, frac_bits, inverse);
+      }
+      return lift_rounded<std::int64_t>(m, p, octaves, frac_bits, inverse);
+    }
+    case Method::kFirFloat:
+    case Method::kFirFixed:
+    case Method::kFirHwFloat:
+      return fir_octaves(m, p, octaves, frac_bits, inverse);
+  }
+  throw std::invalid_argument("dwt2d: unknown Method");
+}
+
+/// The top-left w x h region of `plane`.
+PlaneView<double> region(Image& plane, std::size_t w, std::size_t h,
+                         const char* who) {
   require_nonzero(w, h, who);
   if (w > plane.width() || h > plane.height()) {
     throw std::out_of_range(std::string(who) + ": region exceeds the plane");
   }
-}
-
-/// Low-pass side of the ceil/floor split an N-sample line produces.
-std::size_t low_size(std::size_t n) { return (n + 1) / 2; }
-
-/// The integer ladders lift one int64 copy of the region, rounded on entry
-/// as the integer 1-D functions round their input.
-template <class Mul, std::size_t Steps>
-void lift_int_region(const StepTable<Mul, Steps>& steps, Image& plane,
-                     std::size_t w, std::size_t h, bool inverse) {
-  double* p = plane.data().data();
-  const std::size_t pitch = plane.width();
-  std::vector<std::int64_t> r(w * h);
-  for (std::size_t y = 0; y < h; ++y) {
-    std::transform(p + y * pitch, p + y * pitch + w, r.begin() + y * w,
-                   [](double v) { return std::llround(v); });
-  }
-  sweep_octave(r.data(), w, w, h, inverse, LiftingLadder(steps, inverse));
-  for (std::size_t y = 0; y < h; ++y) {
-    std::copy_n(r.begin() + y * w, w, p + y * pitch);
-  }
-}
-
-/// The FIR methods run a line at a time through their 1-D functions.
-void fir_region(Method m, Image& plane, std::size_t w, std::size_t h,
-                int frac_bits, bool inverse) {
-  std::vector<double> x;
-  const auto line = [&](double* first, std::size_t n, std::size_t stride) {
-    x.resize(n);
-    for (std::size_t k = 0; k < n; ++k) x[k] = first[k * stride];
-    if (inverse) {
-      const std::span<const double> packed(x);
-      x = dwt1d_inverse(m, packed.first(low_size(n)),
-                        packed.subspan(low_size(n)), frac_bits);
-    } else {
-      Subbands1d s = dwt1d_forward(m, x, frac_bits);
-      x = std::move(s.low);
-      x.insert(x.end(), s.high.begin(), s.high.end());
-    }
-    for (std::size_t k = 0; k < n; ++k) first[k * stride] = x[k];
-  };
-  sweep_octave(plane.data().data(), plane.width(), w, h, inverse, line);
-}
-
-void octave(Method m, Image& plane, std::size_t w, std::size_t h,
-            int frac_bits, bool inverse) {
-  switch (m) {
-    case Method::kLiftingFloat:
-      return sweep_octave(
-          plane.data().data(), plane.width(), w, h, inverse,
-          LiftingLadder(float97_steps(LiftingCoeffs::daubechies97()), inverse));
-    case Method::kLiftingFixed:
-      return lift_int_region(
-          fixed97_steps(LiftingFixedCoeffs::rounded(frac_bits)), plane, w, h,
-          inverse);
-    case Method::kLiftingHwFloat:
-      return lift_int_region(hw97_steps(LiftingCoeffs::daubechies97()), plane,
-                             w, h, inverse);
-    case Method::kReversible53:
-      return lift_int_region(kReversible53Steps, plane, w, h, inverse);
-    case Method::kFirFloat:
-    case Method::kFirFixed:
-    case Method::kFirHwFloat:
-      return fir_region(m, plane, w, h, frac_bits, inverse);
-  }
-  throw std::invalid_argument("dwt2d: unknown Method");
+  return plane.view().window(0, 0, w, h);
 }
 
 }  // namespace
@@ -113,43 +237,57 @@ SubbandRect subband_rect(std::size_t w, std::size_t h, int octave, Band band) {
   throw std::invalid_argument("subband_rect: unknown band");
 }
 
+bool is_integer_lifting(Method m) {
+  return m == Method::kLiftingFixed || m == Method::kLiftingHwFloat ||
+         m == Method::kReversible53;
+}
+
+ChainBound lifting_bound(Method m, int frac_bits, bool inverse, int octaves,
+                         double max_abs) {
+  return chain_bound(cached_pass_bound(m, frac_bits, inverse), 2 * octaves,
+                     max_abs);
+}
+
 void dwt2d_forward_octave(Method m, Image& plane, std::size_t w, std::size_t h,
                           int frac_bits) {
-  require_region(plane, w, h, "dwt2d_forward_octave");
-  octave(m, plane, w, h, frac_bits, /*inverse=*/false);
+  lift_doubles(m, region(plane, w, h, "dwt2d_forward_octave"), 1, frac_bits,
+               /*inverse=*/false);
 }
 
 void dwt2d_inverse_octave(Method m, Image& plane, std::size_t w, std::size_t h,
                           int frac_bits) {
-  require_region(plane, w, h, "dwt2d_inverse_octave");
-  octave(m, plane, w, h, frac_bits, /*inverse=*/true);
+  lift_doubles(m, region(plane, w, h, "dwt2d_inverse_octave"), 1, frac_bits,
+               /*inverse=*/true);
 }
 
 void dwt2d_forward(Method m, Image& plane, int octaves, int frac_bits) {
   if (octaves < 1) throw std::invalid_argument("dwt2d_forward: octaves < 1");
-  std::size_t w = plane.width();
-  std::size_t h = plane.height();
-  for (int o = 0; o < octaves; ++o) {
-    dwt2d_forward_octave(m, plane, w, h, frac_bits);
-    w = low_size(w);
-    h = low_size(h);
-  }
+  lift_doubles(m, plane.view(), octaves, frac_bits, /*inverse=*/false);
 }
 
 void dwt2d_inverse(Method m, Image& plane, int octaves, int frac_bits) {
   if (octaves < 1) throw std::invalid_argument("dwt2d_inverse: octaves < 1");
-  // Reverse order: smallest LL first.
-  std::size_t w = plane.width();
-  std::size_t h = plane.height();
-  std::vector<std::pair<std::size_t, std::size_t>> sizes;
-  for (int o = 0; o < octaves; ++o) {
-    sizes.emplace_back(w, h);
-    w = low_size(w);
-    h = low_size(h);
-  }
-  for (auto it = sizes.rbegin(); it != sizes.rend(); ++it) {
-    dwt2d_inverse_octave(m, plane, it->first, it->second, frac_bits);
-  }
+  lift_doubles(m, plane.view(), octaves, frac_bits, /*inverse=*/true);
+}
+
+void dwt2d_forward(Method m, PlaneView<double> window, int octaves,
+                   int frac_bits) {
+  lift_doubles(m, window, octaves, frac_bits, /*inverse=*/false);
+}
+
+void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
+                   int frac_bits) {
+  lift_doubles(m, window, octaves, frac_bits, /*inverse=*/true);
+}
+
+int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
+                  int frac_bits) {
+  return lift_int32(m, window, octaves, frac_bits, /*inverse=*/false);
+}
+
+int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,
+                  int frac_bits) {
+  return lift_int32(m, window, octaves, frac_bits, /*inverse=*/true);
 }
 
 void level_shift_forward(Image& img) {

@@ -7,9 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "dsp/dwt1d.hpp"
 #include "dsp/image.hpp"
+#include "dsp/lifting_bound.hpp"
+#include "dsp/plane.hpp"
 
 namespace dwt::dsp {
 
@@ -27,18 +30,18 @@ struct SubbandRect {
 /// The octave sweep every 2-D transform shares: one octave over the
 /// top-left w x h region of a row-major plane holding `pitch` values per
 /// row.  The forward sweep lifts every row then every column, the inverse
-/// every column then every row; `line(first, n, stride)` transforms
-/// first[0], first[stride], ..., first[(n - 1) * stride] in place, a forward
-/// line leaving ceil(n/2) low then floor(n/2) high values.
+/// every column then every row.  `line(first, n, stride, lanes)` transforms
+/// `lanes` adjacent lines of n values in place, value i of line j being
+/// first[i * stride + j]: the row pass hands it one row at a time, the
+/// column pass every column at once, so a ladder lifts whole rows as
+/// vectors.  A forward line leaves ceil(n/2) low then floor(n/2) high values.
 template <class T, class Line>
 void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
                   bool inverse, Line&& line) {
   const auto rows = [&] {
-    for (std::size_t y = 0; y < h; ++y) line(plane + y * pitch, w, 1);
+    for (std::size_t y = 0; y < h; ++y) line(plane + y * pitch, w, 1, 1);
   };
-  const auto cols = [&] {
-    for (std::size_t x = 0; x < w; ++x) line(plane + x, h, pitch);
-  };
+  const auto cols = [&] { line(plane, h, pitch, w); };
   if (inverse) {
     cols();
     rows();
@@ -47,6 +50,17 @@ void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
     cols();
   }
 }
+
+/// Whether `m` is one of the integer lifting methods (kLiftingFixed,
+/// kLiftingHwFloat, kReversible53): those lift integer samples, in place on
+/// an int32 plane where the int32 guard admits it.
+[[nodiscard]] bool is_integer_lifting(Method m);
+
+/// The int32 guard of an integer lifting method: sound bounds for `octaves`
+/// 2-D octaves in one direction from values inside +-max_abs.  The
+/// transform lifts on int32 when fits_int32 holds for it, else on int64.
+[[nodiscard]] ChainBound lifting_bound(Method m, int frac_bits, bool inverse,
+                                       int octaves, double max_abs);
 
 /// In-place one-octave forward transform of the top-left region w x h of
 /// `plane` (any non-zero w, h; odd lines split as ceil(n/2) low /
@@ -64,6 +78,24 @@ void dwt2d_forward(Method m, Image& plane, int octaves,
                    int frac_bits = kDefaultFracBits);
 void dwt2d_inverse(Method m, Image& plane, int octaves,
                    int frac_bits = kDefaultFracBits);
+
+/// The same transforms over a window of doubles (a tile of a larger plane).
+/// The integer methods round the window to integers once on entry, as their
+/// 1-D functions round their input, and lift it as an int32 or int64 plane.
+void dwt2d_forward(Method m, PlaneView<double> window, int octaves,
+                   int frac_bits = kDefaultFracBits);
+void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
+                   int frac_bits = kDefaultFracBits);
+
+/// The integer plane entry points: the integer lifting methods only, in
+/// place on an int32 window.  They lift on int32 where the guard admits the
+/// window's largest magnitude, else on an int64 copy of the window narrowed
+/// back (std::overflow_error if a result leaves int32), and return the
+/// sample width they lifted on: 32 or 64.
+int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
+                  int frac_bits = kDefaultFracBits);
+int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,
+                  int frac_bits = kDefaultFracBits);
 
 /// DC level shift helpers (x -> x - 128 and back).
 void level_shift_forward(Image& img);

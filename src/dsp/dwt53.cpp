@@ -5,13 +5,13 @@
 namespace dwt::dsp {
 
 LiftSubbands53 lifting53_forward(std::span<const std::int64_t> x) {
-  return lift_forward<LiftSubbands53>(kReversible53Steps, x,
+  return lift_forward<LiftSubbands53>(reversible53_steps(), x,
                                       "lifting53_forward");
 }
 
 std::vector<std::int64_t> lifting53_inverse(std::span<const std::int64_t> low,
                                             std::span<const std::int64_t> high) {
-  return lift_inverse(kReversible53Steps, low, high, "lifting53_inverse");
+  return lift_inverse(reversible53_steps(), low, high, "lifting53_inverse");
 }
 
 }  // namespace dwt::dsp

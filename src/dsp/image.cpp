@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 namespace dwt::dsp {
 
@@ -39,80 +42,233 @@ Image Image::clamped_u8() const {
   return out;
 }
 
+namespace {
+
+bool is_space(std::uint8_t c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// A cursor over a PGM document that reports defects as read_pgm errors.
+class PgmReader {
+ public:
+  PgmReader(std::span<const std::uint8_t> bytes, const std::string& name)
+      : bytes_(bytes), name_(name) {}
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("read_pgm: " + what + " in " + name_);
+  }
+
+  [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
+
+  void skip_space() {
+    while (!at_end() && is_space(bytes_[pos_])) ++pos_;
+  }
+
+  [[nodiscard]] std::string_view token() {
+    skip_space();
+    const std::size_t start = pos_;
+    while (!at_end() && !is_space(bytes_[pos_])) ++pos_;
+    return {reinterpret_cast<const char*>(bytes_.data()) + start,
+            pos_ - start};
+  }
+
+  /// An optionally signed decimal integer at the cursor, as `istream >>
+  /// long` reads one; nullopt when no digit follows or it overflows.
+  std::optional<long long> integer() {
+    bool negative = false;
+    if (!at_end() && (bytes_[pos_] == '+' || bytes_[pos_] == '-')) {
+      negative = bytes_[pos_++] == '-';
+    }
+    const std::size_t first = pos_;
+    long long v = 0;
+    bool overflow = false;
+    while (!at_end() && bytes_[pos_] >= '0' && bytes_[pos_] <= '9') {
+      const int digit = bytes_[pos_++] - '0';
+      overflow = overflow ||
+                 v > (std::numeric_limits<long long>::max() - digit) / 10;
+      if (!overflow) v = v * 10 + digit;
+    }
+    if (pos_ == first || overflow) return std::nullopt;
+    return negative ? -v : v;
+  }
+
+  /// A header value: whitespace and '#' comment lines may precede it.
+  long long header_value() {
+    while (true) {
+      if (at_end()) fail("truncated header");
+      if (bytes_[pos_] == '#') {
+        while (!at_end() && bytes_[pos_] != '\n') ++pos_;
+        if (!at_end()) ++pos_;
+      } else if (is_space(bytes_[pos_])) {
+        ++pos_;
+      } else {
+        break;
+      }
+    }
+    const std::optional<long long> v = integer();
+    if (!v || *v < 0) fail("bad header");
+    return *v;
+  }
+
+  /// The single whitespace byte that ends a P5 header.
+  void header_end() {
+    if (at_end()) fail("truncated data");
+    if (!is_space(bytes_[pos_])) fail("no whitespace after maxval");
+    ++pos_;
+  }
+
+  /// Fails unless at least n bytes are left.
+  void require(std::size_t n) const {
+    if (bytes_.size() - pos_ < n) fail("truncated data");
+  }
+
+  [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) {
+    require(n);
+    pos_ += n;
+    return bytes_.subspan(pos_ - n, n);
+  }
+
+  void check_sample(long long v, long long maxval) const {
+    if (v < 0 || v > maxval) {
+      fail("sample " + std::to_string(v) + " outside 0.." +
+           std::to_string(maxval));
+    }
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  const std::string& name_;
+  std::size_t pos_ = 0;
+};
+
+std::string pgm_header(std::size_t w, std::size_t h) {
+  return "P5\n" + std::to_string(w) + " " + std::to_string(h) + "\n255\n";
+}
+
+/// The one PGM parser: validates the document and stores each sample v as
+/// v - offset in the w x h container make(w, h) returns (an int32 plane or
+/// an Image).
+template <class Make>
+auto parse(std::span<const std::uint8_t> bytes, const std::string& name,
+           std::int32_t offset, Make make) {
+  PgmReader in(bytes, name);
+  const std::string_view magic = in.token();
+  if (magic != "P5" && magic != "P2") in.fail("unsupported PGM magic");
+  const long long w = in.header_value();
+  const long long h = in.header_value();
+  const long long maxval = in.header_value();
+  if (w == 0 || h == 0) in.fail("zero image dimensions");
+  // The codec header (and any sane use of this library) caps dimensions at
+  // 16 bits; a larger header is corrupt or hostile, not an image.
+  if (w > 0xFFFF || h > 0xFFFF) in.fail("dimensions exceed 65535");
+  if (maxval <= 0 || maxval > 255) {
+    in.fail("only 8-bit PGM supported (maxval " + std::to_string(maxval) +
+            ")");
+  }
+  const bool binary = magic == "P5";
+  if (binary) in.header_end();
+  // Memory follows the bytes received, not the header's claim: a P5 sample
+  // is one byte and a P2 sample at least a separator and a digit, so a
+  // document too short for its dimensions fails before the samples are
+  // allocated.
+  const std::size_t n = static_cast<std::size_t>(w * h);
+  in.require(binary ? n : 2 * n);
+  auto out = make(static_cast<std::size_t>(w), static_cast<std::size_t>(h));
+  using T = std::decay_t<decltype(out.data()[0])>;
+  const auto sample = [offset](auto v) {
+    return static_cast<T>(v) - static_cast<T>(offset);
+  };
+  if (binary) {
+    const std::span<const std::uint8_t> pixels = in.take(n);
+    if (maxval < 255) {
+      const auto over = std::find_if(pixels.begin(), pixels.end(),
+                                     [maxval](std::uint8_t v) { return v > maxval; });
+      if (over != pixels.end()) in.check_sample(*over, maxval);
+    }
+    std::transform(pixels.begin(), pixels.end(), out.data().begin(), sample);
+    return out;
+  }
+  for (T& px : out.data()) {
+    in.skip_space();
+    const std::optional<long long> v = in.integer();
+    if (!v) in.fail("truncated data");
+    in.check_sample(*v, maxval);
+    px = sample(*v);
+  }
+  return out;
+}
+
+}  // namespace
+
+Plane<std::int32_t> parse_pgm(std::span<const std::uint8_t> bytes,
+                              const std::string& name, std::int32_t offset) {
+  return parse(bytes, name, offset, [](std::size_t w, std::size_t h) {
+    return Plane<std::int32_t>(w, h);
+  });
+}
+
+Plane<std::int32_t> u8_plane(std::span<const std::uint8_t> pixels,
+                             std::size_t w, std::size_t h,
+                             std::int32_t offset) {
+  if (w == 0 || h == 0 || pixels.size() / w < h) {
+    throw std::invalid_argument("u8_plane: fewer than width * height pixels");
+  }
+  Plane<std::int32_t> plane(w, h);
+  std::transform(pixels.begin(), pixels.begin() + w * h, plane.data().begin(),
+                 [offset](std::uint8_t v) { return std::int32_t{v} - offset; });
+  return plane;
+}
+
+std::vector<std::uint8_t> render_pgm(const Plane<std::int32_t>& plane,
+                                     std::int32_t offset) {
+  const std::string header = pgm_header(plane.width(), plane.height());
+  std::vector<std::uint8_t> out(header.begin(), header.end());
+  out.resize(header.size() + plane.data().size());
+  // Clamping before the offset keeps v + offset inside int32.
+  std::transform(plane.data().begin(), plane.data().end(),
+                 out.begin() + static_cast<std::ptrdiff_t>(header.size()),
+                 [offset](std::int32_t v) {
+                   return static_cast<std::uint8_t>(
+                       std::clamp(v, -offset, 255 - offset) + offset);
+                 });
+  return out;
+}
+
+std::vector<std::uint8_t> render_pgm(const Image& img, double offset) {
+  const std::string header = pgm_header(img.width(), img.height());
+  std::vector<std::uint8_t> out(header.begin(), header.end());
+  out.resize(header.size() + img.data().size());
+  std::transform(img.data().begin(), img.data().end(),
+                 out.begin() + static_cast<std::ptrdiff_t>(header.size()),
+                 [offset](double v) {
+                   return static_cast<std::uint8_t>(
+                       std::clamp(std::round(v + offset), 0.0, 255.0));
+                 });
+  return out;
+}
+
+Image to_image(const Plane<std::int32_t>& plane) {
+  Image img(plane.width(), plane.height());
+  std::copy(plane.data().begin(), plane.data().end(), img.data().begin());
+  return img;
+}
+
 Image read_pgm(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_pgm: cannot open " + path);
   return read_pgm(in, path);
 }
 
-Image read_pgm(std::istream& in, const std::string& path) {
-  std::string magic;
-  in >> magic;
-  if (magic != "P5" && magic != "P2") {
-    throw std::runtime_error("read_pgm: unsupported PGM magic in " + path);
-  }
-  auto next_token = [&in, &path]() -> long {
-    // Skip whitespace and '#' comment lines between header tokens.  peek()
-    // returns EOF on a truncated header; bail instead of feeding it to
-    // isspace (undefined for out-of-range values).
-    while (true) {
-      const int c = in.peek();
-      if (c == std::char_traits<char>::eof()) {
-        throw std::runtime_error("read_pgm: truncated header in " + path);
-      }
-      if (c == '#') {
-        std::string line;
-        std::getline(in, line);
-      } else if (std::isspace(c)) {
-        in.get();
-      } else {
-        break;
-      }
-    }
-    long v = -1;
-    in >> v;
-    if (!in || v < 0) throw std::runtime_error("read_pgm: bad header in " + path);
-    return v;
-  };
-  const long w = next_token();
-  const long h = next_token();
-  const long maxval = next_token();
-  if (w == 0 || h == 0) {
-    throw std::runtime_error("read_pgm: zero image dimensions in " + path);
-  }
-  // The codec header (and any sane use of this library) caps dimensions at
-  // 16 bits; a larger header is corrupt or hostile, not an image.
-  if (w > 0xFFFF || h > 0xFFFF) {
-    throw std::runtime_error("read_pgm: dimensions exceed 65535 in " + path);
-  }
-  if (maxval <= 0 || maxval > 255) {
-    throw std::runtime_error("read_pgm: only 8-bit PGM supported (maxval " +
-                             std::to_string(maxval) + ") in " + path);
-  }
-  Image img(static_cast<std::size_t>(w), static_cast<std::size_t>(h));
-  if (magic == "P5") {
-    in.get();  // single whitespace after maxval
-    std::vector<unsigned char> buf(img.data().size());
-    in.read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-    if (!in) throw std::runtime_error("read_pgm: truncated data in " + path);
-    for (std::size_t i = 0; i < buf.size(); ++i) {
-      img.data()[i] = static_cast<double>(buf[i]);
-    }
-  } else {
-    for (double& px : img.data()) {
-      long v = 0;
-      in >> v;
-      if (!in) throw std::runtime_error("read_pgm: truncated data in " + path);
-      if (v < 0 || v > maxval) {
-        throw std::runtime_error("read_pgm: sample " + std::to_string(v) +
-                                 " outside 0.." + std::to_string(maxval) +
-                                 " in " + path);
-      }
-      px = static_cast<double>(v);
-    }
-  }
-  return img;
+Image read_pgm(std::istream& in, const std::string& name) {
+  std::vector<std::uint8_t> bytes;
+  char chunk[1 << 16];
+  do {
+    in.read(chunk, sizeof(chunk));
+    bytes.insert(bytes.end(), chunk, chunk + in.gcount());
+  } while (in);
+  return parse(bytes, name, 0,
+               [](std::size_t w, std::size_t h) { return Image(w, h); });
 }
 
 void write_pgm(const Image& img, const std::string& path) {
@@ -122,14 +278,9 @@ void write_pgm(const Image& img, const std::string& path) {
 }
 
 void write_pgm(const Image& img, std::ostream& out, const std::string& path) {
-  out << "P5\n" << img.width() << " " << img.height() << "\n255\n";
-  std::vector<unsigned char> buf(img.data().size());
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    const double v = std::clamp(std::round(img.data()[i]), 0.0, 255.0);
-    buf[i] = static_cast<unsigned char>(v);
-  }
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
+  const std::vector<std::uint8_t> bytes = render_pgm(img);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
   if (!out) throw std::runtime_error("write_pgm: write failed for " + path);
 }
 

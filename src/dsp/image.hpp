@@ -1,11 +1,16 @@
 // Minimal grayscale image container with PGM (P5/P2) file I/O, used by the
-// 2-D transforms, the PSNR experiments and the workload generators.
+// 2-D transforms, the PSNR experiments and the workload generators, and the
+// one PGM parser and renderer, which also read into and render from the
+// int32 sample planes of the integer transforms.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "dsp/plane.hpp"
 
 namespace dwt::dsp {
 
@@ -26,6 +31,10 @@ class Image {
   [[nodiscard]] std::vector<double>& data() { return data_; }
   [[nodiscard]] const std::vector<double>& data() const { return data_; }
 
+  [[nodiscard]] PlaneView<double> view() {
+    return {data_.data(), width_, width_, height_};
+  }
+
   /// Copies the w x h top-left sub-image (tile extraction).
   [[nodiscard]] Image crop(std::size_t w, std::size_t h) const;
 
@@ -38,20 +47,45 @@ class Image {
   std::vector<double> data_;
 };
 
+/// Parses a binary (P5) or ASCII (P2) 8-bit PGM document -- the one
+/// hardened parsing path (truncated header/pixel detection, comment
+/// handling, dimension and maxval caps, samples above maxval, the single
+/// whitespace byte after a P5 maxval) behind every reader.  Each sample v is
+/// stored as v - offset (offset 128 is the DC level shift).  `name` labels
+/// the source in error messages.
+[[nodiscard]] Plane<std::int32_t> parse_pgm(std::span<const std::uint8_t> bytes,
+                                            const std::string& name,
+                                            std::int32_t offset = 0);
+
+/// A w x h plane of row-major 8-bit pixels, each stored as v - offset.
+/// Throws std::invalid_argument when `pixels` holds fewer than w * h bytes.
+[[nodiscard]] Plane<std::int32_t> u8_plane(std::span<const std::uint8_t> pixels,
+                                           std::size_t w, std::size_t h,
+                                           std::int32_t offset = 0);
+
+/// The P5 document of a plane: each pixel v + offset clamped to 0..255.
+[[nodiscard]] std::vector<std::uint8_t> render_pgm(
+    const Plane<std::int32_t>& plane, std::int32_t offset = 0);
+
+/// The P5 document of an image: each pixel v + offset rounded and clamped to
+/// 0..255.
+[[nodiscard]] std::vector<std::uint8_t> render_pgm(const Image& img,
+                                                   double offset = 0.0);
+
+/// The plane's samples as an image (exact).
+[[nodiscard]] Image to_image(const Plane<std::int32_t>& plane);
+
 /// Reads a binary (P5) or ASCII (P2) 8-bit PGM file.
 [[nodiscard]] Image read_pgm(const std::string& path);
 
-/// Parses a binary (P5) or ASCII (P2) 8-bit PGM document from any stream --
-/// the one hardened parsing path (truncated header/pixel detection, comment
-/// handling, dimension and maxval caps) shared by the file reader and the
-/// dwt97d request decoder.  `name` labels the source in error messages.
+/// Parses a PGM document from the rest of a stream through parse_pgm.
 [[nodiscard]] Image read_pgm(std::istream& in, const std::string& name);
 
 /// Writes a binary (P5) 8-bit PGM file; pixels clamped/rounded to 0..255.
 void write_pgm(const Image& img, const std::string& path);
 
-/// Renders the same P5 bytes write_pgm(path) would produce onto any stream
-/// (the dwt97d response encoder shares the file writer's exact bytes).
+/// Writes render_pgm(img) onto any stream (the same bytes as the file
+/// writer).
 void write_pgm(const Image& img, std::ostream& out, const std::string& name);
 
 }  // namespace dwt::dsp

@@ -2,6 +2,7 @@
 // signal-to-noise ratio between an original and a reconstructed image.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "dsp/image.hpp"
@@ -16,5 +17,10 @@ namespace dwt::dsp {
 [[nodiscard]] double psnr(std::span<const double> a, std::span<const double> b,
                           double peak = 255.0);
 [[nodiscard]] double psnr(const Image& a, const Image& b, double peak = 255.0);
+
+/// PSNR of two integer pixel planes from their exact integer squared-error
+/// sum.
+[[nodiscard]] double psnr(const Plane<std::int32_t>& a,
+                          const Plane<std::int32_t>& b, double peak = 255.0);
 
 }  // namespace dwt::dsp

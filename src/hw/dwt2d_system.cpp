@@ -49,22 +49,27 @@ Dwt2dRunStats Dwt2dSystem::transform(dsp::Image& plane, int octaves) {
     // then floor(n/2) high.
     dsp::sweep_octave(
         memory.data(), plane.width(), w, h, /*inverse=*/false,
-        [&](std::int64_t* first, std::size_t n, std::size_t stride) {
-          line.resize(n);
-          for (std::size_t k = 0; k < n; ++k) line[k] = first[k * stride];
-          // Either engine may carry stale pipeline state from the previous
-          // line; the guard pairs run_stream* feeds flush it first.
-          const StreamResult r =
-              batch_ ? std::move(run_stream_batch(*core_, *batch_, line,
-                                                  /*lanes=*/1)
-                                     .front())
-                     : run_stream(*core_, *sim_, line);
-          stats.total_cycles += r.cycles;
-          ++stats.line_passes;
-          const std::size_t nl = r.low.size();
-          for (std::size_t k = 0; k < nl; ++k) first[k * stride] = r.low[k];
-          for (std::size_t k = 0; k < r.high.size(); ++k) {
-            first[(nl + k) * stride] = r.high[k];
+        [&](std::int64_t* first, std::size_t n, std::size_t stride,
+            std::size_t lanes) {
+          // One line pass through the core per lane.
+          for (std::size_t j = 0; j < lanes; ++j) {
+            std::int64_t* x = first + j;
+            line.resize(n);
+            for (std::size_t k = 0; k < n; ++k) line[k] = x[k * stride];
+            // Either engine may carry stale pipeline state from the previous
+            // line; the guard pairs run_stream* feeds flush it first.
+            const StreamResult r =
+                batch_ ? std::move(run_stream_batch(*core_, *batch_, line,
+                                                    /*lanes=*/1)
+                                       .front())
+                       : run_stream(*core_, *sim_, line);
+            stats.total_cycles += r.cycles;
+            ++stats.line_passes;
+            const std::size_t nl = r.low.size();
+            for (std::size_t k = 0; k < nl; ++k) x[k * stride] = r.low[k];
+            for (std::size_t k = 0; k < r.high.size(); ++k) {
+              x[(nl + k) * stride] = r.high[k];
+            }
           }
         });
     w = (w + 1) / 2;

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "core/backend.hpp"
 #include "dsp/dwt2d.hpp"
@@ -15,26 +19,41 @@
 namespace dwt::hw {
 namespace {
 
-dsp::Image extract_tile(const dsp::Image& plane, const TileRect& t) {
-  dsp::Image tile(t.w, t.h);
-  for (std::size_t y = 0; y < t.h; ++y) {
-    for (std::size_t x = 0; x < t.w; ++x) {
-      tile.at(x, y) = plane.at(t.x0 + x, t.y0 + y);
-    }
+/// Backend sessions take Image tiles: a window converts exactly, and a
+/// session's integer coefficients convert back exactly into an int32 plane.
+template <class T>
+dsp::Image tile_image(dsp::PlaneView<T> window) {
+  dsp::Image tile(window.width, window.height);
+  for (std::size_t y = 0; y < window.height; ++y) {
+    std::copy_n(window.row(y), window.width,
+                tile.data().begin() +
+                    static_cast<std::ptrdiff_t>(y * window.width));
   }
   return tile;
 }
 
-void store_tile(dsp::Image& plane, const TileRect& t, const dsp::Image& tile) {
-  for (std::size_t y = 0; y < t.h; ++y) {
-    for (std::size_t x = 0; x < t.w; ++x) {
-      plane.at(t.x0 + x, t.y0 + y) = tile.at(x, y);
+template <class T>
+void store_tile(const dsp::Image& tile, dsp::PlaneView<T> window) {
+  const double* v = tile.data().data();
+  for (std::size_t y = 0; y < window.height; ++y) {
+    for (std::size_t x = 0; x < window.width; ++x, ++v) {
+      if constexpr (std::is_integral_v<T>) {
+        const long long c = std::llround(*v);
+        if (c < std::numeric_limits<T>::min() ||
+            c > std::numeric_limits<T>::max()) {
+          throw std::overflow_error("tile_scheduler: coefficient " +
+                                    std::to_string(c) + " outside int32");
+        }
+        window.row(y)[x] = static_cast<T>(c);
+      } else {
+        window.row(y)[x] = *v;
+      }
     }
   }
 }
 
-void validate(const dsp::Image& plane, const TileOptions& options) {
-  if (plane.empty()) {
+void validate(std::size_t w, std::size_t h, const TileOptions& options) {
+  if (w == 0 || h == 0) {
     throw std::invalid_argument("tile_scheduler: empty image");
   }
   if (options.tile_w == 0 || options.tile_h == 0) {
@@ -140,11 +159,24 @@ std::vector<TileRect> tile_grid(std::size_t w, std::size_t h,
   return tiles;
 }
 
-TileStats tile_forward(dsp::Image& plane, const TileOptions& options) {
-  validate(plane, options);
-  const std::vector<TileRect> tiles =
-      tile_grid(plane.width(), plane.height(), options.tile_w, options.tile_h);
+namespace {
 
+/// Every tile of `plane` through the selected engine, in one direction.
+template <class T>
+TileStats run_tiles(dsp::PlaneView<T> plane, const TileOptions& options,
+                    bool inverse) {
+  validate(plane.width, plane.height, options);
+  if (inverse && options.backend != nullptr &&
+      !options.backend->caps().inverse_2d) {
+    throw std::invalid_argument(
+        "tile_inverse: no hardware inverse system; use the software backend "
+        "(the hardware forward is bit-identical to kLiftingFixed)");
+  }
+  const std::vector<TileRect> tiles =
+      tile_grid(plane.width, plane.height, options.tile_w, options.tile_h);
+  const auto window = [&plane](const TileRect& t) {
+    return plane.window(t.x0, t.y0, t.w, t.h);
+  };
   if (options.backend != nullptr) {
     const core::BackendRequest req = backend_request(options);
     return run_pool(
@@ -152,54 +184,83 @@ TileStats tile_forward(dsp::Image& plane, const TileOptions& options) {
         [&]() { return options.backend->make_2d_session(req); },
         [&](std::unique_ptr<core::Backend2dSession>& session,
             const TileRect& t) {
-          dsp::Image tile = extract_tile(plane, t);
-          const Dwt2dRunStats run = session->forward(tile, options.octaves);
-          store_tile(plane, t, tile);
+          dsp::Image tile = tile_image(window(t));
+          Dwt2dRunStats run;
+          if (inverse) {
+            session->inverse(tile, options.octaves);
+          } else {
+            run = session->forward(tile, options.octaves);
+          }
+          store_tile(tile, window(t));
           return run;
         });
   }
   return run_pool(
       tiles, options.threads, []() { return NoState{}; },
       [&](NoState&, const TileRect& t) {
-        dsp::Image tile = extract_tile(plane, t);
-        dsp::dwt2d_forward(options.method, tile, options.octaves,
-                           options.frac_bits);
-        store_tile(plane, t, tile);
+        if (inverse) {
+          (void)dsp::dwt2d_inverse(options.method, window(t), options.octaves,
+                                   options.frac_bits);
+        } else {
+          (void)dsp::dwt2d_forward(options.method, window(t), options.octaves,
+                                   options.frac_bits);
+        }
         return Dwt2dRunStats{};
       });
 }
 
-TileStats tile_inverse(dsp::Image& plane, const TileOptions& options) {
-  validate(plane, options);
-  if (options.backend != nullptr && !options.backend->caps().inverse_2d) {
+dsp::PlaneView<std::int32_t> integer_view(dsp::Plane<std::int32_t>& plane,
+                                          const TileOptions& options) {
+  if (!integer_valued(options)) {
     throw std::invalid_argument(
-        "tile_inverse: no hardware inverse system; use the software backend "
-        "(the hardware forward is bit-identical to kLiftingFixed)");
+        "tile_scheduler: an int32 plane needs an integer-valued engine");
   }
-  const std::vector<TileRect> tiles =
-      tile_grid(plane.width(), plane.height(), options.tile_w, options.tile_h);
-  if (options.backend != nullptr) {
-    const core::BackendRequest req = backend_request(options);
-    return run_pool(
-        tiles, options.threads,
-        [&]() { return options.backend->make_2d_session(req); },
-        [&](std::unique_ptr<core::Backend2dSession>& session,
-            const TileRect& t) {
-          dsp::Image tile = extract_tile(plane, t);
-          session->inverse(tile, options.octaves);
-          store_tile(plane, t, tile);
-          return Dwt2dRunStats{};
-        });
+  return plane.view();
+}
+
+template <class P>
+TileStats round_trip(P& plane, const TileOptions& options) {
+  const TileStats stats = tile_forward(plane, options);
+  TileOptions inv = options;
+  if (inv.backend != nullptr && !inv.backend->caps().inverse_2d) {
+    inv.backend = nullptr;
   }
-  return run_pool(
-      tiles, options.threads, []() { return NoState{}; },
-      [&](NoState&, const TileRect& t) {
-        dsp::Image tile = extract_tile(plane, t);
-        dsp::dwt2d_inverse(options.method, tile, options.octaves,
-                           options.frac_bits);
-        store_tile(plane, t, tile);
-        return Dwt2dRunStats{};
-      });
+  (void)tile_inverse(plane, inv);
+  return stats;
+}
+
+}  // namespace
+
+TileStats tile_forward(dsp::Image& plane, const TileOptions& options) {
+  return run_tiles(plane.view(), options, /*inverse=*/false);
+}
+
+TileStats tile_inverse(dsp::Image& plane, const TileOptions& options) {
+  return run_tiles(plane.view(), options, /*inverse=*/true);
+}
+
+bool integer_valued(const TileOptions& options) {
+  return options.backend != nullptr ? options.backend->caps().bit_exact
+                                    : dsp::is_integer_lifting(options.method);
+}
+
+TileStats tile_forward(dsp::Plane<std::int32_t>& plane,
+                       const TileOptions& options) {
+  return run_tiles(integer_view(plane, options), options, /*inverse=*/false);
+}
+
+TileStats tile_inverse(dsp::Plane<std::int32_t>& plane,
+                       const TileOptions& options) {
+  return run_tiles(integer_view(plane, options), options, /*inverse=*/true);
+}
+
+TileStats tile_round_trip(dsp::Image& plane, const TileOptions& options) {
+  return round_trip(plane, options);
+}
+
+TileStats tile_round_trip(dsp::Plane<std::int32_t>& plane,
+                          const TileOptions& options) {
+  return round_trip(plane, options);
 }
 
 }  // namespace dwt::hw

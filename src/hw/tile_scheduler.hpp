@@ -20,6 +20,7 @@
 
 #include "dsp/dwt1d.hpp"
 #include "dsp/image.hpp"
+#include "dsp/plane.hpp"
 #include "hw/designs.hpp"
 #include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/tape.hpp"
@@ -74,7 +75,9 @@ struct TileStats {
 
 /// In-place tile-parallel forward transform: every tile ends up in the
 /// packed LL|HL / LH|HH layout local to the tile.  Deterministic: the
-/// output is byte-identical for every thread count.
+/// output is byte-identical for every thread count.  The software path
+/// lifts each tile where it lies in the plane; a backend session gets each
+/// tile as an exactly converted Image and writes it back.
 TileStats tile_forward(dsp::Image& plane, const TileOptions& options);
 
 /// Inverse of tile_forward under the same options.  Backends without an
@@ -82,5 +85,26 @@ TileStats tile_forward(dsp::Image& plane, const TileOptions& options);
 /// bit-identical to the software fixed-point transform, so their output
 /// inverts through the default software path.
 TileStats tile_inverse(dsp::Image& plane, const TileOptions& options);
+
+/// Whether the engine `options` selects produces integers: the integer dsp
+/// methods in-thread, or a bit-exact backend.  Exactly those engines run on
+/// an int32 plane.
+[[nodiscard]] bool integer_valued(const TileOptions& options);
+
+/// The same transforms on an int32 plane, for integer-valued engines only
+/// (std::invalid_argument otherwise).  The software path lifts each tile in
+/// place through dsp's integer plane entry point, on int32 wherever its
+/// guard admits the tile.
+TileStats tile_forward(dsp::Plane<std::int32_t>& plane,
+                       const TileOptions& options);
+TileStats tile_inverse(dsp::Plane<std::int32_t>& plane,
+                       const TileOptions& options);
+
+/// tile_forward then tile_inverse under the same options, returning the
+/// forward's stats.  A backend without a 2-D inverse inverts through the
+/// default software path: its forward is bit-identical to kLiftingFixed.
+TileStats tile_round_trip(dsp::Image& plane, const TileOptions& options);
+TileStats tile_round_trip(dsp::Plane<std::int32_t>& plane,
+                          const TileOptions& options);
 
 }  // namespace dwt::hw

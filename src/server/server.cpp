@@ -12,12 +12,11 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "codec/codec.hpp"
 #include "core/registry.hpp"
-#include "dsp/dwt2d.hpp"
+#include "dsp/image.hpp"
 #include "hw/tile_scheduler.hpp"
 #include "server/transport.hpp"
 
@@ -25,19 +24,52 @@ namespace dwt::server {
 
 namespace {
 
-dsp::Image decode_image_payload(const Request& req) {
+/// The JPEG2000 DC level shift: 8-bit samples become signed around zero.
+constexpr std::int32_t kLevelShift = 128;
+
+/// The request's pixels as an int32 plane, each stored as v - offset.  A
+/// PGM payload goes through the one hardened parser (truncated
+/// header/pixels, comment handling, dimension and maxval caps).
+dsp::Plane<std::int32_t> decode_plane(const Request& req,
+                                      std::int32_t offset) {
   if (req.format == PayloadFormat::kPgm) {
-    // The hardened PGM validation path (truncated header/pixels, comment
-    // handling, dimension and maxval caps) is the file reader's, verbatim.
-    std::istringstream in(
-        std::string(req.payload.begin(), req.payload.end()));
-    return dsp::read_pgm(in, "request payload");
+    return dsp::parse_pgm(req.payload, "request payload", offset);
   }
-  dsp::Image img(req.width, req.height);
-  for (std::size_t i = 0; i < img.data().size(); ++i) {
-    img.data()[i] = static_cast<double>(req.payload[i]);
+  return dsp::u8_plane(req.payload, req.width, req.height, offset);
+}
+
+std::int32_t to_i32(std::int32_t v) { return v; }
+std::int32_t to_i32(double v) {
+  return static_cast<std::int32_t>(std::llround(v));
+}
+
+/// One i32 LE per coefficient, row-major.
+template <class P>
+std::vector<std::uint8_t> pack_i32_le(const P& plane) {
+  std::vector<std::uint8_t> out(plane.data().size() * 4);
+  std::uint8_t* o = out.data();
+  for (const auto v : plane.data()) {
+    const auto u = static_cast<std::uint32_t>(to_i32(v));
+    for (int b = 0; b < 4; ++b) *o++ = static_cast<std::uint8_t>(u >> (8 * b));
   }
-  return img;
+  return out;
+}
+
+/// The `tile` and `forward` ops over a level-shifted plane: an int32 plane
+/// for integer-valued engines, an Image for the others.
+template <class P>
+Response serve_transform(const Request& req, const hw::TileOptions& opt,
+                         P& plane, Response resp) {
+  if (req.op == Op::kForward) {
+    (void)hw::tile_forward(plane, opt);
+    resp.payload = pack_i32_le(plane);
+  } else {
+    // Exactly `dwt97cli tile`: forward + inverse through the tile
+    // pipeline, reconstruction back as P5 bytes.
+    (void)hw::tile_round_trip(plane, opt);
+    resp.payload = dsp::render_pgm(plane, kLevelShift);
+  }
+  return resp;
 }
 
 hw::TileOptions tile_options(const Request& req,
@@ -77,60 +109,33 @@ Response execute_request(const Request& req) {
                                 " (have: " + core::backend_names() + ")");
     }
   }
-  dsp::Image img;
+  const bool transform_op =
+      req.op == Op::kTileRoundTrip || req.op == Op::kForward;
+  dsp::Plane<std::int32_t> plane;
   try {
-    img = decode_image_payload(req);
+    plane = decode_plane(req, transform_op ? kLevelShift : 0);
   } catch (const std::exception& e) {
     return error_response(Status::kBadRequest, e.what());
   }
   Response resp;
   resp.op = req.op;
-  resp.width = static_cast<std::uint16_t>(img.width());
-  resp.height = static_cast<std::uint16_t>(img.height());
+  resp.width = static_cast<std::uint16_t>(plane.width());
+  resp.height = static_cast<std::uint16_t>(plane.height());
   try {
     switch (req.op) {
-      case Op::kTileRoundTrip: {
-        // Exactly `dwt97cli tile`: forward + inverse through the tile
-        // pipeline, reconstruction back as P5 bytes.
-        const hw::TileOptions opt = tile_options(req, backend);
-        dsp::level_shift_forward(img);
-        dsp::round_coefficients(img);
-        (void)hw::tile_forward(img, opt);
-        hw::TileOptions inv = opt;
-        if (inv.backend != nullptr && !inv.backend->caps().inverse_2d) {
-          inv.backend = nullptr;
-        }
-        (void)hw::tile_inverse(img, inv);
-        dsp::level_shift_inverse(img);
-        std::ostringstream out;
-        dsp::write_pgm(img, out, "response");
-        const std::string bytes = out.str();
-        resp.payload.assign(bytes.begin(), bytes.end());
-        return resp;
-      }
+      case Op::kTileRoundTrip:
       case Op::kForward: {
         const hw::TileOptions opt = tile_options(req, backend);
-        dsp::level_shift_forward(img);
-        dsp::round_coefficients(img);
-        (void)hw::tile_forward(img, opt);
-        resp.payload.resize(img.data().size() * 4);
-        for (std::size_t i = 0; i < img.data().size(); ++i) {
-          const auto v =
-              static_cast<std::int32_t>(std::llround(img.data()[i]));
-          const auto u = static_cast<std::uint32_t>(v);
-          resp.payload[4 * i + 0] = static_cast<std::uint8_t>(u & 0xFF);
-          resp.payload[4 * i + 1] = static_cast<std::uint8_t>((u >> 8) & 0xFF);
-          resp.payload[4 * i + 2] =
-              static_cast<std::uint8_t>((u >> 16) & 0xFF);
-          resp.payload[4 * i + 3] = static_cast<std::uint8_t>(u >> 24);
+        if (hw::integer_valued(opt)) {
+          return serve_transform(req, opt, plane, resp);
         }
-        return resp;
+        dsp::Image img = dsp::to_image(plane);
+        return serve_transform(req, opt, img, resp);
       }
       case Op::kCompress: {
         codec::EncodeOptions opt;
         opt.octaves = req.octaves;
-        for (double& v : img.data()) v = std::round(v);
-        resp.payload = codec::encode_image(img, opt).bytes;
+        resp.payload = codec::encode_image(dsp::to_image(plane), opt).bytes;
         return resp;
       }
       case Op::kMetrics:

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "dsp/image_gen.hpp"
 
@@ -106,6 +110,8 @@ TEST(Image, ReadRejectsMalformedHeaders) {
   expect_rejected("huge_dim.pgm", "P2\n70000 4\n255\n0\n");
   expect_rejected("wide_maxval.pgm", "P5\n2 2\n65535\n\0\0\0\0\0\0\0\0");
   expect_rejected("zero_maxval.pgm", "P2\n2 2\n0\n0 0 0 0\n");
+  // The byte after a P5 maxval must be whitespace, not a pixel.
+  expect_rejected("p5_no_space.pgm", "P5\n2 2\n255Xabcd");
 }
 
 TEST(Image, ReadRejectsTruncatedOrOutOfRangePixels) {
@@ -113,6 +119,63 @@ TEST(Image, ReadRejectsTruncatedOrOutOfRangePixels) {
   expect_rejected("trunc_ascii.pgm", "P2\n2 2\n255\n0 1 2\n");
   expect_rejected("over_maxval.pgm", "P2\n2 2\n100\n0 50 101 0\n");
   expect_rejected("negative_pixel.pgm", "P2\n2 2\n255\n0 -3 0 0\n");
+  // Binary samples are held to maxval too, with the P2 message.
+  const std::string p5_over("P5\n2 2\n100\n\x00\x32\xc8\x00", 15);
+  expect_rejected("p5_over_maxval.pgm", p5_over);
+  const std::vector<std::uint8_t> bytes(p5_over.begin(), p5_over.end());
+  try {
+    (void)parse_pgm(bytes, "request");
+    ADD_FAILURE() << "P5 sample above maxval accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "read_pgm: sample 200 outside 0..100 in request");
+  }
+}
+
+TEST(Image, ShortDocumentsFailBeforeTheirSamplesAreAllocated) {
+  // Tiny documents declaring 65535 x 65535 samples: memory follows the bytes
+  // received, so they fail as truncated instead of allocating 17 GB.
+  for (const std::string& doc : {std::string("P5\n65535 65535\n255\n\x01\x02"),
+                                std::string("P2\n65535 65535\n255\n1 2")}) {
+    const std::vector<std::uint8_t> bytes(doc.begin(), doc.end());
+    try {
+      (void)parse_pgm(bytes, "short");
+      ADD_FAILURE() << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "read_pgm: truncated data in short");
+    }
+  }
+}
+
+TEST(Image, ParsesBytesIntoShiftedPlaneAndRendersThemBack) {
+  const Image img = make_still_tone_image(7, 5, 3);
+  const std::vector<std::uint8_t> p5 = render_pgm(img);
+  for (const std::string& doc :
+       {std::string(p5.begin(), p5.end()),
+        std::string("P2\n# c\n7 5\n255\n") + [&] {
+          std::string px;
+          for (const double v : img.data()) {
+            px += std::to_string(static_cast<int>(std::round(v))) + " ";
+          }
+          return px;
+        }()}) {
+    const std::vector<std::uint8_t> bytes(doc.begin(), doc.end());
+    const Plane<std::int32_t> plane = parse_pgm(bytes, "doc", 128);
+    ASSERT_EQ(plane.width(), 7u);
+    ASSERT_EQ(plane.height(), 5u);
+    for (std::size_t i = 0; i < plane.data().size(); ++i) {
+      EXPECT_EQ(plane.data()[i], std::lround(img.data()[i]) - 128);
+    }
+    // The render clamps: the shifted plane comes back as the same P5 bytes,
+    // and out-of-range samples saturate.
+    EXPECT_EQ(render_pgm(plane, 128), p5);
+    Plane<std::int32_t> wild = plane;
+    wild.data()[0] = -1000;
+    wild.data()[1] = std::numeric_limits<std::int32_t>::max();
+    const std::vector<std::uint8_t> r = render_pgm(wild, 128);
+    const std::size_t header = r.size() - wild.data().size();
+    EXPECT_EQ(r[header], 0);
+    EXPECT_EQ(r[header + 1], 255);
+  }
 }
 
 TEST(Image, ReadAcceptsOddDimensionsAndCommentsEverywhere) {

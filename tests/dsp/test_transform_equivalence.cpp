@@ -1,18 +1,27 @@
 // Pins the shared lifting ladder and the strided octave sweep to references
 // that do not use them: the polyphase trace model for the 1-D fixed-point
-// ladder, and a naive per-line 2-D transform (the method's 1-D function on
-// every row then every column, through Image::at) for dwt2d_forward and
-// dwt2d_inverse.  Equality is exact, doubles included.
+// ladder, single-line runs for the ladder's lanes, and a naive per-line 2-D
+// transform (the method's 1-D function on every row then every column,
+// through Image::at) for dwt2d_forward and dwt2d_inverse on Images and on
+// int32 planes.  Equality is exact, doubles included.  The int32 guard is
+// checked against worst-case inputs run on int64.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dsp/dwt1d.hpp"
 #include "dsp/dwt2d.hpp"
 #include "dsp/dwt97_lifting_fixed.hpp"
+#include "dsp/image_gen.hpp"
+#include "dsp/lifting_bound.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -87,34 +96,158 @@ void reference_inverse(Method m, Image& img, int octaves) {
   }
 }
 
+/// Lifts `lanes` lines side by side and one at a time; both must agree.
+template <class Mul, std::size_t Steps>
+void expect_lanes_match_lines(const StepTable<Mul, Steps>& steps,
+                              const char* table) {
+  using T = typename Mul::value_type;
+  common::Rng rng(19);
+  for (const bool inverse : {false, true}) {
+    LiftingLadder block(steps, inverse);
+    LiftingLadder single(steps, inverse);
+    for (std::size_t n = 1; n <= 130; ++n) {
+      for (const std::size_t lanes : {1, 2, 7, 64, 65, 130}) {
+        const std::size_t stride = lanes + 3;  // padding lanes stay put
+        std::vector<T> x(n * stride);
+        for (T& v : x) {
+          v = std::is_floating_point_v<T>
+                  ? static_cast<T>(255.0 * rng.uniform01() - 128.0)
+                  : static_cast<T>(rng.uniform(-128, 127));
+        }
+        std::vector<T> ref = x;
+        block(x.data(), n, stride, lanes);
+        for (std::size_t j = 0; j < lanes; ++j) {
+          single(ref.data() + j, n, stride, 1);
+        }
+        ASSERT_EQ(x, ref) << table << " inverse=" << inverse << " n=" << n
+                          << " lanes=" << lanes;
+      }
+    }
+  }
+}
+
+TEST(LiftingLadder, LanesMatchSingleLines) {
+  expect_lanes_match_lines(float97_steps(LiftingCoeffs::daubechies97()),
+                           "float");
+  const LiftingFixedCoeffs c = LiftingFixedCoeffs::rounded(kDefaultFracBits);
+  expect_lanes_match_lines(fixed97_steps(c), "fixed int64");
+  expect_lanes_match_lines(fixed97_steps<std::int32_t>(c), "fixed int32");
+  expect_lanes_match_lines(hw97_steps(LiftingCoeffs::daubechies97()),
+                           "hw int64");
+  expect_lanes_match_lines(
+      hw97_steps<std::int32_t>(LiftingCoeffs::daubechies97()), "hw int32");
+  expect_lanes_match_lines(reversible53_steps(), "5/3 int64");
+  expect_lanes_match_lines(reversible53_steps<std::int32_t>(), "5/3 int32");
+}
+
 class OctaveSweep : public ::testing::TestWithParam<Method> {};
+
+/// Integral samples, non-integral ones (the integer methods round them on
+/// entry, exactly as their 1-D functions do), and integral ones too large
+/// for the int32 guard.
+enum class Samples { kIntegral, kFractional, kLarge };
+
+/// The smallest magnitude the int32 guard rejects for a forward transform.
+std::int64_t smallest_rejected(Method m, int octaves) {
+  const auto fits = [&](std::int64_t r) {
+    return fits_int32(lifting_bound(m, kDefaultFracBits, /*inverse=*/false,
+                                    octaves, static_cast<double>(r)));
+  };
+  std::int64_t lo = 0, hi = 1;
+  while (fits(hi)) hi *= 2;
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (fits(mid) ? lo : hi) = mid;
+  }
+  return hi;
+}
 
 TEST_P(OctaveSweep, MatchesPerLineReference) {
   const Method m = GetParam();
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 1}, {1, 9}, {9, 1}, {2, 2}, {17, 13}, {64, 64}};
+  struct Case {
+    std::size_t w, h;
+    int max_octaves;
+  };
+  const Case cases[] = {{1, 1, 4}, {1, 9, 4},  {9, 1, 4},  {2, 2, 4},
+                        {17, 13, 4}, {64, 64, 8}};
   common::Rng rng(7);
-  for (const auto& [w, h] : shapes) {
-    for (int octaves = 1; octaves <= 4; ++octaves) {
-      // Integral samples, then non-integral ones (the integer methods round
-      // them on entry, exactly as their 1-D functions do).
-      for (const bool integral : {true, false}) {
+  for (const auto& [w, h, max_octaves] : cases) {
+    for (int octaves = 1; octaves <= max_octaves; ++octaves) {
+      for (const Samples kind :
+           {Samples::kIntegral, Samples::kFractional, Samples::kLarge}) {
+        // Large samples reach just past what the guard admits, so the plane
+        // entry point lifts on int64 and the results still fit int32.
+        const std::int64_t large = is_integer_lifting(m)
+                                       ? smallest_rejected(m, octaves)
+                                       : std::int64_t{1} << 21;
         Image plane(w, h);
         for (double& v : plane.data()) {
-          v = integral ? static_cast<double>(rng.uniform(-128, 127))
-                       : 255.0 * rng.uniform01() - 128.0;
+          switch (kind) {
+            case Samples::kIntegral:
+              v = static_cast<double>(rng.uniform(-128, 127));
+              break;
+            case Samples::kFractional:
+              v = 255.0 * rng.uniform01() - 128.0;
+              break;
+            case Samples::kLarge:
+              v = static_cast<double>(rng.uniform(-large, large));
+              break;
+          }
         }
+        if (kind == Samples::kLarge) plane.data()[0] = -static_cast<double>(large);
+        const auto where = [&] {
+          return ::testing::Message()
+                 << w << "x" << h << " octaves=" << octaves
+                 << " samples=" << static_cast<int>(kind);
+        };
+        // The int32 plane entry point, from the same integral samples.
+        const bool on_plane =
+            is_integer_lifting(m) && kind != Samples::kFractional;
+        Plane<std::int32_t> ints(w, h);
+        std::transform(plane.data().begin(), plane.data().end(),
+                       ints.data().begin(),
+                       [](double v) { return static_cast<std::int32_t>(v); });
+        // The plane entry point must lift where its guard says: int32 for
+        // what it admits (every small-sample case up to two octaves), int64
+        // for the large samples' forward.
+        const auto lift_plane = [&](bool inverse) {
+          const double r = *std::max_element(
+              plane.data().begin(), plane.data().end(),
+              [](double a, double b) { return std::abs(a) < std::abs(b); });
+          const int want =
+              fits_int32(lifting_bound(m, kDefaultFracBits, inverse, octaves,
+                                       std::abs(r)))
+                  ? 32
+                  : 64;
+          const int bits = inverse ? dwt2d_inverse(m, ints.view(), octaves)
+                                   : dwt2d_forward(m, ints.view(), octaves);
+          EXPECT_EQ(bits, want) << "inverse=" << inverse << " " << where();
+          if (kind == Samples::kLarge && !inverse) {
+            EXPECT_EQ(bits, 64) << where();
+          }
+          if (kind == Samples::kIntegral && octaves <= 2) {
+            EXPECT_EQ(bits, 32) << "inverse=" << inverse << " " << where();
+          }
+        };
+        const auto expect_plane = [&](const Image& ref, const char* dir) {
+          const std::vector<double> got(ints.data().begin(),
+                                        ints.data().end());
+          ASSERT_EQ(got, ref.data()) << dir << " plane " << where();
+        };
+
         Image ref = plane;
+        if (on_plane) lift_plane(/*inverse=*/false);
         dwt2d_forward(m, plane, octaves);
         reference_forward(m, ref, octaves);
-        ASSERT_EQ(plane.data(), ref.data())
-            << "forward " << w << "x" << h << " octaves=" << octaves
-            << " integral=" << integral;
+        ASSERT_EQ(plane.data(), ref.data()) << "forward " << where();
+        if (on_plane) {
+          expect_plane(ref, "forward");
+          lift_plane(/*inverse=*/true);
+        }
         dwt2d_inverse(m, plane, octaves);
         reference_inverse(m, ref, octaves);
-        ASSERT_EQ(plane.data(), ref.data())
-            << "inverse " << w << "x" << h << " octaves=" << octaves
-            << " integral=" << integral;
+        ASSERT_EQ(plane.data(), ref.data()) << "inverse " << where();
+        if (on_plane) expect_plane(ref, "inverse");
       }
     }
   }
@@ -142,6 +275,141 @@ TEST(OctaveSweep, RejectsRegionLargerThanPlane) {
     EXPECT_THROW(dwt2d_forward_octave(m, plane, 8, 7), std::out_of_range);
     EXPECT_THROW(dwt2d_inverse_octave(m, plane, 9, 6), std::out_of_range);
     EXPECT_THROW(dwt2d_inverse_octave(m, plane, 8, 7), std::out_of_range);
+  }
+}
+
+TEST(OctaveSweep, PlaneEntryRejectsFloatMethods) {
+  Plane<std::int32_t> plane(4, 4);
+  EXPECT_THROW((void)dwt2d_forward(Method::kLiftingFloat, plane.view(), 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)dwt2d_inverse(Method::kFirFixed, plane.view(), 1),
+               std::invalid_argument);
+}
+
+/// An int64 sample that notes the largest magnitude any value the ladder
+/// forms with it reaches: sums, lifted samples, and (through ProbeMul) each
+/// multiplier's integer intermediates and result.
+struct Probe {
+  std::int64_t v = 0;
+  static inline std::int64_t peak = 0;
+
+  static Probe noted(std::int64_t v) {
+    peak = std::max(peak, std::abs(v));
+    return {v};
+  }
+  Probe operator-() const { return {-v}; }
+  Probe& operator+=(const Probe& o) { return *this = noted(v + o.v); }
+  friend Probe operator+(const Probe& a, const Probe& b) {
+    return noted(a.v + b.v);
+  }
+};
+
+template <class T>
+void note_intermediate(const FixedMul<T>& m, std::int64_t x) {
+  (void)Probe::noted(x * m.raw);
+}
+template <class T>
+void note_intermediate(const FloorMul<T>&, std::int64_t) {}
+template <class T>
+void note_intermediate(const ShiftMul<T>& m, std::int64_t x) {
+  (void)Probe::noted(x + m.bias);
+}
+
+template <class Mul>
+struct ProbeMul {
+  using value_type = Probe;
+  Mul m;
+  Probe operator()(const Probe& x) const {
+    note_intermediate(m, x.v);
+    return Probe::noted(m(x.v));
+  }
+};
+
+/// Runs one pass of `steps` on int64 at the largest magnitude R the guard
+/// admits for it, over every sign pattern of +-R for short lines (each
+/// stage's L1-maximising pattern among them) and random ones for longer
+/// lines.  Every value must stay inside the guard's bound, and the bound
+/// must be tight: the largest product reaches nearly all of it.
+template <class Mul, std::size_t Steps>
+void expect_guard_sound(const StepTable<Mul, Steps>& steps, const char* table) {
+  for (const bool inverse : {false, true}) {
+    const PassBound b = pass_bound(steps, inverse);
+    std::int64_t r = static_cast<std::int64_t>(
+        (std::numeric_limits<std::int32_t>::max() / (1.0 + 1e-9) -
+         b.peak_bias) /
+        b.peak_gain);
+    while (!fits_int32(chain_bound(b, 1, static_cast<double>(r)))) --r;
+    ASSERT_TRUE(fits_int32(chain_bound(b, 1, static_cast<double>(r))));
+    ASSERT_FALSE(fits_int32(chain_bound(b, 1, static_cast<double>(r + 2))));
+    const double peak_bound = chain_bound(b, 1, static_cast<double>(r)).peak;
+    const double out_bound = b.out_gain * static_cast<double>(r) + b.out_bias;
+
+    StepTable<ProbeMul<Mul>, Steps> probe{};
+    for (std::size_t k = 0; k < Steps; ++k) probe.lift[k].m = steps.lift[k];
+    probe.low.m = steps.low;
+    probe.high.m = steps.high;
+    probe.inv_low.m = steps.inv_low;
+    probe.inv_high.m = steps.inv_high;
+    LiftingLadder ladder(probe, inverse);
+    Probe::peak = 0;
+    std::int64_t out_peak = 0;
+    const auto run = [&](std::vector<Probe> line) {
+      ladder(line.data(), line.size());
+      for (const Probe& p : line) out_peak = std::max(out_peak, std::abs(p.v));
+    };
+    for (std::size_t n = 2; n <= 14; ++n) {
+      for (std::uint32_t signs = 0; signs < (1u << n); ++signs) {
+        std::vector<Probe> line(n);
+        for (std::size_t i = 0; i < n; ++i) line[i].v = (signs >> i) & 1 ? r : -r;
+        run(line);
+      }
+    }
+    common::Rng rng(23);
+    for (const std::size_t n : {15, 38, 39, 40, 64, 129}) {
+      for (int trial = 0; trial < 2000; ++trial) {
+        std::vector<Probe> line(n);
+        for (Probe& p : line) p.v = rng.uniform(0, 1) ? r : -r;
+        run(line);
+      }
+    }
+    EXPECT_LE(static_cast<double>(Probe::peak), peak_bound)
+        << table << " inverse=" << inverse << " R=" << r;
+    EXPECT_LE(Probe::peak, std::numeric_limits<std::int32_t>::max())
+        << table << " inverse=" << inverse;
+    EXPECT_GE(static_cast<double>(Probe::peak), 0.99 * b.peak_gain * r)
+        << table << " inverse=" << inverse << ": bound not tight";
+    EXPECT_LE(static_cast<double>(out_peak), out_bound)
+        << table << " inverse=" << inverse;
+  }
+}
+
+TEST(LiftingGuard, WorstCaseSignPatternsStayInsideTheBound) {
+  expect_guard_sound(fixed97_steps(LiftingFixedCoeffs::rounded(kDefaultFracBits)),
+                     "fixed");
+  expect_guard_sound(hw97_steps(LiftingCoeffs::daubechies97()), "hw");
+  expect_guard_sound(reversible53_steps(), "5/3");
+}
+
+TEST(LiftingGuard, AdmitsInt32ForServedTiles) {
+  // dwt97d's default request: level-shifted 8-bit samples, 64-pixel tiles,
+  // one or two octaves of the fixed-point 9/7, forward then inverse.  A
+  // coefficient or bound change that pushed this onto int64 would silently
+  // halve the served path's lanes.
+  for (int octaves = 1; octaves <= 2; ++octaves) {
+    const ChainBound fwd =
+        lifting_bound(Method::kLiftingFixed, kDefaultFracBits, false, octaves,
+                      128.0);
+    EXPECT_TRUE(fits_int32(fwd)) << octaves;
+    EXPECT_TRUE(fits_int32(lifting_bound(Method::kLiftingFixed,
+                                         kDefaultFracBits, true, octaves,
+                                         fwd.out)))
+        << octaves;
+    const Image img = make_noise_image(64, 64, 3);
+    Plane<std::int32_t> tile(64, 64);
+    std::transform(img.data().begin(), img.data().end(), tile.data().begin(),
+                   [](double v) { return static_cast<std::int32_t>(v) - 128; });
+    EXPECT_EQ(dwt2d_forward(Method::kLiftingFixed, tile.view(), octaves), 32);
+    EXPECT_EQ(dwt2d_inverse(Method::kLiftingFixed, tile.view(), octaves), 32);
   }
 }
 

@@ -222,6 +222,35 @@ TEST(DwtServer, MalformedFramesGetStructuredErrorsWithoutDroppingConnection) {
   server.stop();
 }
 
+TEST(DwtServer, MalformedP5PayloadsGetBadRequestOnALiveConnection) {
+  ServerOptions opt;
+  opt.workers = 1;
+  DwtServer server(opt);
+  server.start();
+  const int fd = dial(server);
+  const dsp::Image img = dsp::make_still_tone_image(16, 16, 1);
+  // A binary sample above maxval, and a pixel byte where the whitespace
+  // after maxval belongs.
+  const std::string docs[] = {std::string("P5\n2 2\n100\n\x00\x32\xc8\x00", 15),
+                              std::string("P5\n2 2\n255Xabcd")};
+  for (const std::string& doc : docs) {
+    Request bad = tile_request(img, "", hw::DesignId::kDesign2, 1);
+    bad.payload.assign(doc.begin(), doc.end());
+    const Response r = exchange(fd, bad);
+    EXPECT_EQ(r.status, Status::kBadRequest);
+    EXPECT_NE(response_message(r).find("read_pgm: "), std::string::npos)
+        << response_message(r);
+    // The connection still serves a valid request.
+    const Response ok =
+        exchange(fd, tile_request(img, "", hw::DesignId::kDesign2, 1));
+    EXPECT_EQ(ok.status, Status::kOk);
+    EXPECT_EQ(ok.payload, cli_tile_bytes(img, "", hw::DesignId::kDesign2, 1));
+  }
+  ::close(fd);
+  EXPECT_EQ(server.metrics().requests_error, 2u);
+  server.stop();
+}
+
 TEST(DwtServer, QueueFullRejectionIsDeterministic) {
   ServerOptions opt;
   opt.workers = 1;
@@ -325,16 +354,67 @@ TEST(DwtServer, MetricsAndShutdownOpsServeOverUnixSocket) {
   EXPECT_NE(::access(opt.unix_socket_path.c_str(), F_OK), 0);
 }
 
+/// The forward op's answer through the Image API: the level-shifted
+/// image's packed tile subbands, each llround'ed to one i32 LE.
+std::vector<std::uint8_t> image_forward_bytes(const dsp::Image& input,
+                                              const std::string& backend,
+                                              hw::DesignId design,
+                                              int octaves) {
+  dsp::Image img = input;
+  hw::TileOptions opt;
+  opt.octaves = octaves;
+  opt.threads = 1;
+  opt.backend = backend.empty() ? nullptr : core::find_backend(backend);
+  opt.design = design;
+  dsp::level_shift_forward(img);
+  dsp::round_coefficients(img);
+  (void)hw::tile_forward(img, opt);
+  std::vector<std::uint8_t> out;
+  for (const double v : img.data()) {
+    const auto u = static_cast<std::uint32_t>(
+        static_cast<std::int32_t>(std::llround(v)));
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(u >> (8 * b)));
+    }
+  }
+  return out;
+}
+
+/// The same image as a raw8 payload.
+Request as_raw8(Request req, const dsp::Image& img) {
+  req.format = PayloadFormat::kRaw8;
+  req.width = static_cast<std::uint16_t>(img.width());
+  req.height = static_cast<std::uint16_t>(img.height());
+  req.payload.resize(img.data().size());
+  for (std::size_t i = 0; i < req.payload.size(); ++i) {
+    req.payload[i] = static_cast<std::uint8_t>(
+        std::clamp(std::round(img.data()[i]), 0.0, 255.0));
+  }
+  return req;
+}
+
 TEST(DwtServer, ExecuteRequestMatchesOpContracts) {
   const dsp::Image img = dsp::make_still_tone_image(24, 18, 4);
-  // Forward returns one i32 LE per pixel.
-  Request fwd = tile_request(img, "", hw::DesignId::kDesign2, 1);
-  fwd.op = Op::kForward;
-  const Response f = execute_request(fwd);
-  ASSERT_EQ(f.status, Status::kOk);
-  EXPECT_EQ(f.width, 24u);
-  EXPECT_EQ(f.height, 18u);
-  EXPECT_EQ(f.payload.size(), 24u * 18u * 4u);
+  // Forward returns one i32 LE per pixel: exactly the Image API's packed
+  // subbands, on the default path and on a gate-level core, from PGM and
+  // raw8 payloads alike.
+  for (const std::string backend : {"", "rtl-compiled"}) {
+    for (int octaves = 1; octaves <= 3; ++octaves) {
+      Request fwd = tile_request(img, backend, hw::DesignId::kDesign3, octaves);
+      fwd.op = Op::kForward;
+      const std::vector<std::uint8_t> want =
+          image_forward_bytes(img, backend, hw::DesignId::kDesign3, octaves);
+      for (const Request& req : {fwd, as_raw8(fwd, img)}) {
+        const Response f = execute_request(req);
+        ASSERT_EQ(f.status, Status::kOk) << response_message(f);
+        EXPECT_EQ(f.width, 24u);
+        EXPECT_EQ(f.height, 18u);
+        EXPECT_EQ(f.payload, want)
+            << "backend '" << backend << "' octaves " << octaves << " format "
+            << static_cast<int>(req.format);
+      }
+    }
+  }
 
   // Compress returns a codec bitstream that decodes to the input shape.
   Request comp = tile_request(img, "", hw::DesignId::kDesign2, 2);
@@ -344,16 +424,8 @@ TEST(DwtServer, ExecuteRequestMatchesOpContracts) {
   EXPECT_FALSE(c.payload.empty());
 
   // Raw8 payloads round-trip like PGM ones.
-  Request raw = tile_request(img, "", hw::DesignId::kDesign2, 1);
-  raw.format = PayloadFormat::kRaw8;
-  raw.width = static_cast<std::uint16_t>(img.width());
-  raw.height = static_cast<std::uint16_t>(img.height());
-  raw.payload.resize(img.data().size());
-  for (std::size_t i = 0; i < raw.payload.size(); ++i) {
-    raw.payload[i] = static_cast<std::uint8_t>(
-        std::clamp(std::round(img.data()[i]), 0.0, 255.0));
-  }
-  const Response r = execute_request(raw);
+  const Response r =
+      execute_request(as_raw8(tile_request(img, "", hw::DesignId::kDesign2, 1), img));
   ASSERT_EQ(r.status, Status::kOk);
   EXPECT_EQ(r.payload, cli_tile_bytes(img, "", hw::DesignId::kDesign2, 1));
 

@@ -163,24 +163,29 @@ int cmd_tile(int argc, char** argv) {
     return usage();
   }
   opt.tile_h = opt.tile_w;
-  dwt::dsp::Image img = dwt::dsp::read_pgm(argv[2]);
-  const dwt::dsp::Image original = img;
-  dwt::dsp::level_shift_forward(img);
-  dwt::dsp::round_coefficients(img);
-  const dwt::hw::TileStats stats = dwt::hw::tile_forward(img, opt);
-  // Backends without a 2-D inverse (the gate-level engines) invert through
-  // the software path: their forward is bit-identical to kLiftingFixed.
-  dwt::hw::TileOptions inv = opt;
-  if (inv.backend != nullptr && !inv.backend->caps().inverse_2d) {
-    inv.backend = nullptr;
+  // Integer-valued engines run on an int32 plane from the file's bytes to
+  // the output's; the others (software-float) on an Image.
+  constexpr std::int32_t kLevelShift = 128;
+  const dwt::dsp::Plane<std::int32_t> original = dwt::dsp::parse_pgm(
+      cli::read_file<std::vector<std::uint8_t>>(argv[2]), argv[2],
+      kLevelShift);
+  dwt::hw::TileStats stats;
+  std::vector<std::uint8_t> out;
+  const auto round_trip = [&](auto plane) {
+    stats = dwt::hw::tile_round_trip(plane, opt);
+    out = dwt::dsp::render_pgm(plane, kLevelShift);
+  };
+  if (dwt::hw::integer_valued(opt)) {
+    round_trip(original);
+  } else {
+    round_trip(dwt::dsp::to_image(original));
   }
-  (void)dwt::hw::tile_inverse(img, inv);
-  dwt::dsp::level_shift_inverse(img);
-  dwt::dsp::write_pgm(img, argv[3]);
+  cli::write_file(argv[3], out);
   std::printf("%s: %zux%zu, %zu tiles on %u threads, round-trip %.2f dB\n",
-              argv[3], img.width(), img.height(), stats.tiles,
+              argv[3], original.width(), original.height(), stats.tiles,
               stats.threads_used,
-              dwt::dsp::psnr(original.clamped_u8(), img.clamped_u8()));
+              dwt::dsp::psnr(original,
+                             dwt::dsp::parse_pgm(out, argv[3], kLevelShift)));
   return 0;
 }
 
