@@ -21,7 +21,7 @@ double psnr_at(int frac_bits) {
   dwt::dsp::dwt2d_forward(dwt::dsp::Method::kLiftingFixed, img, 3, frac_bits);
   dwt::dsp::dwt2d_inverse(dwt::dsp::Method::kLiftingFixed, img, 3, frac_bits);
   dwt::dsp::level_shift_inverse(img);
-  return dwt::dsp::psnr(original, img.clamped_u8());
+  return dwt::dsp::psnr(original, dwt::dsp::clamped_u8(img));
 }
 
 }  // namespace

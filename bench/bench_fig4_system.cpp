@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "bench_json.hpp"
-#include "dsp/dwt2d.hpp"
 #include "dsp/image_gen.hpp"
 #include "explore/explorer.hpp"
 #include "hw/dwt2d_system.hpp"
@@ -21,11 +20,11 @@ int main(int argc, char** argv) {
   std::printf("%-10s %12s %12s %12s %14s\n", "Design", "line passes",
               "cycles", "fmax (MHz)", "time (ms)");
   for (const dwt::hw::DesignSpec& spec : dwt::hw::all_designs()) {
-    dwt::dsp::Image img = dwt::dsp::make_still_tone_image(tile, tile, 7);
-    dwt::dsp::level_shift_forward(img);
-    dwt::dsp::round_coefficients(img);
+    dwt::dsp::Plane<std::int32_t> plane = dwt::dsp::to_int32_plane(
+        dwt::dsp::make_still_tone_image(tile, tile, 7), /*offset=*/128.0);
     dwt::hw::Dwt2dSystem system(spec.id);
-    const dwt::hw::Dwt2dRunStats stats = system.transform(img, octaves);
+    const dwt::hw::Dwt2dRunStats stats =
+        system.transform(plane.view(), octaves);
     const auto eval = explorer.evaluate(spec);
     std::printf("%-10s %12llu %12llu %12.1f %14.3f\n", spec.name.c_str(),
                 static_cast<unsigned long long>(stats.line_passes),

@@ -17,14 +17,13 @@ int main(int argc, char** argv) {
   std::printf("%-12s %16s %18s %8s %10s\n", "tile", "frame (words)",
               "line-based (words)", "ratio", "bit-equal");
   for (const std::size_t n : {64u, 128u, 256u, 512u}) {
-    dwt::dsp::Image img = dwt::dsp::make_still_tone_image(n, n, 7);
-    dwt::dsp::level_shift_forward(img);
-    dwt::dsp::round_coefficients(img);
-    dwt::dsp::Image batch = img;
+    dwt::dsp::Plane<std::int32_t> img = dwt::dsp::to_int32_plane(
+        dwt::dsp::make_still_tone_image(n, n, 7), /*offset=*/128.0);
+    dwt::dsp::Plane<std::int32_t> batch = img;
     const dwt::hw::LineBasedStats stats =
         dwt::hw::line_based_forward_octave(img);
-    dwt::dsp::dwt2d_forward_octave(dwt::dsp::Method::kLiftingFixed, batch, n,
-                                   n);
+    (void)dwt::dsp::dwt2d_forward(dwt::dsp::Method::kLiftingFixed,
+                                  batch.view(), 1);
     const double ratio = static_cast<double>(stats.frame_memory_words) /
                          static_cast<double>(stats.line_buffer_words);
     std::printf("%4zux%-7zu %16zu %18zu %7.1fx %10s\n", n, n,

@@ -23,7 +23,7 @@ double table2_psnr(dwt::dsp::Method method, const dwt::dsp::Image& original,
   dwt::dsp::round_coefficients(plane);
   dwt::dsp::dwt2d_inverse(method, plane, octaves);
   dwt::dsp::level_shift_inverse(plane);
-  return dwt::dsp::psnr(original, plane.clamped_u8());
+  return dwt::dsp::psnr(original, dwt::dsp::clamped_u8(plane));
 }
 
 }  // namespace

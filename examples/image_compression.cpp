@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const double zeros = zero_fraction(plane);
     dwt2d_inverse(Method::kLiftingFloat, plane, octaves);
     level_shift_inverse(plane);
-    const double quality = psnr(original, plane.clamped_u8());
+    const double quality = psnr(original, clamped_u8(plane));
     std::printf("%-12.1f %13.1f%% %12.2f\n", step, 100.0 * zeros, quality);
     if (step == 8.0) {
       write_pgm(plane, "compressed_step8.pgm");

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   round_coefficients(plane);
   dwt2d_inverse(Method::kLiftingFloat, plane, octaves);
   level_shift_inverse(plane);
-  const double quality = psnr(original, plane.clamped_u8());
+  const double quality = psnr(original, clamped_u8(plane));
   std::printf("Round trip with integer coefficients: %.2f dB PSNR.\n", quality);
 
   // 5. Save artifacts.

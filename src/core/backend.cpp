@@ -5,10 +5,10 @@
 
 namespace dwt::core {
 
-std::unique_ptr<Backend2dSession> ExecutionBackend::make_2d_session(
+hw::Dwt2dSystem ExecutionBackend::make_2d_session(
     const BackendRequest&) const {
   throw std::invalid_argument(std::string(name()) +
-                              ": 2-D transform not supported");
+                              ": no 2-D session (netlist engines only)");
 }
 
 }  // namespace dwt::core

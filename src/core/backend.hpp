@@ -17,13 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
 
 #include "dsp/dwt1d.hpp"
-#include "dsp/image.hpp"
 #include "hw/designs.hpp"
 #include "hw/dwt2d_system.hpp"
 #include "hw/stream_runner.hpp"
@@ -65,26 +63,10 @@ struct BackendCaps {
   bool cycle_accurate = false;  ///< StreamResult::cycles is meaningful
   /// Output is bit-identical to the software fixed-point reference.
   bool bit_exact = false;
-  bool forward_2d = false;  ///< make_2d_session supported
-  bool inverse_2d = false;  ///< 2-D sessions implement inverse()
-};
-
-/// Per-worker execution state for 2-D transforms (e.g. one gate-level core
-/// simulation per tile-scheduler worker).  Sessions are single-threaded;
-/// create one per worker.  The expensive shared artifacts behind a session
-/// come from the ArtifactCache, so sessions are cheap to create.
-class Backend2dSession {
- public:
-  virtual ~Backend2dSession() = default;
-
-  /// In-place multi-octave forward transform (packed LL|HL / LH|HH layout,
-  /// identical to dsp::dwt2d_forward's).  Returns cycle accounting (zeros
-  /// for software backends).
-  virtual hw::Dwt2dRunStats forward(dsp::Image& plane, int octaves) = 0;
-
-  /// Inverse of forward().  Throws std::invalid_argument when the backend
-  /// does not support it (caps().inverse_2d == false).
-  virtual void inverse(dsp::Image& plane, int octaves) = 0;
+  /// 2-D transforms supported: in-thread through software_method() for a
+  /// software engine, through make_2d_session for a netlist engine.
+  bool forward_2d = false;
+  bool inverse_2d = false;  ///< the 2-D inverse too (software engines)
 };
 
 class ExecutionBackend {
@@ -102,9 +84,20 @@ class ExecutionBackend {
   [[nodiscard]] virtual hw::StreamResult stream(
       const BackendRequest& req, std::span<const std::int64_t> x) const = 0;
 
-  /// Creates a per-worker 2-D session.  Throws std::invalid_argument when
-  /// caps().forward_2d is false.
-  [[nodiscard]] virtual std::unique_ptr<Backend2dSession> make_2d_session(
+  /// The dsp method a software engine computes; nullopt for netlist
+  /// engines.  The tile pipeline runs a software engine in-thread through
+  /// this method, exactly as it runs its default path.
+  [[nodiscard]] virtual std::optional<dsp::Method> software_method() const {
+    return std::nullopt;
+  }
+
+  /// Creates a per-worker 2-D session: the figure-4 system around the
+  /// engine's shared cached core, which transforms int32 windows in place.
+  /// Netlist engines with caps().forward_2d only; throws
+  /// std::invalid_argument for the others.  Sessions are single-threaded
+  /// and cheap (the netlist, tape and native code come from the
+  /// ArtifactCache); create one per worker.
+  [[nodiscard]] virtual hw::Dwt2dSystem make_2d_session(
       const BackendRequest& req) const;
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/artifact_cache.hpp"
-#include "dsp/dwt2d.hpp"
 #include "fpga/mapped_sim.hpp"
 #include "rtl/compiled/batch_fault.hpp"
 #include "rtl/simulator.hpp"
@@ -16,28 +15,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Software engines: the dsp lifting models.  DesignId is irrelevant (every
-// paper design computes the same transform); only frac_bits matters.
-
-class Software2dSession final : public Backend2dSession {
- public:
-  Software2dSession(dsp::Method method, int frac_bits)
-      : method_(method), frac_bits_(frac_bits) {}
-
-  hw::Dwt2dRunStats forward(dsp::Image& plane, int octaves) override {
-    dsp::dwt2d_forward(method_, plane, octaves, frac_bits_);
-    hw::Dwt2dRunStats stats;
-    stats.octaves = octaves;
-    return stats;
-  }
-
-  void inverse(dsp::Image& plane, int octaves) override {
-    dsp::dwt2d_inverse(method_, plane, octaves, frac_bits_);
-  }
-
- private:
-  dsp::Method method_;
-  int frac_bits_;
-};
+// paper design computes the same transform); only frac_bits matters.  The
+// tile pipeline runs their 2-D transform in-thread through
+// software_method(), so they build no 2-D session.
 
 class SoftwareBackend final : public ExecutionBackend {
  public:
@@ -79,9 +59,8 @@ class SoftwareBackend final : public ExecutionBackend {
     return r;
   }
 
-  std::unique_ptr<Backend2dSession> make_2d_session(
-      const BackendRequest& req) const override {
-    return std::make_unique<Software2dSession>(method_, req.frac_bits);
+  std::optional<dsp::Method> software_method() const override {
+    return method_;
   }
 
  private:
@@ -94,29 +73,6 @@ class SoftwareBackend final : public ExecutionBackend {
 // ---------------------------------------------------------------------------
 // Gate-level engines.  All artifacts come from the shared ArtifactCache;
 // per-call/per-session objects carry only simulator state.
-
-/// 2-D session around the figure-4 system model, on either line engine.
-class GateSession final : public Backend2dSession {
- public:
-  explicit GateSession(std::shared_ptr<const hw::BuiltDatapath> core)
-      : system_(std::move(core)) {}
-  GateSession(std::shared_ptr<const hw::BuiltDatapath> core,
-              std::shared_ptr<const rtl::compiled::Tape> tape,
-              std::shared_ptr<const rtl::compiled::NativeBlock> native)
-      : system_(std::move(core), std::move(tape), std::move(native)) {}
-
-  hw::Dwt2dRunStats forward(dsp::Image& plane, int octaves) override {
-    return system_.transform(plane, octaves);
-  }
-
-  void inverse(dsp::Image&, int) override {
-    throw std::invalid_argument(
-        "gate-level backends do not implement the 2-D inverse");
-  }
-
- private:
-  hw::Dwt2dSystem system_;
-};
 
 /// Aliases the cached artifact's datapath: the returned pointer shares the
 /// artifact's lifetime, so the netlist outlives every simulator built on it.
@@ -150,11 +106,9 @@ class RtlInterpretedBackend final : public ExecutionBackend {
     return hw::run_stream(d->dp, sim, x);
   }
 
-  std::unique_ptr<Backend2dSession> make_2d_session(
-      const BackendRequest& req) const override {
-    return std::make_unique<GateSession>(
-        share_datapath(ArtifactCache::instance().design(
-            hw::design_config(req.design, req.max_octaves, req.adder))));
+  hw::Dwt2dSystem make_2d_session(const BackendRequest& req) const override {
+    return hw::Dwt2dSystem(share_datapath(ArtifactCache::instance().design(
+        hw::design_config(req.design, req.max_octaves, req.adder))));
   }
 };
 
@@ -188,12 +142,11 @@ class RtlCompiledBackend final : public ExecutionBackend {
         hw::run_stream_batch(d->dp, session, x, /*lanes=*/1).front());
   }
 
-  std::unique_ptr<Backend2dSession> make_2d_session(
-      const BackendRequest& req) const override {
+  hw::Dwt2dSystem make_2d_session(const BackendRequest& req) const override {
     ArtifactCache& cache = ArtifactCache::instance();
     const hw::DatapathConfig cfg =
         hw::design_config(req.design, req.max_octaves, req.adder);
-    return std::make_unique<GateSession>(
+    return hw::Dwt2dSystem(
         share_datapath(cache.design(cfg)),
         cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level),
         cache.native_for(req.exec_tier, cfg, rtl::HardeningStyle::kNone,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -131,27 +130,9 @@ int lift_int32(Method m, PlaneView<std::int32_t> p, int octaves, int frac_bits,
   Plane<std::int64_t> wide(p.width, p.height);
   copy_window(p, wide.view(), [](std::int32_t v) { return std::int64_t{v}; });
   lift_integer(m, wide.view(), octaves, frac_bits, inverse);
-  copy_window(wide.view(), p, [](std::int64_t v) {
-    if (v < std::numeric_limits<std::int32_t>::min() ||
-        v > std::numeric_limits<std::int32_t>::max()) {
-      throw std::overflow_error("dwt2d: coefficient " + std::to_string(v) +
-                                " outside int32");
-    }
-    return static_cast<std::int32_t>(v);
-  });
+  copy_window(wide.view(), p,
+              [](std::int64_t v) { return narrow_to_int32(v); });
   return 64;
-}
-
-/// The integer methods on a window of doubles: one rounded copy as a plane
-/// of T (int32 where the guard admits the window, else int64).
-template <class T>
-void lift_rounded(Method m, PlaneView<double> p, int octaves, int frac_bits,
-                  bool inverse) {
-  Plane<T> q(p.width, p.height);
-  copy_window(p, q.view(),
-              [](double v) { return static_cast<T>(std::llround(v)); });
-  lift_integer(m, q.view(), octaves, frac_bits, inverse);
-  copy_window(q.view(), p, [](T v) { return static_cast<double>(v); });
 }
 
 /// The FIR methods run a line at a time through their 1-D functions.
@@ -189,12 +170,12 @@ void lift_doubles(Method m, PlaneView<double> p, int octaves, int frac_bits,
     case Method::kLiftingFixed:
     case Method::kLiftingHwFloat:
     case Method::kReversible53: {
-      // |round(v)| = round(|v|): the largest magnitude after rounding.
-      const double r = std::round(max_abs(p));
-      if (fits_int32(lifting_bound(m, frac_bits, inverse, octaves, r))) {
-        return lift_rounded<std::int32_t>(m, p, octaves, frac_bits, inverse);
-      }
-      return lift_rounded<std::int64_t>(m, p, octaves, frac_bits, inverse);
+      Plane<std::int32_t> q(p.width, p.height);
+      copy_window(p, q.view(), [](double v) { return round_to_int32(v); });
+      (void)lift_int32(m, q.view(), octaves, frac_bits, inverse);
+      copy_window(q.view(), p,
+                  [](std::int32_t v) { return static_cast<double>(v); });
+      return;
     }
     case Method::kFirFloat:
     case Method::kFirFixed:
@@ -202,16 +183,6 @@ void lift_doubles(Method m, PlaneView<double> p, int octaves, int frac_bits,
       return fir_octaves(m, p, octaves, frac_bits, inverse);
   }
   throw std::invalid_argument("dwt2d: unknown Method");
-}
-
-/// The top-left w x h region of `plane`.
-PlaneView<double> region(Image& plane, std::size_t w, std::size_t h,
-                         const char* who) {
-  require_nonzero(w, h, who);
-  if (w > plane.width() || h > plane.height()) {
-    throw std::out_of_range(std::string(who) + ": region exceeds the plane");
-  }
-  return plane.view().window(0, 0, w, h);
 }
 
 }  // namespace
@@ -248,25 +219,11 @@ ChainBound lifting_bound(Method m, int frac_bits, bool inverse, int octaves,
                      max_abs);
 }
 
-void dwt2d_forward_octave(Method m, Image& plane, std::size_t w, std::size_t h,
-                          int frac_bits) {
-  lift_doubles(m, region(plane, w, h, "dwt2d_forward_octave"), 1, frac_bits,
-               /*inverse=*/false);
-}
-
-void dwt2d_inverse_octave(Method m, Image& plane, std::size_t w, std::size_t h,
-                          int frac_bits) {
-  lift_doubles(m, region(plane, w, h, "dwt2d_inverse_octave"), 1, frac_bits,
-               /*inverse=*/true);
-}
-
 void dwt2d_forward(Method m, Image& plane, int octaves, int frac_bits) {
-  if (octaves < 1) throw std::invalid_argument("dwt2d_forward: octaves < 1");
   lift_doubles(m, plane.view(), octaves, frac_bits, /*inverse=*/false);
 }
 
 void dwt2d_inverse(Method m, Image& plane, int octaves, int frac_bits) {
-  if (octaves < 1) throw std::invalid_argument("dwt2d_inverse: octaves < 1");
   lift_doubles(m, plane.view(), octaves, frac_bits, /*inverse=*/true);
 }
 

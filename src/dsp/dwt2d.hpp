@@ -62,15 +62,6 @@ void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
 [[nodiscard]] ChainBound lifting_bound(Method m, int frac_bits, bool inverse,
                                        int octaves, double max_abs);
 
-/// In-place one-octave forward transform of the top-left region w x h of
-/// `plane` (any non-zero w, h; odd lines split as ceil(n/2) low /
-/// floor(n/2) high with (1,1) symmetric extension).  Throws
-/// std::out_of_range when the region is wider or taller than the plane.
-void dwt2d_forward_octave(Method m, Image& plane, std::size_t w, std::size_t h,
-                          int frac_bits = kDefaultFracBits);
-void dwt2d_inverse_octave(Method m, Image& plane, std::size_t w, std::size_t h,
-                          int frac_bits = kDefaultFracBits);
-
 /// Full multi-octave transform of the whole plane.  Dimensions are
 /// arbitrary: every octave recurses on the ceil(w/2) x ceil(h/2) LL region
 /// (a 1 x 1 LL is a fixed point, so any octave count is legal).
@@ -79,9 +70,12 @@ void dwt2d_forward(Method m, Image& plane, int octaves,
 void dwt2d_inverse(Method m, Image& plane, int octaves,
                    int frac_bits = kDefaultFracBits);
 
-/// The same transforms over a window of doubles (a tile of a larger plane).
-/// The integer methods round the window to integers once on entry, as their
-/// 1-D functions round their input, and lift it as an int32 or int64 plane.
+/// The same transforms over a window of doubles (a tile of a larger plane,
+/// or the LL region an octave of a larger transform covers).  The integer
+/// methods round the window once on entry into an int32 plane
+/// (round_to_int32, as their 1-D functions round their input) and lift it
+/// through the int32 plane entry points below, so a sample or a result
+/// outside int32 throws std::overflow_error.
 void dwt2d_forward(Method m, PlaneView<double> window, int octaves,
                    int frac_bits = kDefaultFracBits);
 void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
@@ -91,7 +85,8 @@ void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
 /// place on an int32 window.  They lift on int32 where the guard admits the
 /// window's largest magnitude, else on an int64 copy of the window narrowed
 /// back (std::overflow_error if a result leaves int32), and return the
-/// sample width they lifted on: 32 or 64.
+/// sample width they lifted on: 32 or 64.  The narrowing is the plane's one
+/// narrow_to_int32.
 int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits = kDefaultFracBits);
 int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,

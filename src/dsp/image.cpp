@@ -7,38 +7,13 @@
 #include <optional>
 #include <stdexcept>
 #include <string_view>
-#include <type_traits>
 
 namespace dwt::dsp {
 
-Image::Image(std::size_t width, std::size_t height, double fill)
-    : width_(width), height_(height), data_(width * height, fill) {}
-
-double& Image::at(std::size_t x, std::size_t y) {
-  if (x >= width_ || y >= height_) throw std::out_of_range("Image::at");
-  return data_[y * width_ + x];
-}
-
-const double& Image::at(std::size_t x, std::size_t y) const {
-  if (x >= width_ || y >= height_) throw std::out_of_range("Image::at");
-  return data_[y * width_ + x];
-}
-
-Image Image::crop(std::size_t w, std::size_t h) const {
-  if (w > width_ || h > height_) throw std::out_of_range("Image::crop");
-  Image out(w, h);
-  for (std::size_t y = 0; y < h; ++y) {
-    for (std::size_t x = 0; x < w; ++x) out.at(x, y) = at(x, y);
-  }
-  return out;
-}
-
-Image Image::clamped_u8() const {
-  Image out(width_, height_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    const double v = std::round(data_[i]);
-    out.data()[i] = std::clamp(v, 0.0, 255.0);
-  }
+Image clamped_u8(const Image& img) {
+  Image out(img.width(), img.height());
+  std::transform(img.data().begin(), img.data().end(), out.data().begin(),
+                 [](double v) { return std::clamp(std::round(v), 0.0, 255.0); });
   return out;
 }
 
@@ -147,11 +122,10 @@ std::string pgm_header(std::size_t w, std::size_t h) {
 }
 
 /// The one PGM parser: validates the document and stores each sample v as
-/// v - offset in the w x h container make(w, h) returns (an int32 plane or
-/// an Image).
-template <class Make>
-auto parse(std::span<const std::uint8_t> bytes, const std::string& name,
-           std::int32_t offset, Make make) {
+/// v - offset in a w x h plane of T (int32, or double for an Image).
+template <class T>
+Plane<T> parse(std::span<const std::uint8_t> bytes, const std::string& name,
+               std::int32_t offset) {
   PgmReader in(bytes, name);
   const std::string_view magic = in.token();
   if (magic != "P5" && magic != "P2") in.fail("unsupported PGM magic");
@@ -174,8 +148,7 @@ auto parse(std::span<const std::uint8_t> bytes, const std::string& name,
   // allocated.
   const std::size_t n = static_cast<std::size_t>(w * h);
   in.require(binary ? n : 2 * n);
-  auto out = make(static_cast<std::size_t>(w), static_cast<std::size_t>(h));
-  using T = std::decay_t<decltype(out.data()[0])>;
+  Plane<T> out(static_cast<std::size_t>(w), static_cast<std::size_t>(h));
   const auto sample = [offset](auto v) {
     return static_cast<T>(v) - static_cast<T>(offset);
   };
@@ -203,9 +176,7 @@ auto parse(std::span<const std::uint8_t> bytes, const std::string& name,
 
 Plane<std::int32_t> parse_pgm(std::span<const std::uint8_t> bytes,
                               const std::string& name, std::int32_t offset) {
-  return parse(bytes, name, offset, [](std::size_t w, std::size_t h) {
-    return Plane<std::int32_t>(w, h);
-  });
+  return parse<std::int32_t>(bytes, name, offset);
 }
 
 Plane<std::int32_t> u8_plane(std::span<const std::uint8_t> pixels,
@@ -254,6 +225,13 @@ Image to_image(const Plane<std::int32_t>& plane) {
   return img;
 }
 
+Plane<std::int32_t> to_int32_plane(const Image& img, double offset) {
+  Plane<std::int32_t> plane(img.width(), img.height());
+  std::transform(img.data().begin(), img.data().end(), plane.data().begin(),
+                 [offset](double v) { return round_to_int32(v - offset); });
+  return plane;
+}
+
 Image read_pgm(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_pgm: cannot open " + path);
@@ -267,8 +245,7 @@ Image read_pgm(std::istream& in, const std::string& name) {
     in.read(chunk, sizeof(chunk));
     bytes.insert(bytes.end(), chunk, chunk + in.gcount());
   } while (in);
-  return parse(bytes, name, 0,
-               [](std::size_t w, std::size_t h) { return Image(w, h); });
+  return parse<double>(bytes, name, 0);
 }
 
 void write_pgm(const Image& img, const std::string& path) {

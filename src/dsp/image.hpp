@@ -1,7 +1,7 @@
-// Minimal grayscale image container with PGM (P5/P2) file I/O, used by the
-// 2-D transforms, the PSNR experiments and the workload generators, and the
-// one PGM parser and renderer, which also read into and render from the
-// int32 sample planes of the integer transforms.
+// Grayscale images and the one PGM parser and renderer.  An Image is a
+// plane of doubles -- the sample type of the float and FIR methods and of the
+// Table 2 experiments; the integer-valued engines read into and render from
+// int32 planes through the same parser and renderer.
 #pragma once
 
 #include <cstdint>
@@ -16,36 +16,11 @@ namespace dwt::dsp {
 
 /// Row-major grayscale image of doubles.  Pixel values are nominally 0..255
 /// for source images; transform planes hold arbitrary reals.
-class Image {
- public:
-  Image() = default;
-  Image(std::size_t width, std::size_t height, double fill = 0.0);
+using Image = Plane<double>;
 
-  [[nodiscard]] std::size_t width() const { return width_; }
-  [[nodiscard]] std::size_t height() const { return height_; }
-  [[nodiscard]] bool empty() const { return data_.empty(); }
-
-  [[nodiscard]] double& at(std::size_t x, std::size_t y);
-  [[nodiscard]] const double& at(std::size_t x, std::size_t y) const;
-
-  [[nodiscard]] std::vector<double>& data() { return data_; }
-  [[nodiscard]] const std::vector<double>& data() const { return data_; }
-
-  [[nodiscard]] PlaneView<double> view() {
-    return {data_.data(), width_, width_, height_};
-  }
-
-  /// Copies the w x h top-left sub-image (tile extraction).
-  [[nodiscard]] Image crop(std::size_t w, std::size_t h) const;
-
-  /// Clamps all pixels to [0, 255] and rounds to integers (display range).
-  [[nodiscard]] Image clamped_u8() const;
-
- private:
-  std::size_t width_ = 0;
-  std::size_t height_ = 0;
-  std::vector<double> data_;
-};
+/// The image with every pixel rounded and clamped to [0, 255] (display
+/// range).
+[[nodiscard]] Image clamped_u8(const Image& img);
 
 /// Parses a binary (P5) or ASCII (P2) 8-bit PGM document -- the one
 /// hardened parsing path (truncated header/pixel detection, comment
@@ -74,6 +49,12 @@ class Image {
 
 /// The plane's samples as an image (exact).
 [[nodiscard]] Image to_image(const Plane<std::int32_t>& plane);
+
+/// The image's samples as an int32 plane, each pixel v stored as
+/// round_to_int32(v - offset): the one conversion from doubles, so it throws
+/// std::overflow_error for a pixel that is not finite or leaves int32.
+[[nodiscard]] Plane<std::int32_t> to_int32_plane(const Image& img,
+                                                 double offset = 0.0);
 
 /// Reads a binary (P5) or ASCII (P2) 8-bit PGM file.
 [[nodiscard]] Image read_pgm(const std::string& path);

@@ -62,6 +62,19 @@ Image make_still_tone_image(std::size_t width, std::size_t height,
   return img;
 }
 
+std::vector<std::int64_t> still_tone_samples(std::size_t samples,
+                                             std::size_t width,
+                                             std::uint64_t seed) {
+  const Image img =
+      make_still_tone_image(width, (samples + width - 1) / width, seed);
+  std::vector<std::int64_t> out(samples);
+  std::transform(img.data().begin(),
+                 img.data().begin() + static_cast<std::ptrdiff_t>(samples),
+                 out.begin(),
+                 [](double v) { return std::int64_t{round_to_int32(v)} - 128; });
+  return out;
+}
+
 Image make_noise_image(std::size_t width, std::size_t height,
                        std::uint64_t seed) {
   Image img(width, height);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "dsp/image.hpp"
 
@@ -16,6 +17,13 @@ namespace dwt::dsp {
 [[nodiscard]] Image make_still_tone_image(std::size_t width,
                                           std::size_t height,
                                           std::uint64_t seed = 2005);
+
+/// The first `samples` pixels of the row-major scan of a `width`-wide
+/// make_still_tone_image(seed), each rounded and DC level shifted to the
+/// signed 8-bit domain the 1-D cores consume: the stimulus of the
+/// explorer's activity workload, profile_backends and the fault campaigns.
+[[nodiscard]] std::vector<std::int64_t> still_tone_samples(
+    std::size_t samples, std::size_t width, std::uint64_t seed);
 
 /// Uniform-noise image (worst case for transform coding), values in [0,255].
 [[nodiscard]] Image make_noise_image(std::size_t width, std::size_t height,

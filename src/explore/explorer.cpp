@@ -1,6 +1,5 @@
 #include "explore/explorer.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -18,27 +17,16 @@ Explorer::Explorer(ExplorerOptions options) : options_(std::move(options)) {
 }
 
 std::vector<std::int64_t> Explorer::workload_stream() const {
+  if (options_.workload == Workload::kStillToneImage) {
+    // Row-major scan of a 128-wide synthetic still-tone image.
+    return dsp::still_tone_samples(options_.workload_samples, 128,
+                                   options_.seed);
+  }
   std::vector<std::int64_t> samples;
   samples.reserve(options_.workload_samples);
-  if (options_.workload == Workload::kStillToneImage) {
-    // Row-major scan of a synthetic still-tone image, DC level shifted to
-    // the signed 8-bit domain the cores consume.
-    const std::size_t width = 128;
-    const std::size_t rows =
-        (options_.workload_samples + width - 1) / width;
-    const dsp::Image img = dsp::make_still_tone_image(width, rows, options_.seed);
-    for (std::size_t y = 0; y < rows; ++y) {
-      for (std::size_t x = 0; x < width; ++x) {
-        if (samples.size() == options_.workload_samples) break;
-        samples.push_back(
-            static_cast<std::int64_t>(std::llround(img.at(x, y))) - 128);
-      }
-    }
-  } else {
-    common::Rng rng(options_.seed);
-    for (std::size_t i = 0; i < options_.workload_samples; ++i) {
-      samples.push_back(rng.uniform(-128, 127));
-    }
+  common::Rng rng(options_.seed);
+  for (std::size_t i = 0; i < options_.workload_samples; ++i) {
+    samples.push_back(rng.uniform(-128, 127));
   }
   return samples;
 }

@@ -44,25 +44,6 @@ constexpr std::size_t kKeepTrialsLimit = 1'000'000;
 /// falls back to full-tape execution (results are identical either way).
 constexpr std::uint64_t kTraceBytesLimit = std::uint64_t{1} << 26;  // 64 MiB
 
-/// Image-derived sample stream in the signed 8-bit input domain (row-major
-/// scan of the synthetic still-tone scene, DC level shifted), matching the
-/// Explorer's activity workload.
-std::vector<std::int64_t> image_stimulus(std::size_t samples,
-                                         std::uint64_t seed) {
-  const std::size_t width = 64;
-  const std::size_t rows = (samples + width - 1) / width;
-  const dsp::Image img = dsp::make_still_tone_image(width, rows, seed);
-  std::vector<std::int64_t> out;
-  out.reserve(samples);
-  for (std::size_t y = 0; y < rows && out.size() < samples; ++y) {
-    for (std::size_t x = 0; x < width && out.size() < samples; ++x) {
-      out.push_back(static_cast<std::int64_t>(std::llround(img.at(x, y))) -
-                    128);
-    }
-  }
-  return out;
-}
-
 /// Area/f_max of a cached APEX mapping through STA.  The mapping itself
 /// (simplify + map_to_apex, the expensive part) comes from the artifact
 /// cache; only the cheap timing analysis runs per call.
@@ -229,8 +210,9 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
           : synthesize(
                 cache.mapped(result.spec.config, options.harden)->mapped);
 
+  // Rows of a 64-wide still-tone image, matching the Explorer's workload.
   const std::vector<std::int64_t> stimulus =
-      image_stimulus(options.samples, options.seed);
+      dsp::still_tone_samples(options.samples, 64, options.seed);
   const std::uint64_t total_cycles =
       hw::stream_cycle_count(dut, stimulus.size());
 

@@ -1,6 +1,5 @@
 #include "explore/tradeoffs.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "core/registry.hpp"
@@ -63,17 +62,8 @@ std::vector<BackendProfile> profile_backends(std::size_t samples,
   }
   // Image-derived stimulus in the signed 8-bit input domain, matching the
   // resilience campaigns' workload.
-  const std::size_t width = 64;
-  const std::size_t rows = (samples + width - 1) / width;
-  const dsp::Image img = dsp::make_still_tone_image(width, rows, seed);
-  std::vector<std::int64_t> stimulus;
-  stimulus.reserve(samples);
-  for (std::size_t y = 0; y < rows && stimulus.size() < samples; ++y) {
-    for (std::size_t x = 0; x < width && stimulus.size() < samples; ++x) {
-      stimulus.push_back(
-          static_cast<std::int64_t>(std::llround(img.at(x, y))) - 128);
-    }
-  }
+  const std::vector<std::int64_t> stimulus =
+      dsp::still_tone_samples(samples, 64, seed);
 
   const core::ExecutionBackend* reference =
       core::find_backend("software-fixed");

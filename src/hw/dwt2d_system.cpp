@@ -1,9 +1,8 @@
 #include "hw/dwt2d_system.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "dsp/dwt2d.hpp"
 
@@ -28,32 +27,29 @@ Dwt2dSystem::Dwt2dSystem(
   batch_->sim().set_native(std::move(native));
 }
 
-Dwt2dRunStats Dwt2dSystem::transform(dsp::Image& plane, int octaves) {
+Dwt2dRunStats Dwt2dSystem::transform(dsp::PlaneView<std::int32_t> window,
+                                     int octaves) {
   if (octaves < 1) throw std::invalid_argument("Dwt2dSystem: octaves < 1");
-  if (plane.empty()) {
+  if (window.width == 0 || window.height == 0) {
     throw std::invalid_argument("Dwt2dSystem: empty octave dimensions");
   }
   Dwt2dRunStats stats;
   stats.octaves = octaves;
-  // The frame memory holds the integers the core consumes; every octave
-  // after the first reads back coefficients the core wrote as integers.
-  std::vector<std::int64_t> memory(plane.data().size());
-  std::transform(plane.data().begin(), plane.data().end(), memory.begin(),
-                 [](double v) { return std::llround(v); });
+  // The line buffer between the frame memory and the core.
   std::vector<std::int64_t> line;
-  std::size_t w = plane.width();
-  std::size_t h = plane.height();
+  std::size_t w = window.width;
+  std::size_t h = window.height;
   for (int o = 0; o < octaves; ++o) {
     // The memory controller addresses one row (then one column) at a time
     // into the 1D core and writes the packed sub-bands back: ceil(n/2) low
     // then floor(n/2) high.
     dsp::sweep_octave(
-        memory.data(), plane.width(), w, h, /*inverse=*/false,
-        [&](std::int64_t* first, std::size_t n, std::size_t stride,
+        window.data, window.pitch, w, h, /*inverse=*/false,
+        [&](std::int32_t* first, std::size_t n, std::size_t stride,
             std::size_t lanes) {
           // One line pass through the core per lane.
           for (std::size_t j = 0; j < lanes; ++j) {
-            std::int64_t* x = first + j;
+            std::int32_t* x = first + j;
             line.resize(n);
             for (std::size_t k = 0; k < n; ++k) line[k] = x[k * stride];
             // Either engine may carry stale pipeline state from the previous
@@ -66,16 +62,17 @@ Dwt2dRunStats Dwt2dSystem::transform(dsp::Image& plane, int octaves) {
             stats.total_cycles += r.cycles;
             ++stats.line_passes;
             const std::size_t nl = r.low.size();
-            for (std::size_t k = 0; k < nl; ++k) x[k * stride] = r.low[k];
+            for (std::size_t k = 0; k < nl; ++k) {
+              x[k * stride] = dsp::narrow_to_int32(r.low[k]);
+            }
             for (std::size_t k = 0; k < r.high.size(); ++k) {
-              x[(nl + k) * stride] = r.high[k];
+              x[(nl + k) * stride] = dsp::narrow_to_int32(r.high[k]);
             }
           }
         });
     w = (w + 1) / 2;
     h = (h + 1) / 2;
   }
-  std::copy(memory.begin(), memory.end(), plane.data().begin());
   return stats;
 }
 

@@ -3,13 +3,15 @@
 // and one 1D-DWT core.  The controller runs the core cycle-accurately and
 // accounts the cycles every octave consumes.  The core runs on either the
 // scalar zero-delay simulator or the bit-parallel compiled engine (lane 0);
-// both produce bit-identical coefficients and cycle counts.
+// both produce bit-identical coefficients and cycle counts.  The frame
+// memory is an int32 plane window, lifted in place: a netlist backend's 2-D
+// session (core::ExecutionBackend::make_2d_session) is this system.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
-#include "dsp/image.hpp"
+#include "dsp/plane.hpp"
 #include "hw/designs.hpp"
 #include "hw/stream_runner.hpp"
 #include "rtl/compiled/native_block.hpp"
@@ -51,11 +53,13 @@ class Dwt2dSystem {
               std::shared_ptr<const rtl::compiled::Tape> tape,
               std::shared_ptr<const rtl::compiled::NativeBlock> native);
 
-  /// In-place multi-octave forward transform of an integer-valued plane
-  /// (pixels already DC-level-shifted to signed values).  Returns cycle
-  /// accounting.  The transformed plane matches the software fixed-point
-  /// lifting transform bit for bit.
-  Dwt2dRunStats transform(dsp::Image& plane, int octaves);
+  /// In-place multi-octave forward transform of an int32 window (pixels
+  /// already DC-level-shifted to signed values), one line at a time through
+  /// an int64 line buffer.  Returns cycle accounting.  The transformed
+  /// window matches dsp's int32 plane entry point for kLiftingFixed bit for
+  /// bit; samples outside the window are untouched.  Throws
+  /// std::overflow_error (narrow_to_int32) if a coefficient leaves int32.
+  Dwt2dRunStats transform(dsp::PlaneView<std::int32_t> window, int octaves);
 
   [[nodiscard]] const BuiltDatapath& core() const { return *core_; }
 

@@ -1,6 +1,5 @@
 #include "hw/line_based_dwt2d.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -18,7 +17,7 @@ constexpr std::ptrdiff_t kGuardRowPairs = 4;
 
 }  // namespace
 
-LineBasedStats line_based_forward_octave(dsp::Image& plane) {
+LineBasedStats line_based_forward_octave(dsp::Plane<std::int32_t>& plane) {
   const std::size_t w = plane.width();
   const std::size_t h = plane.height();
   if (w == 0 || h == 0) {
@@ -31,16 +30,14 @@ LineBasedStats line_based_forward_octave(dsp::Image& plane) {
   // In a real line-based system the source rows arrive as a stream (e.g.
   // from a sensor); model that by reading from a pristine copy while the
   // transformed rows are written out.
-  const dsp::Image source = plane;
+  const dsp::Plane<std::int32_t> source = plane;
   // The row transform: one source row through the fixed-point ladder,
   // ceil(w/2) low then floor(w/2) high coefficients.
   const auto coeffs = dsp::LiftingFixedCoeffs::rounded(dsp::kDefaultFracBits);
   dsp::LiftingLadder ladder(dsp::fixed97_steps(coeffs), /*inverse=*/false);
   const auto row_transform = [&](std::size_t row) {
-    std::vector<std::int64_t> out(w);
-    for (std::size_t c = 0; c < w; ++c) {
-      out[c] = static_cast<std::int64_t>(std::llround(source.at(c, row)));
-    }
+    const std::int32_t* first = &source.at(0, row);
+    std::vector<std::int64_t> out(first, first + w);
     ladder(out.data(), w);
     return out;
   };
@@ -50,7 +47,7 @@ LineBasedStats line_based_forward_octave(dsp::Image& plane) {
     // pass-through, so only the row transform runs.
     const std::vector<std::int64_t> packed = row_transform(0);
     for (std::size_t c = 0; c < w; ++c) {
-      plane.data()[c] = static_cast<double>(packed[c]);
+      plane.data()[c] = dsp::narrow_to_int32(packed[c]);
     }
     stats.rows_processed = 1;
     stats.line_buffer_words = 2 * w + 5 * w;
@@ -83,10 +80,10 @@ LineBasedStats line_based_forward_octave(dsp::Image& plane) {
         // only write once all columns of the row are known (after the loop
         // the whole row has been produced for this emit index).
         plane.at(c, static_cast<std::size_t>(emit)) =
-            static_cast<double>(out->first);
+            dsp::narrow_to_int32(out->first);
         if (emit < high_rows) {
           plane.at(c, static_cast<std::size_t>(emit + low_rows)) =
-              static_cast<double>(out->second);
+              dsp::narrow_to_int32(out->second);
         }
       }
     }

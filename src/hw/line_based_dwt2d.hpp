@@ -9,7 +9,7 @@
 
 #include <cstdint>
 
-#include "dsp/image.hpp"
+#include "dsp/plane.hpp"
 
 namespace dwt::hw {
 
@@ -19,12 +19,12 @@ struct LineBasedStats {
   std::size_t frame_memory_words = 0;  ///< what the figure-4 system needs
 };
 
-/// One-octave forward transform of an integer-valued plane (pixels already
+/// One-octave forward transform of an int32 plane (pixels already
 /// DC-level-shifted), producing the packed LL|HL / LH|HH layout in place.
 /// Any non-zero dimensions are accepted: odd widths/heights split as
 /// ceil(n/2) low / floor(n/2) high rows and columns, and a single-row plane
 /// takes the JPEG2000 single-sample vertical pass-through.  Bit-identical to
-/// dwt2d_forward_octave(Method::kLiftingFixed, ...).
-LineBasedStats line_based_forward_octave(dsp::Image& plane);
+/// dsp::dwt2d_forward(Method::kLiftingFixed, plane.view(), 1).
+LineBasedStats line_based_forward_octave(dsp::Plane<std::int32_t>& plane);
 
 }  // namespace dwt::hw

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
-#include <limits>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -18,39 +15,6 @@
 
 namespace dwt::hw {
 namespace {
-
-/// Backend sessions take Image tiles: a window converts exactly, and a
-/// session's integer coefficients convert back exactly into an int32 plane.
-template <class T>
-dsp::Image tile_image(dsp::PlaneView<T> window) {
-  dsp::Image tile(window.width, window.height);
-  for (std::size_t y = 0; y < window.height; ++y) {
-    std::copy_n(window.row(y), window.width,
-                tile.data().begin() +
-                    static_cast<std::ptrdiff_t>(y * window.width));
-  }
-  return tile;
-}
-
-template <class T>
-void store_tile(const dsp::Image& tile, dsp::PlaneView<T> window) {
-  const double* v = tile.data().data();
-  for (std::size_t y = 0; y < window.height; ++y) {
-    for (std::size_t x = 0; x < window.width; ++x, ++v) {
-      if constexpr (std::is_integral_v<T>) {
-        const long long c = std::llround(*v);
-        if (c < std::numeric_limits<T>::min() ||
-            c > std::numeric_limits<T>::max()) {
-          throw std::overflow_error("tile_scheduler: coefficient " +
-                                    std::to_string(c) + " outside int32");
-        }
-        window.row(y)[x] = static_cast<T>(c);
-      } else {
-        window.row(y)[x] = *v;
-      }
-    }
-  }
-}
 
 void validate(std::size_t w, std::size_t h, const TileOptions& options) {
   if (w == 0 || h == 0) {
@@ -161,7 +125,10 @@ std::vector<TileRect> tile_grid(std::size_t w, std::size_t h,
 
 namespace {
 
-/// Every tile of `plane` through the selected engine, in one direction.
+/// Every tile of `plane` through the selected engine, in one direction.  A
+/// netlist engine (int32 planes only) transforms each tile through one
+/// figure-4 system per worker; every other engine lifts it in-thread where
+/// it lies.
 template <class T>
 TileStats run_tiles(dsp::PlaneView<T> plane, const TileOptions& options,
                     bool inverse) {
@@ -177,32 +144,30 @@ TileStats run_tiles(dsp::PlaneView<T> plane, const TileOptions& options,
   const auto window = [&plane](const TileRect& t) {
     return plane.window(t.x0, t.y0, t.w, t.h);
   };
-  if (options.backend != nullptr) {
-    const core::BackendRequest req = backend_request(options);
-    return run_pool(
-        tiles, options.threads,
-        [&]() { return options.backend->make_2d_session(req); },
-        [&](std::unique_ptr<core::Backend2dSession>& session,
-            const TileRect& t) {
-          dsp::Image tile = tile_image(window(t));
-          Dwt2dRunStats run;
-          if (inverse) {
-            session->inverse(tile, options.octaves);
-          } else {
-            run = session->forward(tile, options.octaves);
-          }
-          store_tile(tile, window(t));
-          return run;
-        });
+  // The dsp method that runs in-thread: the default path's `method`, or a
+  // software backend's own; nullopt for a netlist backend.
+  const std::optional<dsp::Method> method =
+      options.backend != nullptr ? options.backend->software_method()
+                                 : options.method;
+  if constexpr (std::is_same_v<T, std::int32_t>) {
+    if (!method) {
+      const core::BackendRequest req = backend_request(options);
+      return run_pool(
+          tiles, options.threads,
+          [&]() { return options.backend->make_2d_session(req); },
+          [&](Dwt2dSystem& system, const TileRect& t) {
+            return system.transform(window(t), options.octaves);
+          });
+    }
   }
   return run_pool(
       tiles, options.threads, []() { return NoState{}; },
       [&](NoState&, const TileRect& t) {
         if (inverse) {
-          (void)dsp::dwt2d_inverse(options.method, window(t), options.octaves,
+          (void)dsp::dwt2d_inverse(method.value(), window(t), options.octaves,
                                    options.frac_bits);
         } else {
-          (void)dsp::dwt2d_forward(options.method, window(t), options.octaves,
+          (void)dsp::dwt2d_forward(method.value(), window(t), options.octaves,
                                    options.frac_bits);
         }
         return Dwt2dRunStats{};
@@ -229,14 +194,30 @@ TileStats round_trip(P& plane, const TileOptions& options) {
   return stats;
 }
 
-}  // namespace
-
-TileStats tile_forward(dsp::Image& plane, const TileOptions& options) {
-  return run_tiles(plane.view(), options, /*inverse=*/false);
+/// The Image entry points: an integer-valued engine runs `run` on the image
+/// converted once into an int32 plane (round_to_int32) and stores the result
+/// back exactly; the other engines lift the image's doubles.
+template <class Run>
+TileStats on_image(dsp::Image& img, const TileOptions& options, Run run) {
+  if (!integer_valued(options)) return run(img);
+  dsp::Plane<std::int32_t> plane = dsp::to_int32_plane(img);
+  const TileStats stats = run(plane);
+  std::copy(plane.data().begin(), plane.data().end(), img.data().begin());
+  return stats;
 }
 
-TileStats tile_inverse(dsp::Image& plane, const TileOptions& options) {
-  return run_tiles(plane.view(), options, /*inverse=*/true);
+}  // namespace
+
+TileStats tile_forward(dsp::Image& img, const TileOptions& options) {
+  return on_image(img, options, [&](auto& plane) {
+    return run_tiles(plane.view(), options, /*inverse=*/false);
+  });
+}
+
+TileStats tile_inverse(dsp::Image& img, const TileOptions& options) {
+  return on_image(img, options, [&](auto& plane) {
+    return run_tiles(plane.view(), options, /*inverse=*/true);
+  });
 }
 
 bool integer_valued(const TileOptions& options) {
@@ -254,8 +235,9 @@ TileStats tile_inverse(dsp::Plane<std::int32_t>& plane,
   return run_tiles(integer_view(plane, options), options, /*inverse=*/true);
 }
 
-TileStats tile_round_trip(dsp::Image& plane, const TileOptions& options) {
-  return round_trip(plane, options);
+TileStats tile_round_trip(dsp::Image& img, const TileOptions& options) {
+  return on_image(img, options,
+                  [&](auto& plane) { return round_trip(plane, options); });
 }
 
 TileStats tile_round_trip(dsp::Plane<std::int32_t>& plane,

@@ -8,9 +8,12 @@
 // Engine selection is a core::ExecutionBackend handle:
 //  - nullptr (default): the dsp 2-D transform selected by `method` runs
 //    in-thread (any Method, including the reversible 5/3);
-//  - a registry backend: one 2-D session per worker (for gate-level engines
-//    that is a private figure-4 system around the shared cached netlist),
-//    with the per-tile cycle accounting aggregated into the stats.
+//  - a software backend: the same, with the backend's software_method();
+//  - a netlist backend: one 2-D session per worker (a private figure-4
+//    system around the shared cached netlist) on int32 tiles, with the
+//    per-tile cycle accounting aggregated into the stats.
+// Integer-valued engines run on int32 planes; the Image entry points convert
+// once for them.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +47,9 @@ struct TileOptions {
   dsp::Method method = dsp::Method::kLiftingFixed;  ///< in-thread dsp engine
   int frac_bits = dsp::kDefaultFracBits;
   /// Execution engine; nullptr runs the dsp transform selected by `method`
-  /// in-thread.  Gate-level backends compute the fixed-point lifting
-  /// transform only, so they reject any other `method`.
+  /// in-thread, and a software backend its own software_method() the same
+  /// way.  Gate-level backends compute the fixed-point lifting transform
+  /// only, so they reject any other `method`.
   const core::ExecutionBackend* backend = nullptr;
   DesignId design = DesignId::kDesign2;  ///< core for gate-level backends
   /// Adder-architecture override for gate-level cores; nullopt keeps the
@@ -75,9 +79,11 @@ struct TileStats {
 
 /// In-place tile-parallel forward transform: every tile ends up in the
 /// packed LL|HL / LH|HH layout local to the tile.  Deterministic: the
-/// output is byte-identical for every thread count.  The software path
-/// lifts each tile where it lies in the plane; a backend session gets each
-/// tile as an exactly converted Image and writes it back.
+/// output is byte-identical for every thread count.  Every engine lifts
+/// each tile where it lies in the plane.  For an integer-valued engine the
+/// image is converted once into an int32 plane (dsp::to_int32_plane, so a
+/// pixel that is not finite or leaves int32 throws std::overflow_error),
+/// transformed there and stored back exactly.
 TileStats tile_forward(dsp::Image& plane, const TileOptions& options);
 
 /// Inverse of tile_forward under the same options.  Backends without an
@@ -88,13 +94,13 @@ TileStats tile_inverse(dsp::Image& plane, const TileOptions& options);
 
 /// Whether the engine `options` selects produces integers: the integer dsp
 /// methods in-thread, or a bit-exact backend.  Exactly those engines run on
-/// an int32 plane.
+/// an int32 plane (and the Image entry points convert for them).
 [[nodiscard]] bool integer_valued(const TileOptions& options);
 
 /// The same transforms on an int32 plane, for integer-valued engines only
 /// (std::invalid_argument otherwise).  The software path lifts each tile in
 /// place through dsp's integer plane entry point, on int32 wherever its
-/// guard admits the tile.
+/// guard admits the tile; a netlist session transforms it in place too.
 TileStats tile_forward(dsp::Plane<std::int32_t>& plane,
                        const TileOptions& options);
 TileStats tile_inverse(dsp::Plane<std::int32_t>& plane,

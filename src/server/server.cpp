@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -39,9 +38,7 @@ dsp::Plane<std::int32_t> decode_plane(const Request& req,
 }
 
 std::int32_t to_i32(std::int32_t v) { return v; }
-std::int32_t to_i32(double v) {
-  return static_cast<std::int32_t>(std::llround(v));
-}
+std::int32_t to_i32(double v) { return dsp::round_to_int32(v); }
 
 /// One i32 LE per coefficient, row-major.
 template <class P>

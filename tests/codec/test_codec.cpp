@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "codec/bitstream.hpp"
+#include "codec/golomb.hpp"
+#include "dsp/dwt2d.hpp"
 #include "dsp/image_gen.hpp"
 #include "dsp/metrics.hpp"
 
@@ -102,6 +110,57 @@ TEST(Codec, RejectsHeaderDeclaringMorePixelsThanBits) {
   const std::vector<std::uint8_t> bytes{0xD9, 0x7C, 0x00, 0xFF, 0xFF, 0xFF,
                                         0xFF, 0x01, 0x00, 0x40, 0x00};
   EXPECT_THROW((void)decode_image(bytes), std::invalid_argument);
+}
+
+// A 2x2 one-octave lossless stream holding `bands` (LL, HL, LH, HH), each
+// coded at Exp-Golomb order 0.
+std::vector<std::uint8_t> lossless_2x2(
+    const std::array<std::int64_t, 4>& bands) {
+  BitWriter w;
+  w.write_bits(0xD97C, 16);
+  w.write_bits(static_cast<std::uint64_t>(CodecMode::kLossless53), 8);
+  w.write_bits(2, 16);
+  w.write_bits(2, 16);
+  w.write_bits(1, 8);
+  w.write_bits(4 * 16, 16);  // quantizer step 4.0
+  for (const std::int64_t v : bands) {
+    w.write_bits(0, 5);
+    write_signed_exp_golomb(w, v, 0);
+  }
+  return w.finish();
+}
+
+TEST(Codec, DecodeRejectsCoefficientsOutsideInt32) {
+  using Limits = std::numeric_limits<std::int32_t>;
+  // LL = 2^62 is the 29-byte stream CI feeds `dwt97cli decompress`.
+  const std::vector<std::uint8_t> hostile{
+      0xd9, 0x7c, 0x01, 0x00, 0x02, 0x00, 0x02, 0x01, 0x00, 0x40,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x41, 0x04};
+  EXPECT_EQ(lossless_2x2({std::int64_t{1} << 62, 0, 0, 0}), hostile);
+  for (const std::int64_t ll : {std::int64_t{1} << 62, std::int64_t{1} << 31,
+                                -(std::int64_t{1} << 40)}) {
+    try {
+      (void)decode_image(lossless_2x2({ll, 0, 0, 0}));
+      ADD_FAILURE() << "accepted LL " << ll;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "decode_image: coefficient " +
+                                           std::to_string(ll) +
+                                           " outside int32");
+    }
+  }
+  // int32 coefficients decode; where their reconstruction leaves int32 the
+  // inverse fails cleanly.  It may lift on int64 because from int32
+  // coefficients 8 octaves of the 5/3 inverse stay far inside int64.
+  const dsp::Image low = decode_image(lossless_2x2({Limits::min(), 0, 0, 0}));
+  EXPECT_EQ(low.data(), std::vector<double>(4, Limits::min() + 128.0));
+  EXPECT_THROW(
+      (void)decode_image(lossless_2x2({Limits::max(), 0, Limits::max(), 0})),
+      std::overflow_error);
+  const dsp::ChainBound bound = dsp::lifting_bound(
+      dsp::Method::kReversible53, dsp::kDefaultFracBits, /*inverse=*/true,
+      /*octaves=*/8, -static_cast<double>(Limits::min()));
+  EXPECT_LT(bound.peak, std::ldexp(1.0, 62));
 }
 
 TEST(Codec, RejectsUnknownModeByte) {

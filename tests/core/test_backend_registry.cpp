@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,26 +94,38 @@ TEST(BackendRegistry, BitExactBackendsMatchTheFixedPointReference) {
   }
 }
 
+// Only netlist engines build a 2-D session (the figure-4 system on int32
+// windows), and every one agrees with the software model; software engines
+// report the dsp method the tile pipeline runs in-thread instead.
 TEST(BackendRegistry, TwoDimensionalSessionsAgreeWithTheSoftwareModel) {
-  dsp::Image reference = dsp::make_still_tone_image(33, 21, 7);
-  dsp::level_shift_forward(reference);
-  dsp::round_coefficients(reference);
-  const dsp::Image source = reference;
-  (void)find_backend("software-fixed")
-      ->make_2d_session(BackendRequest{})
-      ->forward(reference, 2);
+  const dsp::Plane<std::int32_t> source = dsp::to_int32_plane(
+      dsp::make_still_tone_image(33, 21, 7), /*offset=*/128.0);
+  dsp::Plane<std::int32_t> reference = source;
+  (void)dsp::dwt2d_forward(dsp::Method::kLiftingFixed, reference.view(), 2);
+  BackendRequest req;
+  req.max_octaves = 2;
   for (const ExecutionBackend* backend : all_backends()) {
-    if (!backend->caps().forward_2d || !backend->caps().bit_exact) continue;
-    if (backend->name() == "software-fixed") continue;
-    BackendRequest req;
-    req.max_octaves = 2;
-    dsp::Image plane = source;
-    const hw::Dwt2dRunStats stats =
-        backend->make_2d_session(req)->forward(plane, 2);
-    EXPECT_EQ(plane.data(), reference.data()) << backend->name();
-    if (backend->caps().cycle_accurate) {
-      EXPECT_GT(stats.total_cycles, 0u) << backend->name();
+    const std::string name(backend->name());
+    const std::optional<dsp::Method> method = backend->software_method();
+    if (name == "software-fixed" || name == "software-float") {
+      ASSERT_TRUE(method.has_value()) << name;
+      EXPECT_EQ(*method, name == "software-fixed"
+                             ? dsp::Method::kLiftingFixed
+                             : dsp::Method::kLiftingFloat);
+    } else {
+      EXPECT_FALSE(method.has_value()) << name;
     }
+    if (method.has_value() || !backend->caps().forward_2d) {
+      EXPECT_THROW((void)backend->make_2d_session(req), std::invalid_argument)
+          << name;
+      continue;
+    }
+    ASSERT_TRUE(backend->caps().bit_exact) << name;
+    hw::Dwt2dSystem system = backend->make_2d_session(req);
+    dsp::Plane<std::int32_t> plane = source;
+    const hw::Dwt2dRunStats stats = system.transform(plane.view(), 2);
+    EXPECT_EQ(plane.data(), reference.data()) << name;
+    EXPECT_GT(stats.total_cycles, 0u) << name;
   }
 }
 

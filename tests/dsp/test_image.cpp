@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "dsp/dwt2d.hpp"
 #include "dsp/image_gen.hpp"
 
 namespace dwt::dsp {
@@ -30,24 +32,55 @@ TEST(Image, AtBoundsChecked) {
   EXPECT_THROW((void)img.at(0, 3), std::out_of_range);
 }
 
-TEST(Image, Crop) {
-  Image img(8, 8);
-  img.at(2, 3) = 42.0;
-  const Image tile = img.crop(4, 4);
-  EXPECT_EQ(tile.width(), 4u);
-  EXPECT_EQ(tile.at(2, 3), 42.0);
-  EXPECT_THROW(img.crop(9, 4), std::out_of_range);
-}
-
 TEST(Image, ClampedU8) {
   Image img(3, 1);
   img.at(0, 0) = -4.2;
   img.at(1, 0) = 99.6;
   img.at(2, 0) = 260.0;
-  const Image c = img.clamped_u8();
+  const Image c = clamped_u8(img);
   EXPECT_EQ(c.at(0, 0), 0.0);
   EXPECT_EQ(c.at(1, 0), 100.0);
   EXPECT_EQ(c.at(2, 0), 255.0);
+}
+
+// The one conversion from doubles into an int32 plane rounds v - offset half
+// away from zero, exactly as level_shift_forward + round_coefficients do,
+// and throws for what int32 cannot hold.
+TEST(Image, ConvertsToInt32PlanesLikeLevelShiftAndRound) {
+  Image img(7, 1);
+  const double pixels[] = {0.5, 1.5, 127.5, 128.5, 255.0, -0.4, 300.25};
+  std::copy(std::begin(pixels), std::end(pixels), img.data().begin());
+  Image shifted = img;
+  level_shift_forward(shifted);
+  round_coefficients(shifted);
+  const Plane<std::int32_t> plane = to_int32_plane(img, 128.0);
+  ASSERT_EQ(plane.width(), 7u);
+  ASSERT_EQ(plane.height(), 1u);
+  EXPECT_EQ(plane.at(0, 0), -128);  // 0.5 - 128 = -127.5
+  EXPECT_EQ(plane.at(1, 0), -127);  // -126.5
+  EXPECT_EQ(plane.at(3, 0), 1);     // 0.5
+  for (std::size_t x = 0; x < 7; ++x) {
+    EXPECT_EQ(plane.at(x, 0), shifted.at(x, 0)) << x;
+  }
+
+  using Limits = std::numeric_limits<std::int32_t>;
+  const double min = Limits::min(), max = Limits::max();
+  EXPECT_EQ(round_to_int32(min), Limits::min());
+  EXPECT_EQ(round_to_int32(min - 0.25), Limits::min());
+  EXPECT_EQ(round_to_int32(max), Limits::max());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           max + 1.0, max + 0.5, min - 1.0}) {
+    EXPECT_THROW((void)round_to_int32(bad), std::overflow_error) << bad;
+    EXPECT_THROW((void)to_int32_plane(Image(1, 1, bad)), std::overflow_error)
+        << bad;
+  }
+  EXPECT_EQ(narrow_to_int32(std::int64_t{Limits::min()}), Limits::min());
+  EXPECT_THROW((void)narrow_to_int32(std::int64_t{Limits::max()} + 1),
+               std::overflow_error);
+  EXPECT_THROW((void)narrow_to_int32(std::int64_t{Limits::min()} - 1),
+               std::overflow_error);
 }
 
 TEST(Image, PgmRoundTrip) {

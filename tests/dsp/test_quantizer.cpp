@@ -61,7 +61,7 @@ TEST(QuantizePlane, LosesLittleQualityAtFineStep) {
   quantize_plane(img, 2, 1.0);
   dwt2d_inverse(Method::kLiftingFloat, img, 2);
   level_shift_inverse(img);
-  EXPECT_GT(psnr(original, img.clamped_u8()), 35.0);
+  EXPECT_GT(psnr(original, clamped_u8(img)), 35.0);
 }
 
 TEST(QuantizePlane, RateDistortionMonotone) {
@@ -74,7 +74,7 @@ TEST(QuantizePlane, RateDistortionMonotone) {
     quantize_plane(img, 2, step);
     dwt2d_inverse(Method::kLiftingFloat, img, 2);
     level_shift_inverse(img);
-    const double p = psnr(original, img.clamped_u8());
+    const double p = psnr(original, clamped_u8(img));
     EXPECT_LT(p, prev_psnr) << step;
     prev_psnr = p;
   }

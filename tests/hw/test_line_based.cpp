@@ -8,11 +8,10 @@
 namespace dwt::hw {
 namespace {
 
-dsp::Image shifted_tile(std::size_t w, std::size_t h, std::uint64_t seed) {
-  dsp::Image img = dsp::make_still_tone_image(w, h, seed);
-  dsp::level_shift_forward(img);
-  dsp::round_coefficients(img);
-  return img;
+dsp::Plane<std::int32_t> shifted_tile(std::size_t w, std::size_t h,
+                                      std::uint64_t seed) {
+  return dsp::to_int32_plane(dsp::make_still_tone_image(w, h, seed),
+                             /*offset=*/128.0);
 }
 
 class LineBasedMatchesBatch
@@ -20,10 +19,10 @@ class LineBasedMatchesBatch
 
 TEST_P(LineBasedMatchesBatch, BitExactOctave) {
   const auto [w, h] = GetParam();
-  dsp::Image line = shifted_tile(w, h, 7);
-  dsp::Image batch = line;
+  dsp::Plane<std::int32_t> line = shifted_tile(w, h, 7);
+  dsp::Plane<std::int32_t> batch = line;
   (void)line_based_forward_octave(line);
-  dsp::dwt2d_forward_octave(dsp::Method::kLiftingFixed, batch, w, h);
+  (void)dsp::dwt2d_forward(dsp::Method::kLiftingFixed, batch.view(), 1);
   EXPECT_EQ(line.data(), batch.data()) << w << "x" << h;
 }
 
@@ -42,7 +41,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LineBasedMatchesBatch,
                                            std::pair<std::size_t, std::size_t>{1, 1}));
 
 TEST(LineBased, MemoryFootprintIsLinesNotFrames) {
-  dsp::Image img = shifted_tile(64, 64, 3);
+  dsp::Plane<std::int32_t> img = shifted_tile(64, 64, 3);
   const LineBasedStats stats = line_based_forward_octave(img);
   EXPECT_EQ(stats.frame_memory_words, 64u * 64u);
   EXPECT_EQ(stats.line_buffer_words, 7u * 64u);
@@ -50,14 +49,14 @@ TEST(LineBased, MemoryFootprintIsLinesNotFrames) {
 }
 
 TEST(LineBased, RowPassCountIncludesGuards) {
-  dsp::Image img = shifted_tile(16, 32, 5);
+  dsp::Plane<std::int32_t> img = shifted_tile(16, 32, 5);
   const LineBasedStats stats = line_based_forward_octave(img);
   // (row pairs + 2 * 4 guards) * 2 rows per pair.
   EXPECT_EQ(stats.rows_processed, (32u / 2u + 8u) * 2u);
 }
 
 TEST(LineBased, RejectsEmptyPlane) {
-  dsp::Image img(0, 16, 0.0);
+  dsp::Plane<std::int32_t> img(0, 16);
   EXPECT_THROW(line_based_forward_octave(img), std::invalid_argument);
 }
 

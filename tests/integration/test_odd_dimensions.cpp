@@ -4,6 +4,7 @@
 // pipeline -- including the 129x97 acceptance image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "codec/codec.hpp"
@@ -199,7 +200,10 @@ TEST(OddDimensions, Acceptance129x97LosslessAndQuantized) {
       codec::decode_image(codec::encode_image(original, lossy).bytes);
   const double psnr_odd = dsp::psnr(original, dec97);
 
-  const dsp::Image even = original.crop(128, 96);
+  dsp::Image even(128, 96);
+  for (std::size_t y = 0; y < even.height(); ++y) {
+    std::copy_n(&original.at(0, y), even.width(), &even.at(0, y));
+  }
   const dsp::Image dec_even =
       codec::decode_image(codec::encode_image(even, lossy).bytes);
   const double psnr_even = dsp::psnr(even, dec_even);

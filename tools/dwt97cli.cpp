@@ -12,7 +12,6 @@
 //   dwt97cli psnr          <a.pgm> <b.pgm>
 //   dwt97cli list-backends      (also accepted: --list-backends)
 //   dwt97cli list-designs       (also accepted: --list-designs)
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -100,8 +99,7 @@ int cmd_compress(int argc, char** argv) {
            cli::uint_flag("--octaves", 1, 16, &opt.octaves)})) {
     return usage();
   }
-  dwt::dsp::Image img = dwt::dsp::read_pgm(argv[2]);
-  for (double& v : img.data()) v = std::round(v);
+  const dwt::dsp::Image img = dwt::dsp::read_pgm(argv[2]);
   const auto enc = dwt::codec::encode_image(img, opt);
   cli::write_file(argv[3], enc.bytes);
   std::printf("%s: %zux%zu -> %zu bytes (%.2f bpp, %s)\n", argv[3],
