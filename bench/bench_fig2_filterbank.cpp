@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench_json.hpp"
-#include "dsp/dwt97_fir.hpp"
+#include "dsp/fir_filter.hpp"
 #include "fpga/device.hpp"
 #include "fpga/tech_mapper.hpp"
 #include "fpga/timing.hpp"

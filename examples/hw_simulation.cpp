@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   }
   rtl::Simulator sim(dp.netlist);
   const hw::StreamResult hwres = hw::run_stream(dp, sim, samples);
-  const auto swres = dsp::lifting97_forward_fixed(
+  const dsp::LiftingTrace swres = dsp::lifting97_forward_fixed_trace(
       samples, dsp::LiftingFixedCoeffs::rounded(8));
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < swres.low.size(); ++i) {

@@ -1,11 +1,14 @@
 #include "core/registry.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/artifact_cache.hpp"
+#include "dsp/dwt2d.hpp"
 #include "fpga/mapped_sim.hpp"
 #include "rtl/compiled/batch_fault.hpp"
 #include "rtl/simulator.hpp"
@@ -41,21 +44,22 @@ class SoftwareBackend final : public ExecutionBackend {
 
   hw::StreamResult stream(const BackendRequest& req,
                           std::span<const std::int64_t> x) const override {
-    std::vector<double> d(x.begin(), x.end());
-    const dsp::Subbands1d sb = dsp::dwt1d_forward(method_, d, req.frac_bits);
-    hw::StreamResult r;
-    r.low.resize(sb.low.size());
-    r.high.resize(sb.high.size());
-    // The fixed-point model already produces exact integers; the float
+    // A 1-D transform is a one-row window of the 2-D transform.  The float
     // model's fractional coefficients are rounded into the integer stream
-    // domain (hence caps().bit_exact == false for it -- dsp::dwt1d_forward
-    // gives its full-precision output).
-    for (std::size_t i = 0; i < sb.low.size(); ++i) {
-      r.low[i] = static_cast<std::int64_t>(std::llround(sb.low[i]));
-    }
-    for (std::size_t i = 0; i < sb.high.size(); ++i) {
-      r.high[i] = static_cast<std::int64_t>(std::llround(sb.high[i]));
-    }
+    // domain (hence caps().bit_exact == false for it).
+    dsp::Image row(x.size(), 1);
+    std::transform(x.begin(), x.end(), row.data().begin(), [](std::int64_t v) {
+      return static_cast<double>(dsp::narrow_to_int32(v));
+    });
+    dsp::dwt2d_forward(method_, row, 1, req.frac_bits);
+    const auto rounded = [](double v) {
+      return static_cast<std::int64_t>(std::llround(v));
+    };
+    const auto mid =
+        row.data().begin() + static_cast<std::ptrdiff_t>((x.size() + 1) / 2);
+    hw::StreamResult r;
+    std::transform(row.data().begin(), mid, std::back_inserter(r.low), rounded);
+    std::transform(mid, row.data().end(), std::back_inserter(r.high), rounded);
     return r;
   }
 

@@ -1,29 +1,8 @@
 #include "dsp/dwt1d.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "dsp/dwt97_fir.hpp"
-#include "dsp/dwt97_lifting.hpp"
-#include "dsp/dwt53.hpp"
-#include "dsp/dwt97_lifting_fixed.hpp"
-
 namespace dwt::dsp {
-namespace {
-
-std::vector<std::int64_t> to_int(std::span<const double> v) {
-  std::vector<std::int64_t> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(std::llround(v[i]));
-  }
-  return out;
-}
-
-std::vector<double> to_double(std::span<const std::int64_t> v) {
-  return {v.begin(), v.end()};
-}
-
-}  // namespace
 
 std::string to_string(Method m) {
   switch (m) {
@@ -38,72 +17,6 @@ std::string to_string(Method m) {
     case Method::kReversible53: return "Reversible 5/3 (Le Gall) lifting";
   }
   throw std::invalid_argument("to_string: unknown Method");
-}
-
-Subbands1d dwt1d_forward(Method m, std::span<const double> x, int frac_bits) {
-  switch (m) {
-    case Method::kFirFloat: {
-      FirSubbands s = fir97_forward(x);
-      return {std::move(s.low), std::move(s.high)};
-    }
-    case Method::kFirFixed: {
-      const auto coeffs = Dwt97FirFixedCoeffs::rounded(frac_bits);
-      FirSubbandsFixed s = fir97_forward_fixed(to_int(x), coeffs);
-      return {to_double(s.low), to_double(s.high)};
-    }
-    case Method::kLiftingFloat: {
-      LiftSubbands s = lifting97_forward(x);
-      return {std::move(s.low), std::move(s.high)};
-    }
-    case Method::kLiftingFixed: {
-      const auto coeffs = LiftingFixedCoeffs::rounded(frac_bits);
-      LiftSubbandsFixed s = lifting97_forward_fixed(to_int(x), coeffs);
-      return {to_double(s.low), to_double(s.high)};
-    }
-    case Method::kFirHwFloat: {
-      FirSubbandsFixed s =
-          fir97_forward_hw(to_int(x), Dwt97FirCoeffs::daubechies97());
-      return {to_double(s.low), to_double(s.high)};
-    }
-    case Method::kLiftingHwFloat: {
-      LiftSubbandsFixed s =
-          lifting97_forward_hw(to_int(x), LiftingCoeffs::daubechies97());
-      return {to_double(s.low), to_double(s.high)};
-    }
-    case Method::kReversible53: {
-      LiftSubbands53 s = lifting53_forward(to_int(x));
-      return {to_double(s.low), to_double(s.high)};
-    }
-  }
-  throw std::invalid_argument("dwt1d_forward: unknown Method");
-}
-
-std::vector<double> dwt1d_inverse(Method m, std::span<const double> low,
-                                  std::span<const double> high, int frac_bits) {
-  switch (m) {
-    case Method::kFirFloat:
-      return fir97_inverse(low, high);
-    case Method::kFirFixed: {
-      const auto coeffs = Dwt97FirFixedCoeffs::rounded(frac_bits);
-      return to_double(fir97_inverse_fixed(to_int(low), to_int(high), coeffs));
-    }
-    case Method::kLiftingFloat:
-      return lifting97_inverse(low, high);
-    case Method::kLiftingFixed: {
-      const auto coeffs = LiftingFixedCoeffs::rounded(frac_bits);
-      return to_double(
-          lifting97_inverse_fixed(to_int(low), to_int(high), coeffs));
-    }
-    case Method::kFirHwFloat:
-      return to_double(fir97_inverse_hw(to_int(low), to_int(high),
-                                        Dwt97FirCoeffs::daubechies97()));
-    case Method::kLiftingHwFloat:
-      return to_double(lifting97_inverse_hw(to_int(low), to_int(high),
-                                            LiftingCoeffs::daubechies97()));
-    case Method::kReversible53:
-      return to_double(lifting53_inverse(to_int(low), to_int(high)));
-  }
-  throw std::invalid_argument("dwt1d_inverse: unknown Method");
 }
 
 }  // namespace dwt::dsp

@@ -1,12 +1,12 @@
-// Unified one-octave 1-D DWT front-end over the four computation methods of
-// paper Table 2: FIR filter bank or lifting scheme, each with floating-point
-// or integer-rounded coefficients.
+// The computation methods of paper Table 2: FIR filter bank or lifting
+// scheme, each with floating-point or integer-rounded coefficients, plus the
+// reversible 5/3.  dsp/dwt2d is the one place a Method is dispatched; a 1-D
+// transform is a one-row window of dwt2d_forward/dwt2d_inverse, and callers
+// with their own coefficient tables run a line kernel (dsp/lifting_ladder,
+// dsp/fir_filter) directly.
 #pragma once
 
-#include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 namespace dwt::dsp {
 
@@ -28,33 +28,15 @@ enum class Method {
 
 [[nodiscard]] std::string to_string(Method m);
 
-/// True for the methods whose outputs are integers.
+/// True for the methods whose outputs are integers: they lift int32 planes
+/// (dwt2d's int32 entry points), the two float methods lift doubles.
 [[nodiscard]] constexpr bool is_fixed(Method m) {
   return m == Method::kFirFixed || m == Method::kLiftingFixed ||
          m == Method::kFirHwFloat || m == Method::kLiftingHwFloat ||
          m == Method::kReversible53;
 }
 
-/// Subbands in double precision regardless of method; fixed-point methods
-/// produce exact integers stored in doubles (all values < 2^40, exactly
-/// representable).
-struct Subbands1d {
-  std::vector<double> low;
-  std::vector<double> high;
-};
-
 /// Fractional bits used by the fixed methods (the paper's 8).
 inline constexpr int kDefaultFracBits = 8;
-
-[[nodiscard]] Subbands1d dwt1d_forward(Method m, std::span<const double> x,
-                                       int frac_bits = kDefaultFracBits);
-
-/// Inverse of dwt1d_forward for the same method.  For fixed methods the
-/// subbands are rounded to integers first (they already are integers when
-/// produced by dwt1d_forward).
-[[nodiscard]] std::vector<double> dwt1d_inverse(Method m,
-                                                std::span<const double> low,
-                                                std::span<const double> high,
-                                                int frac_bits = kDefaultFracBits);
 
 }  // namespace dwt::dsp

@@ -6,9 +6,11 @@
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "dsp/fir_filter.hpp"
 #include "dsp/lifting_ladder.hpp"
 
 namespace dwt::dsp {
@@ -57,7 +59,8 @@ void sweep_octaves(PlaneView<T> p, int octaves, bool inverse, Line&& line) {
   }
 }
 
-/// Calls f with the step table of integer method `m` on samples of type T.
+/// Calls f with the step table of integer lifting method `m` on samples of
+/// type T.
 template <class T, class F>
 void with_integer_steps(Method m, int frac_bits, F&& f) {
   switch (m) {
@@ -73,11 +76,42 @@ void with_integer_steps(Method m, int frac_bits, F&& f) {
   }
 }
 
+/// Calls f with the line kernel of method `m` on samples of type T: a FIR
+/// bank or a lifting ladder, doubles for the two float methods and integers
+/// for the other five.
+template <class T, class F>
+void with_kernel(Method m, int frac_bits, bool inverse, F&& f) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (m == Method::kFirFloat) {
+      return f(FirBank(float97_taps(Dwt97FirCoeffs::daubechies97()), inverse));
+    }
+    if (m == Method::kLiftingFloat) {
+      return f(LiftingLadder(float97_steps(LiftingCoeffs::daubechies97()),
+                             inverse));
+    }
+    throw std::invalid_argument("dwt2d: " + to_string(m) +
+                                " does not transform doubles");
+  } else {
+    switch (m) {
+      case Method::kFirFixed:
+        return f(FirBank(
+            fixed97_taps<T>(Dwt97FirFixedCoeffs::rounded(frac_bits)), inverse));
+      case Method::kFirHwFloat:
+        return f(
+            FirBank(hw97_taps<T>(Dwt97FirCoeffs::daubechies97()), inverse));
+      default:
+        return with_integer_steps<T>(m, frac_bits, [&](const auto& steps) {
+          f(LiftingLadder(steps, inverse));
+        });
+    }
+  }
+}
+
 template <class T>
-void lift_integer(Method m, PlaneView<T> p, int octaves, int frac_bits,
-                  bool inverse) {
-  with_integer_steps<T>(m, frac_bits, [&](const auto& steps) {
-    sweep_octaves(p, octaves, inverse, LiftingLadder(steps, inverse));
+void transform(Method m, PlaneView<T> p, int octaves, int frac_bits,
+               bool inverse) {
+  with_kernel<T>(m, frac_bits, inverse, [&](auto kernel) {
+    sweep_octaves(p, octaves, inverse, kernel);
   });
 }
 
@@ -121,68 +155,34 @@ void copy_window(PlaneView<From> from, PlaneView<To> to, Convert convert) {
 int lift_int32(Method m, PlaneView<std::int32_t> p, int octaves, int frac_bits,
                bool inverse) {
   require_window(p, octaves, inverse ? "dwt2d_inverse" : "dwt2d_forward");
-  const ChainBound b =
-      lifting_bound(m, frac_bits, inverse, octaves, max_abs(p));
-  if (fits_int32(b)) {
-    lift_integer(m, p, octaves, frac_bits, inverse);
+  if (!is_fixed(m)) {
+    throw std::invalid_argument("dwt2d: " + to_string(m) +
+                                " does not transform integers");
+  }
+  // The FIR bank has no int32 guard: its two methods filter on int64.
+  const bool fir = m == Method::kFirFixed || m == Method::kFirHwFloat;
+  if (!fir &&
+      fits_int32(lifting_bound(m, frac_bits, inverse, octaves, max_abs(p)))) {
+    transform(m, p, octaves, frac_bits, inverse);
     return 32;
   }
   Plane<std::int64_t> wide(p.width, p.height);
   copy_window(p, wide.view(), [](std::int32_t v) { return std::int64_t{v}; });
-  lift_integer(m, wide.view(), octaves, frac_bits, inverse);
+  transform(m, wide.view(), octaves, frac_bits, inverse);
   copy_window(wide.view(), p,
               [](std::int64_t v) { return narrow_to_int32(v); });
   return 64;
 }
 
-/// The FIR methods run a line at a time through their 1-D functions.
-void fir_octaves(Method m, PlaneView<double> p, int octaves, int frac_bits,
-                 bool inverse) {
-  std::vector<double> x;
-  const auto line = [&](double* first, std::size_t n, std::size_t stride,
-                        std::size_t lanes) {
-    for (std::size_t j = 0; j < lanes; ++j) {
-      x.resize(n);
-      for (std::size_t k = 0; k < n; ++k) x[k] = first[k * stride + j];
-      if (inverse) {
-        const std::span<const double> packed(x);
-        x = dwt1d_inverse(m, packed.first(low_size(n)),
-                          packed.subspan(low_size(n)), frac_bits);
-      } else {
-        Subbands1d s = dwt1d_forward(m, x, frac_bits);
-        x = std::move(s.low);
-        x.insert(x.end(), s.high.begin(), s.high.end());
-      }
-      for (std::size_t k = 0; k < n; ++k) first[k * stride + j] = x[k];
-    }
-  };
-  sweep_octaves(p, octaves, inverse, line);
-}
-
 void lift_doubles(Method m, PlaneView<double> p, int octaves, int frac_bits,
                   bool inverse) {
   require_window(p, octaves, inverse ? "dwt2d_inverse" : "dwt2d_forward");
-  switch (m) {
-    case Method::kLiftingFloat:
-      return sweep_octaves(
-          p, octaves, inverse,
-          LiftingLadder(float97_steps(LiftingCoeffs::daubechies97()), inverse));
-    case Method::kLiftingFixed:
-    case Method::kLiftingHwFloat:
-    case Method::kReversible53: {
-      Plane<std::int32_t> q(p.width, p.height);
-      copy_window(p, q.view(), [](double v) { return round_to_int32(v); });
-      (void)lift_int32(m, q.view(), octaves, frac_bits, inverse);
-      copy_window(q.view(), p,
-                  [](std::int32_t v) { return static_cast<double>(v); });
-      return;
-    }
-    case Method::kFirFloat:
-    case Method::kFirFixed:
-    case Method::kFirHwFloat:
-      return fir_octaves(m, p, octaves, frac_bits, inverse);
-  }
-  throw std::invalid_argument("dwt2d: unknown Method");
+  if (!is_fixed(m)) return transform(m, p, octaves, frac_bits, inverse);
+  Plane<std::int32_t> q(p.width, p.height);
+  copy_window(p, q.view(), [](double v) { return round_to_int32(v); });
+  (void)lift_int32(m, q.view(), octaves, frac_bits, inverse);
+  copy_window(q.view(), p,
+              [](std::int32_t v) { return static_cast<double>(v); });
 }
 
 }  // namespace
@@ -206,11 +206,6 @@ SubbandRect subband_rect(std::size_t w, std::size_t h, int octave, Band band) {
     case Band::kHH: return {lw, lh, hw, hh};
   }
   throw std::invalid_argument("subband_rect: unknown band");
-}
-
-bool is_integer_lifting(Method m) {
-  return m == Method::kLiftingFixed || m == Method::kLiftingHwFloat ||
-         m == Method::kReversible53;
 }
 
 ChainBound lifting_bound(Method m, int frac_bits, bool inverse, int octaves,

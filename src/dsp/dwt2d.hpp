@@ -1,9 +1,14 @@
 // Separable 2-D DWT (paper figure 1): one octave applies the 1-D transform
 // to every row then every column of the current LL region, packing low-pass
 // coefficients into the top-left quadrant (LL | HL / LH | HH).  Multi-octave
-// transforms recurse on LL.  Includes the DC level shift used for 8-bit
-// imagery (JPEG2000: subtract 128 so samples are signed 8-bit, matching the
-// paper's signed 8-bit hardware inputs).
+// transforms recurse on LL.  This is the one place a Method is dispatched:
+// each method is a line kernel -- a FIR bank over a tap table
+// (dsp/fir_filter.hpp) or a lifting ladder over a step table
+// (dsp/lifting_ladder.hpp) -- and one octave sweep drives both.  A 1-D
+// transform is a one-row window (the column pass of a w x 1 window does
+// nothing).  Includes the DC level shift used for 8-bit imagery (JPEG2000:
+// subtract 128 so samples are signed 8-bit, matching the paper's signed
+// 8-bit hardware inputs).
 #pragma once
 
 #include <cstddef>
@@ -33,8 +38,9 @@ struct SubbandRect {
 /// every column then every row.  `line(first, n, stride, lanes)` transforms
 /// `lanes` adjacent lines of n values in place, value i of line j being
 /// first[i * stride + j]: the row pass hands it one row at a time, the
-/// column pass every column at once, so a ladder lifts whole rows as
-/// vectors.  A forward line leaves ceil(n/2) low then floor(n/2) high values.
+/// column pass every column at once, so a kernel (a lifting ladder or a FIR
+/// bank) works on whole rows as vectors.  A forward line leaves ceil(n/2)
+/// low then floor(n/2) high values.
 template <class T, class Line>
 void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
                   bool inverse, Line&& line) {
@@ -51,11 +57,6 @@ void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
   }
 }
 
-/// Whether `m` is one of the integer lifting methods (kLiftingFixed,
-/// kLiftingHwFloat, kReversible53): those lift integer samples, in place on
-/// an int32 plane where the int32 guard admits it.
-[[nodiscard]] bool is_integer_lifting(Method m);
-
 /// The int32 guard of an integer lifting method: sound bounds for `octaves`
 /// 2-D octaves in one direction from values inside +-max_abs.  The
 /// transform lifts on int32 when fits_int32 holds for it, else on int64.
@@ -71,22 +72,23 @@ void dwt2d_inverse(Method m, Image& plane, int octaves,
                    int frac_bits = kDefaultFracBits);
 
 /// The same transforms over a window of doubles (a tile of a larger plane,
-/// or the LL region an octave of a larger transform covers).  The integer
-/// methods round the window once on entry into an int32 plane
-/// (round_to_int32, as their 1-D functions round their input) and lift it
-/// through the int32 plane entry points below, so a sample or a result
-/// outside int32 throws std::overflow_error.
+/// the LL region an octave of a larger transform covers, or a one-row 1-D
+/// signal).  The five integer methods (is_fixed) round the window once on
+/// entry into an int32 plane (round_to_int32) and transform it through the
+/// int32 plane entry points below, so a sample that is not finite, or a
+/// sample or a result outside int32, throws std::overflow_error.
 void dwt2d_forward(Method m, PlaneView<double> window, int octaves,
                    int frac_bits = kDefaultFracBits);
 void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
                    int frac_bits = kDefaultFracBits);
 
-/// The integer plane entry points: the integer lifting methods only, in
-/// place on an int32 window.  They lift on int32 where the guard admits the
-/// window's largest magnitude, else on an int64 copy of the window narrowed
-/// back (std::overflow_error if a result leaves int32), and return the
-/// sample width they lifted on: 32 or 64.  The narrowing is the plane's one
-/// narrow_to_int32.
+/// The integer plane entry points: the five integer methods, in place on an
+/// int32 window (std::invalid_argument for a float method).  The lifting
+/// methods lift on int32 where the guard admits the window's largest
+/// magnitude, the FIR methods never; otherwise the transform runs on an
+/// int64 copy of the window narrowed back (std::overflow_error if a result
+/// leaves int32).  They return the sample width they transformed on: 32 or
+/// 64.  The narrowing is the plane's one narrow_to_int32.
 int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits = kDefaultFracBits);
 int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "dsp/lifting_ladder.hpp"
+#include "common/fixed_point.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -45,7 +45,7 @@ std::int64_t scale_step(std::int64_t value, const common::Fixed& coeff) {
 
 LiftingTrace lifting97_forward_fixed_trace(std::span<const std::int64_t> x,
                                            const LiftingFixedCoeffs& c) {
-  require_nonempty(x.size(), "lifting97_forward_fixed");
+  require_nonempty(x.size(), "lifting97_forward_fixed_trace");
   LiftingTrace t;
   if (x.size() == 1) {
     // JPEG2000 single-sample rule: an even-indexed singleton passes through.
@@ -81,33 +81,6 @@ LiftingTrace lifting97_forward_fixed_trace(std::span<const std::int64_t> x,
   for (std::size_t i = 0; i < nd; ++i)
     t.high[i] = scale_step(t.d2[i], c.minus_k);
   return t;
-}
-
-LiftSubbandsFixed lifting97_forward_fixed(std::span<const std::int64_t> x,
-                                          const LiftingFixedCoeffs& c) {
-  return lift_forward<LiftSubbandsFixed>(fixed97_steps(c), x,
-                                         "lifting97_forward_fixed");
-}
-
-std::vector<std::int64_t> lifting97_inverse_fixed(
-    std::span<const std::int64_t> low, std::span<const std::int64_t> high,
-    const LiftingFixedCoeffs& c) {
-  // The subtractions recompute the identical truncated update terms, so
-  // they invert the lifting steps exactly; only the k scaling and the
-  // coefficient rounding introduce error.
-  return lift_inverse(fixed97_steps(c), low, high, "lifting97_inverse_fixed");
-}
-
-LiftSubbandsFixed lifting97_forward_hw(std::span<const std::int64_t> x,
-                                       const LiftingCoeffs& c) {
-  return lift_forward<LiftSubbandsFixed>(hw97_steps(c), x,
-                                         "lifting97_forward_hw");
-}
-
-std::vector<std::int64_t> lifting97_inverse_hw(
-    std::span<const std::int64_t> low, std::span<const std::int64_t> high,
-    const LiftingCoeffs& c) {
-  return lift_inverse(hw97_steps(c), low, high, "lifting97_inverse_hw");
 }
 
 }  // namespace dwt::dsp

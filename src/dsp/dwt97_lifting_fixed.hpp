@@ -1,7 +1,9 @@
 // Bit-true integer model of the paper's lifting datapath (sections 3.1-3.2):
 // every lifting step multiplies by an integer-rounded constant and truncates
-// with an arithmetic right shift.  This model is the golden reference the
-// five gate-level hardware designs are verified against bit-for-bit.
+// with an arithmetic right shift.  The trace records every stage: it is the
+// bit-width analysis model, the golden reference the five gate-level designs
+// are verified against bit for bit, and the independent reference the shared
+// lifting ladder (dsp/lifting_ladder.hpp) is tested against.
 #pragma once
 
 #include <cstdint>
@@ -11,11 +13,6 @@
 #include "dsp/lifting_coeffs.hpp"
 
 namespace dwt::dsp {
-
-struct LiftSubbandsFixed {
-  std::vector<std::int64_t> low;
-  std::vector<std::int64_t> high;
-};
 
 /// Intermediate per-sample values of the datapath, used to cross-check the
 /// hardware pipeline registers and to measure the actual value ranges of
@@ -30,14 +27,8 @@ struct LiftingTrace {
   std::vector<std::int64_t> high;    ///< d2 * (-k) >> f
 };
 
-[[nodiscard]] LiftSubbandsFixed lifting97_forward_fixed(
-    std::span<const std::int64_t> x, const LiftingFixedCoeffs& c);
-
-[[nodiscard]] std::vector<std::int64_t> lifting97_inverse_fixed(
-    std::span<const std::int64_t> low, std::span<const std::int64_t> high,
-    const LiftingFixedCoeffs& c);
-
-/// Forward transform that also records every intermediate stage.
+/// The forward transform of x (N >= 1; std::invalid_argument when empty),
+/// recording every intermediate stage.
 [[nodiscard]] LiftingTrace lifting97_forward_fixed_trace(
     std::span<const std::int64_t> x, const LiftingFixedCoeffs& c);
 
@@ -50,19 +41,5 @@ struct LiftingTrace {
 /// The output scaling operation: (value * coeff.raw) >> f.
 [[nodiscard]] std::int64_t scale_step(std::int64_t value,
                                       const common::Fixed& coeff);
-
-/// Hardware-style lifting with *full-precision* multiplier constants: the
-/// running state is truncated to an integer after every lifting step and
-/// after the output scaling, exactly as a datapath with ideal (floating
-/// point) multipliers but integer registers would behave.  This is the
-/// "Lifting scheme by floating point factorized coefficients" method of
-/// paper Table 2; with constants rounded to n/2^f it coincides bit-for-bit
-/// with lifting97_forward_fixed.
-[[nodiscard]] LiftSubbandsFixed lifting97_forward_hw(
-    std::span<const std::int64_t> x, const LiftingCoeffs& c);
-
-[[nodiscard]] std::vector<std::int64_t> lifting97_inverse_hw(
-    std::span<const std::int64_t> low, std::span<const std::int64_t> high,
-    const LiftingCoeffs& c);
 
 }  // namespace dwt::dsp

@@ -1,18 +1,10 @@
 #include "dsp/fir_filter.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "common/fixed_point.hpp"
+
 namespace dwt::dsp {
-namespace {
-
-std::int64_t round_scaled(double v, int frac_bits) {
-  const double scaled = v * static_cast<double>(std::int64_t{1} << frac_bits);
-  return static_cast<std::int64_t>(scaled >= 0 ? std::floor(scaled + 0.5)
-                                               : std::ceil(scaled - 0.5));
-}
-
-}  // namespace
 
 const Dwt97FirCoeffs& Dwt97FirCoeffs::daubechies97() {
   static const Dwt97FirCoeffs c{
@@ -44,16 +36,15 @@ const Dwt97FirCoeffs& Dwt97FirCoeffs::daubechies97() {
 
 Dwt97FirFixedCoeffs Dwt97FirFixedCoeffs::rounded(int frac_bits) {
   const Dwt97FirCoeffs& c = Dwt97FirCoeffs::daubechies97();
+  const auto raw = [frac_bits](double v) {
+    return common::Fixed::from_double(v, frac_bits).raw();
+  };
   Dwt97FirFixedCoeffs f{};
   f.frac_bits = frac_bits;
-  for (std::size_t i = 0; i < c.analysis_low.size(); ++i) {
-    f.analysis_low[i] = round_scaled(c.analysis_low[i], frac_bits);
-    f.synthesis_high[i] = round_scaled(c.synthesis_high[i], frac_bits);
-  }
-  for (std::size_t i = 0; i < c.analysis_high.size(); ++i) {
-    f.analysis_high[i] = round_scaled(c.analysis_high[i], frac_bits);
-    f.synthesis_low[i] = round_scaled(c.synthesis_low[i], frac_bits);
-  }
+  std::ranges::transform(c.analysis_low, f.analysis_low.begin(), raw);
+  std::ranges::transform(c.analysis_high, f.analysis_high.begin(), raw);
+  std::ranges::transform(c.synthesis_low, f.synthesis_low.begin(), raw);
+  std::ranges::transform(c.synthesis_high, f.synthesis_high.begin(), raw);
   return f;
 }
 
@@ -65,30 +56,6 @@ std::size_t mirror_index(std::ptrdiff_t pos, std::size_t n) {
   if (p < 0) p += period;
   if (p >= static_cast<std::ptrdiff_t>(n)) p = period - p;
   return static_cast<std::size_t>(p);
-}
-
-double fir_at(std::span<const double> signal, std::ptrdiff_t pos,
-              std::span<const double> coeffs) {
-  const std::ptrdiff_t center = static_cast<std::ptrdiff_t>(coeffs.size()) / 2;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < coeffs.size(); ++i) {
-    const std::ptrdiff_t idx = pos + static_cast<std::ptrdiff_t>(i) - center;
-    acc += coeffs[i] * signal[mirror_index(idx, signal.size())];
-  }
-  return acc;
-}
-
-std::int64_t fir_at_fixed(std::span<const std::int64_t> signal,
-                          std::ptrdiff_t pos,
-                          std::span<const std::int64_t> coeffs,
-                          int frac_bits) {
-  const std::ptrdiff_t center = static_cast<std::ptrdiff_t>(coeffs.size()) / 2;
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < coeffs.size(); ++i) {
-    const std::ptrdiff_t idx = pos + static_cast<std::ptrdiff_t>(i) - center;
-    acc += coeffs[i] * signal[mirror_index(idx, signal.size())];
-  }
-  return acc >> frac_bits;
 }
 
 }  // namespace dwt::dsp

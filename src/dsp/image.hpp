@@ -1,5 +1,5 @@
 // Grayscale images and the one PGM parser and renderer.  An Image is a
-// plane of doubles -- the sample type of the float and FIR methods and of the
+// plane of doubles -- the sample type of the two float methods and of the
 // Table 2 experiments; the integer-valued engines read into and render from
 // int32 planes through the same parser and renderer.
 #pragma once

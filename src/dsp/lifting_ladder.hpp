@@ -17,9 +17,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -222,37 +219,5 @@ class LiftingLadder {
   bool inverse_;
   std::vector<T> scratch_;
 };
-
-/// The forward ladder over a copy of a 1-D signal, split into `Bands` (an
-/// aggregate of the low then the high vector).
-template <class Bands, class Mul, std::size_t Steps>
-Bands lift_forward(const StepTable<Mul, Steps>& steps,
-                   std::span<const typename Mul::value_type> x,
-                   const char* who) {
-  if (x.empty()) {
-    throw std::invalid_argument(std::string(who) + ": empty signal");
-  }
-  std::vector<typename Mul::value_type> line(x.begin(), x.end());
-  LiftingLadder(steps, false)(line.data(), line.size());
-  const auto mid = line.begin() + (std::ssize(line) + 1) / 2;
-  return {{line.begin(), mid}, {mid, line.end()}};
-}
-
-/// Inverse of lift_forward from separate ceil/floor subbands.
-template <class Mul, std::size_t Steps>
-std::vector<typename Mul::value_type> lift_inverse(
-    const StepTable<Mul, Steps>& steps,
-    std::span<const typename Mul::value_type> low,
-    std::span<const typename Mul::value_type> high, const char* who) {
-  if (low.empty() ||
-      (high.size() != low.size() && high.size() + 1 != low.size())) {
-    throw std::invalid_argument(
-        std::string(who) + ": subband sizes must satisfy ceil/floor split");
-  }
-  std::vector<typename Mul::value_type> line(low.begin(), low.end());
-  line.insert(line.end(), high.begin(), high.end());
-  LiftingLadder(steps, true)(line.data(), line.size());
-  return line;
-}
 
 }  // namespace dwt::dsp

@@ -1,6 +1,6 @@
 // Sample planes: the row-major images every transform lifts in place --
-// int32 for the integer-valued engines, double (dsp::Image) for the float
-// and FIR methods -- and the windows (tiles, LL regions) they address inside
+// int32 for the integer-valued engines, double (dsp::Image) for the two
+// float methods -- and the windows (tiles, LL regions) they address inside
 // one.  A Plane owns its samples; a PlaneView is a w x h window of any
 // row-major buffer holding `pitch` samples per row, so a tile lifts where it
 // lies without a copy.  A double enters an int32 plane only through

@@ -1,22 +1,19 @@
 #include "explore/resilience.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "common/json_writer.hpp"
 #include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "core/artifact_cache.hpp"
 #include "dsp/image_gen.hpp"
 #include "dsp/metrics.hpp"
@@ -453,20 +450,11 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
                 });
     }
     const std::size_t n_batches = (n + kBatchLanes - 1) / kBatchLanes;
-    unsigned n_threads =
-        options.threads != 0
-            ? options.threads
-            : std::max(1u, std::thread::hardware_concurrency());
-    n_threads =
-        static_cast<unsigned>(std::min<std::size_t>(n_threads, n_batches));
     // Both session kinds share the cache's native block; the simulator
     // runs it for clock edges and whole-tape unforced settles only.
     const std::shared_ptr<const rtl::compiled::NativeBlock> native =
         cache.native_for(options.exec_tier, result.spec.config, options.harden,
                          level, W);
-    std::atomic<std::size_t> next_batch{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
     const auto run_one = [&](auto& sess, std::size_t t0, unsigned lanes) {
       for (unsigned l = 0; l < lanes; ++l) {
         sess.arm(l, faults[c0 - shard_begin + order[t0 + l]]);
@@ -482,37 +470,22 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
                                   got[l], golden, watch.get(l));
       }
     };
-    const auto worker = [&]() {
-      try {
-        for (std::size_t b = next_batch.fetch_add(1); b < n_batches;
-             b = next_batch.fetch_add(1)) {
-          const std::size_t t0 = b * kBatchLanes;
-          const unsigned lanes =
-              static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
-          if (cone_active) {
-            rtl::compiled::ConeBatchSession<W> sess(tape, run_cone, trace);
-            sess.sim().set_native(native);
-            run_one(sess, t0, lanes);
-          } else {
-            rtl::compiled::WideBatchSession<W> sess(tape);
-            sess.sim().set_native(native);
-            run_one(sess, t0, lanes);
-          }
+    common::run_pool(n_batches, options.threads, [&]() {
+      return [&](std::size_t b) {
+        const std::size_t t0 = b * kBatchLanes;
+        const unsigned lanes =
+            static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
+        if (cone_active) {
+          rtl::compiled::ConeBatchSession<W> sess(tape, run_cone, trace);
+          sess.sim().set_native(native);
+          run_one(sess, t0, lanes);
+        } else {
+          rtl::compiled::WideBatchSession<W> sess(tape);
+          sess.sim().set_native(native);
+          run_one(sess, t0, lanes);
         }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    };
-    if (n_threads <= 1) {
-      worker();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(n_threads);
-      for (unsigned i = 0; i < n_threads; ++i) pool.emplace_back(worker);
-      for (std::thread& th : pool) th.join();
-    }
-    if (first_error) std::rethrow_exception(first_error);
+      };
+    });
   };
 
   std::vector<FaultTrial> chunk;

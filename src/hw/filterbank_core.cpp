@@ -17,7 +17,7 @@ using rtl::Word;
 
 /// One tap multiplication: coeff_raw * tap, truncated later (accumulation is
 /// exact, the >>frac_bits adjust happens once on the filter sum, matching
-/// dsp::fir_at_fixed).
+/// the fixed tap table of dsp::FirBank).
 Word tap_product(Pipeliner& p, const Word& tap, std::int64_t coeff_raw,
                  const FilterBankConfig& cfg, const std::string& name) {
   const rtl::ShiftAddPlan plan = rtl::make_shiftadd_plan(coeff_raw, cfg.recoding);

@@ -5,7 +5,6 @@
 
 #include "dsp/dwt1d.hpp"
 #include "dsp/fir_filter.hpp"
-#include "dsp/lifting_ladder.hpp"
 #include "dsp/streaming_lifting.hpp"
 
 namespace dwt::hw {
@@ -14,6 +13,8 @@ namespace {
 /// Guard row pairs fed before/after the payload (vertical mirror extension
 /// plus pipeline flush), matching the 1-D streaming harness.
 constexpr std::ptrdiff_t kGuardRowPairs = 4;
+
+using ColumnEngine = dsp::StreamingLadder<dsp::FixedMul<std::int64_t>>;
 
 }  // namespace
 
@@ -26,6 +27,9 @@ LineBasedStats line_based_forward_octave(dsp::Plane<std::int32_t>& plane) {
   }
   LineBasedStats stats;
   stats.frame_memory_words = w * h;
+  // Peak on-chip storage: the two current transformed rows plus the column
+  // engine's state words per column.
+  stats.line_buffer_words = (2 + ColumnEngine::kStateWords) * w;
 
   // In a real line-based system the source rows arrive as a stream (e.g.
   // from a sensor); model that by reading from a pristine copy while the
@@ -50,14 +54,14 @@ LineBasedStats line_based_forward_octave(dsp::Plane<std::int32_t>& plane) {
       plane.data()[c] = dsp::narrow_to_int32(packed[c]);
     }
     stats.rows_processed = 1;
-    stats.line_buffer_words = 2 * w + 5 * w;
     return stats;
   }
 
-  // One streaming lifting engine per column.  h rows produce ceil(h/2) low
-  // rows and floor(h/2) high rows; for odd h the last fed pair's high row is
-  // the extension's phantom and is not written back.
-  std::vector<dsp::StreamingLifting97Fixed> columns(w);
+  // The column engine carries every column as one lane.  h rows produce
+  // ceil(h/2) low rows and floor(h/2) high rows; for odd h the last fed
+  // pair's high row is the extension's phantom and is not written back.
+  ColumnEngine columns(dsp::fixed97_steps(coeffs), w);
+  std::vector<std::int64_t> low(w), high(w);
   const std::ptrdiff_t low_rows = static_cast<std::ptrdiff_t>((h + 1) / 2);
   const std::ptrdiff_t high_rows = static_cast<std::ptrdiff_t>(h / 2);
 
@@ -71,27 +75,21 @@ LineBasedStats line_based_forward_octave(dsp::Plane<std::int32_t>& plane) {
     const std::vector<std::int64_t> odd = row_transform(odd_row);
     stats.rows_processed += 2;
 
-    const std::ptrdiff_t emit =
-        t - dsp::StreamingLifting97Fixed::kDelayPairs;
-    for (std::size_t c = 0; c < w; ++c) {
-      const auto out = columns[c].push(even[c], odd[c]);
-      if (out.has_value() && emit >= 0 && emit < low_rows) {
-        // Low rows fill the top ceil(h/2) rows, high rows the rest -- but
-        // only write once all columns of the row are known (after the loop
-        // the whole row has been produced for this emit index).
+    const std::ptrdiff_t emit = t - ColumnEngine::kDelayPairs;
+    if (columns.push(even.data(), odd.data(), low.data(), high.data()) &&
+        emit >= 0 && emit < low_rows) {
+      // Low rows fill the top ceil(h/2) rows, high rows the rest.
+      for (std::size_t c = 0; c < w; ++c) {
         plane.at(c, static_cast<std::size_t>(emit)) =
-            dsp::narrow_to_int32(out->first);
+            dsp::narrow_to_int32(low[c]);
         if (emit < high_rows) {
           plane.at(c, static_cast<std::size_t>(emit + low_rows)) =
-              dsp::narrow_to_int32(out->second);
+              dsp::narrow_to_int32(high[c]);
         }
       }
     }
   }
 
-  // Peak on-chip storage: the two current transformed rows plus the five
-  // state words per column engine.
-  stats.line_buffer_words = 2 * w + 5 * w;
   return stats;
 }
 

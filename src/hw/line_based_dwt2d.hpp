@@ -1,7 +1,7 @@
 // Line-based 2-D DWT (after the paper's reference [6], Dillen et al.):
 // instead of the full-frame memory of the figure-4 system, rows stream
-// through a row transform and a bank of per-column streaming lifting
-// engines, so only a handful of lines is ever buffered.  Functionally
+// through a row transform and one streaming lifting ladder that carries
+// every column as a lane, so only a handful of lines is ever buffered.  Functionally
 // identical to the batch transform; the win is memory:
 //   figure-4 system:  W x H coefficient words of frame memory
 //   line-based:       ~7 x W words (two current rows + column state)

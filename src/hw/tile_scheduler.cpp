@@ -1,14 +1,11 @@
 #include "hw/tile_scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 
+#include "common/worker_pool.hpp"
 #include "core/backend.hpp"
 #include "dsp/dwt2d.hpp"
 #include "hw/dwt2d_system.hpp"
@@ -50,53 +47,25 @@ core::BackendRequest backend_request(const TileOptions& options) {
   return req;
 }
 
-/// Shards the tiles across a pool via an atomic work counter (the PR-2
-/// fault-campaign pattern).  Each worker touches only its claimed tiles'
-/// pixel rectangles, which are disjoint, so no output synchronisation is
-/// needed and the result is scheduling-independent.  `make_state` runs once
-/// per worker (e.g. to open its private backend session); `process`
-/// transforms one tile with that state.
+/// Shards the tiles across the common worker pool.  Each worker touches
+/// only its claimed tiles' pixel rectangles, which are disjoint, so no
+/// output synchronisation is needed and the result is
+/// scheduling-independent.  `make_state` runs once per worker (e.g. to open
+/// its private backend session); `process` transforms one tile with that
+/// state.
 template <typename MakeState, typename Process>
 TileStats run_pool(const std::vector<TileRect>& tiles, unsigned threads,
                    MakeState make_state, Process process) {
   TileStats stats;
   stats.tiles = tiles.size();
-  unsigned n_threads =
-      threads != 0 ? threads
-                   : std::max(1u, std::thread::hardware_concurrency());
-  n_threads = static_cast<unsigned>(
-      std::min<std::size_t>(n_threads, tiles.size()));
-  stats.threads_used = std::max(1u, n_threads);
-
-  std::atomic<std::size_t> next_tile{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
   // Per-tile cycle accounting lands in a slot per tile and is summed in
   // tile order afterwards, keeping the totals scheduling-independent too.
   std::vector<Dwt2dRunStats> per_tile(tiles.size());
-
-  const auto worker = [&]() {
-    try {
-      auto state = make_state();
-      for (std::size_t t = next_tile.fetch_add(1); t < tiles.size();
-           t = next_tile.fetch_add(1)) {
-        per_tile[t] = process(state, tiles[t]);
-      }
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned i = 0; i < n_threads; ++i) pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
+  stats.threads_used = common::run_pool(tiles.size(), threads, [&]() {
+    return [&, state = make_state()](std::size_t t) mutable {
+      per_tile[t] = process(state, tiles[t]);
+    };
+  });
   for (const Dwt2dRunStats& s : per_tile) {
     stats.total_cycles += s.total_cycles;
     stats.line_passes += s.line_passes;
@@ -222,7 +191,7 @@ TileStats tile_inverse(dsp::Image& img, const TileOptions& options) {
 
 bool integer_valued(const TileOptions& options) {
   return options.backend != nullptr ? options.backend->caps().bit_exact
-                                    : dsp::is_integer_lifting(options.method);
+                                    : dsp::is_fixed(options.method);
 }
 
 TileStats tile_forward(dsp::Plane<std::int32_t>& plane,

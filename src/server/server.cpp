@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "codec/codec.hpp"
+#include "common/worker_pool.hpp"
 #include "core/registry.hpp"
 #include "dsp/image.hpp"
 #include "hw/tile_scheduler.hpp"
@@ -149,9 +150,7 @@ Response execute_request(const Request& req) {
 }
 
 DwtServer::DwtServer(ServerOptions options) : options_(std::move(options)) {
-  n_workers_ = options_.workers != 0
-                   ? options_.workers
-                   : std::max(1u, std::thread::hardware_concurrency());
+  n_workers_ = common::resolve_threads(options_.workers);
   if (options_.queue_depth == 0) {
     throw std::invalid_argument("DwtServer: queue depth must be nonzero");
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "dsp/dwt2d.hpp"
 #include "dsp/image_gen.hpp"
 #include "dsp/metrics.hpp"
+#include "support/mutation.hpp"
 
 namespace dwt::codec {
 namespace {
@@ -168,6 +170,34 @@ TEST(Codec, RejectsUnknownModeByte) {
   EXPECT_NO_THROW((void)decode_image(bytes));
   bytes[2] = 7;  // the mode byte follows the 16-bit magic
   EXPECT_THROW((void)decode_image(bytes), std::invalid_argument);
+}
+
+TEST(Codec, MutatedStreamsDecodeOrRejectCleanly) {
+  // Seeds: lossy and lossless streams at octaves 1-3.  A mutant either
+  // decodes or is rejected with a std::invalid_argument or std::out_of_range
+  // that carries a message; nothing else may escape.
+  const dsp::Image img = integer_image(9, 13);
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const CodecMode mode : {CodecMode::kLossy97, CodecMode::kLossless53}) {
+    for (int octaves = 1; octaves <= 3; ++octaves) {
+      seeds.push_back(encode_image(img, {mode, octaves, 4.0}).bytes);
+    }
+  }
+  const std::size_t unclean = test::count_unclean_mutations(
+      seeds, 20261019, 50000, /*header_bytes=*/10,
+      [](const std::vector<std::uint8_t>& m) {
+        try {
+          (void)decode_image(m);
+          return true;
+        } catch (const std::invalid_argument& e) {
+          return e.what()[0] != '\0';
+        } catch (const std::out_of_range& e) {
+          return e.what()[0] != '\0';
+        } catch (...) {
+          return false;
+        }
+      });
+  EXPECT_EQ(unclean, 0u);
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+// The Table 2 methods as 1-D transforms: one-row windows of the 2-D
+// transform.
 #include "dsp/dwt1d.hpp"
 
 #include <gtest/gtest.h>
@@ -5,9 +7,14 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
+
+using test::Bands;
+using test::forward_row;
+using test::inverse_row;
 
 std::vector<double> random_signal(std::size_t n, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -23,7 +30,7 @@ class AllMethods : public ::testing::TestWithParam<Method> {};
 
 TEST_P(AllMethods, SubbandSizes) {
   const auto x = random_signal(64, 2);
-  const Subbands1d s = dwt1d_forward(GetParam(), x);
+  const Bands<double> s = forward_row(GetParam(), x);
   EXPECT_EQ(s.low.size(), 32u);
   EXPECT_EQ(s.high.size(), 32u);
 }
@@ -31,8 +38,8 @@ TEST_P(AllMethods, SubbandSizes) {
 TEST_P(AllMethods, RoundTripErrorBounded) {
   const Method m = GetParam();
   const auto x = random_signal(128, 3);
-  const Subbands1d s = dwt1d_forward(m, x);
-  const std::vector<double> xr = dwt1d_inverse(m, s.low, s.high);
+  const Bands<double> s = forward_row(m, x);
+  const std::vector<double> xr = inverse_row(m, s.low, s.high);
   const double tol = is_fixed(m) ? 6.0 : 1e-9;
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(xr[i], x[i], tol) << to_string(m) << " i=" << i;
@@ -42,7 +49,7 @@ TEST_P(AllMethods, RoundTripErrorBounded) {
 TEST_P(AllMethods, FixedMethodsProduceIntegers) {
   const Method m = GetParam();
   const auto x = random_signal(32, 4);
-  const Subbands1d s = dwt1d_forward(m, x);
+  const Bands<double> s = forward_row(m, x);
   if (is_fixed(m)) {
     for (const double v : s.low) EXPECT_EQ(v, std::floor(v));
     for (const double v : s.high) EXPECT_EQ(v, std::floor(v));
@@ -65,10 +72,10 @@ TEST(Dwt1d, MethodsAgreeOnLowBand) {
   // All four methods compute the same transform up to quantization noise
   // (the paper's Table 2 premise).
   const auto x = random_signal(64, 5);
-  const Subbands1d fir = dwt1d_forward(Method::kFirFloat, x);
-  const Subbands1d lf = dwt1d_forward(Method::kLiftingFloat, x);
-  const Subbands1d ff = dwt1d_forward(Method::kFirFixed, x);
-  const Subbands1d lx = dwt1d_forward(Method::kLiftingFixed, x);
+  const Bands<double> fir = forward_row(Method::kFirFloat, x);
+  const Bands<double> lf = forward_row(Method::kLiftingFloat, x);
+  const Bands<double> ff = forward_row(Method::kFirFixed, x);
+  const Bands<double> lx = forward_row(Method::kLiftingFixed, x);
   for (std::size_t i = 0; i < fir.low.size(); ++i) {
     EXPECT_NEAR(lf.low[i], fir.low[i], 1e-9);
     EXPECT_NEAR(ff.low[i], fir.low[i], 6.0);
@@ -78,8 +85,8 @@ TEST(Dwt1d, MethodsAgreeOnLowBand) {
 
 TEST(Dwt1d, HighBandSignConventionsDocumented) {
   const auto x = random_signal(64, 6);
-  const Subbands1d fir = dwt1d_forward(Method::kFirFloat, x);
-  const Subbands1d lf = dwt1d_forward(Method::kLiftingFloat, x);
+  const Bands<double> fir = forward_row(Method::kFirFloat, x);
+  const Bands<double> lf = forward_row(Method::kLiftingFloat, x);
   for (std::size_t i = 0; i < fir.high.size(); ++i) {
     EXPECT_NEAR(lf.high[i], -fir.high[i], 1e-9) << i;
   }
@@ -93,9 +100,9 @@ TEST(Dwt1d, ToStringCoversAllMethods) {
 
 TEST(Dwt1d, CustomFracBitsRoundTripStaysBounded) {
   const auto x = random_signal(64, 7);
-  const Subbands1d s12 = dwt1d_forward(Method::kLiftingFixed, x, 12);
+  const Bands<double> s12 = forward_row(Method::kLiftingFixed, x, 12);
   const std::vector<double> xr =
-      dwt1d_inverse(Method::kLiftingFixed, s12.low, s12.high, 12);
+      inverse_row(Method::kLiftingFixed, s12.low, s12.high, 12);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(xr[i], x[i], 6.0) << i;
   }
@@ -104,8 +111,8 @@ TEST(Dwt1d, CustomFracBitsRoundTripStaysBounded) {
 TEST(Dwt1d, HwFloatMethodsRoundTrip) {
   const auto x = random_signal(64, 8);
   for (const Method m : {Method::kFirHwFloat, Method::kLiftingHwFloat}) {
-    const Subbands1d s = dwt1d_forward(m, x);
-    const std::vector<double> xr = dwt1d_inverse(m, s.low, s.high);
+    const Bands<double> s = forward_row(m, x);
+    const std::vector<double> xr = inverse_row(m, s.low, s.high);
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_NEAR(xr[i], x[i], 6.0) << to_string(m) << " " << i;
     }

@@ -4,6 +4,7 @@
 
 #include "dsp/image_gen.hpp"
 #include "dsp/metrics.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -153,8 +154,8 @@ TEST(Dwt2d, SeparabilityRowsThenColumns) {
     for (std::size_t x = 0; x < n; ++x) img.at(x, y) = u[x] * v[y];
   }
   dwt2d_forward(Method::kLiftingFloat, img, 1);
-  const Subbands1d su = dwt1d_forward(Method::kLiftingFloat, u);
-  const Subbands1d sv = dwt1d_forward(Method::kLiftingFloat, v);
+  const test::Bands<double> su = test::forward_row(Method::kLiftingFloat, u);
+  const test::Bands<double> sv = test::forward_row(Method::kLiftingFloat, v);
   std::vector<double> ru(n), rv(n);
   for (std::size_t i = 0; i < n / 2; ++i) {
     ru[i] = su.low[i];

@@ -1,13 +1,25 @@
-#include "dsp/dwt97_fir.hpp"
-
+// The 9/7 FIR filter bank (paper figure 2) as a 1-D transform: the FIR
+// methods' one-row windows and the FirBank kernel on its tap tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "dsp/fir_filter.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
+
+using test::Bands;
+
+Bands<double> fir_forward(const std::vector<double>& x) {
+  return test::forward_row(Method::kFirFloat, x);
+}
+
+std::vector<double> fir_inverse(const Bands<double>& s) {
+  return test::inverse_row(Method::kFirFloat, s.low, s.high);
+}
 
 std::vector<double> random_signal(std::size_t n, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -18,17 +30,17 @@ std::vector<double> random_signal(std::size_t n, std::uint64_t seed) {
 
 TEST(Dwt97Fir, SubbandSizesAreHalf) {
   const auto x = random_signal(64, 1);
-  const FirSubbands s = fir97_forward(x);
+  const Bands<double> s = fir_forward(x);
   EXPECT_EQ(s.low.size(), 32u);
   EXPECT_EQ(s.high.size(), 32u);
 }
 
 TEST(Dwt97Fir, OddLengthSplitsCeilFloor) {
   const auto x = random_signal(33, 3);
-  const FirSubbands s = fir97_forward(x);
+  const Bands<double> s = fir_forward(x);
   EXPECT_EQ(s.low.size(), 17u);
   EXPECT_EQ(s.high.size(), 16u);
-  const std::vector<double> xr = fir97_inverse(s.low, s.high);
+  const std::vector<double> xr = fir_inverse(s);
   ASSERT_EQ(xr.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(xr[i], x[i], 1e-9) << "i=" << i;
@@ -36,33 +48,26 @@ TEST(Dwt97Fir, OddLengthSplitsCeilFloor) {
 }
 
 TEST(Dwt97Fir, SingleSamplePassesThrough) {
-  const FirSubbands s = fir97_forward(std::vector<double>{42.0});
+  const Bands<double> s = fir_forward(std::vector<double>{42.0});
   ASSERT_EQ(s.low.size(), 1u);
   EXPECT_EQ(s.high.size(), 0u);
   EXPECT_DOUBLE_EQ(s.low[0], 42.0);
-  const std::vector<double> xr = fir97_inverse(s.low, s.high);
+  const std::vector<double> xr = fir_inverse(s);
   ASSERT_EQ(xr.size(), 1u);
   EXPECT_DOUBLE_EQ(xr[0], 42.0);
 }
 
 TEST(Dwt97Fir, RejectsEmptySignal) {
-  EXPECT_THROW(fir97_forward(std::vector<double>{}), std::invalid_argument);
-}
-
-TEST(Dwt97Fir, InverseRejectsMismatchedSubbands) {
-  const std::vector<double> low(4, 0.0), high(5, 0.0);
-  EXPECT_THROW(fir97_inverse(low, high), std::invalid_argument);
-  EXPECT_THROW(fir97_inverse(std::vector<double>(4, 0.0),
-                             std::vector<double>(2, 0.0)),
-               std::invalid_argument);
+  EXPECT_THROW(fir_forward(std::vector<double>{}), std::invalid_argument);
+  EXPECT_THROW(fir_inverse({}), std::invalid_argument);
 }
 
 class FirPerfectReconstruction : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FirPerfectReconstruction, RoundTripIsExact) {
   const auto x = random_signal(GetParam(), GetParam());
-  const FirSubbands s = fir97_forward(x);
-  const std::vector<double> xr = fir97_inverse(s.low, s.high);
+  const Bands<double> s = fir_forward(x);
+  const std::vector<double> xr = fir_inverse(s);
   ASSERT_EQ(xr.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(xr[i], x[i], 1e-9) << "i=" << i;
@@ -75,7 +80,7 @@ INSTANTIATE_TEST_SUITE_P(Lengths, FirPerfectReconstruction,
 
 TEST(Dwt97Fir, ConstantSignalConcentratesInLowBand) {
   const std::vector<double> x(32, 100.0);
-  const FirSubbands s = fir97_forward(x);
+  const Bands<double> s = fir_forward(x);
   for (std::size_t i = 0; i < s.low.size(); ++i) {
     EXPECT_NEAR(s.low[i], 100.0, 1e-9);   // analysis DC gain 1
     EXPECT_NEAR(s.high[i], 0.0, 1e-9);
@@ -87,7 +92,7 @@ TEST(Dwt97Fir, LinearRampHasZeroHighBandInterior) {
   // degree <= 1 are annihilated away from boundaries.
   std::vector<double> x(64);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 3.0 * static_cast<double>(i);
-  const FirSubbands s = fir97_forward(x);
+  const Bands<double> s = fir_forward(x);
   for (std::size_t i = 2; i + 2 < s.high.size(); ++i) {
     EXPECT_NEAR(s.high[i], 0.0, 1e-9) << i;
   }
@@ -98,7 +103,7 @@ TEST(Dwt97Fir, EnergyRoughlyPreserved) {
   // accounting for the dyadic weighting; a loose two-sided bound guards
   // against scaling regressions.
   const auto x = random_signal(256, 5);
-  const FirSubbands s = fir97_forward(x);
+  const Bands<double> s = fir_forward(x);
   double ex = 0, es = 0;
   for (const double v : x) ex += v * v;
   for (const double v : s.low) es += v * v;
@@ -109,10 +114,11 @@ TEST(Dwt97Fir, EnergyRoughlyPreserved) {
 
 TEST(Dwt97FirFixed, MatchesFloatWithinQuantization) {
   const auto x = random_signal(64, 9);
-  std::vector<std::int64_t> xi(x.begin(), x.end());
+  const std::vector<std::int64_t> xi(x.begin(), x.end());
   const auto coeffs = Dwt97FirFixedCoeffs::rounded(8);
-  const FirSubbandsFixed sf = fir97_forward_fixed(xi, coeffs);
-  const FirSubbands s = fir97_forward(x);
+  const Bands<std::int64_t> sf =
+      test::forward_bands(FirBank(fixed97_taps(coeffs), false), xi);
+  const Bands<double> s = fir_forward(x);
   for (std::size_t i = 0; i < s.low.size(); ++i) {
     EXPECT_NEAR(static_cast<double>(sf.low[i]), s.low[i], 3.0) << i;
     EXPECT_NEAR(static_cast<double>(sf.high[i]), s.high[i], 3.0) << i;
@@ -121,10 +127,12 @@ TEST(Dwt97FirFixed, MatchesFloatWithinQuantization) {
 
 TEST(Dwt97FirFixed, RoundTripErrorSmall) {
   const auto x = random_signal(128, 12);
-  std::vector<std::int64_t> xi(x.begin(), x.end());
+  const std::vector<std::int64_t> xi(x.begin(), x.end());
   const auto coeffs = Dwt97FirFixedCoeffs::rounded(8);
-  const FirSubbandsFixed s = fir97_forward_fixed(xi, coeffs);
-  const std::vector<std::int64_t> xr = fir97_inverse_fixed(s.low, s.high, coeffs);
+  const Bands<std::int64_t> s =
+      test::forward_bands(FirBank(fixed97_taps(coeffs), false), xi);
+  const std::vector<std::int64_t> xr =
+      test::inverse_line(FirBank(fixed97_taps(coeffs), true), s.low, s.high);
   ASSERT_EQ(xr.size(), xi.size());
   for (std::size_t i = 0; i < xi.size(); ++i) {
     EXPECT_NEAR(static_cast<double>(xr[i]), static_cast<double>(xi[i]), 6.0)

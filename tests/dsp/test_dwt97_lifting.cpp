@@ -1,12 +1,24 @@
-#include "dsp/dwt97_lifting.hpp"
-
+// The float 9/7 lifting scheme (paper figure 3) as a 1-D transform: the
+// split into even/odd phases, the four lifting steps (predict alpha, update
+// beta, predict gamma, update delta) and the scaling low = even / k,
+// high = -k * odd, through the method's one-row window.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dsp/dwt97_fir.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
+
+using test::Bands;
+
+Bands<double> lifting_forward(const std::vector<double>& x) {
+  return test::forward_row(Method::kLiftingFloat, x);
+}
+
+std::vector<double> lifting_inverse(const Bands<double>& s) {
+  return test::inverse_row(Method::kLiftingFloat, s.low, s.high);
+}
 
 std::vector<double> random_signal(std::size_t n, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -20,8 +32,8 @@ class LiftingPerfectReconstruction
 
 TEST_P(LiftingPerfectReconstruction, RoundTripIsExact) {
   const auto x = random_signal(GetParam(), GetParam() + 1);
-  const LiftSubbands s = lifting97_forward(x);
-  const std::vector<double> xr = lifting97_inverse(s.low, s.high);
+  const Bands<double> s = lifting_forward(x);
+  const std::vector<double> xr = lifting_inverse(s);
   ASSERT_EQ(xr.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(xr[i], x[i], 1e-10) << "i=" << i;
@@ -36,8 +48,8 @@ TEST(Dwt97Lifting, EquivalentToFirFilterBank) {
   // The lifting factorization is exact: the low band equals the FIR filter
   // bank's, and the high band is sign-flipped (the paper's -k convention).
   const auto x = random_signal(64, 77);
-  const LiftSubbands l = lifting97_forward(x);
-  const FirSubbands f = fir97_forward(x);
+  const Bands<double> l = lifting_forward(x);
+  const Bands<double> f = test::forward_row(Method::kFirFloat, x);
   ASSERT_EQ(l.low.size(), f.low.size());
   for (std::size_t i = 0; i < l.low.size(); ++i) {
     EXPECT_NEAR(l.low[i], f.low[i], 1e-9) << i;
@@ -47,7 +59,7 @@ TEST(Dwt97Lifting, EquivalentToFirFilterBank) {
 
 TEST(Dwt97Lifting, ConstantSignal) {
   const std::vector<double> x(32, 50.0);
-  const LiftSubbands s = lifting97_forward(x);
+  const Bands<double> s = lifting_forward(x);
   for (std::size_t i = 0; i < s.low.size(); ++i) {
     EXPECT_NEAR(s.low[i], 50.0, 1e-9);
     EXPECT_NEAR(s.high[i], 0.0, 1e-9);
@@ -56,10 +68,10 @@ TEST(Dwt97Lifting, ConstantSignal) {
 
 TEST(Dwt97Lifting, OddLengthRoundTrips) {
   const auto x = random_signal(31, 9);
-  const LiftSubbands s = lifting97_forward(x);
+  const Bands<double> s = lifting_forward(x);
   EXPECT_EQ(s.low.size(), 16u);
   EXPECT_EQ(s.high.size(), 15u);
-  const std::vector<double> xr = lifting97_inverse(s.low, s.high);
+  const std::vector<double> xr = lifting_inverse(s);
   ASSERT_EQ(xr.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(xr[i], x[i], 1e-9) << i;
@@ -67,17 +79,9 @@ TEST(Dwt97Lifting, OddLengthRoundTrips) {
 }
 
 TEST(Dwt97Lifting, RejectsEmptySignal) {
-  EXPECT_THROW(lifting97_forward(std::vector<double>{}),
+  EXPECT_THROW(lifting_forward(std::vector<double>{}),
                std::invalid_argument);
-}
-
-TEST(Dwt97Lifting, InverseRejectsMismatch) {
-  EXPECT_THROW(
-      lifting97_inverse(std::vector<double>(3), std::vector<double>(4)),
-      std::invalid_argument);
-  EXPECT_THROW(
-      lifting97_inverse(std::vector<double>{}, std::vector<double>{}),
-      std::invalid_argument);
+  EXPECT_THROW(lifting_inverse({}), std::invalid_argument);
 }
 
 TEST(Dwt97Lifting, LinearityProperty) {
@@ -85,9 +89,9 @@ TEST(Dwt97Lifting, LinearityProperty) {
   const auto b = random_signal(32, 6);
   std::vector<double> sum(32);
   for (std::size_t i = 0; i < 32; ++i) sum[i] = 2.0 * a[i] + 3.0 * b[i];
-  const LiftSubbands sa = lifting97_forward(a);
-  const LiftSubbands sb = lifting97_forward(b);
-  const LiftSubbands ss = lifting97_forward(sum);
+  const Bands<double> sa = lifting_forward(a);
+  const Bands<double> sb = lifting_forward(b);
+  const Bands<double> ss = lifting_forward(sum);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(ss.low[i], 2.0 * sa.low[i] + 3.0 * sb.low[i], 1e-9);
     EXPECT_NEAR(ss.high[i], 2.0 * sa.high[i] + 3.0 * sb.high[i], 1e-9);
@@ -99,7 +103,7 @@ TEST(Dwt97Lifting, RampHasZeroInteriorHighBand) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = 0.5 * static_cast<double>(i) - 10.0;
   }
-  const LiftSubbands s = lifting97_forward(x);
+  const Bands<double> s = lifting_forward(x);
   for (std::size_t i = 2; i + 2 < s.high.size(); ++i) {
     EXPECT_NEAR(s.high[i], 0.0, 1e-9) << i;
   }

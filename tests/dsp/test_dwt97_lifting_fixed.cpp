@@ -1,3 +1,6 @@
+// The integer 9/7 lifting models of Table 2: the ladder's fixed (n/2^f)
+// and integer-register (full-precision constant) step tables, and the
+// bit-true trace model they are checked against.
 #include "dsp/dwt97_lifting_fixed.hpp"
 
 #include <gtest/gtest.h>
@@ -5,10 +8,34 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "dsp/dwt97_lifting.hpp"
+#include "dsp/lifting_ladder.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
+
+using test::Bands;
+
+Bands<std::int64_t> fixed_forward(const std::vector<std::int64_t>& x,
+                                  const LiftingFixedCoeffs& c) {
+  return test::forward_bands(LiftingLadder(fixed97_steps(c), false), x);
+}
+
+std::vector<std::int64_t> fixed_inverse(const Bands<std::int64_t>& s,
+                                        const LiftingFixedCoeffs& c) {
+  return test::inverse_line(LiftingLadder(fixed97_steps(c), true), s.low,
+                            s.high);
+}
+
+Bands<std::int64_t> hw_forward(const std::vector<std::int64_t>& x,
+                               const LiftingCoeffs& c) {
+  return test::forward_bands(LiftingLadder(hw97_steps(c), false), x);
+}
+
+std::vector<std::int64_t> hw_inverse(const Bands<std::int64_t>& s,
+                                     const LiftingCoeffs& c) {
+  return test::inverse_line(LiftingLadder(hw97_steps(c), true), s.low, s.high);
+}
 
 std::vector<std::int64_t> random_samples(std::size_t n, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -27,8 +54,8 @@ TEST(LiftingFixed, TracksFloatWithinQuantization) {
   const auto xi = random_samples(128, 3);
   const std::vector<double> xd(xi.begin(), xi.end());
   const auto c = LiftingFixedCoeffs::rounded(8);
-  const LiftSubbandsFixed sf = lifting97_forward_fixed(xi, c);
-  const LiftSubbands s = lifting97_forward(xd);
+  const Bands<std::int64_t> sf = fixed_forward(xi, c);
+  const Bands<double> s = test::forward_row(Method::kLiftingFloat, xd);
   for (std::size_t i = 0; i < sf.low.size(); ++i) {
     EXPECT_NEAR(static_cast<double>(sf.low[i]), s.low[i], 6.0) << i;
     EXPECT_NEAR(static_cast<double>(sf.high[i]), s.high[i], 6.0) << i;
@@ -40,8 +67,8 @@ class FixedRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FixedRoundTrip, ErrorBoundedByAFewLsb) {
   const auto xi = random_samples(96, GetParam());
   const auto c = LiftingFixedCoeffs::rounded(8);
-  const LiftSubbandsFixed s = lifting97_forward_fixed(xi, c);
-  const std::vector<std::int64_t> xr = lifting97_inverse_fixed(s.low, s.high, c);
+  const Bands<std::int64_t> s = fixed_forward(xi, c);
+  const std::vector<std::int64_t> xr = fixed_inverse(s, c);
   ASSERT_EQ(xr.size(), xi.size());
   for (std::size_t i = 0; i < xi.size(); ++i) {
     EXPECT_LE(std::abs(xr[i] - xi[i]), 5) << "i=" << i;
@@ -71,7 +98,7 @@ TEST(LiftingFixed, TraceMatchesForwardOutputs) {
   const auto xi = random_samples(64, 10);
   const auto c = LiftingFixedCoeffs::rounded(8);
   const LiftingTrace t = lifting97_forward_fixed_trace(xi, c);
-  const LiftSubbandsFixed s = lifting97_forward_fixed(xi, c);
+  const Bands<std::int64_t> s = fixed_forward(xi, c);
   EXPECT_EQ(t.low, s.low);
   EXPECT_EQ(t.high, s.high);
 }
@@ -108,10 +135,10 @@ TEST(LiftingFixed, CoarserWordLengthIncreasesError) {
   // little; *narrowing* the constants to 4 bits visibly hurts.
   const auto xi = random_samples(128, 13);
   const std::vector<double> xd(xi.begin(), xi.end());
-  const LiftSubbands ref = lifting97_forward(xd);
+  const Bands<double> ref = test::forward_row(Method::kLiftingFloat, xd);
   double err4 = 0, err8 = 0;
-  const auto s4 = lifting97_forward_fixed(xi, LiftingFixedCoeffs::rounded(4));
-  const auto s8 = lifting97_forward_fixed(xi, LiftingFixedCoeffs::rounded(8));
+  const auto s4 = fixed_forward(xi, LiftingFixedCoeffs::rounded(4));
+  const auto s8 = fixed_forward(xi, LiftingFixedCoeffs::rounded(8));
   for (std::size_t i = 0; i < ref.low.size(); ++i) {
     err4 += std::abs(static_cast<double>(s4.low[i]) - ref.low[i]);
     err8 += std::abs(static_cast<double>(s8.low[i]) - ref.low[i]);
@@ -127,8 +154,8 @@ TEST(LiftingFixed, HwFloatCoincidesWithRoundedConstantsAtMatchingPrecision) {
   const LiftingCoeffs rc{fc.alpha.to_double(), fc.beta.to_double(),
                          fc.gamma.to_double(), fc.delta.to_double(),
                          -fc.minus_k.to_double()};
-  const auto a = lifting97_forward_fixed(xi, fc);
-  const auto b = lifting97_forward_hw(xi, rc);
+  const auto a = fixed_forward(xi, fc);
+  const auto b = hw_forward(xi, rc);
   // The high path multiplies by -k = -315/256, exactly representable in
   // double, so floor((raw*v)/256) == (raw*v)>>8 bit for bit.  (The low path
   // uses 1/k, whose reciprocal is not representable, so it may differ by
@@ -143,8 +170,8 @@ TEST(LiftingFixed, HwFloatCoincidesWithRoundedConstantsAtMatchingPrecision) {
 TEST(LiftingFixed, HwFloatRoundTripErrorBounded) {
   const auto xi = random_samples(96, 22);
   const auto& c = LiftingCoeffs::daubechies97();
-  const auto s = lifting97_forward_hw(xi, c);
-  const auto xr = lifting97_inverse_hw(s.low, s.high, c);
+  const auto s = hw_forward(xi, c);
+  const auto xr = hw_inverse(s, c);
   for (std::size_t i = 0; i < xi.size(); ++i) {
     EXPECT_LE(std::abs(xr[i] - xi[i]), 5) << i;
   }
@@ -153,12 +180,12 @@ TEST(LiftingFixed, HwFloatRoundTripErrorBounded) {
 TEST(LiftingFixed, OddLengthRoundTripErrorBounded) {
   const auto c = LiftingFixedCoeffs::rounded(8);
   const auto x = random_samples(33, 17);
-  const auto s = lifting97_forward_fixed(x, c);
+  const auto s = fixed_forward(x, c);
   EXPECT_EQ(s.low.size(), 17u);
   EXPECT_EQ(s.high.size(), 16u);
   // The k-scaling is lossy, so like the even-length round trip the error is
   // a few LSB, not zero.
-  const auto xr = lifting97_inverse_fixed(s.low, s.high, c);
+  const auto xr = fixed_inverse(s, c);
   ASSERT_EQ(xr.size(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_LE(std::abs(xr[i] - x[i]), 5) << "i=" << i;
@@ -167,7 +194,10 @@ TEST(LiftingFixed, OddLengthRoundTripErrorBounded) {
 
 TEST(LiftingFixed, RejectsEmptySignal) {
   const auto c = LiftingFixedCoeffs::rounded(8);
-  EXPECT_THROW(lifting97_forward_fixed(std::vector<std::int64_t>{}, c),
+  EXPECT_THROW((void)lifting97_forward_fixed_trace({}, c),
+               std::invalid_argument);
+  Image empty(0, 1);
+  EXPECT_THROW(dwt2d_forward(Method::kLiftingFixed, empty, 1),
                std::invalid_argument);
 }
 

@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "dsp/dwt2d.hpp"
+
 namespace dwt::dsp {
 namespace {
 
@@ -88,33 +90,72 @@ TEST(MirrorIndex, EmptySignalThrows) {
 }
 
 TEST(FirAt, ImpulseRecoversCoefficients) {
-  // Filtering a centered impulse reproduces the filter taps.
-  std::vector<double> x(32, 0.0);
-  x[16] = 1.0;
+  // Filtering an impulse at p reproduces the filter taps: low value k is
+  // the analysis low-pass at 2k, so it sees tap p - 2k + 4, and high value
+  // k the high-pass at 2k + 1, seeing tap p - 2k + 2.  An impulse at an
+  // even and at an odd position between them reach every tap.
   const auto& c = Dwt97FirCoeffs::daubechies97();
-  for (int k = -4; k <= 4; ++k) {
-    EXPECT_NEAR(fir_at(x, 16 + k, c.analysis_low),
-                c.analysis_low[static_cast<std::size_t>(4 - k)], 1e-15);
+  const auto tap = [](const auto& taps, std::ptrdiff_t t) {
+    return t >= 0 && t < std::ssize(taps) ? taps[static_cast<std::size_t>(t)]
+                                          : 0.0;
+  };
+  for (const std::ptrdiff_t p : {16, 17}) {
+    std::vector<double> x(32, 0.0);
+    x[static_cast<std::size_t>(p)] = 1.0;
+    FirBank(float97_taps(c), false)(x.data(), x.size());
+    for (std::ptrdiff_t k = 0; k < 16; ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      EXPECT_EQ(x[i], tap(c.analysis_low, p - 2 * k + 4)) << p << " " << k;
+      EXPECT_EQ(x[16 + i], tap(c.analysis_high, p - 2 * k + 2))
+          << p << " " << k;
+    }
   }
 }
 
 TEST(FirAt, ConstantSignalGivesDcGain) {
-  const std::vector<double> x(16, 3.0);
-  const auto& c = Dwt97FirCoeffs::daubechies97();
-  EXPECT_NEAR(fir_at(x, 7, c.analysis_low), 3.0, 1e-12);   // DC gain 1
-  EXPECT_NEAR(fir_at(x, 7, c.analysis_high), 0.0, 1e-12);  // DC gain 0
+  std::vector<double> x(16, 3.0);
+  FirBank(float97_taps(Dwt97FirCoeffs::daubechies97()), false)(x.data(),
+                                                               x.size());
+  for (std::size_t k = 0; k < 8; ++k) {
+    EXPECT_NEAR(x[k], 3.0, 1e-12) << k;      // DC gain 1
+    EXPECT_NEAR(x[8 + k], 0.0, 1e-12) << k;  // DC gain 0
+  }
 }
 
 TEST(FirAtFixed, MatchesExactIntegerArithmetic) {
+  // Products accumulate exactly, then one arithmetic right shift by the
+  // taps' fractional bits.
   const auto f = Dwt97FirFixedCoeffs::rounded(8);
-  std::vector<std::int64_t> x = {10, -20, 30, -40, 50, -60, 70, -80};
-  for (std::ptrdiff_t p = 0; p < 8; ++p) {
-    std::int64_t acc = 0;
-    for (int k = -4; k <= 4; ++k) {
-      acc += f.analysis_low[static_cast<std::size_t>(k + 4)] *
-             x[mirror_index(p + k, x.size())];
+  const std::vector<std::int64_t> x = {10, -20, 30, -40, 50, -60, 70, -80};
+  std::vector<std::int64_t> y = x;
+  FirBank(fixed97_taps(f), false)(y.data(), y.size());
+  for (std::ptrdiff_t k = 0; k < 4; ++k) {
+    std::int64_t low = 0, high = 0;
+    for (std::ptrdiff_t t = -4; t <= 4; ++t) {
+      low += f.analysis_low[static_cast<std::size_t>(t + 4)] *
+             x[mirror_index(2 * k + t, x.size())];
     }
-    EXPECT_EQ(fir_at_fixed(x, p, f.analysis_low, 8), acc >> 8);
+    for (std::ptrdiff_t t = -3; t <= 3; ++t) {
+      high += f.analysis_high[static_cast<std::size_t>(t + 3)] *
+              x[mirror_index(2 * k + 1 + t, x.size())];
+    }
+    EXPECT_EQ(y[static_cast<std::size_t>(k)], low >> 8) << k;
+    EXPECT_EQ(y[static_cast<std::size_t>(4 + k)], high >> 8) << k;
+  }
+}
+
+TEST(FirFixedCoeffs, FracBitsOutsideFixedRangeThrow) {
+  // The taps are common::Fixed values, so the fixed FIR method takes the
+  // same 0..60 fractional bits as the fixed lifting method.
+  for (const int frac_bits : {-1, 61, 64}) {
+    EXPECT_THROW((void)Dwt97FirFixedCoeffs::rounded(frac_bits),
+                 std::invalid_argument)
+        << frac_bits;
+    for (const Method m : {Method::kFirFixed, Method::kLiftingFixed}) {
+      Image img(8, 8, 1.0);
+      EXPECT_THROW(dwt2d_forward(m, img, 1, frac_bits), std::invalid_argument)
+          << to_string(m) << " frac_bits=" << frac_bits;
+    }
   }
 }
 

@@ -9,10 +9,13 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dsp/dwt2d.hpp"
 #include "dsp/image_gen.hpp"
+#include "support/mutation.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -223,6 +226,44 @@ TEST(Image, ReadAcceptsOddDimensionsAndCommentsEverywhere) {
   EXPECT_EQ(img.at(0, 0), 7.0);
   EXPECT_EQ(img.at(2, 0), 9.0);
   std::remove(path.c_str());
+}
+
+TEST(Image, MutatedPgmParsesOrRejectsCleanly) {
+  // Seeds: P5 and P2 documents with a comment line, 1x1 to 64x5.  A mutant
+  // either parses, and its render parses back to the same plane, or is
+  // rejected with a read_pgm: error.
+  std::vector<std::vector<std::uint8_t>> seeds;
+  common::Rng rng(5);
+  for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{1, 1},
+                             {3, 2}, {7, 3}, {64, 5}}) {
+    const std::string dims = std::to_string(w) + " " + std::to_string(h);
+    std::string p5 = "P5\n# seed\n" + dims + "\n255\n";
+    std::string p2 = "P2\n# seed\n" + dims + "\n255\n";
+    for (std::size_t i = 0; i < w * h; ++i) {
+      const auto v = static_cast<int>(rng.uniform(0, 255));
+      p5 += static_cast<char>(v);
+      p2 += std::to_string(v) + (i % w + 1 == w ? "\n" : " ");
+    }
+    seeds.emplace_back(p5.begin(), p5.end());
+    seeds.emplace_back(p2.begin(), p2.end());
+  }
+  const std::size_t unclean = test::count_unclean_mutations(
+      seeds, 20261018, 50000, /*header_bytes=*/16,
+      [](const std::vector<std::uint8_t>& m) {
+        try {
+          const Plane<std::int32_t> plane = parse_pgm(m, "mutant");
+          const Plane<std::int32_t> back =
+              parse_pgm(render_pgm(plane), "render");
+          return back.width() == plane.width() &&
+                 back.height() == plane.height() &&
+                 back.data() == plane.data();
+        } catch (const std::runtime_error& e) {
+          return std::string(e.what()).starts_with("read_pgm: ");
+        } catch (...) {
+          return false;
+        }
+      });
+  EXPECT_EQ(unclean, 0u);
 }
 
 TEST(ImageGen, StillToneIsDeterministicAndInRange) {

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dsp/dwt97_lifting_fixed.hpp"
 #include "dsp/fir_filter.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
+
+using Engine = StreamingLadder<FixedMul<std::int64_t>>;
+
+Engine make_engine(std::size_t lanes) {
+  return Engine(fixed97_steps(LiftingFixedCoeffs::rounded(8)), lanes);
+}
 
 std::vector<std::int64_t> random_samples(std::size_t n, std::uint64_t seed) {
   common::Rng rng(seed);
@@ -16,72 +22,84 @@ std::vector<std::int64_t> random_samples(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-/// Feeds the WSS-extended stream (guard pairs before and after) and collects
-/// the payload outputs -- the same protocol as the hardware harness.
-std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>> run_streaming(
-    std::span<const std::int64_t> x, int guard_pairs = 4) {
-  StreamingLifting97Fixed engine;
-  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(x.size() / 2);
-  std::vector<std::int64_t> low(x.size() / 2), high(x.size() / 2);
-  auto x_ext = [&x](std::ptrdiff_t pos) {
-    return x[mirror_index(pos, x.size())];
-  };
+/// Feeds the WSS-extended signals (guard pairs before and after), one per
+/// lane, and collects each lane's payload outputs -- the same protocol as
+/// the hardware harness.
+std::vector<test::Bands<std::int64_t>> run_streaming(
+    const std::vector<std::vector<std::int64_t>>& signals,
+    int guard_pairs = 4) {
+  const std::size_t lanes = signals.size();
+  const std::size_t n = signals.front().size();
+  Engine engine = make_engine(lanes);
+  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(n / 2);
+  std::vector<test::Bands<std::int64_t>> out(
+      lanes, {std::vector<std::int64_t>(n / 2), std::vector<std::int64_t>(n / 2)});
+  std::vector<std::int64_t> even(lanes), odd(lanes), low(lanes), high(lanes);
   for (std::ptrdiff_t t = -guard_pairs; t < half + guard_pairs; ++t) {
-    const auto out = engine.push(x_ext(2 * t), x_ext(2 * t + 1));
-    const std::ptrdiff_t i = t - StreamingLifting97Fixed::kDelayPairs;
-    if (out.has_value() && i >= 0 && i < half) {
-      low[static_cast<std::size_t>(i)] = out->first;
-      high[static_cast<std::size_t>(i)] = out->second;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      even[j] = signals[j][mirror_index(2 * t, n)];
+      odd[j] = signals[j][mirror_index(2 * t + 1, n)];
+    }
+    const bool ready =
+        engine.push(even.data(), odd.data(), low.data(), high.data());
+    const std::ptrdiff_t i = t - Engine::kDelayPairs;
+    if (ready && i >= 0 && i < half) {
+      for (std::size_t j = 0; j < lanes; ++j) {
+        out[j].low[static_cast<std::size_t>(i)] = low[j];
+        out[j].high[static_cast<std::size_t>(i)] = high[j];
+      }
     }
   }
-  return {std::move(low), std::move(high)};
+  return out;
+}
+
+test::Bands<std::int64_t> batch(const std::vector<std::int64_t>& x) {
+  return test::forward_bands(
+      LiftingLadder(fixed97_steps(LiftingFixedCoeffs::rounded(8)), false), x);
 }
 
 class StreamingMatchesBatch : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StreamingMatchesBatch, BitExact) {
-  const auto x = random_samples(128, GetParam());
-  const auto [low, high] = run_streaming(x);
-  const auto batch =
-      lifting97_forward_fixed(x, LiftingFixedCoeffs::rounded(8));
-  EXPECT_EQ(low, batch.low);
-  EXPECT_EQ(high, batch.high);
+  // Three independent signals, one per lane.
+  std::vector<std::vector<std::int64_t>> signals;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    signals.push_back(random_samples(128, 3 * GetParam() + s));
+  }
+  const auto streamed = run_streaming(signals);
+  for (std::size_t j = 0; j < signals.size(); ++j) {
+    const auto want = batch(signals[j]);
+    EXPECT_EQ(streamed[j].low, want.low) << "lane " << j;
+    EXPECT_EQ(streamed[j].high, want.high) << "lane " << j;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingMatchesBatch,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 TEST(StreamingLifting, WarmUpReturnsNothing) {
-  StreamingLifting97Fixed engine;
-  EXPECT_FALSE(engine.push(1, 2).has_value());
-  EXPECT_FALSE(engine.push(3, 4).has_value());
-  EXPECT_TRUE(engine.push(5, 6).has_value());
-}
-
-TEST(StreamingLifting, ResetRestartsWarmUp) {
-  StreamingLifting97Fixed engine;
-  (void)engine.push(1, 2);
-  (void)engine.push(3, 4);
-  (void)engine.push(5, 6);
-  engine.reset();
-  EXPECT_FALSE(engine.push(1, 2).has_value());
+  Engine engine = make_engine(1);
+  std::int64_t low = 0, high = 0;
+  const std::int64_t samples[] = {1, 2, 3, 4, 5, 6};
+  EXPECT_FALSE(engine.push(&samples[0], &samples[1], &low, &high));
+  EXPECT_FALSE(engine.push(&samples[2], &samples[3], &low, &high));
+  EXPECT_TRUE(engine.push(&samples[4], &samples[5], &low, &high));
 }
 
 TEST(StreamingLifting, DeterministicAcrossInstances) {
-  const auto x = random_samples(64, 42);
+  const std::vector<std::vector<std::int64_t>> x{random_samples(64, 42)};
   const auto a = run_streaming(x);
   const auto b = run_streaming(x);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  EXPECT_EQ(a[0].low, b[0].low);
+  EXPECT_EQ(a[0].high, b[0].high);
 }
 
 TEST(StreamingLifting, ShortestSignal) {
   const std::vector<std::int64_t> x{10, -3};
-  const auto [low, high] = run_streaming(x);
-  const auto batch =
-      lifting97_forward_fixed(x, LiftingFixedCoeffs::rounded(8));
-  EXPECT_EQ(low, batch.low);
-  EXPECT_EQ(high, batch.high);
+  const auto streamed = run_streaming({x});
+  const auto want = batch(x);
+  EXPECT_EQ(streamed[0].low, want.low);
+  EXPECT_EQ(streamed[0].high, want.high);
 }
 
 }  // namespace

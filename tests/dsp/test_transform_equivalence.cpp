@@ -1,10 +1,11 @@
-// Pins the shared lifting ladder and the strided octave sweep to references
-// that do not use them: the polyphase trace model for the 1-D fixed-point
-// ladder, single-line runs for the ladder's lanes, and a naive per-line 2-D
-// transform (the method's 1-D function on every row then every column,
-// through Image::at) for dwt2d_forward and dwt2d_inverse on Images and on
-// int32 planes.  Equality is exact, doubles included.  The int32 guard is
-// checked against worst-case inputs run on int64.
+// Pins the two line kernels and the strided octave sweep to references that
+// do not use them: the polyphase trace model for the 1-D fixed-point
+// ladder, single-line runs for the lanes of the ladder and of the FIR bank,
+// and a naive per-line 2-D transform (the method's one-row window on every
+// row then every column, through Image::at) for dwt2d_forward and
+// dwt2d_inverse on Images and on int32 planes.  Equality is exact, doubles
+// included.  The int32 guard is checked against worst-case inputs run on
+// int64.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,11 +18,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dsp/dwt1d.hpp"
 #include "dsp/dwt2d.hpp"
 #include "dsp/dwt97_lifting_fixed.hpp"
+#include "dsp/fir_filter.hpp"
 #include "dsp/image_gen.hpp"
 #include "dsp/lifting_bound.hpp"
+#include "dsp/lifting_ladder.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::dsp {
 namespace {
@@ -34,7 +37,8 @@ TEST(LiftingLadder, FixedMatchesTraceReference) {
       std::vector<std::int64_t> x(n);
       for (std::int64_t& v : x) v = rng.uniform(-128, 127);
       const LiftingTrace t = lifting97_forward_fixed_trace(x, c);
-      const LiftSubbandsFixed s = lifting97_forward_fixed(x, c);
+      const test::Bands<std::int64_t> s =
+          test::forward_bands(LiftingLadder(fixed97_steps(c), false), x);
       EXPECT_EQ(s.low, t.low) << "frac_bits=" << frac_bits << " n=" << n;
       EXPECT_EQ(s.high, t.high) << "frac_bits=" << frac_bits << " n=" << n;
     }
@@ -55,7 +59,7 @@ struct LineRef {
 void forward_line(Method m, LineRef line, std::size_t n) {
   std::vector<double> x(n);
   for (std::size_t k = 0; k < n; ++k) x[k] = line[k];
-  const Subbands1d s = dwt1d_forward(m, x);
+  const test::Bands<double> s = test::forward_row(m, x);
   for (std::size_t k = 0; k < s.low.size(); ++k) line[k] = s.low[k];
   for (std::size_t k = 0; k < s.high.size(); ++k) {
     line[s.low.size() + k] = s.high[k];
@@ -67,7 +71,7 @@ void inverse_line(Method m, LineRef line, std::size_t n) {
   std::vector<double> low(nl), high(n - nl);
   for (std::size_t k = 0; k < nl; ++k) low[k] = line[k];
   for (std::size_t k = nl; k < n; ++k) high[k - nl] = line[k];
-  const std::vector<double> x = dwt1d_inverse(m, low, high);
+  const std::vector<double> x = test::inverse_row(m, low, high);
   for (std::size_t k = 0; k < n; ++k) line[k] = x[k];
 }
 
@@ -96,15 +100,16 @@ void reference_inverse(Method m, Image& img, int octaves) {
   }
 }
 
-/// Lifts `lanes` lines side by side and one at a time; both must agree.
-template <class Mul, std::size_t Steps>
-void expect_lanes_match_lines(const StepTable<Mul, Steps>& steps,
-                              const char* table) {
-  using T = typename Mul::value_type;
+/// Runs a kernel over `lanes` lines side by side and one at a time; both
+/// must agree, and the padding lanes between strides stay untouched.
+/// `make(inverse)` builds the kernel.
+template <class Make>
+void expect_lanes_match_lines(Make make, const char* table) {
+  using T = typename decltype(make(false))::T;
   common::Rng rng(19);
   for (const bool inverse : {false, true}) {
-    LiftingLadder block(steps, inverse);
-    LiftingLadder single(steps, inverse);
+    auto block = make(inverse);
+    auto single = make(inverse);
     for (std::size_t n = 1; n <= 130; ++n) {
       for (const std::size_t lanes : {1, 2, 7, 64, 65, 130}) {
         const std::size_t stride = lanes + 3;  // padding lanes stay put
@@ -114,6 +119,7 @@ void expect_lanes_match_lines(const StepTable<Mul, Steps>& steps,
                   ? static_cast<T>(255.0 * rng.uniform01() - 128.0)
                   : static_cast<T>(rng.uniform(-128, 127));
         }
+        const std::vector<T> before = x;
         std::vector<T> ref = x;
         block(x.data(), n, stride, lanes);
         for (std::size_t j = 0; j < lanes; ++j) {
@@ -121,30 +127,50 @@ void expect_lanes_match_lines(const StepTable<Mul, Steps>& steps,
         }
         ASSERT_EQ(x, ref) << table << " inverse=" << inverse << " n=" << n
                           << " lanes=" << lanes;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = lanes; j < stride; ++j) {
+            ASSERT_EQ(x[i * stride + j], before[i * stride + j])
+                << table << " padding lane " << j << " n=" << n;
+          }
+        }
       }
     }
   }
 }
 
 TEST(LiftingLadder, LanesMatchSingleLines) {
-  expect_lanes_match_lines(float97_steps(LiftingCoeffs::daubechies97()),
-                           "float");
+  const auto ladder = [](const auto& steps, const char* name) {
+    expect_lanes_match_lines(
+        [&](bool inverse) { return LiftingLadder(steps, inverse); }, name);
+  };
+  ladder(float97_steps(LiftingCoeffs::daubechies97()), "float");
   const LiftingFixedCoeffs c = LiftingFixedCoeffs::rounded(kDefaultFracBits);
-  expect_lanes_match_lines(fixed97_steps(c), "fixed int64");
-  expect_lanes_match_lines(fixed97_steps<std::int32_t>(c), "fixed int32");
-  expect_lanes_match_lines(hw97_steps(LiftingCoeffs::daubechies97()),
-                           "hw int64");
-  expect_lanes_match_lines(
-      hw97_steps<std::int32_t>(LiftingCoeffs::daubechies97()), "hw int32");
-  expect_lanes_match_lines(reversible53_steps(), "5/3 int64");
-  expect_lanes_match_lines(reversible53_steps<std::int32_t>(), "5/3 int32");
+  ladder(fixed97_steps(c), "fixed int64");
+  ladder(fixed97_steps<std::int32_t>(c), "fixed int32");
+  ladder(hw97_steps(LiftingCoeffs::daubechies97()), "hw int64");
+  ladder(hw97_steps<std::int32_t>(LiftingCoeffs::daubechies97()), "hw int32");
+  ladder(reversible53_steps(), "5/3 int64");
+  ladder(reversible53_steps<std::int32_t>(), "5/3 int32");
+}
+
+TEST(FirBank, LanesMatchSingleLines) {
+  const auto bank = [](const auto& taps, const char* name) {
+    expect_lanes_match_lines(
+        [&](bool inverse) { return FirBank(taps, inverse); }, name);
+  };
+  const Dwt97FirCoeffs& c = Dwt97FirCoeffs::daubechies97();
+  const Dwt97FirFixedCoeffs f = Dwt97FirFixedCoeffs::rounded(kDefaultFracBits);
+  bank(float97_taps(c), "float");
+  bank(fixed97_taps(f), "fixed int64");
+  bank(fixed97_taps<std::int32_t>(f), "fixed int32");
+  bank(hw97_taps(c), "hw int64");
+  bank(hw97_taps<std::int32_t>(c), "hw int32");
 }
 
 class OctaveSweep : public ::testing::TestWithParam<Method> {};
 
-/// Integral samples, non-integral ones (the integer methods round them on
-/// entry, exactly as their 1-D functions do), and integral ones too large
-/// for the int32 guard.
+/// Integral samples, non-integral ones (the integer methods round them once
+/// on entry), and integral ones too large for the int32 guard.
 enum class Samples { kIntegral, kFractional, kLarge };
 
 /// The smallest magnitude the int32 guard rejects for a forward transform.
@@ -162,8 +188,16 @@ std::int64_t smallest_rejected(Method m, int octaves) {
   return hi;
 }
 
+/// Whether `m` runs through the FIR bank, which has no int32 guard: its
+/// integer methods always transform on int64.
+bool is_fir(Method m) {
+  return m == Method::kFirFloat || m == Method::kFirFixed ||
+         m == Method::kFirHwFloat;
+}
+
 TEST_P(OctaveSweep, MatchesPerLineReference) {
   const Method m = GetParam();
+  const bool guarded = is_fixed(m) && !is_fir(m);
   struct Case {
     std::size_t w, h;
     int max_octaves;
@@ -177,9 +211,8 @@ TEST_P(OctaveSweep, MatchesPerLineReference) {
            {Samples::kIntegral, Samples::kFractional, Samples::kLarge}) {
         // Large samples reach just past what the guard admits, so the plane
         // entry point lifts on int64 and the results still fit int32.
-        const std::int64_t large = is_integer_lifting(m)
-                                       ? smallest_rejected(m, octaves)
-                                       : std::int64_t{1} << 21;
+        const std::int64_t large = guarded ? smallest_rejected(m, octaves)
+                                           : std::int64_t{1} << 21;
         Image plane(w, h);
         for (double& v : plane.data()) {
           switch (kind) {
@@ -201,22 +234,21 @@ TEST_P(OctaveSweep, MatchesPerLineReference) {
                  << " samples=" << static_cast<int>(kind);
         };
         // The int32 plane entry point, from the same integral samples.
-        const bool on_plane =
-            is_integer_lifting(m) && kind != Samples::kFractional;
+        const bool on_plane = is_fixed(m) && kind != Samples::kFractional;
         Plane<std::int32_t> ints(w, h);
         std::transform(plane.data().begin(), plane.data().end(),
                        ints.data().begin(),
                        [](double v) { return static_cast<std::int32_t>(v); });
         // The plane entry point must lift where its guard says: int32 for
         // what it admits (every small-sample case up to two octaves), int64
-        // for the large samples' forward.
+        // for the large samples' forward and for the FIR methods.
         const auto lift_plane = [&](bool inverse) {
           const double r = *std::max_element(
               plane.data().begin(), plane.data().end(),
               [](double a, double b) { return std::abs(a) < std::abs(b); });
           const int want =
-              fits_int32(lifting_bound(m, kDefaultFracBits, inverse, octaves,
-                                       std::abs(r)))
+              guarded && fits_int32(lifting_bound(m, kDefaultFracBits, inverse,
+                                                  octaves, std::abs(r)))
                   ? 32
                   : 64;
           const int bits = inverse ? dwt2d_inverse(m, ints.view(), octaves)
@@ -225,7 +257,7 @@ TEST_P(OctaveSweep, MatchesPerLineReference) {
           if (kind == Samples::kLarge && !inverse) {
             EXPECT_EQ(bits, 64) << where();
           }
-          if (kind == Samples::kIntegral && octaves <= 2) {
+          if (guarded && kind == Samples::kIntegral && octaves <= 2) {
             EXPECT_EQ(bits, 32) << "inverse=" << inverse << " " << where();
           }
         };
@@ -267,6 +299,17 @@ INSTANTIATE_TEST_SUITE_P(LiftingMethods, OctaveSweep,
                            }
                          });
 
+INSTANTIATE_TEST_SUITE_P(FirMethods, OctaveSweep,
+                         ::testing::Values(Method::kFirFloat, Method::kFirFixed,
+                                           Method::kFirHwFloat),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case Method::kFirFloat: return "Float";
+                             case Method::kFirFixed: return "Fixed";
+                             default: return "HwFloat";
+                           }
+                         });
+
 TEST(OctaveSweep, RejectsRegionLargerThanPlane) {
   // A region is a window of its plane: one that overruns the plane on any
   // side throws before a transform runs, and one that fits transforms.
@@ -293,7 +336,7 @@ TEST(OctaveSweep, PlaneEntryRejectsFloatMethods) {
   Plane<std::int32_t> plane(4, 4);
   EXPECT_THROW((void)dwt2d_forward(Method::kLiftingFloat, plane.view(), 1),
                std::invalid_argument);
-  EXPECT_THROW((void)dwt2d_inverse(Method::kFirFixed, plane.view(), 1),
+  EXPECT_THROW((void)dwt2d_inverse(Method::kFirFloat, plane.view(), 1),
                std::invalid_argument);
 }
 

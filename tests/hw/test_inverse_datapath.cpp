@@ -7,9 +7,11 @@
 #include "common/rng.hpp"
 #include "dsp/dwt97_lifting_fixed.hpp"
 #include "dsp/image_gen.hpp"
+#include "dsp/lifting_ladder.hpp"
 #include "hw/designs.hpp"
 #include "hw/stream_runner.hpp"
 #include "rtl/simulator.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::hw {
 namespace {
@@ -46,8 +48,9 @@ TEST_P(InverseBitTrue, MatchesSoftwareInverse) {
 
   const auto c = dsp::LiftingFixedCoeffs::rounded(8);
   const auto x = image_samples(128, 2005);
-  const auto sub = dsp::lifting97_forward_fixed(x, c);
-  const auto sw = dsp::lifting97_inverse_fixed(sub.low, sub.high, c);
+  const auto sub = dsp::lifting97_forward_fixed_trace(x, c);
+  const auto sw = test::inverse_line(
+      dsp::LiftingLadder(dsp::fixed97_steps(c), true), sub.low, sub.high);
   const InverseStreamResult hw = run_stream_inverse(dp, sim, sub.low, sub.high);
   ASSERT_EQ(hw.samples.size(), sw.size());
   for (std::size_t i = 0; i + 2 * kTailSlack < sw.size(); ++i) {

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "dsp/dwt53.hpp"
+#include "dsp/lifting_ladder.hpp"
 #include "fpga/tech_mapper.hpp"
 #include "hw/designs.hpp"
 #include "hw/stream_runner.hpp"
 #include "rtl/simplify.hpp"
 #include "rtl/simulator.hpp"
+#include "support/lines.hpp"
 
 namespace dwt::hw {
 namespace {
@@ -37,7 +38,8 @@ TEST_P(Lifting53BitTrue, MatchesSoftwareOnRandomData) {
   rtl::Simulator sim(dp.netlist);
   const auto x = random_samples(256, 5);
   const StreamResult hwres = run_stream53(dp, sim, x);
-  const dsp::LiftSubbands53 swres = dsp::lifting53_forward(x);
+  const auto swres = test::forward_bands(
+      dsp::LiftingLadder(dsp::reversible53_steps(), false), x);
   for (std::size_t i = 0; i < swres.low.size(); ++i) {
     EXPECT_EQ(hwres.low[i], swres.low[i]) << "low " << i;
     EXPECT_EQ(hwres.high[i], swres.high[i]) << "high " << i;

@@ -42,7 +42,7 @@ TEST_P(AllDesignsBitTrue, MatchesSoftwareModelOnImageData) {
   rtl::Simulator sim(dp.netlist);
   const auto x = image_samples(128, 2005);
   const StreamResult hwres = run_stream(dp, sim, x);
-  const auto swres = dsp::lifting97_forward_fixed(
+  const auto swres = dsp::lifting97_forward_fixed_trace(
       x, dsp::LiftingFixedCoeffs::rounded(8));
   ASSERT_EQ(hwres.low.size(), swres.low.size());
   for (std::size_t i = 0; i < swres.low.size(); ++i) {
@@ -70,7 +70,7 @@ TEST(LiftingDatapath, IntervalWidthsAreExactOnRandomData) {
   const auto x = random_samples(256, 7);
   const StreamResult hwres = run_stream(dp, sim, x);
   const auto swres =
-      dsp::lifting97_forward_fixed(x, dsp::LiftingFixedCoeffs::rounded(8));
+      dsp::lifting97_forward_fixed_trace(x, dsp::LiftingFixedCoeffs::rounded(8));
   for (std::size_t i = 0; i < swres.low.size(); ++i) {
     EXPECT_EQ(hwres.low[i], swres.low[i]) << i;
     EXPECT_EQ(hwres.high[i], swres.high[i]) << i;
@@ -87,7 +87,7 @@ TEST(LiftingDatapath, PaperWidthsClampOnAdversarialData) {
   const auto x = random_samples(256, 7);
   const StreamResult hwres = run_stream(dp, sim, x);
   const auto swres =
-      dsp::lifting97_forward_fixed(x, dsp::LiftingFixedCoeffs::rounded(8));
+      dsp::lifting97_forward_fixed_trace(x, dsp::LiftingFixedCoeffs::rounded(8));
   bool any_wrap = false;
   for (std::size_t i = 0; i < swres.high.size(); ++i) {
     if (hwres.high[i] != swres.high[i]) any_wrap = true;
@@ -139,7 +139,7 @@ TEST(LiftingDatapath, WiderInputsSupported) {
   for (auto& v : x) v *= 8;  // use the wider range
   const StreamResult hwres = run_stream(dp, sim, x);
   const auto swres =
-      dsp::lifting97_forward_fixed(x, dsp::LiftingFixedCoeffs::rounded(8));
+      dsp::lifting97_forward_fixed_trace(x, dsp::LiftingFixedCoeffs::rounded(8));
   for (std::size_t i = 0; i < swres.low.size(); ++i) {
     EXPECT_EQ(hwres.low[i], swres.low[i]) << i;
   }
@@ -169,7 +169,7 @@ TEST(LiftingDatapath, TreeStructureAblationStillBitTrue) {
   const auto x = image_samples(128, 77);
   const StreamResult hwres = run_stream(dp, sim, x);
   const auto swres =
-      dsp::lifting97_forward_fixed(x, dsp::LiftingFixedCoeffs::rounded(8));
+      dsp::lifting97_forward_fixed_trace(x, dsp::LiftingFixedCoeffs::rounded(8));
   for (std::size_t i = 0; i < swres.low.size(); ++i) {
     EXPECT_EQ(hwres.low[i], swres.low[i]) << i;
   }

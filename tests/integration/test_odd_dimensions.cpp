@@ -11,9 +11,9 @@
 #include "common/rng.hpp"
 #include "dsp/dwt1d.hpp"
 #include "dsp/dwt2d.hpp"
-#include "dsp/dwt53.hpp"
 #include "dsp/dwt97_lifting_fixed.hpp"
 #include "dsp/image_gen.hpp"
+#include "dsp/lifting_ladder.hpp"
 #include "dsp/metrics.hpp"
 #include "hw/designs.hpp"
 #include "hw/dwt2d_system.hpp"
@@ -24,6 +24,7 @@
 #include "rtl/compiled/batch_fault.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/simulator.hpp"
+#include "support/lines.hpp"
 
 namespace dwt {
 namespace {
@@ -61,7 +62,7 @@ TEST_P(OddLengthAllDesigns, StreamMatchesSoftwareForEveryLength) {
   for (std::size_t n = 1; n <= 33; ++n) {
     const auto x = image_samples(n, 100 + n);
     const hw::StreamResult hwres = hw::run_stream(dp, sim, x);
-    const auto swres = dsp::lifting97_forward_fixed(x, c);
+    const dsp::LiftingTrace swres = dsp::lifting97_forward_fixed_trace(x, c);
     EXPECT_EQ(hwres.low, swres.low) << "n=" << n;
     EXPECT_EQ(hwres.high, swres.high) << "n=" << n;
     EXPECT_EQ(hwres.low.size(), (n + 1) / 2) << "n=" << n;
@@ -84,7 +85,8 @@ TEST(OddLength, Stream53MatchesSoftwareForEveryLength) {
   for (std::size_t n = 1; n <= 33; ++n) {
     const auto x = random_samples(n, 200 + n);
     const hw::StreamResult hwres = hw::run_stream53(dp, sim, x);
-    const dsp::LiftSubbands53 swres = dsp::lifting53_forward(x);
+    const auto swres = test::forward_bands(
+        dsp::LiftingLadder(dsp::reversible53_steps(), false), x);
     EXPECT_EQ(hwres.low, swres.low) << "n=" << n;
     EXPECT_EQ(hwres.high, swres.high) << "n=" << n;
   }
@@ -112,9 +114,10 @@ TEST(OddLength, InverseStreamAcceptsCeilFloorSubbands) {
   // boundary convention differs in the last window, as in the even tests).
   for (const std::size_t n : {9u, 21u, 33u}) {
     const auto x = image_samples(n, 300 + n);
-    const auto sub = dsp::lifting97_forward_fixed(x, c);
+    const auto sub = dsp::lifting97_forward_fixed_trace(x, c);
     ASSERT_EQ(sub.low.size(), sub.high.size() + 1);
-    const auto sw = dsp::lifting97_inverse_fixed(sub.low, sub.high, c);
+    const auto sw = test::inverse_line(
+        dsp::LiftingLadder(dsp::fixed97_steps(c), true), sub.low, sub.high);
     const hw::InverseStreamResult hwres =
         hw::run_stream_inverse(dp, sim, sub.low, sub.high);
     ASSERT_EQ(hwres.samples.size(), sw.size()) << "n=" << n;
@@ -130,10 +133,10 @@ TEST(OddLength, EveryLengthRoundTripsThroughEveryMethod) {
     const std::vector<double> x(xi.begin(), xi.end());
     for (const dsp::Method m :
          {dsp::Method::kFirFloat, dsp::Method::kLiftingFloat}) {
-      const dsp::Subbands1d s = dsp::dwt1d_forward(m, x);
+      const test::Bands<double> s = test::forward_row(m, x);
       EXPECT_EQ(s.low.size(), (n + 1) / 2);
       EXPECT_EQ(s.high.size(), n / 2);
-      const std::vector<double> xr = dsp::dwt1d_inverse(m, s.low, s.high);
+      const std::vector<double> xr = test::inverse_row(m, s.low, s.high);
       ASSERT_EQ(xr.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(xr[i], x[i], 1e-9)
@@ -141,8 +144,13 @@ TEST(OddLength, EveryLengthRoundTripsThroughEveryMethod) {
       }
     }
     // Reversible 5/3: exact integer reconstruction at every length.
-    const dsp::LiftSubbands53 s53 = dsp::lifting53_forward(xi);
-    EXPECT_EQ(dsp::lifting53_inverse(s53.low, s53.high), xi) << "n=" << n;
+    const auto s53 = test::forward_bands(
+        dsp::LiftingLadder(dsp::reversible53_steps(), false), xi);
+    EXPECT_EQ(test::inverse_line(
+                  dsp::LiftingLadder(dsp::reversible53_steps(), true),
+                  s53.low, s53.high),
+              xi)
+        << "n=" << n;
   }
 }
 

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "support/mutation.hpp"
 
 namespace dwt::server {
 namespace {
@@ -181,49 +181,14 @@ bool decodes_or_rejects_cleanly(const std::vector<std::uint8_t>& bytes,
 }
 
 TEST(ServerProtocol, MutatedFramesDecodeOrRejectCleanly) {
-  const std::vector<std::vector<std::uint8_t>> seeds = protocol_seeds();
-  common::Rng rng(20261017);
-  const auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(
-        rng.uniform(0, static_cast<std::int64_t>(n) - 1));
-  };
-  std::size_t unclean = 0;
-  for (int iter = 0; iter < 50000; ++iter) {
-    std::vector<std::uint8_t> m = seeds[pick(seeds.size())];
-    switch (iter % 4) {
-      case 0:  // 1-8 bit flips
-        for (std::size_t f = pick(8) + 1; f > 0; --f) {
-          m[pick(m.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
-        }
-        break;
-      case 1:  // truncation
-        m.resize(pick(m.size()));
-        break;
-      case 2: {  // splice: a prefix of this seed, a suffix of another
-        const std::vector<std::uint8_t>& other = seeds[pick(seeds.size())];
-        m.resize(pick(m.size() + 1));
-        m.insert(m.end(), other.begin() + static_cast<std::ptrdiff_t>(
-                                              pick(other.size() + 1)),
-                 other.end());
-        break;
-      }
-      default: {  // one header byte at an extreme or random value
-        const std::uint8_t values[] = {
-            0x00, 0xFF, static_cast<std::uint8_t>(rng.next_u64())};
-        m[pick(std::min<std::size_t>(m.size(), 13))] = values[pick(3)];
-        break;
-      }
-    }
-    const bool clean =
-        decodes_or_rejects_cleanly<Request>(m, decode_request,
-                                            encode_request) &&
-        decodes_or_rejects_cleanly<Response>(m, decode_response,
-                                             encode_response);
-    if (!clean && ++unclean <= 3) {
-      ADD_FAILURE() << "mutation " << iter << " (" << m.size()
-                    << " bytes) decoded uncleanly";
-    }
-  }
+  const std::size_t unclean = test::count_unclean_mutations(
+      protocol_seeds(), 20261017, 50000, /*header_bytes=*/13,
+      [](const std::vector<std::uint8_t>& m) {
+        return decodes_or_rejects_cleanly<Request>(m, decode_request,
+                                                   encode_request) &&
+               decodes_or_rejects_cleanly<Response>(m, decode_response,
+                                                    encode_response);
+      });
   EXPECT_EQ(unclean, 0u);
 }
 
