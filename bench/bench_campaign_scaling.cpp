@@ -1,29 +1,30 @@
-// Fault-campaign scale-out: what the cone-restricted incremental engine and
-// trial sharding buy on top of the bit-parallel batch simulator.
+// Fault-campaign scale-out: what golden-trace replay and trial sharding buy
+// on top of the bit-parallel batch simulator.
 //
 // Three record groups:
 //
 //  1. Static cone statistics for all five Table 3 designs -- tape length,
 //     mean fan-out-cone interval fraction, and the instruction reduction an
-//     ideal cone-restricted run of a fixed 512-trial schedule achieves.
+//     ideal cone-restricted run of a fixed 512-trial schedule would achieve
+//     (a model of the schedule: every batch settles the whole tape).
 //     These are deterministic functions of the netlist + seed (computed from
 //     the ConeIndex, never from wall clock), so bench_compare pins them
 //     exactly against the committed baseline.
 //
 //  2. Measured trials/s on Design 1 (o1 tape, 256 lanes, single worker
-//     thread so the ratio isolates the algorithm, not the pool): full-tape
-//     batches vs cone-restricted batches over the identical schedule, for
-//     two workloads.  The transient campaign (SEU + glitch, the canonical
-//     radiation-test workload) is where the cone engine earns its keep:
-//     every trial's disturbance drains within the pipeline latency, the
-//     batch reconverges onto the golden trace and retires, and the engine
-//     serves the rest of the stream from the trace.  The mixed campaign
-//     adds stuck-at faults, whose forces persist to the end of the stream
-//     and pin their batches active (only the pre-strike skip applies), so
-//     its ratio is structurally smaller.  Acceptance gates: >= 2x on the
-//     transient campaign in smoke mode, and cone/full reports byte
-//     identical for both workloads (the restriction is purely a throughput
-//     knob).
+//     thread so the ratio isolates the algorithm, not the pool): batches
+//     simulating every cycle vs batches replaying the golden trace over the
+//     identical schedule, for two workloads.  The transient campaign (SEU +
+//     glitch, the canonical radiation-test workload) is where replay earns
+//     its keep: a batch skips the cycles before its first strike, every
+//     trial's disturbance drains within the pipeline latency, and the batch
+//     reconverges onto the golden trace and retires, so the rest of the
+//     stream is served from the trace.  The mixed campaign adds stuck-at
+//     faults, whose forces persist and keep their batches simulating until
+//     the trace holds every stuck net at its forced value, so its ratio is
+//     structurally smaller.  Acceptance gates: >= 2x on the transient
+//     campaign in smoke mode, and replay/full reports byte identical for
+//     both workloads (replay is purely a throughput knob).
 //
 //  3. Shard scaling on the same workload: the schedule split across 4
 //     shards, each run separately; the projected parallel speedup is the
@@ -103,17 +104,17 @@ int main(int argc, char** argv) {
   constexpr std::size_t kStatSamples = 32;
   // Timed workload.  Even smoke mode needs a few thousand trials: at ~10^5
   // trials/s a 256-trial campaign is a millisecond -- pure timer noise.
-  // The sample count is deliberately deep (256 input pairs per trial): the
-  // cone engine's retirement and cycle skipping amortize over the stream
-  // length, and short streams are all pipeline-drain edge, which is exactly
-  // what a real campaign is not.
+  // The sample count is deliberately deep (256 input pairs per trial):
+  // replay's retirement and cycle skipping amortize over the stream length,
+  // and short streams are all pipeline-drain edge, which is exactly what a
+  // real campaign is not.
   const std::size_t trials = smoke ? 8192 : 16384;
   const std::size_t samples = 256;
   constexpr unsigned kShards = 4;
 
   std::printf(
-      "Fault-campaign scale-out: cone-restricted incremental simulation and\n"
-      "trial sharding on the compiled batch engine%s.\n\n",
+      "Fault-campaign scale-out: golden-trace replay and trial sharding on\n"
+      "the compiled batch engine%s.\n\n",
       smoke ? " (smoke)" : "");
 
   bool all_ok = true;
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
     (void)dwt::core::ArtifactCache::instance().mapped(spec.config);
   }
 
-  // --- 2. cone-restricted vs full-tape throughput, Design 1 ---------------
+  // --- 2. replay vs every-cycle throughput, Design 1 -----------------------
   // Best-of-3 per engine: campaigns share the host with whatever else is
   // running, and one descheduled slice would otherwise decide the ratio.
   double t_cone = 1e300;       // transient workload, reused by the shard group
@@ -193,19 +194,18 @@ int main(int argc, char** argv) {
              "ratio");
     std::printf(
         "\nDesign 1, o1 tape, 256 lanes, %zu trials, %s:\n"
-        "  full tape  %10.0f trials/s\n"
-        "  cone       %10.0f trials/s   %.2fx\n",
+        "  every cycle  %10.0f trials/s\n"
+        "  replay       %10.0f trials/s   %.2fx\n",
         trials, w.label, tps_full, tps_cone, speedup);
     if (report_full_w != report_cone_w) {
       all_ok = false;
-      std::printf("cone/full reports DIFFER: the restriction must be a pure "
+      std::printf("replay/full reports DIFFER: replay must be a pure "
                   "throughput knob\n");
     }
     if (w.transient_only) {
       if (smoke && speedup < 2.0) {
         all_ok = false;
-        std::printf("cone restriction below the 2x acceptance gate: %.2fx\n",
-                    speedup);
+        std::printf("replay below the 2x acceptance gate: %.2fx\n", speedup);
       }
       t_cone = t_cone_w;
       report_cone = std::move(report_cone_w);
@@ -251,7 +251,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nCone statistics are deterministic (netlist + seed); trials/s and\n"
-      "speedups are host wall clock.  Byte-equality of cone/full and\n"
+      "speedups are host wall clock.  Byte-equality of replay/full and\n"
       "merged/unsharded reports is enforced in every mode.\n");
   if (!all_ok) {
     std::fprintf(stderr, "campaign-scaling gate FAILED\n");

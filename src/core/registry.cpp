@@ -138,7 +138,7 @@ class RtlCompiledBackend final : public ExecutionBackend {
     const hw::DatapathConfig cfg =
         hw::design_config(req.design, req.max_octaves, req.adder);
     const std::shared_ptr<const CachedDesign> d = cache.design(cfg);
-    rtl::compiled::BatchFaultSession session(
+    rtl::compiled::WideBatchSession<1> session(
         cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level));
     session.sim().set_native(cache.native_for(
         req.exec_tier, cfg, rtl::HardeningStyle::kNone, req.opt_level, 1));

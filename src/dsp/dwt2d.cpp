@@ -59,59 +59,55 @@ void sweep_octaves(PlaneView<T> p, int octaves, bool inverse, Line&& line) {
   }
 }
 
-/// Calls f with the step table of integer lifting method `m` on samples of
-/// type T.
+/// Calls f with the table of method `m` on samples of type T -- the tap
+/// table of a FIR row or the step table of a lifting row -- doubles for the
+/// two float methods and integers for the other five.
 template <class T, class F>
-void with_integer_steps(Method m, int frac_bits, F&& f) {
-  switch (m) {
-    case Method::kLiftingFixed:
-      return f(fixed97_steps<T>(LiftingFixedCoeffs::rounded(frac_bits)));
-    case Method::kLiftingHwFloat:
-      return f(hw97_steps<T>(LiftingCoeffs::daubechies97()));
-    case Method::kReversible53:
-      return f(reversible53_steps<T>());
-    default:
-      throw std::invalid_argument(
-          "dwt2d: " + to_string(m) + " is not an integer lifting method");
-  }
-}
-
-/// Calls f with the line kernel of method `m` on samples of type T: a FIR
-/// bank or a lifting ladder, doubles for the two float methods and integers
-/// for the other five.
-template <class T, class F>
-void with_kernel(Method m, int frac_bits, bool inverse, F&& f) {
+void with_table(Method m, int frac_bits, F&& f) {
   if constexpr (std::is_floating_point_v<T>) {
     if (m == Method::kFirFloat) {
-      return f(FirBank(float97_taps(Dwt97FirCoeffs::daubechies97()), inverse));
+      return f(float97_taps(Dwt97FirCoeffs::daubechies97()));
     }
     if (m == Method::kLiftingFloat) {
-      return f(LiftingLadder(float97_steps(LiftingCoeffs::daubechies97()),
-                             inverse));
+      return f(float97_steps(LiftingCoeffs::daubechies97()));
     }
     throw std::invalid_argument("dwt2d: " + to_string(m) +
                                 " does not transform doubles");
   } else {
     switch (m) {
       case Method::kFirFixed:
-        return f(FirBank(
-            fixed97_taps<T>(Dwt97FirFixedCoeffs::rounded(frac_bits)), inverse));
+        return f(fixed97_taps<T>(Dwt97FirFixedCoeffs::rounded(frac_bits)));
       case Method::kFirHwFloat:
-        return f(
-            FirBank(hw97_taps<T>(Dwt97FirCoeffs::daubechies97()), inverse));
+        return f(hw97_taps<T>(Dwt97FirCoeffs::daubechies97()));
+      case Method::kLiftingFixed:
+        return f(fixed97_steps<T>(LiftingFixedCoeffs::rounded(frac_bits)));
+      case Method::kLiftingHwFloat:
+        return f(hw97_steps<T>(LiftingCoeffs::daubechies97()));
+      case Method::kReversible53:
+        return f(reversible53_steps<T>());
       default:
-        return with_integer_steps<T>(m, frac_bits, [&](const auto& steps) {
-          f(LiftingLadder(steps, inverse));
-        });
+        throw std::invalid_argument("dwt2d: " + to_string(m) +
+                                    " is not an integer method");
     }
   }
+}
+
+/// The line kernel of a table: a FIR bank over taps, a ladder over steps.
+template <class T, class C>
+FirBank<FirTaps<T, C>> kernel_of(const FirTaps<T, C>& taps, bool inverse) {
+  return {taps, inverse};
+}
+template <class Mul, std::size_t Steps>
+LiftingLadder<Mul, Steps> kernel_of(const StepTable<Mul, Steps>& steps,
+                                    bool inverse) {
+  return {steps, inverse};
 }
 
 template <class T>
 void transform(Method m, PlaneView<T> p, int octaves, int frac_bits,
                bool inverse) {
-  with_kernel<T>(m, frac_bits, inverse, [&](auto kernel) {
-    sweep_octaves(p, octaves, inverse, kernel);
+  with_table<T>(m, frac_bits, [&](const auto& table) {
+    sweep_octaves(p, octaves, inverse, kernel_of(table, inverse));
   });
 }
 
@@ -123,8 +119,8 @@ PassBound cached_pass_bound(Method m, int frac_bits, bool inverse) {
   const auto key = std::make_tuple(m, frac_bits, inverse);
   if (const auto it = cache.find(key); it != cache.end()) return it->second;
   PassBound b;
-  with_integer_steps<std::int64_t>(m, frac_bits, [&](const auto& steps) {
-    b = pass_bound(steps, inverse);
+  with_table<std::int64_t>(m, frac_bits, [&](const auto& table) {
+    b = pass_bound(table, inverse);
   });
   return cache.emplace(key, b).first->second;
 }
@@ -159,12 +155,18 @@ int lift_int32(Method m, PlaneView<std::int32_t> p, int octaves, int frac_bits,
     throw std::invalid_argument("dwt2d: " + to_string(m) +
                                 " does not transform integers");
   }
-  // The FIR bank has no int32 guard: its two methods filter on int64.
+  const ChainBound bound =
+      lifting_bound(m, frac_bits, inverse, octaves, max_abs(p));
+  // The FIR bank has no int32 path: its two methods filter on int64.
   const bool fir = m == Method::kFirFixed || m == Method::kFirHwFloat;
-  if (!fir &&
-      fits_int32(lifting_bound(m, frac_bits, inverse, octaves, max_abs(p)))) {
+  if (!fir && fits_int32(bound)) {
     transform(m, p, octaves, frac_bits, inverse);
     return 32;
+  }
+  if (!fits_int64(bound)) {
+    throw std::overflow_error("dwt2d: " + to_string(m) + " at frac_bits " +
+                              std::to_string(frac_bits) +
+                              " can overflow int64 on this window");
   }
   Plane<std::int64_t> wide(p.width, p.height);
   copy_window(p, wide.view(), [](std::int32_t v) { return std::int64_t{v}; });

@@ -57,9 +57,10 @@ void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
   }
 }
 
-/// The int32 guard of an integer lifting method: sound bounds for `octaves`
-/// 2-D octaves in one direction from values inside +-max_abs.  The
-/// transform lifts on int32 when fits_int32 holds for it, else on int64.
+/// The int32 guard of an integer method: sound bounds for `octaves` 2-D
+/// octaves in one direction from values inside +-max_abs.  A lifting method
+/// lifts on int32 when fits_int32 holds for it, else on int64; either kind
+/// runs on int64 only when fits_int64 holds.
 [[nodiscard]] ChainBound lifting_bound(Method m, int frac_bits, bool inverse,
                                        int octaves, double max_abs);
 
@@ -88,7 +89,9 @@ void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
 /// magnitude, the FIR methods never; otherwise the transform runs on an
 /// int64 copy of the window narrowed back (std::overflow_error if a result
 /// leaves int32).  They return the sample width they transformed on: 32 or
-/// 64.  The narrowing is the plane's one narrow_to_int32.
+/// 64.  The narrowing is the plane's one narrow_to_int32.  Where the guard
+/// cannot rule out int64 overflow either (frac_bits near the top of its
+/// 0..60 range), they throw std::overflow_error before transforming.
 int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits = kDefaultFracBits);
 int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,

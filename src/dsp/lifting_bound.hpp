@@ -1,6 +1,7 @@
 // The int32 guard: a sound magnitude bound for every value one ladder pass
 // computes, so an integer transform runs on int32 samples only where no
-// sum, product or lifted sample can leave int32.
+// sum, product or lifted sample can leave int32, and at all only where none
+// can leave int64.
 //
 // A pass is linear up to its truncations, so each value it computes is an
 // affine form c . x + e over the line's inputs x, with |e| bounded by the
@@ -12,7 +13,8 @@
 // maximum over them holds for any length.  Per-stage interval chains, by
 // contrast, lose the cancellation between lifting steps: for the 9/7 they
 // grow 8.3x per forward pass and 11.9x per inverse pass, against 2.6x and
-// 2.2x here.
+// 2.2x here.  A FIR bank pass has no steps to cancel, so its bound comes
+// straight from the tap table.
 #pragma once
 
 #include <algorithm>
@@ -21,8 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "dsp/fir_filter.hpp"
 #include "dsp/lifting_ladder.hpp"
 
 namespace dwt::dsp {
@@ -59,6 +63,12 @@ inline ChainBound chain_bound(const PassBound& b, int passes, double r) {
 inline bool fits_int32(const ChainBound& c) {
   return c.peak * (1.0 + 1e-9) <=
          static_cast<double>(std::numeric_limits<std::int32_t>::max());
+}
+
+/// Whether a chain stays inside int64, with the same margin.
+inline bool fits_int64(const ChainBound& c) {
+  return c.peak * (1.0 + 1e-9) <=
+         static_cast<double>(std::numeric_limits<std::int64_t>::max());
 }
 
 inline constexpr std::size_t kBoundLines = 39;
@@ -172,6 +182,43 @@ PassBound pass_bound(const StepTable<Mul, Steps>& steps, bool inverse) {
     for (const BoundSample& v : line) out.note(v.gain(), v.err());
   }
   return {out.gain, out.bias, peak.gain, peak.bias};
+}
+
+/// The pass bound of a FIR tap table in one direction.  An output sums
+/// taps times inputs inside +-R, so every product stays inside max|tap| * R,
+/// every partial sum inside sum|tap| * R, and the output inside
+/// sum|tap| / 2^shift * R + 1 (the shift or floor truncates by under 1),
+/// the sums running over the taps one output reads: one analysis filter
+/// forward, and inverse the taps of both synthesis filters whose offsets
+/// have the parities that output's position selects.
+template <class T, class C>
+PassBound pass_bound(const FirTaps<T, C>& taps, bool inverse) {
+  // sum|tap| over the taps of `f` at offsets of parity `phase` from the
+  // centre, or over all of them for -1.
+  const auto gain = [](std::span<const C> f, int phase) {
+    double g = 0;
+    const auto centre = static_cast<std::ptrdiff_t>(f.size() / 2);
+    for (std::size_t t = 0; t < f.size(); ++t) {
+      const std::ptrdiff_t offset = static_cast<std::ptrdiff_t>(t) - centre;
+      if (phase < 0 || (offset & 1) == phase) {
+        g += std::abs(static_cast<double>(f[t]));
+      }
+    }
+    return g;
+  };
+  double sum = 0;
+  if (inverse) {
+    // An even output reads the synthesis low-pass at even offsets and the
+    // high-pass at odd ones; an odd output the other way round.
+    for (const int phase : {0, 1}) {
+      sum = std::max(sum, gain(taps.synthesis_low, phase) +
+                              gain(taps.synthesis_high, 1 - phase));
+    }
+  } else {
+    sum = std::max(gain(taps.analysis_low, -1), gain(taps.analysis_high, -1));
+  }
+  const double out = std::ldexp(sum, -taps.shift);
+  return {out, 1.0, std::max({1.0, sum, out}), 1.0};
 }
 
 }  // namespace dwt::dsp

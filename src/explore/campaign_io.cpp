@@ -17,15 +17,18 @@ namespace dwt::explore {
 namespace {
 
 constexpr const char* kMagic = "dwtcampaign-checkpoint v1";
+// The error prefixes of the two readers.
+constexpr const char* kCheckpoint = "campaign checkpoint";
+constexpr const char* kMerge = "merge_reports";
 
 void append_u64_hex(std::string& out, std::uint64_t v) {
   static const char* const digits = "0123456789abcdef";
   for (int i = 15; i >= 0; --i) out += digits[(v >> (4 * i)) & 0xF];
 }
 
-std::uint64_t parse_u64_hex(const std::string& s) {
+std::uint64_t parse_u64_hex(const std::string& s, const char* who) {
   if (s.size() != 16) {
-    throw std::runtime_error("campaign checkpoint: bad hex field width");
+    throw std::runtime_error(std::string(who) + ": bad hex field width");
   }
   std::uint64_t v = 0;
   for (const char c : s) {
@@ -35,10 +38,20 @@ std::uint64_t parse_u64_hex(const std::string& s) {
     } else if (c >= 'a' && c <= 'f') {
       v |= static_cast<std::uint64_t>(c - 'a' + 10);
     } else {
-      throw std::runtime_error("campaign checkpoint: bad hex digit");
+      throw std::runtime_error(std::string(who) + ": bad hex digit");
     }
   }
   return v;
+}
+
+/// The exact PSNR accumulator from its hex form, failing as `who`.
+common::ExactAcc parse_acc(const std::string& s, const char* who) {
+  try {
+    return common::ExactAcc::from_hex(s);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string(who) + ": bad psnr_acc (" +
+                             e.what() + ")");
+  }
 }
 
 /// Next line of `in`; throws on EOF (every truncation is an error -- the
@@ -64,21 +77,24 @@ std::string need_field(std::istringstream& in, const std::string& key) {
   return line.substr(key.size() + 1);
 }
 
-/// Non-negative decimal no larger than `max`.
+/// Non-negative decimal no larger than `max`, failing as `who`.
 std::uint64_t parse_u64(const std::string& s, const char* what,
                         std::uint64_t max =
-                            std::numeric_limits<std::uint64_t>::max()) {
+                            std::numeric_limits<std::uint64_t>::max(),
+                        const char* who = kCheckpoint) {
+  const auto error = [&] {
+    return std::runtime_error(std::string(who) + ": bad number (" + what +
+                              ")");
+  };
   if (s.empty() ||
       s.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::runtime_error(std::string("campaign checkpoint: bad number (") +
-                             what + ")");
+    throw error();
   }
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
   if (errno != 0 || end != s.c_str() + s.size() || v > max) {
-    throw std::runtime_error(std::string("campaign checkpoint: bad number (") +
-                             what + ")");
+    throw error();
   }
   return static_cast<std::uint64_t>(v);
 }
@@ -177,10 +193,12 @@ CampaignCheckpoint parse_checkpoint(const std::string& text) {
   cp.detected = parse_u64(need_field(in, "detected"), "detected");
   cp.sdc = parse_u64(need_field(in, "sdc"), "sdc");
   cp.corrupted = parse_u64(need_field(in, "corrupted"), "corrupted");
-  cp.min_psnr_bits = parse_u64_hex(need_field(in, "min_psnr_bits"));
-  cp.psnr_acc = common::ExactAcc::from_hex(need_field(in, "psnr_acc"));
+  cp.min_psnr_bits =
+      parse_u64_hex(need_field(in, "min_psnr_bits"), kCheckpoint);
+  cp.psnr_acc = parse_acc(need_field(in, "psnr_acc"), kCheckpoint);
+  // The declared count reserves nothing: a short file fails as truncated
+  // once its trial lines run out.
   const std::uint64_t kept = parse_u64(need_field(in, "kept"), "kept");
-  cp.kept.reserve(kept);
   for (std::uint64_t i = 0; i < kept; ++i) {
     std::istringstream line(need_line(in, "trial"));
     std::string tag;
@@ -202,7 +220,8 @@ CampaignCheckpoint parse_checkpoint(const std::string& text) {
       throw std::runtime_error("campaign checkpoint: bad fault kind");
     }
     t.fault.kind = static_cast<rtl::FaultKind>(k);
-    t.fault.net = static_cast<rtl::NetId>(parse_u64(net, "trial net"));
+    t.fault.net = static_cast<rtl::NetId>(parse_u64(
+        net, "trial net", std::numeric_limits<rtl::NetId>::max()));
     t.fault.cycle = parse_u64(cycle, "trial cycle");
     if (glitch != "0" && glitch != "1") {
       throw std::runtime_error("campaign checkpoint: bad glitch value");
@@ -217,7 +236,7 @@ CampaignCheckpoint parse_checkpoint(const std::string& text) {
     t.max_abs_error = static_cast<std::int64_t>(
         parse_u64(max_err, "trial max_abs_error",
                   std::numeric_limits<std::int64_t>::max()));
-    t.psnr_db = std::bit_cast<double>(parse_u64_hex(psnr));
+    t.psnr_db = std::bit_cast<double>(parse_u64_hex(psnr, kCheckpoint));
     std::string name;
     std::getline(line, name);
     if (!name.empty() && name[0] == ' ') name.erase(0, 1);
@@ -283,6 +302,7 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.compare(0, std::char_traits<char>::length(prefix), prefix) == 0;
 }
 
+/// The decimal after `"key": ` in `line`.
 std::uint64_t scan_u64(const std::string& line, const std::string& key,
                        const char* what) {
   const std::string needle = "\"" + key + "\": ";
@@ -290,17 +310,10 @@ std::uint64_t scan_u64(const std::string& line, const std::string& key,
   if (pos == std::string::npos) {
     throw std::runtime_error(std::string("merge_reports: missing ") + what);
   }
-  std::size_t i = pos + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-    throw std::runtime_error(std::string("merge_reports: bad number for ") +
-                             what);
-  }
-  std::uint64_t v = 0;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    ++i;
-  }
-  return v;
+  const std::size_t start = pos + needle.size();
+  const std::size_t end = line.find_first_not_of("0123456789", start);
+  return parse_u64(line.substr(start, end - start), what,
+                   std::numeric_limits<std::uint64_t>::max(), kMerge);
 }
 
 std::string scan_string(const std::string& line, const std::string& key,
@@ -379,10 +392,10 @@ ShardDoc parse_report(const std::string& text) {
       doc.count = scan_u64(line, "count", "shard.count");
       doc.begin = scan_u64(line, "trial_begin", "shard.trial_begin");
       doc.end = scan_u64(line, "trial_end", "shard.trial_end");
-      doc.min_bits =
-          parse_u64_hex(scan_string(line, "min_psnr_bits", "shard.min_psnr_bits"));
-      doc.acc = common::ExactAcc::from_hex(
-          scan_string(line, "psnr_acc", "shard.psnr_acc"));
+      doc.min_bits = parse_u64_hex(
+          scan_string(line, "min_psnr_bits", "shard.min_psnr_bits"), kMerge);
+      doc.acc =
+          parse_acc(scan_string(line, "psnr_acc", "shard.psnr_acc"), kMerge);
       doc.skeleton.emplace_back(kTokShard);
     } else if (starts_with(line, "  \"trials_kept\": ")) {
       doc.skeleton.emplace_back(kTokKept);

@@ -22,7 +22,7 @@
 #include "fpga/timing.hpp"
 #include "hw/stream_runner.hpp"
 #include "rtl/compiled/batch_fault.hpp"
-#include "rtl/compiled/cone_session.hpp"
+#include "rtl/compiled/cone_index.hpp"
 #include "rtl/simulator.hpp"
 
 namespace dwt::explore {
@@ -30,15 +30,15 @@ namespace {
 
 /// Default trials per execution chunk (summary fold + checkpoint cadence).
 /// Larger chunks let the cycle-sorted batching (run_compiled_chunk) pack
-/// each 64*W-lane batch into a tighter strike-cycle window, which shrinks
-/// the active interval the cone engine must evaluate; 16k trials is still
-/// only a few MB of chunk-local records.
+/// each 64*W-lane batch into a tighter strike-cycle window, which shortens
+/// the cycles a replaying batch must simulate; 16k trials is still only a
+/// few MB of chunk-local records.
 constexpr std::size_t kDefaultChunk = 16384;
 /// Above this many trials in a shard the per-trial list is auto-disabled so
 /// million-trial campaigns run in constant memory.
 constexpr std::size_t kKeepTrialsLimit = 1'000'000;
-/// In-memory budget for the golden trace; past it the cone restriction
-/// falls back to full-tape execution (results are identical either way).
+/// In-memory budget for the golden trace; past it batches simulate every
+/// cycle instead of replaying it (results are identical either way).
 constexpr std::uint64_t kTraceBytesLimit = std::uint64_t{1} << 26;  // 64 MiB
 
 /// Area/f_max of a cached APEX mapping through STA.  The mapping itself
@@ -227,25 +227,21 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   std::shared_ptr<const rtl::compiled::Tape> tape;
   if (compiled) tape = cache.tape(result.spec.config, options.harden, level);
 
-  // Cone restriction: compiled engine only, and only while the golden trace
-  // fits the in-memory budget.  Purely a throughput knob -- the cone path
-  // is bit-exact with the full-tape path.
-  bool cone_active = compiled && options.cone;
-  if (cone_active &&
+  // Golden-trace replay: compiled engine only, and only while the trace
+  // fits the in-memory budget.  Purely a throughput knob -- a replaying
+  // batch is bit-exact with one that simulates every cycle.
+  bool replay = compiled && options.cone;
+  if (replay &&
       rtl::compiled::GoldenTrace::bytes_needed(
           total_cycles, tape->slot_count()) > kTraceBytesLimit) {
-    cone_active = false;
+    replay = false;
     std::fprintf(stderr,
                  "run_campaign: cone restriction disabled (golden trace "
                  "would exceed the in-memory budget); falling back to "
                  "full-tape batches\n");
   }
-  std::shared_ptr<const rtl::compiled::ConeIndex> run_cone;
   std::shared_ptr<rtl::compiled::GoldenTrace> trace;
-  if (cone_active) {
-    run_cone = cache.cone_index(result.spec.config, options.harden, level);
-    trace = std::make_shared<rtl::compiled::GoldenTrace>(tape->slot_count());
-  }
+  if (replay) trace = std::make_shared<rtl::compiled::GoldenTrace>(*tape);
 
   // Golden references: the unhardened design defines correctness; the
   // hardened one must reproduce it fault-free (a transform bug fails loudly
@@ -253,7 +249,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   // golden -- they are bit-exact, so the reports stay byte-identical.
   hw::StreamResult golden;
   if (compiled) {
-    rtl::compiled::BatchFaultSession sess(
+    rtl::compiled::WideBatchSession<1> sess(
         cache.tape(result.spec.config, rtl::HardeningStyle::kNone, level));
     sess.sim().set_native(
         cache.native_for(options.exec_tier, result.spec.config,
@@ -267,15 +263,15 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     hw::StreamResult check;
     bool flagged = false;
     if (compiled) {
-      rtl::compiled::BatchFaultSession clean(tape);
+      rtl::compiled::WideBatchSession<1> clean(tape);
       clean.sim().set_native(cache.native_for(
           options.exec_tier, result.spec.config, options.harden, level, 1));
       if (flag_net != rtl::kNullNet) clean.watch(flag_net);
       // The fault-free pass doubles as the golden trace recording for the
-      // cone-restricted batches.
-      if (cone_active) clean.set_trace(trace.get());
+      // replaying batches.
+      if (replay) clean.set_trace(trace.get());
       check = std::move(hw::run_stream_batch(dut, clean, stimulus, 1).front());
-      flagged = clean.watch_mask() != 0;
+      flagged = clean.watch_block().any();
     } else {
       rtl::Simulator sim(dut.netlist);
       rtl::FaultInjector clean(dut.netlist, sim);
@@ -417,15 +413,15 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   };
 
   // Compiled chunk: up to 64*W trials per tape pass, batches sharded across
-  // a worker pool.  With the cone restriction on, the chunk's trials are
-  // first ordered by (persistence, injection cycle, cone interval): stuck
-  // faults hold their force forever and retire only once the golden trace
-  // absorbs their forced value into a constant tail (a later and rarer
-  // event than a transient's pipeline drain), so they are segregated from
-  // the transients, and cycle-sorting both maximizes each batch's pre-fault
-  // skip and keeps its post-drain retirement window tight.  Every batch still writes only its
-  // own trials, so results are independent of the ordering, scheduling and
-  // thread count.
+  // a worker pool.  With replay on, the chunk's trials are first ordered by
+  // (persistence, injection cycle, cone interval): stuck faults hold their
+  // force forever and retire only once the golden trace absorbs their
+  // forced value into a constant tail (a later and rarer event than a
+  // transient's pipeline drain), so they are segregated from the
+  // transients, and cycle-sorting both maximizes each batch's pre-fault skip
+  // and keeps its post-drain retirement window tight.  Every batch still
+  // writes only its own trials, so results are independent of the ordering,
+  // scheduling and thread count.
   const auto run_compiled_chunk = [&]<unsigned W>(std::size_t c0,
                                                   std::size_t c1,
                                                   std::vector<FaultTrial>& out) {
@@ -434,11 +430,11 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     const std::size_t n = c1 - c0;
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
-    if (cone_active) {
+    if (replay) {
       const auto key = [&](std::uint32_t i) {
         const rtl::Fault& f = faults[c0 - shard_begin + i];
         const rtl::compiled::ConeSpan span =
-            run_cone->span_of_net(*tape, f.net);
+            safe_cone->span_of_net(*safe_tape, f.net);
         const bool sticky = f.kind == rtl::FaultKind::kStuckAt0 ||
                             f.kind == rtl::FaultKind::kStuckAt1;
         return std::tuple<bool, std::uint64_t, std::uint32_t, std::uint32_t,
@@ -450,39 +446,30 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
                 });
     }
     const std::size_t n_batches = (n + kBatchLanes - 1) / kBatchLanes;
-    // Both session kinds share the cache's native block; the simulator
-    // runs it for clock edges and whole-tape unforced settles only.
+    // Every session shares the cache's native block; the simulator runs it
+    // for clock edges and unforced settles.
     const std::shared_ptr<const rtl::compiled::NativeBlock> native =
         cache.native_for(options.exec_tier, result.spec.config, options.harden,
                          level, W);
-    const auto run_one = [&](auto& sess, std::size_t t0, unsigned lanes) {
-      for (unsigned l = 0; l < lanes; ++l) {
-        sess.arm(l, faults[c0 - shard_begin + order[t0 + l]]);
-      }
-      if (flag_net != rtl::kNullNet) sess.watch(flag_net);
-      const std::vector<hw::StreamResult> got =
-          hw::run_stream_batch(dut, sess, stimulus, lanes);
-      const auto& watch = sess.watch_block();
-      for (unsigned l = 0; l < lanes; ++l) {
-        const std::uint32_t idx = order[t0 + l];
-        const rtl::Fault& fault = faults[c0 - shard_begin + idx];
-        out[idx] = classify_trial(fault, dut.netlist.net(fault.net).name,
-                                  got[l], golden, watch.get(l));
-      }
-    };
     common::run_pool(n_batches, options.threads, [&]() {
       return [&](std::size_t b) {
         const std::size_t t0 = b * kBatchLanes;
         const unsigned lanes =
             static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
-        if (cone_active) {
-          rtl::compiled::ConeBatchSession<W> sess(tape, run_cone, trace);
-          sess.sim().set_native(native);
-          run_one(sess, t0, lanes);
-        } else {
-          rtl::compiled::WideBatchSession<W> sess(tape);
-          sess.sim().set_native(native);
-          run_one(sess, t0, lanes);
+        rtl::compiled::WideBatchSession<W> sess(tape, trace);
+        sess.sim().set_native(native);
+        for (unsigned l = 0; l < lanes; ++l) {
+          sess.arm(l, faults[c0 - shard_begin + order[t0 + l]]);
+        }
+        if (flag_net != rtl::kNullNet) sess.watch(flag_net);
+        const std::vector<hw::StreamResult> got =
+            hw::run_stream_batch(dut, sess, stimulus, lanes);
+        const auto& watch = sess.watch_block();
+        for (unsigned l = 0; l < lanes; ++l) {
+          const std::uint32_t idx = order[t0 + l];
+          const rtl::Fault& fault = faults[c0 - shard_begin + idx];
+          out[idx] = classify_trial(fault, dut.netlist.net(fault.net).name,
+                                    got[l], golden, watch.get(l));
         }
       };
     });

@@ -72,17 +72,18 @@ struct ResilienceOptions {
   /// fault-overlay-safe slot mapping (see rtl/compiled/opt/passes.hpp).
   rtl::compiled::OptLevel opt_level = rtl::compiled::OptLevel::kSafe;
   /// Execution tier for the compiled engine's tape walks (kAuto = fastest
-  /// the host supports; DWT_EXEC_TIER overrides).  Force-pinned settles and
-  /// cone-restricted ranges always run the interpreter regardless, so this
-  /// is purely a throughput knob: results -- and the JSON report -- are
+  /// the host supports; DWT_EXEC_TIER overrides).  Force-pinned settles
+  /// always run the interpreter regardless, so this is purely a throughput
+  /// knob: results -- and the JSON report -- are
   /// byte-identical at every setting, and it is deliberately absent from
   /// the checkpoint fingerprint like the other performance knobs.  Ignored
   /// by the interpreted engine.
   rtl::compiled::ExecTier exec_tier = rtl::compiled::ExecTier::kAuto;
-  /// Cone-restricted incremental re-simulation for the compiled engine:
-  /// each batch settles only the union fan-out cone of its faults against
-  /// the recorded fault-free trace (rtl/compiled/cone_session.hpp).
-  /// Bit-exact with the full-tape path -- results and JSON are
+  /// Golden-trace replay for the compiled engine (the name predates it):
+  /// the fault-free run is recorded once, and each batch serves the cycles
+  /// before its first fault and after it rejoins the fault-free state from
+  /// that trace instead of simulating them (rtl/compiled/batch_fault.hpp).
+  /// Bit-exact with simulating every cycle -- results and JSON are
   /// byte-identical either way -- so this is purely a throughput knob.
   /// Ignored by the interpreted engine; auto-disabled (with a stderr note)
   /// when the golden trace would exceed the in-memory budget.
@@ -134,11 +135,13 @@ struct SynthesisCost {
   double fmax_mhz = 0.0;
 };
 
-/// Static fan-out-cone statistics of the campaign's fault schedule over the
-/// fault-overlay-safe tape.  Computed from the ConeIndex and the full drawn
-/// schedule -- never from runtime measurements -- so the block is identical
-/// on both engines, at every lane/thread/opt knob, with the restriction on
-/// or off, and in every shard of a sharded run.
+/// Static fan-out-cone model of the campaign's fault schedule over the
+/// fault-overlay-safe tape: what an engine that settled only each fault's
+/// cone interval would execute.  No engine runs that way -- every batch
+/// settles the whole tape -- so these are properties of the schedule, not
+/// of the run.  Computed from the ConeIndex and the full drawn schedule, so
+/// the block is identical on both engines, at every lane/thread/opt knob,
+/// with replay on or off, and in every shard of a sharded run.
 struct ConeStats {
   std::size_t instructions = 0;  ///< tape length (cone fraction denominator)
   /// Mean cone-interval fraction over all slots with a non-empty cone.
@@ -146,9 +149,8 @@ struct ConeStats {
   /// Mean cone-interval fraction over the campaign's drawn faults.
   double schedule_mean_cone_fraction = 0.0;
   /// Tape instructions a full-tape run of the whole schedule executes, and
-  /// what an ideal cone-restricted run executes (post-injection cycles over
-  /// each fault's cone interval); the difference is the instructions the
-  /// restriction skips.
+  /// what an ideal cone-restricted run would execute (post-injection cycles
+  /// over each fault's cone interval).
   std::uint64_t instructions_full = 0;
   std::uint64_t instructions_cone = 0;
 };

@@ -22,7 +22,7 @@ Dwt2dSystem::Dwt2dSystem(
     std::shared_ptr<const rtl::compiled::Tape> tape,
     std::shared_ptr<const rtl::compiled::NativeBlock> native)
     : core_(std::move(core)),
-      batch_(std::make_unique<rtl::compiled::BatchFaultSession>(
+      batch_(std::make_unique<rtl::compiled::WideBatchSession<1>>(
           std::move(tape))) {
   batch_->sim().set_native(std::move(native));
 }

@@ -66,7 +66,7 @@ class Dwt2dSystem {
  private:
   std::shared_ptr<const BuiltDatapath> core_;
   std::unique_ptr<rtl::Simulator> sim_;
-  std::unique_ptr<rtl::compiled::BatchFaultSession> batch_;
+  std::unique_ptr<rtl::compiled::WideBatchSession<1>> batch_;
 };
 
 }  // namespace dwt::hw

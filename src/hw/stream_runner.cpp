@@ -109,20 +109,40 @@ StreamResult run_impl(const rtl::Bus& in_even, const rtl::Bus& in_odd,
   return out;
 }
 
-/// Shared body of the batched runners: every lane sees the same samples,
-/// and the per-lane overlays inside the session produce the divergence.
-/// Output capture goes through the sessions' bulk read (one slot resolution
-/// per bus bit, fanned out to all lanes) -- with hundreds of lanes the
-/// per-lane read_bus calls otherwise rival the settle itself.
-template <typename Session>
-std::vector<StreamResult> run_batch_impl(const BuiltDatapath& dp,
-                                         Session& session,
-                                         std::span<const std::int64_t> x,
-                                         unsigned lanes) {
+}  // namespace
+
+StreamResult run_stream(const BuiltDatapath& dp, rtl::Simulator& sim,
+                        std::span<const std::int64_t> x) {
+  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
+                  dp.info.latency, sim, x);
+}
+
+StreamResult run_stream_mapped(const BuiltDatapath& dp,
+                               fpga::MappedActivitySim& sim,
+                               std::span<const std::int64_t> x) {
+  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
+                  dp.info.latency, sim, x);
+}
+
+StreamResult run_stream_faulty(const BuiltDatapath& dp, rtl::FaultInjector& inj,
+                               std::span<const std::int64_t> x) {
+  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
+                  dp.info.latency, inj, x);
+}
+
+// Every lane sees the same samples, and the per-lane overlays inside the
+// session produce the divergence.  Output capture goes through the session's
+// bulk read (one slot resolution per bus bit, fanned out to all lanes) --
+// with hundreds of lanes the per-lane read_bus calls otherwise rival the
+// settle itself.
+template <unsigned W>
+std::vector<StreamResult> run_stream_batch(
+    const BuiltDatapath& dp, rtl::compiled::WideBatchSession<W>& session,
+    std::span<const std::int64_t> x, unsigned lanes) {
   if (x.empty()) {
     throw std::invalid_argument("run_stream_batch: empty signal");
   }
-  if (lanes == 0 || lanes > Session::kTotalLanes) {
+  if (lanes == 0 || lanes > rtl::compiled::WideBatchSession<W>::kTotalLanes) {
     throw std::invalid_argument("run_stream_batch: bad lane count");
   }
   const int latency = dp.info.latency;
@@ -154,41 +174,6 @@ std::vector<StreamResult> run_batch_impl(const BuiltDatapath& dp,
   return out;
 }
 
-}  // namespace
-
-StreamResult run_stream(const BuiltDatapath& dp, rtl::Simulator& sim,
-                        std::span<const std::int64_t> x) {
-  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
-                  dp.info.latency, sim, x);
-}
-
-StreamResult run_stream_mapped(const BuiltDatapath& dp,
-                               fpga::MappedActivitySim& sim,
-                               std::span<const std::int64_t> x) {
-  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
-                  dp.info.latency, sim, x);
-}
-
-StreamResult run_stream_faulty(const BuiltDatapath& dp, rtl::FaultInjector& inj,
-                               std::span<const std::int64_t> x) {
-  return run_impl(dp.in_even, dp.in_odd, dp.out_low, dp.out_high,
-                  dp.info.latency, inj, x);
-}
-
-template <unsigned W>
-std::vector<StreamResult> run_stream_batch(
-    const BuiltDatapath& dp, rtl::compiled::WideBatchSession<W>& session,
-    std::span<const std::int64_t> x, unsigned lanes) {
-  return run_batch_impl(dp, session, x, lanes);
-}
-
-template <unsigned W>
-std::vector<StreamResult> run_stream_batch(
-    const BuiltDatapath& dp, rtl::compiled::ConeBatchSession<W>& session,
-    std::span<const std::int64_t> x, unsigned lanes) {
-  return run_batch_impl(dp, session, x, lanes);
-}
-
 template std::vector<StreamResult> run_stream_batch<1>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<1>&,
     std::span<const std::int64_t>, unsigned);
@@ -197,15 +182,6 @@ template std::vector<StreamResult> run_stream_batch<2>(
     std::span<const std::int64_t>, unsigned);
 template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<4>&,
-    std::span<const std::int64_t>, unsigned);
-template std::vector<StreamResult> run_stream_batch<1>(
-    const BuiltDatapath&, rtl::compiled::ConeBatchSession<1>&,
-    std::span<const std::int64_t>, unsigned);
-template std::vector<StreamResult> run_stream_batch<2>(
-    const BuiltDatapath&, rtl::compiled::ConeBatchSession<2>&,
-    std::span<const std::int64_t>, unsigned);
-template std::vector<StreamResult> run_stream_batch<4>(
-    const BuiltDatapath&, rtl::compiled::ConeBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);
 
 std::uint64_t stream_cycle_count(const BuiltDatapath& dp, std::size_t n) {

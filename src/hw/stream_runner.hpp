@@ -16,7 +16,6 @@
 #include "hw/lifting53_datapath.hpp"
 #include "hw/lifting_datapath.hpp"
 #include "rtl/compiled/batch_fault.hpp"
-#include "rtl/compiled/cone_session.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/simulator.hpp"
 
@@ -58,10 +57,11 @@ inline constexpr int kGuardPairs = 4;
 /// Batched equivalent of run_stream_faulty on the compiled bit-parallel
 /// engine: every lane streams the same extended signal while the session
 /// applies each lane's armed fault overlay, so one call carries up to
-/// Session::kTotalLanes independent fault trials (64 per slot word times
-/// the session's lane-block width W).  Returns the per-lane coefficient
-/// windows for the first `lanes` lanes; with no faults armed every lane is
-/// bit-identical to run_stream.
+/// 64 * W independent fault trials (64 per slot word times the session's
+/// lane-block width W).  Returns the per-lane coefficient windows for the
+/// first `lanes` lanes; with no faults armed every lane is bit-identical to
+/// run_stream.  A session replaying a golden trace reads the trace on the
+/// cycles it skips, so its lanes are identical too.
 template <unsigned W>
 [[nodiscard]] std::vector<StreamResult> run_stream_batch(
     const BuiltDatapath& dp, rtl::compiled::WideBatchSession<W>& session,
@@ -75,26 +75,6 @@ extern template std::vector<StreamResult> run_stream_batch<2>(
     std::span<const std::int64_t>, unsigned);
 extern template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<4>&,
-    std::span<const std::int64_t>, unsigned);
-
-/// Cone-restricted variant: same feed schedule and per-lane results as the
-/// full-tape overload, but each cycle settles only the armed faults' cone
-/// interval and replays everything else from the session's golden trace
-/// (see rtl/compiled/cone_session.hpp).  Bit-identical to the full session
-/// for every lane.
-template <unsigned W>
-[[nodiscard]] std::vector<StreamResult> run_stream_batch(
-    const BuiltDatapath& dp, rtl::compiled::ConeBatchSession<W>& session,
-    std::span<const std::int64_t> x, unsigned lanes);
-
-extern template std::vector<StreamResult> run_stream_batch<1>(
-    const BuiltDatapath&, rtl::compiled::ConeBatchSession<1>&,
-    std::span<const std::int64_t>, unsigned);
-extern template std::vector<StreamResult> run_stream_batch<2>(
-    const BuiltDatapath&, rtl::compiled::ConeBatchSession<2>&,
-    std::span<const std::int64_t>, unsigned);
-extern template std::vector<StreamResult> run_stream_batch<4>(
-    const BuiltDatapath&, rtl::compiled::ConeBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);
 
 /// Cycles one run_stream / run_stream_faulty / run_stream_mapped /

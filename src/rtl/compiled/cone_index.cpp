@@ -35,10 +35,6 @@ std::shared_ptr<const ConeIndex> ConeIndex::build(const Tape& tape) {
   const std::vector<Instr>& instrs = tape.instrs();
   index->instr_count_ = instrs.size();
   index->spans_.assign(n_slots, ConeSpan{});
-  index->d_of_q_.assign(n_slots, kNullSlot);
-  for (const DffSlots& dff : tape.dffs()) {
-    index->d_of_q_.at(dff.q) = dff.d;
-  }
 
   std::vector<ConeSpan>& spans = index->spans_;
   // Fixpoint: intervals only grow and are bounded by [0, instr_count), so

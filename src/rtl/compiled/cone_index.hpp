@@ -1,5 +1,4 @@
-// Fan-out cone index over a compiled tape, and the golden state trace that
-// cone-restricted fault trials replay against.
+// Fan-out cone index over a compiled tape.
 //
 // A fault pins or flips exactly one net, so the only tape instructions a
 // trial can compute differently from the fault-free run are those in the
@@ -7,21 +6,16 @@
 // a corrupted DFF D propagates through its Q into the next cycle's logic.
 // Because the tape is levelized (writers precede readers), that cone is
 // covered by one contiguous *interval* of instruction indices, and the
-// ConeIndex precomputes that interval for every slot: a cone-restricted
-// simulator executes only tape[lo, hi) per cycle and takes every value
-// outside the interval from the golden trace, instead of re-running the
-// whole tape per trial.
+// ConeIndex precomputes that interval for every slot.  Campaigns use the
+// intervals as a static model of their fault schedule (the report's `cone`
+// block) and to order the trials of a batch; every batch settles the whole
+// tape, since on the pipelined designs the union of a batch's intervals
+// covers all of it.
 //
 // The index is immutable after build() and carries no pointers back into
 // the tape, so one index can be shared (via shared_ptr<const ConeIndex>)
-// by every batch session of a campaign; the ArtifactCache memoizes it
-// beside the tape it was built from.
-//
-// GoldenTrace records the fault-free run the cone slices replay against:
-// one packed bit per (cycle, slot), sampled after each settle.  A clean
-// batch run is uniform across lanes (same stimulus, no overlays), so one
-// bit per slot loses nothing, and a cone session broadcasts the bit back
-// to a full lane block when refreshing an out-of-cone slot.
+// by every user; the ArtifactCache memoizes it beside the tape it was built
+// from.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +47,6 @@ class ConeIndex {
   /// sweeps.
   [[nodiscard]] static std::shared_ptr<const ConeIndex> build(const Tape& tape);
 
-  /// Fan-out interval of a slot.
-  [[nodiscard]] const ConeSpan& span(Slot s) const { return spans_.at(s); }
-
   /// Fan-out interval of a net on the indexed tape; empty for nets the
   /// optimizer eliminated (forcing them is a no-op, so their cone is too).
   [[nodiscard]] ConeSpan span_of_net(const Tape& tape, NetId net) const {
@@ -63,12 +54,6 @@ class ConeIndex {
     return s == kNullSlot ? ConeSpan{} : spans_.at(s);
   }
 
-  /// D slot of a DFF-output slot, kNullSlot for every other slot.  The
-  /// post-edge golden value of a Q slot at cycle c is the post-settle trace
-  /// of its D slot at c, which is how cone sessions read golden Q values.
-  [[nodiscard]] Slot d_of_q(Slot q) const { return d_of_q_.at(q); }
-
-  [[nodiscard]] std::size_t slot_count() const { return spans_.size(); }
   /// Instruction count of the indexed tape (the denominator of every cone
   /// fraction).
   [[nodiscard]] std::size_t instr_count() const { return instr_count_; }
@@ -81,58 +66,7 @@ class ConeIndex {
   ConeIndex() = default;
 
   std::vector<ConeSpan> spans_;  // per slot
-  std::vector<Slot> d_of_q_;     // per slot, kNullSlot when not a DFF Q
   std::size_t instr_count_ = 0;
-};
-
-/// Packed fault-free state trace: one bit per (cycle, slot), sampled after
-/// each settle (post-eval, pre-edge).  Recorded once per campaign on the
-/// clean reference run and shared read-only by every cone session.
-class GoldenTrace {
- public:
-  explicit GoldenTrace(std::size_t slot_count)
-      : slot_count_(slot_count), words_per_cycle_((slot_count + 63) / 64) {}
-
-  /// Appends the post-settle state of `sim` as the trace of its current
-  /// cycle.  Lane 0 stands for all lanes: a clean run drives every lane
-  /// identically, so slot words are uniform 0 / ~0.
-  template <typename Sim>
-  void append(const Sim& sim) {
-    const std::size_t base = bits_.size();
-    bits_.resize(base + words_per_cycle_, 0);
-    for (std::size_t s = 0; s < slot_count_; ++s) {
-      if (sim.slot_word(static_cast<Slot>(s), 0) & 1) {
-        bits_[base + s / 64] |= std::uint64_t{1} << (s % 64);
-      }
-    }
-    ++cycles_;
-  }
-
-  [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
-  [[nodiscard]] std::size_t slot_count() const { return slot_count_; }
-
-  [[nodiscard]] bool get(std::uint64_t cycle, Slot s) const {
-    const std::size_t at = cycle * words_per_cycle_ + s / 64;
-    return ((bits_[at] >> (s % 64)) & 1) != 0;
-  }
-  /// The slot's golden bit widened to a full lane word (0 or ~0).
-  [[nodiscard]] std::uint64_t broadcast(std::uint64_t cycle, Slot s) const {
-    return get(cycle, s) ? ~std::uint64_t{0} : 0;
-  }
-
-  /// Bytes a trace of `cycles` cycles over `slot_count` slots would occupy;
-  /// campaigns use it to fall back to full-tape execution rather than
-  /// record an unbounded trace for huge sample counts.
-  [[nodiscard]] static std::uint64_t bytes_needed(std::uint64_t cycles,
-                                                  std::size_t slot_count) {
-    return cycles * ((slot_count + 63) / 64) * 8;
-  }
-
- private:
-  std::size_t slot_count_;
-  std::size_t words_per_cycle_;
-  std::uint64_t cycles_ = 0;
-  std::vector<std::uint64_t> bits_;
 };
 
 }  // namespace dwt::rtl::compiled

@@ -136,7 +136,7 @@ EquivalenceReport check_fault_equivalence(const Netlist& nl,
   report.cycles = cycles;
   report.lanes_checked = lanes_to_check;
 
-  BatchFaultSession session(compile(nl, level));
+  WideBatchSession<1> session(compile(nl, level));
   std::vector<Simulator> scalar;
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   scalar.reserve(lanes_to_check);

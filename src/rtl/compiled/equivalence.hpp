@@ -16,7 +16,7 @@
 // check_fault_equivalence() extends the differential to fault overlays: each
 // checked lane draws a random fault (SEU / glitch / stuck-at on a random
 // legal target and cycle), which is armed identically in a compiled
-// BatchFaultSession lane and in an interpreted rtl::FaultInjector replica,
+// WideBatchSession lane and in an interpreted rtl::FaultInjector replica,
 // proving the overlay semantics (settle-with-pins, watch sampling, edge,
 // SEU strike) equivalent gate-for-gate -- the property that lets campaigns
 // trust fault-overlay-safe optimized tapes.

@@ -4,14 +4,13 @@
 // bit-identical over the same LaneBlock<W> state:
 //
 //   kSwitch   -- the per-instruction `switch` interpreter loop.  Portable,
-//                and the only tier that handles fault overlays and
-//                cone-restricted ranges.
+//                and the only tier that handles fault overlays.
 //   kNative   -- the tape lowered to straight-line x86-64 machine code in
 //                an mmap'd executable buffer (native_block.hpp): scalar for
 //                W=1, VEX/AVX2 for W=2/4.  Selected by runtime CPU-feature
-//                detection; only full-range unforced evals run natively,
-//                fault overlays and cone-restricted ranges drop to the
-//                interpreter so campaign results stay byte-identical.
+//                detection; only unforced evals run natively, settles with
+//                forced lanes drop to the interpreter so campaign results
+//                stay byte-identical.
 //
 // kAuto, the default everywhere a tier is plumbed through options structs,
 // resolves to the fastest supported tier (native where the host allows,

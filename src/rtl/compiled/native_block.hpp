@@ -12,10 +12,9 @@
 //
 // The emitted code computes exactly the same word-wise boolean functions as
 // WideSimulator::exec<false>, so outputs are byte-identical by
-// construction.  Fault overlays (forced lanes) and cone-restricted partial
-// ranges are NOT handled here; WideSimulator only enters the native block
-// for full-range unforced evals and drops to the switch interpreter
-// otherwise.
+// construction.  Fault overlays (forced lanes) are NOT handled here;
+// WideSimulator only enters the native block for unforced evals and drops
+// to the switch interpreter otherwise.
 //
 // A second entry point, run_edge(), lowers the clock edge: the portable
 // engine's two-phase DFF copy (d -> scratch, scratch -> q) is replaced by a

@@ -226,14 +226,11 @@ class WideSimulator {
   }
 
   // Clocking --------------------------------------------------------------
-  void eval() { eval_range(0, tape_->instrs().size()); }
-
-  /// Settles only instructions [lo, hi) of the tape -- the cone-restricted
-  /// entry point (see rtl/compiled/cone_session.hpp).  Identical to eval()
-  /// when the range spans the whole tape: released constant-image slots are
-  /// reloaded and active pins applied regardless of the range, since both
-  /// are per-slot overlays rather than instructions.
-  void eval_range(std::size_t lo, std::size_t hi) {
+  /// Settles the whole tape: natively when a block is attached and no lane
+  /// is forced, else on the interpreter, which computes the same words.
+  /// Released constant-image slots are reloaded first and active pins
+  /// applied, since both are per-slot overlays rather than instructions.
+  void eval() {
     if (!restore_pending_.empty()) {
       // Released constant-source slots: reload the whole slot from the
       // image; apply_forces() below re-pins any lanes still forced.
@@ -245,21 +242,18 @@ class WideSimulator {
       restore_pending_.clear();
     }
     std::uint64_t* const s = state_.data();
-    const Instr* const tape = tape_->instrs().data();
     if (forced_slots_.empty()) {
-      // The native block is a full-tape settle with no overlay hooks: it
-      // only runs for unforced whole-range evals.  Cone-restricted ranges
-      // and forced evals drop to the interpreter, which computes the same
-      // words -- so tier choice never changes results.
-      if (native_ && lo == 0 && hi == tape_->instrs().size()) {
+      // The native block has no overlay hooks, so it runs unforced settles
+      // only.
+      if (native_) {
         native_->run(s);
         return;
       }
-      for (std::size_t i = lo; i < hi; ++i) exec<false>(s, tape[i]);
+      for (const Instr& it : tape_->instrs()) exec<false>(s, it);
       return;
     }
     apply_forces();
-    for (std::size_t i = lo; i < hi; ++i) exec<true>(s, tape[i]);
+    for (const Instr& it : tape_->instrs()) exec<true>(s, it);
   }
 
   void clock_edge() {
@@ -326,20 +320,33 @@ class WideSimulator {
     return v;
   }
 
-  // Slot-level access (cone-restricted sessions) ---------------------------
+  // Slot-level access (golden-trace recording and replay) ------------------
   /// Raw lane word `k` of slot `s`, no net mapping or range checks beyond
-  /// the vector's own.  Cone sessions and golden-trace recording read state
-  /// by slot because they walk the tape, not the netlist.
+  /// the vector's own.  Golden-trace recording and replay read state by
+  /// slot because they walk the tape, not the netlist.
   [[nodiscard]] std::uint64_t slot_word(Slot s, unsigned k) const {
     return state_[static_cast<std::size_t>(s) * W + k];
   }
-  /// Overwrites every lane word of slot `s` with `word` -- how a cone
-  /// session refreshes an out-of-cone slot from the golden trace (golden
-  /// runs are lane-uniform, so one word serves all W).
+  /// Overwrites every lane word of slot `s` with `word` -- how a replaying
+  /// batch session loads a register from the golden trace (golden runs are
+  /// lane-uniform, so one word serves all W).
   void broadcast_slot(Slot s, std::uint64_t word) {
     for (unsigned k = 0; k < W; ++k) {
       state_[static_cast<std::size_t>(s) * W + k] = word;
     }
+  }
+  /// Slot of an observable net; throws std::invalid_argument for a net out
+  /// of range or eliminated by the tape optimizer.
+  [[nodiscard]] Slot checked_slot(NetId net) const {
+    if (net >= tape_->net_count()) {
+      throw std::invalid_argument("WideSimulator: net out of range");
+    }
+    const Slot s = tape_->slot_of(net);
+    if (s == kNullSlot) {
+      throw std::invalid_argument(
+          "WideSimulator: net was eliminated by the tape optimizer");
+    }
+    return s;
   }
   /// True while any lane of any slot is pinned by force().
   [[nodiscard]] bool any_forced() const { return !forced_slots_.empty(); }
@@ -502,17 +509,6 @@ class WideSimulator {
     }
   }
 
-  [[nodiscard]] Slot checked_slot(NetId net) const {
-    if (net >= tape_->net_count()) {
-      throw std::invalid_argument("WideSimulator: net out of range");
-    }
-    const Slot s = tape_->slot_of(net);
-    if (s == kNullSlot) {
-      throw std::invalid_argument(
-          "WideSimulator: net was eliminated by the tape optimizer");
-    }
-    return s;
-  }
   [[nodiscard]] Slot input_slot(NetId net) const {
     const Slot s = checked_slot(net);
     if (!tape_->is_primary_input(net)) {

@@ -467,5 +467,37 @@ TEST(LiftingGuard, AdmitsInt32ForServedTiles) {
   }
 }
 
+TEST(LiftingGuard, RefusesInt64OverflowAtLargeFracBits) {
+  // An 8x8 plane of 127 with one -128.  At frac_bits 56 and 60 the n/2^f
+  // constants times these samples can leave int64 -- the ladder's products,
+  // the FIR bank's products and sums -- so both methods refuse before
+  // touching the plane; at 8 and 40 they transform, and the ladder still
+  // round-trips to within the truncation of its scaling steps (5 here at
+  // both), where an overflowed product would scramble the plane.
+  Plane<std::int32_t> plane(8, 8);
+  std::fill(plane.data().begin(), plane.data().end(), 127);
+  plane.data()[27] = -128;
+  for (const Method m : {Method::kLiftingFixed, Method::kFirFixed}) {
+    for (const int f : {56, 60}) {
+      Plane<std::int32_t> p = plane;
+      EXPECT_THROW(dwt2d_forward(m, p.view(), 1, f), std::overflow_error)
+          << to_string(m) << " frac_bits=" << f;
+      EXPECT_EQ(p.data(), plane.data()) << to_string(m) << " frac_bits=" << f;
+    }
+    for (const int f : {8, 40}) {
+      Plane<std::int32_t> p = plane;
+      EXPECT_NO_THROW(dwt2d_forward(m, p.view(), 1, f))
+          << to_string(m) << " frac_bits=" << f;
+      if (m == Method::kLiftingFixed) {
+        EXPECT_NO_THROW(dwt2d_inverse(m, p.view(), 1, f)) << f;
+        for (std::size_t i = 0; i < p.data().size(); ++i) {
+          EXPECT_LE(std::abs(p.data()[i] - plane.data()[i]), 8)
+              << "frac_bits=" << f << " sample " << i;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dwt::dsp

@@ -14,6 +14,7 @@
 
 #include "common/exact_acc.hpp"
 #include "explore/resilience.hpp"
+#include "support/mutation.hpp"
 
 namespace dwt::explore {
 namespace {
@@ -332,6 +333,143 @@ TEST(CampaignCheckpointTest, ResumeMaySwitchEngines) {
   opt.checkpoint_hook = nullptr;
   EXPECT_EQ(to_json(run_campaign(opt)), want);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: both readers fail as themselves, with std::runtime_error
+// ---------------------------------------------------------------------------
+
+/// A checkpoint with `kept` trial records, one net name holding a space.
+std::string checkpoint_with_trials(std::size_t kept) {
+  CampaignCheckpoint cp;
+  cp.fingerprint = campaign_fingerprint(shard_campaign());
+  cp.cursor = kept;
+  cp.masked = kept;
+  cp.min_psnr_bits = std::bit_cast<std::uint64_t>(
+      std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < kept; ++i) {
+    FaultTrial t;
+    t.fault.kind = static_cast<rtl::FaultKind>(i % 4);
+    t.fault.net = static_cast<rtl::NetId>(40 + i);
+    t.fault.cycle = i;
+    t.net_name = i == 1 ? "alpha.mul pp[3]" : "n" + std::to_string(i);
+    t.psnr_db = std::numeric_limits<double>::infinity();
+    cp.kept.push_back(t);
+  }
+  return serialize_checkpoint(cp);
+}
+
+/// The two shard reports of a 10-trial campaign: trials [0, 5) and [5, 10).
+std::vector<std::string> two_shard_reports() {
+  ResilienceOptions opt = shard_campaign();
+  opt.trials = 10;
+  opt.shard_count = 2;
+  std::vector<std::string> reports;
+  for (unsigned i = 0; i < 2; ++i) {
+    opt.shard_index = i;
+    reports.push_back(to_json(run_campaign(opt)));
+  }
+  return reports;
+}
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// What `f` does: "returned", the message of the std::runtime_error it
+/// throws, or "other exception".
+template <class F>
+std::string outcome_of(F&& f) {
+  try {
+    f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (...) {
+    return "other exception";
+  }
+  return "returned";
+}
+
+void expect_rejected_as(const std::string& got, const std::string& prefix) {
+  EXPECT_TRUE(got.starts_with(prefix)) << got;
+}
+
+TEST(CampaignIo, RejectsDeclaredCountsAndNumbersOutOfRange) {
+  const std::string cp = checkpoint_with_trials(3);
+  // A declared trial count reserves nothing: the file runs out of trial
+  // lines first.
+  for (const char* kept : {"kept 1000000000", "kept 18446744073709551615"}) {
+    expect_rejected_as(outcome_of([&] {
+                         (void)parse_checkpoint(replaced(cp, "kept 3", kept));
+                       }),
+                       "campaign checkpoint: ");
+  }
+  // A net id past NetId does not wrap onto another net.
+  expect_rejected_as(outcome_of([&] {
+                       (void)parse_checkpoint(replaced(
+                           cp, "trial 0 40 ", "trial 0 4294967297 "));
+                     }),
+                     "campaign checkpoint: ");
+
+  // A shard count past uint64 does not wrap onto the honest one.
+  const std::vector<std::string> shards = two_shard_reports();
+  ASSERT_NE(shards[0].find("\"trials\": 5,"), std::string::npos);
+  const std::string wrapped = replaced(
+      replaced(shards[0], "\"trials\": 5,",
+               "\"trials\": 18446744073709551621,"),
+      "\"trial_end\": 5,", "\"trial_end\": 18446744073709551621,");
+  expect_rejected_as(
+      outcome_of([&] { (void)merge_reports({wrapped, shards[1]}); }),
+      "merge_reports: ");
+  // A malformed accumulator fails as the merge, not as the checkpoint or
+  // as ExactAcc.
+  const std::size_t acc = shards[1].find("\"psnr_acc\": \"") + 13;
+  std::string bad_acc = shards[1];
+  bad_acc[acc] = 'x';
+  expect_rejected_as(
+      outcome_of([&] { (void)merge_reports({shards[0], bad_acc}); }),
+      "merge_reports: ");
+}
+
+TEST(CampaignIo, MutatedCheckpointsParseOrRejectCleanly) {
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const std::size_t kept : {0, 3}) {
+    const std::string text = checkpoint_with_trials(kept);
+    seeds.emplace_back(text.begin(), text.end());
+  }
+  const std::size_t unclean = test::count_unclean_mutations(
+      seeds, 20261018, 50000, /*header_bytes=*/512,
+      [](const std::vector<std::uint8_t>& m) {
+        const std::string got = outcome_of(
+            [&] { (void)parse_checkpoint(std::string(m.begin(), m.end())); });
+        return got == "returned" || got.starts_with("campaign checkpoint: ");
+      });
+  EXPECT_EQ(unclean, 0u);
+}
+
+TEST(CampaignIo, MutatedShardReportsMergeOrRejectCleanly) {
+  const std::vector<std::string> shards = two_shard_reports();
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const std::string& r : shards) seeds.emplace_back(r.begin(), r.end());
+  const std::size_t unclean = test::count_unclean_mutations(
+      seeds, 20261019, 50000, /*header_bytes=*/4096,
+      [&](const std::vector<std::uint8_t>& m) {
+        const std::string mutant(m.begin(), m.end());
+        const auto clean = [](const std::string& got) {
+          return got == "returned" || got.starts_with("merge_reports: ");
+        };
+        return clean(outcome_of([&] {
+                 (void)merge_reports({mutant, shards[1]});
+               })) &&
+               clean(outcome_of([&] {
+                 (void)merge_reports({shards[0], mutant});
+               }));
+      });
+  EXPECT_EQ(unclean, 0u);
 }
 
 }  // namespace

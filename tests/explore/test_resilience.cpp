@@ -159,6 +159,39 @@ TEST(Resilience, LaneWidthAndOptLevelDoNotChangeReport) {
   EXPECT_EQ(to_json(run_campaign(opt)), narrow_raw);
 }
 
+// Golden-trace replay (ResilienceOptions::cone) is a throughput knob too:
+// on pipelines of every depth, hardened or not, each report is byte-identical
+// with replay on and off, at 64 and 256 lanes, trial list included.
+TEST(Resilience, GoldenReplayDoesNotChangeReport) {
+  for (const hw::DesignId design : {hw::DesignId::kDesign1,
+                                    hw::DesignId::kDesign3,
+                                    hw::DesignId::kDesign5}) {
+    for (const rtl::HardeningStyle harden :
+         {rtl::HardeningStyle::kNone, rtl::HardeningStyle::kTmr,
+          rtl::HardeningStyle::kParity}) {
+      ResilienceOptions opt = small_campaign(design, harden);
+      opt.kinds = {rtl::FaultKind::kSeuFlip, rtl::FaultKind::kGlitch,
+                   rtl::FaultKind::kStuckAt0, rtl::FaultKind::kStuckAt1};
+      opt.trials = 300;  // five batches at 64 lanes, two at 256
+      opt.keep_trials = true;
+      opt.engine = CampaignEngine::kCompiled;
+      opt.cone = false;
+      opt.lanes = 256;
+      const std::string want = to_json(run_campaign(opt));
+      for (const unsigned lanes : {64u, 256u}) {
+        for (const bool replay : {false, true}) {
+          opt.lanes = lanes;
+          opt.cone = replay;
+          EXPECT_EQ(to_json(run_campaign(opt)), want)
+              << "design " << static_cast<int>(design) << " harden "
+              << rtl::to_string(harden) << " lanes " << lanes << " replay "
+              << replay;
+        }
+      }
+    }
+  }
+}
+
 TEST(Resilience, RejectsDegenerateOptions) {
   ResilienceOptions opt =
       small_campaign(hw::DesignId::kDesign2, rtl::HardeningStyle::kNone);

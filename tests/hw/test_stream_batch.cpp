@@ -33,7 +33,7 @@ TEST(StreamBatch, FaultFreeLanesMatchInterpretedStream) {
   rtl::Simulator ref(dp.netlist);
   const StreamResult golden = run_stream(dp, ref, x);
 
-  rtl::compiled::BatchFaultSession session(
+  rtl::compiled::WideBatchSession<1> session(
       rtl::compiled::compile(dp.netlist));
   const auto lanes = run_stream_batch(dp, session, x, /*lanes=*/8);
   ASSERT_EQ(lanes.size(), 8u);
@@ -56,7 +56,7 @@ TEST(StreamBatch, ArmedLaneDivergesOthersStayGolden) {
   f.kind = rtl::FaultKind::kStuckAt0;
   f.net = dp.in_even.bits[0];
   f.cycle = 0;
-  rtl::compiled::BatchFaultSession session(
+  rtl::compiled::WideBatchSession<1> session(
       rtl::compiled::compile(dp.netlist));
   session.arm(3, f);
   const auto lanes = run_stream_batch(dp, session, x, /*lanes=*/5);
@@ -92,7 +92,7 @@ TEST(StreamSchedule, EveryHarnessSharesOneCycleContract) {
       rtl::Simulator inj_sim(dp.netlist);
       rtl::FaultInjector inj(dp.netlist, inj_sim);
       fpga::MappedActivitySim mapped_sim(md->mapped);
-      rtl::compiled::BatchFaultSession narrow(tape);
+      rtl::compiled::WideBatchSession<1> narrow(tape);
       rtl::compiled::WideBatchSession<4> wide(tape);
       std::vector<StreamResult> got{
           golden, run_stream_faulty(dp, inj, x),

@@ -97,7 +97,8 @@ TEST(OddLength, BatchLanesMatchInterpretedStreamOnOddSignal) {
   rtl::Simulator ref(dp.netlist);
   const auto x = random_samples(27, 42);
   const hw::StreamResult golden = hw::run_stream(dp, ref, x);
-  rtl::compiled::BatchFaultSession session(rtl::compiled::compile(dp.netlist));
+  rtl::compiled::WideBatchSession<1> session(
+      rtl::compiled::compile(dp.netlist));
   const auto lanes = hw::run_stream_batch(dp, session, x, /*lanes=*/4);
   ASSERT_EQ(lanes.size(), 4u);
   for (const hw::StreamResult& lane : lanes) {

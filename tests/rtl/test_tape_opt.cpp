@@ -222,14 +222,14 @@ TEST(TapeOpt, BatchSessionRefusesFullTapesForFaults) {
   const NetId q = nl.add_cell(CellKind::kDff, n);
   nl.bind_output("y", Bus{{q}});
 
-  BatchFaultSession full(compile(nl, OptLevel::kFull));
+  WideBatchSession<1> full(compile(nl, OptLevel::kFull));
   Fault f;
   f.kind = FaultKind::kStuckAt1;
   f.net = n;
   f.cycle = 0;
   EXPECT_THROW(full.arm(0, f), std::invalid_argument);
 
-  BatchFaultSession safe(compile(nl, OptLevel::kSafe));
+  WideBatchSession<1> safe(compile(nl, OptLevel::kSafe));
   EXPECT_NO_THROW(safe.arm(0, f));
 }
 
@@ -261,7 +261,7 @@ TEST(TapeOpt, GlitchOnFoldedConstantNetIsTransient) {
 
   const auto tape = compile(nl, OptLevel::kSafe);
   ASSERT_EQ(tape->instrs().size(), 1u);  // only x survives; g is folded
-  BatchFaultSession ses(tape);
+  WideBatchSession<1> ses(tape);
   ses.arm(/*lane=*/0, f);
 
   const std::uint64_t stim = 0b110101;

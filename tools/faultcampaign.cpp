@@ -23,8 +23,11 @@
 // one compiled tape pass; `--opt-level` picks the tape optimization level
 // (0 = raw, 1 = fault-overlay-safe passes; the full level drops the
 // overlay guarantees campaigns need and is rejected here); `--no-cone`
-// turns off the cone-restricted incremental engine.  None of these knobs
-// changes the report bytes.  `--adder` swaps the design's adder
+// turns off golden-trace replay, so every batch simulates every cycle
+// instead of serving the cycles before its first fault and after it
+// retires from the recorded fault-free run (the flag keeps the name of the
+// cone-restricted engine replay replaced).  None of these knobs changes the
+// report bytes.  `--adder` swaps the design's adder
 // architecture (carry-chain, ripple-gates, kogge-stone, brent-kung,
 // hybrid-ksbk): unlike the perf knobs this changes the netlist and hence
 // the fault space, so it IS part of the campaign identity (and of the
