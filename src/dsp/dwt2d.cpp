@@ -148,19 +148,77 @@ void copy_window(PlaneView<From> from, PlaneView<To> to, Convert convert) {
   }
 }
 
-int lift_int32(Method m, PlaneView<std::int32_t> p, int octaves, int frac_bits,
-               bool inverse) {
+/// The int32 entry points' kernel -- the scan for the window's largest
+/// magnitude and the transform on int32 -- as one build of the templates
+/// above.  There are two builds: a portable one, and where the compiler can
+/// target it (x86-64 GCC or Clang) an AVX2 one, whose 8-lane 32-bit
+/// multiplies the portable x86-64 baseline (SSE2) lacks.
+struct Int32Kernel {
+  double (*max_abs)(PlaneView<std::int32_t>);
+  void (*transform)(Method, PlaneView<std::int32_t>, int, int, bool);
+};
+
+double max_abs_portable(PlaneView<std::int32_t> p) { return max_abs(p); }
+
+void transform_portable(Method m, PlaneView<std::int32_t> p, int octaves,
+                        int frac_bits, bool inverse) {
+  transform(m, p, octaves, frac_bits, inverse);
+}
+
+constexpr Int32Kernel kPortable{max_abs_portable, transform_portable};
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define DWT_DSP_AVX2_BUILD 1
+// The same templates compiled for AVX2: flatten inlines every call below
+// these two, so the whole kernel is AVX2 code, chosen at run time by the
+// manual check in kernel_build_supported.  (An IFUNC-based target_clones
+// would resolve before a ThreadSanitizer runtime starts and crash it.)
+[[gnu::target("avx2"), gnu::flatten]] double max_abs_avx2(
+    PlaneView<std::int32_t> p) {
+  return max_abs(p);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void transform_avx2(
+    Method m, PlaneView<std::int32_t> p, int octaves, int frac_bits,
+    bool inverse) {
+  transform(m, p, octaves, frac_bits, inverse);
+}
+
+constexpr Int32Kernel kAvx2{max_abs_avx2, transform_avx2};
+#endif
+
+const Int32Kernel& build_of(KernelBuild build) {
+  if (!kernel_build_supported(build)) {
+    throw std::invalid_argument("dwt2d: kernel build not supported here");
+  }
+#ifdef DWT_DSP_AVX2_BUILD
+  if (build == KernelBuild::kAvx2) return kAvx2;
+#endif
+  return kPortable;
+}
+
+/// The build the entry points run, chosen the first time one is needed.
+const Int32Kernel& chosen_kernel() {
+  static const Int32Kernel& chosen =
+      build_of(kernel_build_supported(KernelBuild::kAvx2)
+                    ? KernelBuild::kAvx2
+                    : KernelBuild::kPortable);
+  return chosen;
+}
+
+int lift_int32(const Int32Kernel& kernel, Method m, PlaneView<std::int32_t> p,
+               int octaves, int frac_bits, bool inverse) {
   require_window(p, octaves, inverse ? "dwt2d_inverse" : "dwt2d_forward");
   if (!is_fixed(m)) {
     throw std::invalid_argument("dwt2d: " + to_string(m) +
                                 " does not transform integers");
   }
   const ChainBound bound =
-      lifting_bound(m, frac_bits, inverse, octaves, max_abs(p));
+      lifting_bound(m, frac_bits, inverse, octaves, kernel.max_abs(p));
   // The FIR bank has no int32 path: its two methods filter on int64.
   const bool fir = m == Method::kFirFixed || m == Method::kFirHwFloat;
   if (!fir && fits_int32(bound)) {
-    transform(m, p, octaves, frac_bits, inverse);
+    kernel.transform(m, p, octaves, frac_bits, inverse);
     return 32;
   }
   if (!fits_int64(bound)) {
@@ -182,7 +240,7 @@ void lift_doubles(Method m, PlaneView<double> p, int octaves, int frac_bits,
   if (!is_fixed(m)) return transform(m, p, octaves, frac_bits, inverse);
   Plane<std::int32_t> q(p.width, p.height);
   copy_window(p, q.view(), [](double v) { return round_to_int32(v); });
-  (void)lift_int32(m, q.view(), octaves, frac_bits, inverse);
+  (void)lift_int32(chosen_kernel(), m, q.view(), octaves, frac_bits, inverse);
   copy_window(q.view(), p,
               [](std::int32_t v) { return static_cast<double>(v); });
 }
@@ -236,12 +294,29 @@ void dwt2d_inverse(Method m, PlaneView<double> window, int octaves,
 
 int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits) {
-  return lift_int32(m, window, octaves, frac_bits, /*inverse=*/false);
+  return lift_int32(chosen_kernel(), m, window, octaves, frac_bits,
+                    /*inverse=*/false);
 }
 
 int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits) {
-  return lift_int32(m, window, octaves, frac_bits, /*inverse=*/true);
+  return lift_int32(chosen_kernel(), m, window, octaves, frac_bits,
+                    /*inverse=*/true);
+}
+
+bool kernel_build_supported(KernelBuild build) {
+  if (build == KernelBuild::kPortable) return true;
+#ifdef DWT_DSP_AVX2_BUILD
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+int dwt2d_int32(KernelBuild build, Method m, PlaneView<std::int32_t> window,
+                int octaves, bool inverse, int frac_bits) {
+  return lift_int32(build_of(build), m, window, octaves, frac_bits, inverse);
 }
 
 void level_shift_forward(Image& img) {

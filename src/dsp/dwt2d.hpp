@@ -35,19 +35,17 @@ struct SubbandRect {
 /// The octave sweep every 2-D transform shares: one octave over the
 /// top-left w x h region of a row-major plane holding `pitch` values per
 /// row.  The forward sweep lifts every row then every column, the inverse
-/// every column then every row.  `line(first, n, stride, lanes)` transforms
-/// `lanes` adjacent lines of n values in place, value i of line j being
-/// first[i * stride + j]: the row pass hands it one row at a time, the
-/// column pass every column at once, so a kernel (a lifting ladder or a FIR
-/// bank) works on whole rows as vectors.  A forward line leaves ceil(n/2)
-/// low then floor(n/2) high values.
+/// every column then every row.  `line(first, n, stride, lanes,
+/// lane_stride)` transforms `lanes` lines of n values in place, value i of
+/// line j being first[i * stride + j * lane_stride]: each pass is one call,
+/// the rows (first, w, 1, h, pitch) and the columns (first, h, pitch, w, 1),
+/// so a kernel (a lifting ladder or a FIR bank) sees the whole pass at once.
+/// A forward line leaves ceil(n/2) low then floor(n/2) high values.
 template <class T, class Line>
 void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
                   bool inverse, Line&& line) {
-  const auto rows = [&] {
-    for (std::size_t y = 0; y < h; ++y) line(plane + y * pitch, w, 1, 1);
-  };
-  const auto cols = [&] { line(plane, h, pitch, w); };
+  const auto rows = [&] { line(plane, w, 1, h, pitch); };
+  const auto cols = [&] { line(plane, h, pitch, w, 1); };
   if (inverse) {
     cols();
     rows();
@@ -96,6 +94,17 @@ int dwt2d_forward(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits = kDefaultFracBits);
 int dwt2d_inverse(Method m, PlaneView<std::int32_t> window, int octaves,
                   int frac_bits = kDefaultFracBits);
+
+/// The builds of the int32 plane entry points' kernel: the same lifting
+/// templates compiled portably and, on x86-64 with GCC or Clang, for AVX2.
+/// The entry points run the AVX2 build on a CPU that has AVX2, chosen once
+/// on first use; nothing else selects it.  dwt2d_int32 runs one build by
+/// name (std::invalid_argument where it is not supported), so the two can
+/// be compared; they are bit-identical.
+enum class KernelBuild { kPortable, kAvx2 };
+[[nodiscard]] bool kernel_build_supported(KernelBuild build);
+int dwt2d_int32(KernelBuild build, Method m, PlaneView<std::int32_t> window,
+                int octaves, bool inverse, int frac_bits = kDefaultFracBits);
 
 /// DC level shift helpers (x -> x - 128 and back).
 void level_shift_forward(Image& img);

@@ -105,12 +105,13 @@ FirTaps<T, double> hw97_taps(const Dwt97FirCoeffs& c) {
 }
 
 /// The filter bank as a line kernel with the lifting ladder's signature:
-/// bank(x, n, stride, lanes) filters `lanes` adjacent lines of n samples in
-/// place, sample i of line j being x[i * stride + j].  The forward leaves
-/// ceil(n/2) low then floor(n/2) high values, and the inverse takes them
-/// back; a single sample passes through.  Every output reads up to nine
-/// samples of the symmetrically extended line, so the lines go to a scratch
-/// buffer first, a block of at most kBlockLanes lanes at a time.
+/// bank(x, n, stride, lanes, lane_stride) filters `lanes` lines of n samples
+/// in place, sample i of line j being x[i * stride + j * lane_stride].  The
+/// forward leaves ceil(n/2) low then floor(n/2) high values, and the inverse
+/// takes them back; a single sample passes through.  Every output reads up
+/// to nine samples of the symmetrically extended line, so the lines go to a
+/// scratch buffer first: adjacent lanes (lane_stride 1) a block of at most
+/// kBlockLanes at a time, lines further apart one at a time.
 template <class Taps>
 class FirBank {
  public:
@@ -120,10 +121,11 @@ class FirBank {
   FirBank(const Taps& taps, bool inverse) : taps_(taps), inverse_(inverse) {}
 
   void operator()(T* x, std::size_t n, std::size_t stride = 1,
-                  std::size_t lanes = 1) {
+                  std::size_t lanes = 1, std::size_t lane_stride = 1) {
     if (n < 2) return;  // an even-indexed singleton passes through
-    for (std::size_t j = 0; j < lanes; j += kBlockLanes) {
-      filter(x + j, n, stride, std::min(kBlockLanes, lanes - j));
+    const std::size_t block = lane_stride == 1 ? kBlockLanes : 1;
+    for (std::size_t j = 0; j < lanes; j += block) {
+      filter(x + j * lane_stride, n, stride, std::min(block, lanes - j));
     }
   }
 

@@ -10,11 +10,15 @@
 // (BoundSample) for every line length 2..kBoundLines; a line's values depend
 // only on inputs a few samples away, so longer lines repeat the
 // neighbourhoods of these lengths (both parities at the far end) and the
-// maximum over them holds for any length.  Per-stage interval chains, by
-// contrast, lose the cancellation between lifting steps: for the 9/7 they
-// grow 8.3x per forward pass and 11.9x per inverse pass, against 2.6x and
-// 2.2x here.  A FIR bank pass has no steps to cancel, so its bound comes
-// straight from the tap table.
+// maximum over them holds for any length.  It lifts two lines of each
+// length in one call, as the row pass lifts a block of rows: where the
+// batch's flat step loops run from one row into the next they also compute
+// from a row's pads and zero slots, every pair of neighbouring rows looks
+// like these two, and so those values are bounded with the rest.  Per-stage
+// interval chains, by contrast, lose the cancellation between lifting
+// steps: for the 9/7 they grow 8.3x per forward pass and 11.9x per inverse
+// pass, against 2.6x and 2.2x here.  A FIR bank pass has no steps to
+// cancel, so its bound comes straight from the tap table.
 #pragma once
 
 #include <algorithm>
@@ -72,6 +76,8 @@ inline bool fits_int64(const ChainBound& c) {
 }
 
 inline constexpr std::size_t kBoundLines = 39;
+/// Inputs of the two lines the bound lifts together.
+inline constexpr std::size_t kBoundInputs = 2 * kBoundLines;
 
 /// Running maxima of the gains and biases of the values noted so far.
 struct BoundTracker {
@@ -87,7 +93,7 @@ struct BoundTracker {
 class BoundSample {
  public:
   BoundSample() = default;
-  /// Input sample `i` of a line.
+  /// Input `i` of the batch.
   BoundSample(BoundTracker* tracker, std::size_t i) : tracker_(tracker) {
     c_[i] = 1.0;
     note(1.0, 0.0);
@@ -119,7 +125,7 @@ class BoundSample {
     return r;
   }
   BoundSample& operator+=(const BoundSample& o) {
-    for (std::size_t i = 0; i < kBoundLines; ++i) c_[i] += o.c_[i];
+    for (std::size_t i = 0; i < kBoundInputs; ++i) c_[i] += o.c_[i];
     err_ += o.err_;
     if (tracker_ == nullptr) tracker_ = o.tracker_;
     note(1.0, 0.0);
@@ -130,7 +136,7 @@ class BoundSample {
   }
 
  private:
-  std::array<double, kBoundLines> c_{};
+  std::array<double, kBoundInputs> c_{};
   double err_ = 0;
   BoundTracker* tracker_ = nullptr;
 };
@@ -176,10 +182,10 @@ PassBound pass_bound(const StepTable<Mul, Steps>& steps, bool inverse) {
   BoundTracker peak, out;
   LiftingLadder ladder(bound, inverse);
   for (std::size_t n = 2; n <= kBoundLines; ++n) {
-    std::vector<BoundSample> line;
-    for (std::size_t i = 0; i < n; ++i) line.emplace_back(&peak, i);
-    ladder(line.data(), n);
-    for (const BoundSample& v : line) out.note(v.gain(), v.err());
+    std::vector<BoundSample> rows;
+    for (std::size_t i = 0; i < 2 * n; ++i) rows.emplace_back(&peak, i);
+    ladder(rows.data(), n, 1, 2, n);
+    for (const BoundSample& v : rows) out.note(v.gain(), v.err());
   }
   return {out.gain, out.bias, peak.gain, peak.bias};
 }

@@ -4,12 +4,16 @@
 // a high-pass output scale.  A wavelet is a step table -- one multiplier per
 // step plus the two output scales and their inverses -- and the library has
 // four: the float, fixed (n/2^f, Table 1) and integer-register 9/7 models of
-// Table 2, and the reversible JPEG2000 5/3.  The ladder lifts strided lines
-// in place -- one row at stride 1, or a block of adjacent columns at the
-// plane's pitch, lane by lane -- through one scratch buffer, with the
-// JPEG2000 (1,1) symmetric extension and the single-sample pass-through, so
-// any N >= 1 transforms.  A forward line comes out packed as ceil(N/2) low
-// then floor(N/2) high values.
+// Table 2, and the reversible JPEG2000 5/3.  The ladder lifts a whole pass
+// of strided lines in place -- every row of a region, or every column --
+// through one scratch buffer that stacks the lines' even and odd halves,
+// with one pad slot per line for the JPEG2000 (1,1) symmetric extension, so
+// each step is one flat loop over the batch, the way a pipelined datapath
+// takes a new sample pair each clock.  Any N >= 1 transforms (a single
+// sample passes through), and a forward line comes out packed as ceil(N/2)
+// low then floor(N/2) high values.  The int32 plane entry points compile
+// this ladder twice, portable and AVX2, and run the one the CPU supports
+// (dsp/dwt2d.cpp).
 #pragma once
 
 #include <algorithm>
@@ -17,7 +21,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/fixed_point.hpp"
 #include "dsp/lifting_coeffs.hpp"
@@ -102,122 +106,208 @@ constexpr StepTable<ShiftMul<T>, 2> reversible53_steps() {
 }
 
 /// The forward (or, with `inverse`, the inverse) transform as a line
-/// operation.  ladder(x, n, stride, lanes) lifts `lanes` adjacent lines of n
-/// samples in place, sample i of line j being x[i * stride + j]: a row is
-/// (row, w, 1, 1) and the columns of a w-wide region are (top, h, pitch, w),
-/// so the column pass lifts whole rows as vectors.  Lanes go through in
-/// blocks of at most kBlockLanes, and the scratch holds one block.
+/// operation.  ladder(x, n, stride, lanes, lane_stride) lifts `lanes` lines
+/// of n samples in place, sample i of line j being
+/// x[i * stride + j * lane_stride]: the rows of a w x h region are
+/// (top, w, 1, h, pitch) and its columns (top, h, pitch, w, 1), so one call
+/// lifts a whole pass.  Lines go through in blocks of at most kBlockLines,
+/// and the scratch holds one block.
 template <class Mul, std::size_t Steps>
 class LiftingLadder {
  public:
   using T = typename Mul::value_type;
-  static constexpr std::size_t kBlockLanes = 64;
+  static constexpr std::size_t kBlockLines = 64;
 
   LiftingLadder(const StepTable<Mul, Steps>& steps, bool inverse)
       : steps_(steps), inverse_(inverse) {}
 
   void operator()(T* x, std::size_t n, std::size_t stride = 1,
-                  std::size_t lanes = 1) {
+                  std::size_t lanes = 1, std::size_t lane_stride = 1) {
     if (n < 2) return;  // an even-indexed singleton passes through
-    if (lanes == 1) return lift<1>(x, n, stride, 1);
-    for (std::size_t j = 0; j < lanes; j += kBlockLanes) {
-      const std::size_t block = std::min(kBlockLanes, lanes - j);
-      if (block == kBlockLanes) {
-        lift<kBlockLanes>(x + j, n, stride, block);
-      } else {
-        lift<0>(x + j, n, stride, block);
-      }
+    for (std::size_t j = 0; j < lanes; j += kBlockLines) {
+      lift_block(x + j * lane_stride, n, stride,
+                 std::min(kBlockLines, lanes - j), lane_stride);
     }
   }
 
  private:
-  // Lanes is the block's lane count when known at compile time (a row, a
-  // full block), else 0 and `lanes` holds it.  Row i of the scratch's s and
-  // d holds sample i of every lane.
-  template <std::size_t Lanes>
-  void lift(T* x, std::size_t n, std::size_t stride, std::size_t lanes) {
-    const std::size_t L = Lanes != 0 ? Lanes : lanes;
-    const std::size_t ns = (n + 1) / 2, nd = n / 2;
-    if (scratch_.size() < n * L) scratch_.resize(n * L);
-    T* s = scratch_.data();
-    T* d = s + ns * L;
-    // Multipliers go by value and rows by restrict pointers: the lanes can
-    // then be vectorised without a check that a store feeds a later load.
-    const auto move = [L](T* __restrict to, const T* __restrict from,
-                          const auto f) {
-      for (std::size_t j = 0; j < L; ++j) to[j] = f(from[j]);
-    };
+  // The scratch stacks the block's half-lines: s holds the ceil(N/2)
+  // even-phase samples of every line and d the floor(N/2) odd-phase ones,
+  // ns + 2 slots per line each.  Pads hold the (1,1) symmetric extension
+  // x[-1] = x[1], x[N] = x[N-2]: slot 0 of d is d[-1] = d[0] and d's
+  // samples follow from slot 1; slot ns of s is s[ns], which is x[N] =
+  // s[ns-1] for even N and x[N+1] = x[N-3] = s[ns-2] for odd N; for odd N,
+  // slot ns of d is d[nd] = d[nd-1].  The last slot of both halves is zero.
+  // A row pass has each line's samples side by side (stride 1), so a line's
+  // slots are too; a column pass has its lanes side by side, so slot i of
+  // every lane is.  Either way predict is d[i] += m(s[i] + s[i+1]) and
+  // update s[i] += m(d[i-1] + d[i]) at every slot of every line at once --
+  // one flat loop per step -- and the pads of the half a step changed are
+  // refreshed after it.  Where a loop runs from one row into the next it
+  // reads a row's last slot and its zero, then the zero and the next row's
+  // first slot, so no slot ever holds values of two rows; the int32 guard
+  // lifts rows in pairs to bound those values too (dsp/lifting_bound.hpp).
+  void lift_block(T* x, std::size_t n, std::size_t stride, std::size_t lanes,
+                  std::size_t lane_stride) {
+    const std::size_t ns = (n + 1) / 2, nd = n / 2, slots = ns + 2;
+    const bool rows = stride == 1;
+    const std::size_t slot = rows ? 1 : lanes;  // slot i to slot i + 1
+    const std::size_t line = rows ? slots : 1;  // line j to line j + 1
+    if (scratch_size_ < 2 * slots * lanes) {
+      // Left uninitialised: every slot is written before it is read.
+      scratch_size_ = 2 * slots * lanes;
+      scratch_ = std::make_unique_for_overwrite<T[]>(scratch_size_);
+    }
+    T* s = scratch_.get();
+    T* d = s + slots * lanes;
     const auto same = [](T v) { return v; };
-    if (!inverse_) {
-      for (std::size_t i = 0; i < ns; ++i) {
-        move(s + i * L, x + 2 * i * stride, same);
+    // Sample k of every line to or from its slot.  The forward input and
+    // the inverse output interleave the halves (sample 2i is s[i], 2i + 1 is
+    // d[i]); the forward output and the inverse input pack them (sample i is
+    // s[i], ns + i is d[i]) through the output scales.  A row moves along
+    // its samples, a column block a sample's lanes at a time.
+    const auto interleaved = [&](bool in) {
+      if (rows) {
+        for (std::size_t j = 0; j < lanes; ++j) {
+          T* r = x + j * lane_stride;
+          T* sj = s + j * line;
+          T* dj = d + j * line + 1;
+          in ? split(sj, dj, r, n) : join(r, sj, dj, n);
+        }
+        return;
       }
-      for (std::size_t i = 0; i < nd; ++i) {
-        move(d + i * L, x + (2 * i + 1) * stride, same);
+      for (std::size_t k = 0; k < n; ++k) {
+        T* r = x + k * stride;
+        T* h = (k % 2 == 0 ? s : d + slot) + k / 2 * slot;
+        in ? copy(h, 1, r, lane_stride, lanes, same)
+           : copy(r, lane_stride, h, 1, lanes, same);
       }
-      for (std::size_t k = 0; k < Steps; ++k) {
-        step<true, Lanes>(k, s, ns, d, nd, L);
+    };
+    const auto packed = [&](bool in, const Mul& fs, const Mul& fd) {
+      if (rows) {
+        for (std::size_t j = 0; j < lanes; ++j) {
+          T* r = x + j * lane_stride;
+          T* sj = s + j * line;
+          T* dj = d + j * line + 1;
+          if (in) {
+            copy(sj, 1, r, 1, ns, fs);
+            copy(dj, 1, r + ns, 1, nd, fd);
+          } else {
+            copy(r, 1, sj, 1, ns, fs);
+            copy(r + ns, 1, dj, 1, nd, fd);
+          }
+        }
+        return;
       }
-      for (std::size_t i = 0; i < ns; ++i) {
-        move(x + i * stride, s + i * L, steps_.low);
+      for (std::size_t k = 0; k < n; ++k) {
+        T* r = x + k * stride;
+        T* h = k < ns ? s + k * slot : d + (k - ns + 1) * slot;
+        const Mul& f = k < ns ? fs : fd;
+        in ? copy(h, 1, r, lane_stride, lanes, f)
+           : copy(r, lane_stride, h, 1, lanes, f);
       }
-      for (std::size_t i = 0; i < nd; ++i) {
-        move(x + (ns + i) * stride, d + i * L, steps_.high);
+    };
+    // Slot `to` of every line of a half takes slot `from`'s value.
+    const auto pad = [&](T* half, std::size_t to, std::size_t from) {
+      copy(half + to * slot, line, half + from * slot, line, lanes, same);
+    };
+    const auto clear = [&](T* half) {
+      T* zero = half + (ns + 1) * slot;
+      for (std::size_t j = 0; j < lanes; ++j) zero[j * line] = T{};
+    };
+    const auto extend_s = [&] {
+      pad(s, ns, ns - 1 - n % 2);
+      clear(s);
+    };
+    const auto extend_d = [&] {
+      pad(d, 0, 1);
+      if (n % 2 != 0) pad(d, ns, nd);
+      clear(d);
+    };
+    if (inverse_) {
+      packed(true, steps_.inv_low, steps_.inv_high);
+    } else {
+      interleaved(true);
+    }
+    extend_s();
+    extend_d();
+    const std::size_t count = slots * lanes - slot;
+    for (std::size_t q = 0; q < Steps; ++q) {
+      const std::size_t k = inverse_ ? Steps - 1 - q : q;
+      if (k % 2 == 0) {  // predict
+        step(k, d + slot, s, s + slot, count);
+        extend_d();
+      } else {  // update
+        step(k, s, d, d + slot, count);
+        extend_s();
       }
-      return;
     }
-    for (std::size_t i = 0; i < ns; ++i) {
-      move(s + i * L, x + i * stride, steps_.inv_low);
-    }
-    for (std::size_t i = 0; i < nd; ++i) {
-      move(d + i * L, x + (ns + i) * stride, steps_.inv_high);
-    }
-    for (std::size_t k = Steps; k-- > 0;) {
-      step<false, Lanes>(k, s, ns, d, nd, L);
-    }
-    for (std::size_t i = 0; i < ns; ++i) {
-      move(x + 2 * i * stride, s + i * L, same);
-    }
-    for (std::size_t i = 0; i < nd; ++i) {
-      move(x + (2 * i + 1) * stride, d + i * L, same);
+    if (inverse_) {
+      interleaved(false);
+    } else {
+      packed(false, steps_.low, steps_.high);
     }
   }
 
-  // One step over the ceil(N/2) even-phase rows s and the floor(N/2) odd
-  // ones d, each row L lanes wide.  The symmetric extension x[-1] = x[1],
-  // x[N] = x[N-2] gives d[-1] = d[0], and s[ns] = s[ns-1] (N even) or
-  // d[nd] = d[nd-1] (N odd).  Every term reads only the other phase, so the
-  // in-place sweep is exact and the inverse subtracts the identical term.
-  template <bool Forward, std::size_t Lanes>
-  void step(std::size_t k, T* s, std::size_t ns, T* d, std::size_t nd,
-            std::size_t lanes) const {
-    const std::size_t L = Lanes != 0 ? Lanes : lanes;
-    const Mul m = steps_.lift[k];
-    // x + (-t) is x - t exactly, for doubles too.  a and b may be one row;
-    // both are only read.
-    const auto lift = [m, L](T* __restrict target, const T* __restrict a,
-                             const T* __restrict b) {
-      for (std::size_t j = 0; j < L; ++j) {
-        target[j] += Forward ? m(a[j] + b[j]) : -m(a[j] + b[j]);
-      }
-    };
-    if (k % 2 == 0) {  // predict
-      for (std::size_t i = 0; i + 1 < ns; ++i) {
-        lift(d + i * L, s + i * L, s + (i + 1) * L);
-      }
-      if (nd == ns) lift(d + (nd - 1) * L, s + (nd - 1) * L, s + (nd - 1) * L);
-    } else {  // update
-      lift(s, d, d);
-      for (std::size_t i = 1; i < nd; ++i) {
-        lift(s + i * L, d + (i - 1) * L, d + i * L);
-      }
-      if (ns > nd) lift(s + nd * L, d + (nd - 1) * L, d + (nd - 1) * L);
+  /// Samples 2i and 2i + 1 of a row x of n samples to s[i] and d[i], and
+  /// back.
+  static void split(T* __restrict s, T* __restrict d, const T* __restrict x,
+                    std::size_t n) {
+    const std::size_t nd = n / 2;
+    for (std::size_t i = 0; i < nd; ++i) {
+      s[i] = x[2 * i];
+      d[i] = x[2 * i + 1];
+    }
+    if (n % 2 != 0) s[nd] = x[2 * nd];
+  }
+
+  static void join(T* __restrict x, const T* __restrict s,
+                   const T* __restrict d, std::size_t n) {
+    const std::size_t nd = n / 2;
+    for (std::size_t i = 0; i < nd; ++i) {
+      x[2 * i] = s[i];
+      x[2 * i + 1] = d[i];
+    }
+    if (n % 2 != 0) x[2 * nd] = s[nd];
+  }
+
+  /// to[i * to_step] = f(from[i * from_step]) for i < count.
+  template <class F>
+  static void copy(T* __restrict to, std::size_t to_step,
+                   const T* __restrict from, std::size_t from_step,
+                   std::size_t count, F f) {
+    for (std::size_t i = 0; i < count; ++i) {
+      to[i * to_step] = f(from[i * from_step]);
+    }
+  }
+
+  // Step k over `count` flat positions: target[i] += m(a[i] + b[i]), or -=
+  // for the inverse.  Every term reads only the other phase, so the in-place
+  // sweep is exact and the inverse subtracts the identical term; x + (-t)
+  // is x - t exactly, for doubles too.  Multipliers go by value and the
+  // halves by restrict pointers (a and b overlap but are only read), so the
+  // loop vectorises without a check that a store feeds a later load.
+  void step(std::size_t k, T* target, const T* a, const T* b,
+            std::size_t count) const {
+    if (inverse_) {
+      lift<false>(steps_.lift[k], target, a, b, count);
+    } else {
+      lift<true>(steps_.lift[k], target, a, b, count);
+    }
+  }
+
+  template <bool Forward>
+  static void lift(const Mul m, T* __restrict target, const T* __restrict a,
+                   const T* __restrict b, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      target[i] += Forward ? m(a[i] + b[i]) : -m(a[i] + b[i]);
     }
   }
 
   StepTable<Mul, Steps> steps_;
   bool inverse_;
-  std::vector<T> scratch_;
+  std::unique_ptr<T[]> scratch_;
+  std::size_t scratch_size_ = 0;
 };
 
 }  // namespace dwt::dsp

@@ -246,6 +246,10 @@ CampaignCheckpoint parse_checkpoint(const std::string& text) {
   if (need_line(in, "end") != "end") {
     throw std::runtime_error("campaign checkpoint: missing end marker");
   }
+  // The end marker's own newline is the last byte a checkpoint holds.
+  if (in.peek() != std::istringstream::traits_type::eof()) {
+    throw std::runtime_error("campaign checkpoint: bytes after end marker");
+  }
   return cp;
 }
 

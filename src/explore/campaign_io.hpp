@@ -56,8 +56,9 @@ struct CampaignCheckpoint {
 
 /// Serializes / parses the checkpoint text format.  parse_checkpoint throws
 /// std::runtime_error on any malformed input -- wrong magic, missing or
-/// out-of-order fields, a truncated trial list, or a missing end marker --
-/// so a torn or corrupted file is rejected rather than silently resumed.
+/// out-of-order fields, a truncated trial list, a missing end marker, or
+/// bytes after it -- so a torn or corrupted file is rejected rather than
+/// silently resumed.
 [[nodiscard]] std::string serialize_checkpoint(const CampaignCheckpoint& cp);
 [[nodiscard]] CampaignCheckpoint parse_checkpoint(const std::string& text);
 

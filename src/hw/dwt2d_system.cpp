@@ -46,10 +46,10 @@ Dwt2dRunStats Dwt2dSystem::transform(dsp::PlaneView<std::int32_t> window,
     dsp::sweep_octave(
         window.data, window.pitch, w, h, /*inverse=*/false,
         [&](std::int32_t* first, std::size_t n, std::size_t stride,
-            std::size_t lanes) {
-          // One line pass through the core per lane.
+            std::size_t lanes, std::size_t lane_stride) {
+          // One line pass through the core per line.
           for (std::size_t j = 0; j < lanes; ++j) {
-            std::int32_t* x = first + j;
+            std::int32_t* x = first + j * lane_stride;
             line.resize(n);
             for (std::size_t k = 0; k < n; ++k) line[k] = x[k * stride];
             // Either engine may carry stale pipeline state from the previous

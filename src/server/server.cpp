@@ -339,6 +339,9 @@ void DwtServer::connection_loop(int fd) {
     std::string parse_error;
     std::optional<Request> req =
         decode_request(buf.data(), buf.size(), &parse_error);
+    // The request owns a copy of its payload: free the raw frame (up to a
+    // whole 4K PGM) before the connection waits for the worker's answer.
+    std::vector<std::uint8_t>().swap(buf);
     if (!req) {
       // The frame boundary is intact, so the connection survives a
       // malformed request: structured error, then keep reading.

@@ -1,11 +1,12 @@
 // Pins the two line kernels and the strided octave sweep to references that
 // do not use them: the polyphase trace model for the 1-D fixed-point
-// ladder, single-line runs for the lanes of the ladder and of the FIR bank,
-// and a naive per-line 2-D transform (the method's one-row window on every
-// row then every column, through Image::at) for dwt2d_forward and
-// dwt2d_inverse on Images and on int32 planes.  Equality is exact, doubles
-// included.  The int32 guard is checked against worst-case inputs run on
-// int64.
+// ladder, single-line runs for the row and column batches of the ladder and
+// of the FIR bank, and a naive per-line 2-D transform (the method's one-row
+// window on every row then every column, through Image::at) for
+// dwt2d_forward and dwt2d_inverse on Images and on int32 planes.  Equality
+// is exact, doubles included.  The int32 guard is checked against
+// worst-case inputs run on int64, and the AVX2 build of the int32 kernel
+// against the portable one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,37 +101,54 @@ void reference_inverse(Method m, Image& img, int octaves) {
   }
 }
 
-/// Runs a kernel over `lanes` lines side by side and one at a time; both
-/// must agree, and the padding lanes between strides stay untouched.
-/// `make(inverse)` builds the kernel.
+/// Runs a kernel over a batch of lines in one call and one line at a time;
+/// both must agree, and the samples between the lines stay untouched.  A
+/// batch is a column pass (lanes side by side, sample i a row of the
+/// plane) or a row pass (each line's samples side by side), with three
+/// padding samples after each plane row either way; 63, 64, 65 and 130
+/// lines cross the kernels' 64-line blocks.  `make(inverse)` builds the
+/// kernel.
 template <class Make>
 void expect_lanes_match_lines(Make make, const char* table) {
   using T = typename decltype(make(false))::T;
   common::Rng rng(19);
   for (const bool inverse : {false, true}) {
-    auto block = make(inverse);
+    auto batch = make(inverse);
     auto single = make(inverse);
-    for (std::size_t n = 1; n <= 130; ++n) {
-      for (const std::size_t lanes : {1, 2, 7, 64, 65, 130}) {
-        const std::size_t stride = lanes + 3;  // padding lanes stay put
-        std::vector<T> x(n * stride);
-        for (T& v : x) {
-          v = std::is_floating_point_v<T>
-                  ? static_cast<T>(255.0 * rng.uniform01() - 128.0)
-                  : static_cast<T>(rng.uniform(-128, 127));
-        }
-        const std::vector<T> before = x;
-        std::vector<T> ref = x;
-        block(x.data(), n, stride, lanes);
-        for (std::size_t j = 0; j < lanes; ++j) {
-          single(ref.data() + j, n, stride, 1);
-        }
-        ASSERT_EQ(x, ref) << table << " inverse=" << inverse << " n=" << n
-                          << " lanes=" << lanes;
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = lanes; j < stride; ++j) {
-            ASSERT_EQ(x[i * stride + j], before[i * stride + j])
-                << table << " padding lane " << j << " n=" << n;
+    for (const bool rows : {false, true}) {
+      for (std::size_t n = 1; n <= 130; ++n) {
+        for (const std::size_t lines : {1, 2, 7, 63, 64, 65, 130}) {
+          const std::size_t stride = rows ? 1 : lines + 3;
+          const std::size_t lane_stride = rows ? n + 3 : 1;
+          std::vector<T> x(rows ? lines * (n + 3) : n * (lines + 3));
+          for (T& v : x) {
+            v = std::is_floating_point_v<T>
+                    ? static_cast<T>(255.0 * rng.uniform01() - 128.0)
+                    : static_cast<T>(rng.uniform(-128, 127));
+          }
+          const std::vector<T> before = x;
+          std::vector<T> ref = x;
+          batch(x.data(), n, stride, lines, lane_stride);
+          for (std::size_t j = 0; j < lines; ++j) {
+            single(ref.data() + j * lane_stride, n, stride);
+          }
+          const auto where = [&] {
+            return ::testing::Message()
+                   << table << " inverse=" << inverse << " rows=" << rows
+                   << " n=" << n << " lines=" << lines;
+          };
+          ASSERT_EQ(x, ref) << where();
+          std::vector<bool> inside(x.size(), false);
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < lines; ++j) {
+              inside[i * stride + j * lane_stride] = true;
+            }
+          }
+          for (std::size_t k = 0; k < x.size(); ++k) {
+            if (!inside[k]) {
+              ASSERT_EQ(x[k], before[k]) << "padding sample " << k << " "
+                                         << where();
+            }
           }
         }
       }
@@ -382,8 +400,9 @@ struct ProbeMul {
 /// Runs one pass of `steps` on int64 at the largest magnitude R the guard
 /// admits for it, over every sign pattern of +-R for short lines (each
 /// stage's L1-maximising pattern among them) and random ones for longer
-/// lines.  Every value must stay inside the guard's bound, and the bound
-/// must be tight: the largest product reaches nearly all of it.
+/// lines, line by line and as batched rows.  Every value must stay inside
+/// the guard's bound, and the bound must be tight: the largest product
+/// reaches nearly all of it.
 template <class Mul, std::size_t Steps>
 void expect_guard_sound(const StepTable<Mul, Steps>& steps, const char* table) {
   for (const bool inverse : {false, true}) {
@@ -407,24 +426,42 @@ void expect_guard_sound(const StepTable<Mul, Steps>& steps, const char* table) {
     LiftingLadder ladder(probe, inverse);
     Probe::peak = 0;
     std::int64_t out_peak = 0;
-    const auto run = [&](std::vector<Probe> line) {
-      ladder(line.data(), line.size());
-      for (const Probe& p : line) out_peak = std::max(out_peak, std::abs(p.v));
+    const auto note_out = [&](const std::vector<Probe>& lines) {
+      for (const Probe& p : lines) out_peak = std::max(out_peak, std::abs(p.v));
+    };
+    // Every line alone, then all of them as the rows of one batched call,
+    // each twice in a row (a block holds an even number of rows), so every
+    // line is both the row before a row boundary and the row after one:
+    // the values the flat step loops compute there are probed too.
+    const auto run = [&](const std::vector<Probe>& lines, std::size_t n) {
+      for (std::size_t j = 0; j < lines.size(); j += n) {
+        std::vector<Probe> line(lines.begin() + j, lines.begin() + j + n);
+        ladder(line.data(), n);
+        note_out(line);
+      }
+      std::vector<Probe> rows;
+      for (std::size_t j = 0; j < lines.size(); j += n) {
+        for (int twice = 0; twice < 2; ++twice) {
+          rows.insert(rows.end(), lines.begin() + j, lines.begin() + j + n);
+        }
+      }
+      ladder(rows.data(), n, 1, rows.size() / n, n);
+      note_out(rows);
     };
     for (std::size_t n = 2; n <= 14; ++n) {
+      std::vector<Probe> lines;
       for (std::uint32_t signs = 0; signs < (1u << n); ++signs) {
-        std::vector<Probe> line(n);
-        for (std::size_t i = 0; i < n; ++i) line[i].v = (signs >> i) & 1 ? r : -r;
-        run(line);
+        for (std::size_t i = 0; i < n; ++i) {
+          lines.push_back({(signs >> i) & 1 ? r : -r});
+        }
       }
+      run(lines, n);
     }
     common::Rng rng(23);
     for (const std::size_t n : {15, 38, 39, 40, 64, 129}) {
-      for (int trial = 0; trial < 2000; ++trial) {
-        std::vector<Probe> line(n);
-        for (Probe& p : line) p.v = rng.uniform(0, 1) ? r : -r;
-        run(line);
-      }
+      std::vector<Probe> lines(2000 * n);
+      for (Probe& p : lines) p.v = rng.uniform(0, 1) ? r : -r;
+      run(lines, n);
     }
     EXPECT_LE(static_cast<double>(Probe::peak), peak_bound)
         << table << " inverse=" << inverse << " R=" << r;
@@ -496,6 +533,109 @@ TEST(LiftingGuard, RefusesInt64OverflowAtLargeFracBits) {
         }
       }
     }
+  }
+}
+
+/// Integer samples in [lo, hi] on a w x h plane.
+Plane<std::int32_t> random_plane(std::size_t w, std::size_t h, std::int64_t lo,
+                                 std::int64_t hi, common::Rng& rng) {
+  Plane<std::int32_t> p(w, h);
+  for (std::int32_t& v : p.data()) {
+    v = static_cast<std::int32_t>(rng.uniform(lo, hi));
+  }
+  return p;
+}
+
+TEST(KernelBuild, Avx2BuildMatchesPortableBuild) {
+  const bool avx2 = kernel_build_supported(KernelBuild::kAvx2);
+  ASSERT_TRUE(kernel_build_supported(KernelBuild::kPortable));
+  if (!avx2) {
+    Plane<std::int32_t> p(2, 2);
+    EXPECT_THROW((void)dwt2d_int32(KernelBuild::kAvx2, Method::kLiftingFixed,
+                                   p.view(), 1, false),
+                 std::invalid_argument);
+  }
+  int widths[2] = {0, 0};  // transforms seen on int32, on int64
+  // The window (x0, y0, w, h) of `plane`, forward then inverse, through the
+  // portable build, the entry point (the build chosen for this CPU) and the
+  // AVX2 build: the same plane bytes, samples outside the window included,
+  // and the same width.
+  const auto check = [&](Method m, Plane<std::int32_t> plane, std::size_t x0,
+                         std::size_t y0, std::size_t w, std::size_t h,
+                         int octaves) {
+    for (const bool inverse : {false, true}) {
+      const auto where = [&] {
+        return ::testing::Message()
+               << to_string(m) << " " << w << "x" << h << "@" << x0 << ","
+               << y0 << " octaves=" << octaves << " inverse=" << inverse;
+      };
+      Plane<std::int32_t> portable = plane;
+      const int width = dwt2d_int32(KernelBuild::kPortable, m,
+                                    portable.view().window(x0, y0, w, h),
+                                    octaves, inverse);
+      ++widths[width == 32 ? 0 : 1];
+      Plane<std::int32_t> entry = plane;
+      const auto window = entry.view().window(x0, y0, w, h);
+      EXPECT_EQ(inverse ? dwt2d_inverse(m, window, octaves)
+                        : dwt2d_forward(m, window, octaves),
+                width)
+          << where();
+      ASSERT_EQ(entry.data(), portable.data()) << where();
+      if (avx2) {
+        Plane<std::int32_t> vec = plane;
+        EXPECT_EQ(dwt2d_int32(KernelBuild::kAvx2, m,
+                              vec.view().window(x0, y0, w, h), octaves,
+                              inverse),
+                  width)
+            << where();
+        ASSERT_EQ(vec.data(), portable.data()) << where();
+      }
+      plane = portable;  // the inverse takes the forward's coefficients
+    }
+  };
+  const Method integer_methods[] = {Method::kLiftingFixed,
+                                    Method::kLiftingHwFloat,
+                                    Method::kReversible53, Method::kFirFixed,
+                                    Method::kFirHwFloat};
+  // dwt97d's tiles: level-shifted 8-bit noise, 64 x 64, two octaves, alone
+  // and as a window of a larger plane.
+  for (const unsigned seed : {1u, 2u, 3u}) {
+    const Image img = make_noise_image(64, 64, seed);
+    Plane<std::int32_t> tile(64, 64);
+    std::transform(img.data().begin(), img.data().end(), tile.data().begin(),
+                   [](double v) { return static_cast<std::int32_t>(v) - 128; });
+    for (const Method m : integer_methods) check(m, tile, 0, 0, 64, 64, 2);
+    Plane<std::int32_t> frame(150, 100, 7);
+    for (std::size_t y = 0; y < 64; ++y) {
+      for (std::size_t x = 0; x < 64; ++x) frame.at(70 + x, 20 + y) = tile.at(x, y);
+    }
+    check(Method::kLiftingFixed, frame, 70, 20, 64, 64, 2);
+  }
+  // The OctaveSweep shapes, every octave count.
+  common::Rng rng(29);
+  struct Shape {
+    std::size_t w, h;
+    int max_octaves;
+  };
+  for (const auto& [w, h, max_octaves] :
+       {Shape{1, 1, 4}, Shape{1, 9, 4}, Shape{9, 1, 4}, Shape{2, 2, 4},
+        Shape{17, 13, 4}, Shape{64, 64, 8}}) {
+    for (int octaves = 1; octaves <= max_octaves; ++octaves) {
+      for (const Method m : integer_methods) {
+        check(m, random_plane(w, h, -128, 127, rng), 0, 0, w, h, octaves);
+      }
+    }
+  }
+  // Samples too large for the int32 guard: the int64 branch.
+  const std::int64_t large = smallest_rejected(Method::kLiftingFixed, 2);
+  Plane<std::int32_t> wide = random_plane(67, 45, -large, large, rng);
+  wide.data()[0] = static_cast<std::int32_t>(-large);
+  check(Method::kLiftingFixed, wide, 0, 0, 67, 45, 2);
+  EXPECT_GT(widths[0], 0);
+  EXPECT_GT(widths[1], 0);
+  if (!avx2) {
+    GTEST_SKIP() << "no AVX2 on this CPU: compared the portable build with "
+                    "the entry points only";
   }
 }
 

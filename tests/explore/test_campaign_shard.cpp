@@ -243,6 +243,17 @@ TEST(CampaignCheckpointTest, RejectsCorruptFiles) {
   std::string bad = good;
   bad.replace(bad.find("cursor "), 7, "cursro ");
   EXPECT_THROW(parse_checkpoint(bad), std::runtime_error);
+  // Nothing may follow the end marker's newline: appended bytes, a doubled
+  // end line or a blank line mean the file is not one checkpoint.
+  for (const char* tail : {"garbage after end\n", "end\n", "\n", "x"}) {
+    try {
+      (void)parse_checkpoint(good + tail);
+      ADD_FAILURE() << "accepted a checkpoint followed by '" << tail << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("campaign checkpoint: ", 0), 0u)
+          << e.what();
+    }
+  }
 
   // A trial's max_abs_error is an absolute error that loads into an int64:
   // negative or wrapping values are corrupt, not -1 or INT64_MIN.
