@@ -42,7 +42,6 @@ struct BackendRequest {
   /// Results never change -- every architecture computes identical words --
   /// only area/timing/power and the elaborated netlist do.
   std::optional<rtl::AdderArch> adder;
-  int frac_bits = dsp::kDefaultFracBits;  ///< software fixed-point precision
   /// Tape optimization level for the rtl-compiled backend (ignored by every
   /// other engine).  Streaming through a backend is fault-free, so the full
   /// pipeline -- which trades fault-overlay exactness for fewer

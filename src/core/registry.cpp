@@ -18,7 +18,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Software engines: the dsp lifting models.  DesignId is irrelevant (every
-// paper design computes the same transform); only frac_bits matters.  The
+// paper design computes the same transform), and the fixed-point model runs
+// at dsp::kDefaultFracBits, the precision of the gate-level cores.  The
 // tile pipeline runs their 2-D transform in-thread through
 // software_method(), so they build no 2-D session.
 
@@ -42,7 +43,7 @@ class SoftwareBackend final : public ExecutionBackend {
     return c;
   }
 
-  hw::StreamResult stream(const BackendRequest& req,
+  hw::StreamResult stream(const BackendRequest& /*req*/,
                           std::span<const std::int64_t> x) const override {
     // A 1-D transform is a one-row window of the 2-D transform.  The float
     // model's fractional coefficients are rounded into the integer stream
@@ -51,7 +52,7 @@ class SoftwareBackend final : public ExecutionBackend {
     std::transform(x.begin(), x.end(), row.data().begin(), [](std::int64_t v) {
       return static_cast<double>(dsp::narrow_to_int32(v));
     });
-    dsp::dwt2d_forward(method_, row, 1, req.frac_bits);
+    dsp::dwt2d_forward(method_, row, 1);
     const auto rounded = [](double v) {
       return static_cast<std::int64_t>(std::llround(v));
     };

@@ -8,7 +8,6 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "dsp/fir_filter.hpp"
 #include "dsp/lifting_ladder.hpp"
@@ -32,30 +31,21 @@ void require_window(PlaneView<T> p, int octaves, const char* who) {
   if (octaves < 1) throw std::invalid_argument(std::string(who) + ": octaves < 1");
 }
 
-/// The regions the octaves of a w x h transform cover, outermost first.
-std::vector<std::pair<std::size_t, std::size_t>> octave_regions(
-    std::size_t w, std::size_t h, int octaves) {
-  std::vector<std::pair<std::size_t, std::size_t>> sizes;
-  for (int o = 0; o < octaves; ++o) {
-    sizes.emplace_back(w, h);
-    w = low_size(w);
-    h = low_size(h);
-  }
-  return sizes;
-}
-
 /// Every octave of a transform through `line`: forward from the whole
-/// window inwards, inverse from the smallest LL outwards.
+/// window inwards, inverse from the smallest LL outwards.  Octave i + 1
+/// lifts the LL region that i halvings of the window leave; the regions
+/// are recomputed rather than listed, so a sweep allocates nothing.
 template <class T, class Line>
 void sweep_octaves(PlaneView<T> p, int octaves, bool inverse, Line&& line) {
-  const auto sizes = octave_regions(p.width, p.height, octaves);
-  const auto one = [&](const std::pair<std::size_t, std::size_t>& wh) {
-    sweep_octave(p.data, p.pitch, wh.first, wh.second, inverse, line);
-  };
-  if (inverse) {
-    std::for_each(sizes.rbegin(), sizes.rend(), one);
-  } else {
-    std::for_each(sizes.begin(), sizes.end(), one);
+  for (int i = 0; i < octaves; ++i) {
+    std::size_t w = p.width, h = p.height;
+    // Halving a 1 x 1 region leaves it 1 x 1.
+    for (int o = inverse ? octaves - 1 - i : i; o > 0 && (w > 1 || h > 1);
+         --o) {
+      w = low_size(w);
+      h = low_size(h);
+    }
+    sweep_octave(p.data, p.pitch, w, h, inverse, line);
   }
 }
 

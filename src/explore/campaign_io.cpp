@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/json_writer.hpp"
 
@@ -152,7 +153,7 @@ std::string serialize_checkpoint(const CampaignCheckpoint& cp) {
   out += "sdc " + std::to_string(cp.sdc) + "\n";
   out += "corrupted " + std::to_string(cp.corrupted) + "\n";
   out += "min_psnr_bits ";
-  append_u64_hex(out, cp.min_psnr_bits);
+  append_u64_hex(out, std::bit_cast<std::uint64_t>(cp.min_psnr_db));
   out += '\n';
   out += "psnr_acc " + cp.psnr_acc.to_hex() + "\n";
   out += "kept " + std::to_string(cp.kept.size()) + "\n";
@@ -193,8 +194,10 @@ CampaignCheckpoint parse_checkpoint(const std::string& text) {
   cp.detected = parse_u64(need_field(in, "detected"), "detected");
   cp.sdc = parse_u64(need_field(in, "sdc"), "sdc");
   cp.corrupted = parse_u64(need_field(in, "corrupted"), "corrupted");
-  cp.min_psnr_bits =
-      parse_u64_hex(need_field(in, "min_psnr_bits"), kCheckpoint);
+  // Every folded trial has exactly one outcome.
+  cp.trials_run = cp.masked + cp.detected + cp.sdc;
+  cp.min_psnr_db = std::bit_cast<double>(
+      parse_u64_hex(need_field(in, "min_psnr_bits"), kCheckpoint));
   cp.psnr_acc = parse_acc(need_field(in, "psnr_acc"), kCheckpoint);
   // The declared count reserves nothing: a short file fails as truncated
   // once its trial lines run out.
@@ -284,287 +287,329 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path) {
   return parse_checkpoint(buf.str());
 }
 
+// ---------------------------------------------------------------------------
+// Reports
+// ---------------------------------------------------------------------------
+
 namespace {
 
-// ---------------------------------------------------------------------------
-// Report merge
-// ---------------------------------------------------------------------------
-
-/// Placeholder tokens standing in for the recomputed lines in the static
-/// skeleton, so the skeletons of all shards can be compared byte-for-byte.
-constexpr const char* kTokTrials = "\x01trials";
-constexpr const char* kTokOutcomes = "\x01outcomes";
-constexpr const char* kTokSdcRate = "\x01sdc_rate";
-constexpr const char* kTokCorrupted = "\x01corrupted";
-constexpr const char* kTokMin = "\x01min";
-constexpr const char* kTokMean = "\x01mean";
-constexpr const char* kTokShard = "\x01shard";
-constexpr const char* kTokTrialList = "\x01trial_list";
-constexpr const char* kTokKept = "\x01kept";
-
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.compare(0, std::char_traits<char>::length(prefix), prefix) == 0;
-}
-
-/// The decimal after `"key": ` in `line`.
-std::uint64_t scan_u64(const std::string& line, const std::string& key,
-                       const char* what) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    throw std::runtime_error(std::string("merge_reports: missing ") + what);
-  }
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = line.find_first_not_of("0123456789", start);
-  return parse_u64(line.substr(start, end - start), what,
-                   std::numeric_limits<std::uint64_t>::max(), kMerge);
-}
-
-std::string scan_string(const std::string& line, const std::string& key,
-                        const char* what) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    throw std::runtime_error(std::string("merge_reports: missing ") + what);
-  }
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = line.find('"', start);
-  if (end == std::string::npos) {
-    throw std::runtime_error(std::string("merge_reports: unterminated ") +
-                             what);
-  }
-  return line.substr(start, end - start);
-}
-
-/// One shard report decomposed into its static skeleton (with placeholder
-/// tokens), the recomputed values, and the trial-list entries.
-struct ShardDoc {
-  std::vector<std::string> skeleton;
-  std::uint64_t trials = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t detected = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t corrupted = 0;
-  bool has_shard = false;
+/// Where a shard report's trials lie: shard `index` of `count` ran the
+/// schedule's trials [begin, end).
+struct ShardSlice {
   std::uint64_t index = 0;
   std::uint64_t count = 0;
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  std::uint64_t min_bits = 0;
-  common::ExactAcc acc;
-  std::vector<std::string> entries;  ///< trial objects, comma-free
 };
 
-ShardDoc parse_report(const std::string& text) {
-  ShardDoc doc;
-  std::vector<std::string> lines;
-  {
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-      const std::size_t nl = text.find('\n', pos);
-      if (nl == std::string::npos) {
-        lines.push_back(text.substr(pos));
-        break;
+/// The one writer of campaign reports.  `head` and `body` are the static
+/// lines before and after the summary lines, `slice` adds the "shard"
+/// object of a shard report (unsharded and merged reports have none), and
+/// `entry(out, i)` appends the i-th of the `n` kept trial objects.
+template <class Entry>
+std::string write_report(std::string_view head, const CampaignSummary& s,
+                         std::string_view body,
+                         const std::optional<ShardSlice>& slice,
+                         std::size_t n, Entry entry) {
+  std::string out;
+  out.reserve(head.size() + body.size() + 1024 + 160 * n);
+  out += head;
+  out += "  \"trials\": " + std::to_string(s.trials_run) + ",\n";
+  out += "  \"outcomes\": {\"masked\": " + std::to_string(s.masked) +
+         ", \"detected\": " + std::to_string(s.detected) +
+         ", \"sdc\": " + std::to_string(s.sdc) + "},\n";
+  out += "  \"sdc_rate\": ";
+  common::append_json_fixed(out, s.sdc_rate());
+  out += ",\n";
+  out += "  \"corrupted_trials\": " + std::to_string(s.corrupted) + ",\n";
+  out += "  \"min_psnr_db\": ";
+  common::append_json_fixed(out, s.min_psnr_db);
+  out += ",\n";
+  out += "  \"mean_psnr_db\": ";
+  common::append_json_fixed(out, s.mean_psnr_db());
+  out += ",\n";
+  out += body;
+  if (slice) {
+    // The exact merge carriers: the min-PSNR bit pattern and the
+    // superaccumulator let merge_reports rebuild the summary without
+    // re-rounding.
+    out += "  \"shard\": {\"index\": " + std::to_string(slice->index) +
+           ", \"count\": " + std::to_string(slice->count) +
+           ", \"trial_begin\": " + std::to_string(slice->begin) +
+           ", \"trial_end\": " + std::to_string(slice->end) +
+           ", \"min_psnr_bits\": \"";
+    append_u64_hex(out, std::bit_cast<std::uint64_t>(s.min_psnr_db));
+    out += "\", \"psnr_acc\": \"" + s.psnr_acc.to_hex() + "\"},\n";
+  }
+  out += "  \"trial_list\": [";
+  for (std::size_t i = 0; i < n; ++i) {
+    out += i ? ",\n    " : "\n    ";
+    entry(out, i);
+  }
+  out += n == 0 ? "],\n" : "\n  ],\n";
+  out += "  \"trials_kept\": " + std::to_string(n) + "\n";
+  out += "}\n";
+  return out;
+}
+
+void append_trial(std::string& out, const FaultTrial& t) {
+  out += std::string("{\"kind\": \"") + rtl::to_string(t.fault.kind) +
+         "\", \"net\": " + std::to_string(t.fault.net) + ", \"net_name\": \"" +
+         t.net_name + "\", \"cycle\": " + std::to_string(t.fault.cycle) +
+         ", \"outcome\": \"" + to_string(t.outcome) +
+         "\", \"max_abs_error\": " + std::to_string(t.max_abs_error) +
+         ", \"psnr_db\": ";
+  common::append_json_fixed(out, t.psnr_db);
+  out += "}";
+}
+
+/// The decimal after `"key": ` in `line`.
+std::uint64_t scan_u64(std::string_view line, std::string_view key,
+                       const char* what) {
+  const std::string needle = "\"" + std::string(key) + "\": ";
+  const std::size_t pos = line.find(needle);
+  if (pos == std::string_view::npos) {
+    throw std::runtime_error(std::string("merge_reports: missing ") + what);
+  }
+  const std::size_t start = pos + needle.size();
+  const std::size_t end = line.find_first_not_of("0123456789", start);
+  return parse_u64(std::string(line.substr(start, end - start)), what,
+                   std::numeric_limits<std::uint64_t>::max(), kMerge);
+}
+
+/// The string after `"key": "` in `line`.
+std::string scan_string(std::string_view line, std::string_view key,
+                        const char* what) {
+  const std::string needle = "\"" + std::string(key) + "\": \"";
+  const std::size_t pos = line.find(needle);
+  if (pos == std::string_view::npos) {
+    throw std::runtime_error(std::string("merge_reports: missing ") + what);
+  }
+  const std::size_t start = pos + needle.size();
+  const std::size_t end = line.find('"', start);
+  if (end == std::string_view::npos) {
+    throw std::runtime_error(std::string("merge_reports: unterminated ") +
+                             what);
+  }
+  return std::string(line.substr(start, end - start));
+}
+
+/// One report read back at the lines write_report prints: the static text
+/// around the summary lines, the summary and shard slice, and the trial
+/// objects -- the text parts as views into the report.
+struct ReportDoc {
+  std::string_view head;
+  CampaignSummary summary;
+  std::string_view body;
+  std::optional<ShardSlice> slice;
+  std::vector<std::string_view> entries;
+};
+
+ReportDoc parse_report(std::string_view text) {
+  ReportDoc doc;
+  CampaignSummary& s = doc.summary;
+  std::size_t at = 0;   // offset of the line next() returned last
+  std::size_t pos = 0;  // offset of the line after it
+  // The next line, without its newline; throws once the text runs out.
+  const auto next = [&] {
+    if (pos >= text.size()) {
+      throw std::runtime_error(
+          "merge_reports: input is not a campaign report (truncated)");
+    }
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    at = pos;
+    pos = std::min(nl + 1, text.size());
+    return text.substr(at, nl - at);
+  };
+  std::string_view line = next();
+  while (!line.starts_with("  \"trials\": ")) line = next();
+  doc.head = text.substr(0, at);
+  s.trials_run = scan_u64(line, "trials", "trials");
+  line = next();
+  s.masked = scan_u64(line, "masked", "outcomes.masked");
+  s.detected = scan_u64(line, "detected", "outcomes.detected");
+  s.sdc = scan_u64(line, "sdc", "outcomes.sdc");
+  (void)next();  // sdc_rate
+  s.corrupted = scan_u64(next(), "corrupted_trials", "corrupted_trials");
+  (void)next();  // min_psnr_db
+  (void)next();  // mean_psnr_db
+  const std::size_t body_begin = pos;
+  line = next();
+  while (!line.starts_with("  \"shard\": ") &&
+         !line.starts_with("  \"trial_list\": [")) {
+    line = next();
+  }
+  doc.body = text.substr(body_begin, at - body_begin);
+  if (line.starts_with("  \"shard\": ")) {
+    ShardSlice& slice = doc.slice.emplace();
+    slice.index = scan_u64(line, "index", "shard.index");
+    slice.count = scan_u64(line, "count", "shard.count");
+    slice.begin = scan_u64(line, "trial_begin", "shard.trial_begin");
+    slice.end = scan_u64(line, "trial_end", "shard.trial_end");
+    s.min_psnr_db = std::bit_cast<double>(parse_u64_hex(
+        scan_string(line, "min_psnr_bits", "shard.min_psnr_bits"), kMerge));
+    s.psnr_acc =
+        parse_acc(scan_string(line, "psnr_acc", "shard.psnr_acc"), kMerge);
+    line = next();
+  }
+  if (line != "  \"trial_list\": [],") {
+    if (line != "  \"trial_list\": [") {
+      throw std::runtime_error("merge_reports: malformed trial_list open");
+    }
+    for (line = next(); line != "  ],"; line = next()) {
+      if (!line.starts_with("    ")) {
+        throw std::runtime_error("merge_reports: malformed trial entry");
       }
-      lines.push_back(text.substr(pos, nl - pos));
-      pos = nl + 1;
+      line.remove_prefix(4);
+      if (line.ends_with(',')) line.remove_suffix(1);
+      doc.entries.push_back(line);
     }
   }
-  bool saw_list = false;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& line = lines[i];
-    if (starts_with(line, "  \"trials\": ")) {
-      doc.trials = scan_u64(line, "trials", "trials");
-      doc.skeleton.emplace_back(kTokTrials);
-    } else if (starts_with(line, "  \"outcomes\": ")) {
-      doc.masked = scan_u64(line, "masked", "outcomes.masked");
-      doc.detected = scan_u64(line, "detected", "outcomes.detected");
-      doc.sdc = scan_u64(line, "sdc", "outcomes.sdc");
-      doc.skeleton.emplace_back(kTokOutcomes);
-    } else if (starts_with(line, "  \"sdc_rate\": ")) {
-      doc.skeleton.emplace_back(kTokSdcRate);
-    } else if (starts_with(line, "  \"corrupted_trials\": ")) {
-      doc.corrupted = scan_u64(line, "corrupted_trials", "corrupted_trials");
-      doc.skeleton.emplace_back(kTokCorrupted);
-    } else if (starts_with(line, "  \"min_psnr_db\": ")) {
-      doc.skeleton.emplace_back(kTokMin);
-    } else if (starts_with(line, "  \"mean_psnr_db\": ")) {
-      doc.skeleton.emplace_back(kTokMean);
-    } else if (starts_with(line, "  \"shard\": ")) {
-      doc.has_shard = true;
-      doc.index = scan_u64(line, "index", "shard.index");
-      doc.count = scan_u64(line, "count", "shard.count");
-      doc.begin = scan_u64(line, "trial_begin", "shard.trial_begin");
-      doc.end = scan_u64(line, "trial_end", "shard.trial_end");
-      doc.min_bits = parse_u64_hex(
-          scan_string(line, "min_psnr_bits", "shard.min_psnr_bits"), kMerge);
-      doc.acc =
-          parse_acc(scan_string(line, "psnr_acc", "shard.psnr_acc"), kMerge);
-      doc.skeleton.emplace_back(kTokShard);
-    } else if (starts_with(line, "  \"trials_kept\": ")) {
-      doc.skeleton.emplace_back(kTokKept);
-    } else if (starts_with(line, "  \"trial_list\": [")) {
-      saw_list = true;
-      doc.skeleton.emplace_back(kTokTrialList);
-      if (line == "  \"trial_list\": [],") continue;  // empty, single line
-      if (line != "  \"trial_list\": [") {
-        throw std::runtime_error("merge_reports: malformed trial_list open");
-      }
-      for (++i;; ++i) {
-        if (i >= lines.size()) {
-          throw std::runtime_error(
-              "merge_reports: unterminated trial_list");
-        }
-        if (lines[i] == "  ],") break;
-        std::string entry = lines[i];
-        if (entry.size() < 4 || entry.compare(0, 4, "    ") != 0) {
-          throw std::runtime_error("merge_reports: malformed trial entry");
-        }
-        entry.erase(0, 4);
-        if (!entry.empty() && entry.back() == ',') entry.pop_back();
-        doc.entries.push_back(std::move(entry));
-      }
-    } else {
-      doc.skeleton.push_back(line);
-    }
-  }
-  if (!saw_list) {
-    throw std::runtime_error("merge_reports: input is not a campaign report");
+  // The lines read past above -- sdc_rate, the PSNR lines, trials_kept and
+  // the closing brace -- must be what the writer prints from the numbers
+  // read back.  An unsharded report carries no exact PSNR figures to
+  // reprint from; it can only pass through merge_reports alone.
+  if (doc.slice &&
+      write_report(doc.head, s, doc.body, doc.slice, doc.entries.size(),
+                   [&](std::string& out, std::size_t i) {
+                     out += doc.entries[i];
+                   }) != text) {
+    throw std::runtime_error(
+        "merge_reports: shard report is not what its own numbers print");
   }
   return doc;
 }
 
 }  // namespace
 
+std::string to_json(const CampaignResult& r) {
+  std::string head = "{\n";
+  head += "  \"design\": \"" + r.spec.name + "\",\n";
+  head += std::string("  \"harden\": \"") + rtl::to_string(r.harden) + "\",\n";
+  head += "  \"seed\": " + std::to_string(r.seed) + ",\n";
+  head += "  \"samples\": " + std::to_string(r.samples) + ",\n";
+  head += "  \"fault_kinds\": [";
+  for (std::size_t i = 0; i < r.kinds.size(); ++i) {
+    if (i) head += ", ";
+    head += std::string("\"") + rtl::to_string(r.kinds[i]) + "\"";
+  }
+  head += "],\n";
+
+  std::string body = "  \"baseline\": {\"logic_elements\": " +
+                     std::to_string(r.baseline.logic_elements) +
+                     ", \"ff_count\": " + std::to_string(r.baseline.ff_count) +
+                     ", \"fmax_mhz\": ";
+  common::append_json_fixed(body, r.baseline.fmax_mhz);
+  body += "},\n";
+  body += "  \"hardened\": {\"logic_elements\": " +
+          std::to_string(r.hardened.logic_elements) +
+          ", \"ff_count\": " + std::to_string(r.hardened.ff_count) +
+          ", \"fmax_mhz\": ";
+  common::append_json_fixed(body, r.hardened.fmax_mhz);
+  body += ", \"protected_ffs\": " +
+          std::to_string(r.harden_report.protected_ffs) +
+          ", \"added_ffs\": " + std::to_string(r.harden_report.added_ffs) +
+          ", \"added_gates\": " + std::to_string(r.harden_report.added_gates) +
+          ", \"parity_groups\": " +
+          std::to_string(r.harden_report.parity_groups) + "},\n";
+  body += "  \"overhead\": {\"le_ratio\": ";
+  common::append_json_fixed(
+      body, r.baseline.logic_elements > 0
+                ? static_cast<double>(r.hardened.logic_elements) /
+                      static_cast<double>(r.baseline.logic_elements)
+                : 0.0);
+  body += ", \"fmax_ratio\": ";
+  common::append_json_fixed(body, r.baseline.fmax_mhz > 0
+                                      ? r.hardened.fmax_mhz /
+                                            r.baseline.fmax_mhz
+                                      : 0.0);
+  body += "},\n";
+  // Static schedule statistics of the cone restriction (see ConeStats):
+  // identical across engines, knobs, and shards by construction.
+  body += "  \"cone\": {\"instructions\": " +
+          std::to_string(r.cone.instructions) + ", \"mean_span_fraction\": ";
+  common::append_json_fixed(body, r.cone.mean_span_fraction);
+  body += ", \"schedule_mean_cone_fraction\": ";
+  common::append_json_fixed(body, r.cone.schedule_mean_cone_fraction);
+  body += ", \"instructions_full\": " +
+          std::to_string(r.cone.instructions_full) +
+          ", \"instructions_cone\": " +
+          std::to_string(r.cone.instructions_cone) + "},\n";
+
+  std::optional<ShardSlice> slice;
+  if (r.shard_count > 1) {
+    slice = ShardSlice{r.shard_index, r.shard_count, r.trial_begin,
+                       r.trial_end};
+  }
+  return write_report(head, r, body, slice, r.trials.size(),
+                      [&](std::string& out, std::size_t i) {
+                        append_trial(out, r.trials[i]);
+                      });
+}
+
 std::string merge_reports(const std::vector<std::string>& reports) {
   if (reports.empty()) {
     throw std::runtime_error("merge_reports: no reports given");
   }
-  std::vector<ShardDoc> docs;
+  std::vector<ReportDoc> docs;
   docs.reserve(reports.size());
   for (const std::string& r : reports) docs.push_back(parse_report(r));
 
   // A lone unsharded report (no shard object) is already final.
-  if (docs.size() == 1 && !docs[0].has_shard) return reports[0];
+  if (docs.size() == 1 && !docs[0].slice) return reports[0];
 
-  for (const ShardDoc& d : docs) {
-    if (!d.has_shard) {
+  for (const ReportDoc& d : docs) {
+    if (!d.slice) {
       throw std::runtime_error(
           "merge_reports: mixing sharded and unsharded reports");
     }
-    if (d.count != docs.size()) {
+    if (d.slice->count != docs.size()) {
       throw std::runtime_error(
           "merge_reports: incomplete shard set (count mismatch)");
     }
   }
-  std::vector<const ShardDoc*> order(docs.size());
-  for (const ShardDoc& d : docs) {
-    if (d.index >= docs.size()) {
+  std::vector<const ReportDoc*> order(docs.size());
+  for (const ReportDoc& d : docs) {
+    if (d.slice->index >= docs.size()) {
       throw std::runtime_error("merge_reports: shard index out of range");
     }
-    if (order[d.index] != nullptr) {
+    if (order[d.slice->index] != nullptr) {
       throw std::runtime_error("merge_reports: duplicate shard index");
     }
-    order[d.index] = &d;
+    order[d.slice->index] = &d;
   }
   std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (order[i]->begin != expect || order[i]->end < order[i]->begin) {
+  for (const ReportDoc* d : order) {
+    if (d->slice->begin != expect || d->slice->end < d->slice->begin) {
       throw std::runtime_error(
           "merge_reports: shard trial ranges are not contiguous");
     }
-    if (order[i]->end - order[i]->begin != order[i]->trials) {
+    if (d->slice->end - d->slice->begin != d->summary.trials_run) {
       throw std::runtime_error(
           "merge_reports: shard trial count disagrees with its range");
     }
-    expect = order[i]->end;
+    expect = d->slice->end;
   }
-  // Every static (non-recomputed) line must agree byte-for-byte: the shards
-  // ran the same design, synthesis, cone statistics and schedule.
-  for (std::size_t i = 1; i < docs.size(); ++i) {
-    if (docs[i].skeleton != docs[0].skeleton) {
+  // Every static line must agree byte-for-byte: the shards ran the same
+  // design, synthesis, cone statistics and schedule.
+  for (const ReportDoc& d : docs) {
+    if (d.head != docs[0].head || d.body != docs[0].body) {
       throw std::runtime_error(
           "merge_reports: reports disagree on a non-summary line "
           "(different campaigns?)");
     }
   }
 
-  const std::uint64_t total = expect;
-  std::uint64_t masked = 0;
-  std::uint64_t detected = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t corrupted = 0;
-  double min_psnr = std::numeric_limits<double>::infinity();
-  common::ExactAcc acc;
-  std::size_t kept = 0;
-  for (const ShardDoc* d : order) {
-    masked += d->masked;
-    detected += d->detected;
-    sdc += d->sdc;
-    corrupted += d->corrupted;
-    min_psnr = std::min(min_psnr, std::bit_cast<double>(d->min_bits));
-    acc.add(d->acc);
-    kept += d->entries.size();
+  CampaignSummary total;
+  std::vector<std::string_view> entries;
+  for (const ReportDoc* d : order) {
+    total.add(d->summary);
+    entries.insert(entries.end(), d->entries.begin(), d->entries.end());
   }
-
-  std::string out;
-  out.reserve(reports[0].size() * reports.size());
-  bool first_line = true;
-  const auto emit = [&](const std::string& line) {
-    if (!first_line) out += '\n';
-    first_line = false;
-    out += line;
-  };
-  for (const std::string& line : docs[0].skeleton) {
-    if (line == kTokTrials) {
-      emit("  \"trials\": " + std::to_string(total) + ",");
-    } else if (line == kTokOutcomes) {
-      emit("  \"outcomes\": {\"masked\": " + std::to_string(masked) +
-           ", \"detected\": " + std::to_string(detected) +
-           ", \"sdc\": " + std::to_string(sdc) + "},");
-    } else if (line == kTokSdcRate) {
-      std::string l = "  \"sdc_rate\": ";
-      common::append_json_fixed(
-          l, total == 0 ? 0.0
-                        : static_cast<double>(sdc) / static_cast<double>(total));
-      emit(l + ",");
-    } else if (line == kTokCorrupted) {
-      emit("  \"corrupted_trials\": " + std::to_string(corrupted) + ",");
-    } else if (line == kTokMin) {
-      std::string l = "  \"min_psnr_db\": ";
-      common::append_json_fixed(
-          l, corrupted > 0 ? min_psnr
-                           : std::numeric_limits<double>::infinity());
-      emit(l + ",");
-    } else if (line == kTokMean) {
-      std::string l = "  \"mean_psnr_db\": ";
-      common::append_json_fixed(
-          l, corrupted > 0 ? acc.round() / static_cast<double>(corrupted)
-                           : std::numeric_limits<double>::infinity());
-      emit(l + ",");
-    } else if (line == kTokShard) {
-      // Dropped: the merged report is the unsharded report.
-    } else if (line == kTokTrialList) {
-      if (kept == 0) {
-        emit("  \"trial_list\": [],");
-      } else {
-        emit("  \"trial_list\": [");
-        std::size_t n = 0;
-        for (const ShardDoc* d : order) {
-          for (const std::string& entry : d->entries) {
-            ++n;
-            emit("    " + entry + (n == kept ? "" : ","));
-          }
-        }
-        emit("  ],");
-      }
-    } else if (line == kTokKept) {
-      emit("  \"trials_kept\": " + std::to_string(kept));
-    } else {
-      emit(line);
-    }
-  }
-  return out;
+  return write_report(docs[0].head, total, docs[0].body, std::nullopt,
+                      entries.size(), [&](std::string& out, std::size_t i) {
+                        out += entries[i];
+                      });
 }
 
 }  // namespace dwt::explore

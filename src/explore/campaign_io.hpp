@@ -1,24 +1,26 @@
-// Campaign persistence: crash-tolerant checkpoints for long fault-injection
-// runs, and the byte-stable merge that folds sharded campaign reports back
-// into the exact bytes an unsharded run prints.
+// Campaign persistence: the JSON report, crash-tolerant checkpoints for
+// long fault-injection runs, and the byte-stable merge that folds sharded
+// campaign reports back into the exact bytes an unsharded run prints.
 //
 // Checkpoints are small text files written atomically (write to a sibling
-// .tmp, then rename) after every chunk of trials, carrying the summary
-// counters, the exact PSNR accumulator (common/exact_acc.hpp) and -- when
+// .tmp, then rename) after every chunk of trials.  A checkpoint is the run
+// state itself: the cursor, the CampaignSummary (counters, the min-PSNR bit
+// pattern, the exact PSNR accumulator of common/exact_acc.hpp) and -- when
 // the per-trial list is kept -- the trial records completed so far.  A
 // killed run restarted with the same options loads the checkpoint, verifies
 // its fingerprint, and continues from the recorded cursor; the finished
 // report is byte-identical to an uninterrupted run because every carried
-// quantity is exact (integers, double bit patterns, the superaccumulator).
+// quantity is exact.
 //
-// merge_reports() combines per-shard to_json() outputs.  Shard reports
-// embed a "shard" object with the exact accumulator and min-PSNR bit
-// pattern precisely so the merge never re-rounds: counters add, minima
-// min, accumulators add limb-wise, trial lists concatenate in shard order,
-// and every static line (design, synthesis costs, cone statistics...) is
-// required to be byte-identical across shards and copied verbatim.  The
-// result equals the unsharded report byte for byte, for any shard count
-// and any argument order.
+// One writer prints every report: to_json() and merge_reports() emit the
+// summary lines, the "shard" object and the trial list through it.  Shard
+// reports embed the exact accumulator and min-PSNR bit pattern in their
+// "shard" object so the merge never re-rounds: it reads each shard back
+// into a summary (a shard that the writer would not reprint byte for byte
+// is rejected), sums the summaries in shard order, concatenates the trial
+// lists and requires every static line (design, synthesis costs, cone
+// statistics...) to be byte-identical across shards.  The result is the
+// unsharded report, for any shard count and any argument order.
 #pragma once
 
 #include <cstdint>
@@ -26,23 +28,16 @@
 #include <string>
 #include <vector>
 
-#include "common/exact_acc.hpp"
 #include "explore/resilience.hpp"
 
 namespace dwt::explore {
 
-/// Mid-run state of one (possibly sharded) campaign, as persisted between
-/// chunks.  All fields are exact, so resuming cannot drift.
-struct CampaignCheckpoint {
+/// The run state of one (possibly sharded) campaign, as persisted between
+/// chunks.  All fields are exact, so resuming cannot drift.  trials_run is
+/// not stored: a parsed checkpoint derives it from the outcome counts.
+struct CampaignCheckpoint : CampaignSummary {
   std::string fingerprint;   ///< must equal the resuming run's fingerprint
   std::uint64_t cursor = 0;  ///< next absolute trial index to execute
-  std::uint64_t masked = 0;
-  std::uint64_t detected = 0;
-  std::uint64_t sdc = 0;
-  std::uint64_t corrupted = 0;
-  /// Bit pattern of the running min corrupted-trial PSNR (+inf when none).
-  std::uint64_t min_psnr_bits = 0;
-  common::ExactAcc psnr_acc;  ///< exact sum of corrupted-trial PSNRs
   /// Per-trial records completed so far; empty when the run does not keep
   /// the trial list.
   std::vector<FaultTrial> kept;
@@ -76,9 +71,10 @@ void write_checkpoint_atomic(const std::string& path,
 /// Merges per-shard campaign reports (each a full to_json() output) into
 /// the byte-exact unsharded report.  A single report without a "shard"
 /// object passes through verbatim.  Throws std::runtime_error when the
-/// inputs are not a complete, consistent shard set: mixed configurations,
-/// duplicate or missing shard indices, non-contiguous trial ranges, or any
-/// static line differing between shards.  Argument order is irrelevant.
+/// inputs are not a complete, consistent shard set: a report the writer
+/// would not reprint byte for byte, mixed configurations, duplicate or
+/// missing shard indices, non-contiguous trial ranges, or any static line
+/// differing between shards.  Argument order is irrelevant.
 [[nodiscard]] std::string merge_reports(const std::vector<std::string>& reports);
 
 }  // namespace dwt::explore

@@ -1,7 +1,6 @@
 #include "explore/resilience.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,12 +10,10 @@
 #include <tuple>
 #include <utility>
 
-#include "common/json_writer.hpp"
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
 #include "core/artifact_cache.hpp"
 #include "dsp/image_gen.hpp"
-#include "dsp/metrics.hpp"
 #include "explore/campaign_io.hpp"
 #include "fpga/device.hpp"
 #include "fpga/timing.hpp"
@@ -55,52 +52,44 @@ SynthesisCost synthesize(const fpga::MappedNetlist& mapped) {
   return cost;
 }
 
-/// PSNR of the corrupted coefficient stream against golden, over the
-/// concatenated low/high bands.
-double coeff_psnr(const hw::StreamResult& got, const hw::StreamResult& gold) {
-  std::vector<double> a;
-  std::vector<double> b;
-  a.reserve(gold.low.size() + gold.high.size());
-  b.reserve(a.capacity());
-  for (std::size_t i = 0; i < gold.low.size(); ++i) {
-    a.push_back(static_cast<double>(gold.low[i]));
-    b.push_back(static_cast<double>(got.low[i]));
-  }
-  for (std::size_t i = 0; i < gold.high.size(); ++i) {
-    a.push_back(static_cast<double>(gold.high[i]));
-    b.push_back(static_cast<double>(got.high[i]));
-  }
-  return dsp::psnr(a, b);
-}
-
-std::int64_t max_abs_error(const hw::StreamResult& got,
-                           const hw::StreamResult& gold) {
-  std::int64_t worst = 0;
-  for (std::size_t i = 0; i < gold.low.size(); ++i) {
-    worst = std::max(worst, std::abs(got.low[i] - gold.low[i]));
-    worst = std::max(worst, std::abs(got.high[i] - gold.high[i]));
-  }
-  return worst;
-}
-
 /// Outcome/PSNR classification of one trial -- shared by both engines so a
 /// trial's record depends only on its coefficient stream and watch flag.
+/// One pass over each band, at that band's length, yields the PSNR over the
+/// concatenated low/high bands (the double operations of dsp::psnr, in its
+/// order) and the largest absolute coefficient error; the stream is
+/// corrupted iff that error is nonzero.
 FaultTrial classify_trial(const rtl::Fault& fault, const std::string& net_name,
                           const hw::StreamResult& got,
                           const hw::StreamResult& golden, bool watch_hit) {
+  double sse = 0.0;
+  std::int64_t worst = 0;
+  const auto band = [&](const std::vector<std::int64_t>& x,
+                        const std::vector<std::int64_t>& gold) {
+    for (std::size_t i = 0; i < gold.size(); ++i) {
+      const double e =
+          static_cast<double>(gold[i]) - static_cast<double>(x[i]);
+      sse += e * e;
+      worst = std::max(worst, std::abs(x[i] - gold[i]));
+    }
+  };
+  band(got.low, golden.low);
+  band(got.high, golden.high);
+  const double mse =
+      sse / static_cast<double>(golden.low.size() + golden.high.size());
+
   FaultTrial trial;
   trial.fault = fault;
   trial.net_name = net_name;
-  const bool corrupted = got.low != golden.low || got.high != golden.high;
   if (watch_hit) {
     trial.outcome = FaultOutcome::kDetected;
-  } else if (corrupted) {
+  } else if (worst != 0) {
     trial.outcome = FaultOutcome::kSilentCorruption;
   } else {
     trial.outcome = FaultOutcome::kMasked;
   }
-  trial.psnr_db = coeff_psnr(got, golden);
-  trial.max_abs_error = max_abs_error(got, golden);
+  trial.psnr_db = mse == 0.0 ? std::numeric_limits<double>::infinity()
+                             : 10.0 * std::log10(255.0 * 255.0 / mse);
+  trial.max_abs_error = worst;
   return trial;
 }
 
@@ -123,6 +112,30 @@ std::optional<CampaignEngine> engine_from_backend(std::string_view name) {
   if (name == "rtl-interpreted") return CampaignEngine::kInterpreted;
   if (name == "rtl-compiled") return CampaignEngine::kCompiled;
   return std::nullopt;
+}
+
+void CampaignSummary::add(const FaultTrial& trial) {
+  ++trials_run;
+  switch (trial.outcome) {
+    case FaultOutcome::kMasked: ++masked; break;
+    case FaultOutcome::kDetected: ++detected; break;
+    case FaultOutcome::kSilentCorruption: ++sdc; break;
+  }
+  if (trial.max_abs_error != 0) {
+    ++corrupted;
+    psnr_acc.add(trial.psnr_db);
+    min_psnr_db = std::min(min_psnr_db, trial.psnr_db);
+  }
+}
+
+void CampaignSummary::add(const CampaignSummary& other) {
+  trials_run += other.trials_run;
+  masked += other.masked;
+  detected += other.detected;
+  sdc += other.sdc;
+  corrupted += other.corrupted;
+  min_psnr_db = std::min(min_psnr_db, other.min_psnr_db);
+  psnr_acc.add(other.psnr_acc);
 }
 
 const char* to_string(FaultOutcome o) {
@@ -348,25 +361,16 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   result.cone.schedule_mean_cone_fraction =
       cone_frac_sum / static_cast<double>(options.trials);
 
-  // Summary accumulators (resumable).  The PSNR sum is an exact
-  // superaccumulator, so checkpoint and shard boundaries cannot perturb the
-  // rounding of the final mean.
-  std::size_t cursor = shard_begin;
-  std::uint64_t n_masked = 0;
-  std::uint64_t n_detected = 0;
-  std::uint64_t n_sdc = 0;
-  std::uint64_t n_corrupted = 0;
-  double psnr_min = std::numeric_limits<double>::infinity();
-  common::ExactAcc psnr_acc;
-  std::vector<FaultTrial> kept_trials;
-  if (keep) kept_trials.reserve(shard_trials);
-
+  // The run state is one checkpoint: cursor, summary and kept trials.  A
+  // fresh run starts it empty; a resume loads it from the checkpoint file.
+  CampaignCheckpoint state;
+  state.fingerprint = campaign_fingerprint(options);
+  state.cursor = shard_begin;
   const bool use_checkpoint = !options.checkpoint_file.empty();
-  const std::string fingerprint = campaign_fingerprint(options);
   if (use_checkpoint) {
     if (std::optional<CampaignCheckpoint> cp =
             load_checkpoint(options.checkpoint_file)) {
-      if (cp->fingerprint != fingerprint) {
+      if (cp->fingerprint != state.fingerprint) {
         throw std::runtime_error(
             "run_campaign: checkpoint belongs to a different campaign "
             "(fingerprint mismatch)");
@@ -376,20 +380,19 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
             "run_campaign: checkpoint cursor outside this shard's range");
       }
       const std::size_t done = cp->cursor - shard_begin;
+      if (cp->trials_run != done) {
+        throw std::runtime_error(
+            "run_campaign: checkpoint outcome counts inconsistent with "
+            "cursor");
+      }
       if (cp->kept.size() != (keep ? done : 0)) {
         throw std::runtime_error(
             "run_campaign: checkpoint trial list inconsistent with cursor");
       }
-      cursor = cp->cursor;
-      n_masked = cp->masked;
-      n_detected = cp->detected;
-      n_sdc = cp->sdc;
-      n_corrupted = cp->corrupted;
-      psnr_min = std::bit_cast<double>(cp->min_psnr_bits);
-      psnr_acc = cp->psnr_acc;
-      kept_trials = std::move(cp->kept);
+      state = std::move(*cp);
     }
   }
+  if (keep) state.kept.reserve(shard_trials);
 
   // Chunked execution: each chunk is a contiguous trial range, classified
   // into a chunk-local buffer (bounded memory) and folded into the summary
@@ -476,70 +479,38 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   };
 
   std::vector<FaultTrial> chunk;
-  while (cursor < shard_end) {
-    const std::size_t c_end = std::min(shard_end, cursor + chunk_size);
-    chunk.assign(c_end - cursor, FaultTrial{});
+  while (state.cursor < shard_end) {
+    const std::size_t c0 = state.cursor;
+    const std::size_t c1 = std::min(shard_end, c0 + chunk_size);
+    chunk.assign(c1 - c0, FaultTrial{});
     if (compiled) {
       switch (options.lanes) {
         case 64:
-          run_compiled_chunk.template operator()<1>(cursor, c_end, chunk);
+          run_compiled_chunk.template operator()<1>(c0, c1, chunk);
           break;
         case 128:
-          run_compiled_chunk.template operator()<2>(cursor, c_end, chunk);
+          run_compiled_chunk.template operator()<2>(c0, c1, chunk);
           break;
         default:
-          run_compiled_chunk.template operator()<4>(cursor, c_end, chunk);
+          run_compiled_chunk.template operator()<4>(c0, c1, chunk);
           break;
       }
     } else {
-      run_interpreted_chunk(cursor, c_end, chunk);
+      run_interpreted_chunk(c0, c1, chunk);
     }
     for (FaultTrial& trial : chunk) {
-      switch (trial.outcome) {
-        case FaultOutcome::kMasked: ++n_masked; break;
-        case FaultOutcome::kDetected: ++n_detected; break;
-        case FaultOutcome::kSilentCorruption: ++n_sdc; break;
-      }
-      // A trial is corrupted iff its stream differs from golden anywhere,
-      // i.e. the worst absolute coefficient error is nonzero.
-      if (trial.max_abs_error != 0) {
-        ++n_corrupted;
-        psnr_acc.add(trial.psnr_db);
-        psnr_min = std::min(psnr_min, trial.psnr_db);
-      }
-      if (keep) kept_trials.push_back(std::move(trial));
+      state.add(trial);
+      if (keep) state.kept.push_back(std::move(trial));
     }
-    cursor = c_end;
+    state.cursor = c1;
     if (use_checkpoint) {
-      CampaignCheckpoint cp;
-      cp.fingerprint = fingerprint;
-      cp.cursor = cursor;
-      cp.masked = n_masked;
-      cp.detected = n_detected;
-      cp.sdc = n_sdc;
-      cp.corrupted = n_corrupted;
-      cp.min_psnr_bits = std::bit_cast<std::uint64_t>(psnr_min);
-      cp.psnr_acc = psnr_acc;
-      cp.kept = kept_trials;
-      write_checkpoint_atomic(options.checkpoint_file, cp);
-      if (options.checkpoint_hook) {
-        options.checkpoint_hook(cursor - shard_begin);
-      }
+      write_checkpoint_atomic(options.checkpoint_file, state);
+      if (options.checkpoint_hook) options.checkpoint_hook(c1 - shard_begin);
     }
   }
 
-  result.trials_run = shard_trials;
-  result.masked = n_masked;
-  result.detected = n_detected;
-  result.sdc = n_sdc;
-  result.corrupted = n_corrupted;
-  result.psnr_acc = psnr_acc;
-  if (n_corrupted > 0) {
-    result.min_psnr_db = psnr_min;
-    result.mean_psnr_db =
-        psnr_acc.round() / static_cast<double>(n_corrupted);
-  }
-  result.trials = std::move(kept_trials);
+  static_cast<CampaignSummary&>(result) = state;
+  result.trials = std::move(state.kept);
   return result;
 }
 
@@ -550,118 +521,6 @@ TradeoffPoint resilience_point(const CampaignResult& r) {
   p.period_ns = r.hardened.fmax_mhz > 0 ? 1000.0 / r.hardened.fmax_mhz : 0.0;
   p.sdc_rate = r.sdc_rate();
   return p;
-}
-
-std::string to_json(const CampaignResult& r) {
-  std::string out;
-  out.reserve(4096 + 96 * r.trials.size());
-  out += "{\n";
-  out += "  \"design\": \"" + r.spec.name + "\",\n";
-  out += std::string("  \"harden\": \"") + rtl::to_string(r.harden) + "\",\n";
-  out += "  \"seed\": " + std::to_string(r.seed) + ",\n";
-  out += "  \"samples\": " + std::to_string(r.samples) + ",\n";
-  out += "  \"fault_kinds\": [";
-  for (std::size_t i = 0; i < r.kinds.size(); ++i) {
-    if (i) out += ", ";
-    out += std::string("\"") + rtl::to_string(r.kinds[i]) + "\"";
-  }
-  out += "],\n";
-  out += "  \"trials\": " + std::to_string(r.trials_run) + ",\n";
-  out += "  \"outcomes\": {\"masked\": " + std::to_string(r.masked) +
-         ", \"detected\": " + std::to_string(r.detected) +
-         ", \"sdc\": " + std::to_string(r.sdc) + "},\n";
-  out += "  \"sdc_rate\": ";
-  common::append_json_fixed(out, r.sdc_rate());
-  out += ",\n";
-  out += "  \"corrupted_trials\": " + std::to_string(r.corrupted) + ",\n";
-  out += "  \"min_psnr_db\": ";
-  common::append_json_fixed(out, r.corrupted > 0
-                              ? r.min_psnr_db
-                              : std::numeric_limits<double>::infinity());
-  out += ",\n";
-  out += "  \"mean_psnr_db\": ";
-  common::append_json_fixed(out, r.corrupted > 0
-                              ? r.mean_psnr_db
-                              : std::numeric_limits<double>::infinity());
-  out += ",\n";
-  out += "  \"baseline\": {\"logic_elements\": " +
-         std::to_string(r.baseline.logic_elements) +
-         ", \"ff_count\": " + std::to_string(r.baseline.ff_count) +
-         ", \"fmax_mhz\": ";
-  common::append_json_fixed(out, r.baseline.fmax_mhz);
-  out += "},\n";
-  out += "  \"hardened\": {\"logic_elements\": " +
-         std::to_string(r.hardened.logic_elements) +
-         ", \"ff_count\": " + std::to_string(r.hardened.ff_count) +
-         ", \"fmax_mhz\": ";
-  common::append_json_fixed(out, r.hardened.fmax_mhz);
-  out += ", \"protected_ffs\": " +
-         std::to_string(r.harden_report.protected_ffs) +
-         ", \"added_ffs\": " + std::to_string(r.harden_report.added_ffs) +
-         ", \"added_gates\": " + std::to_string(r.harden_report.added_gates) +
-         ", \"parity_groups\": " +
-         std::to_string(r.harden_report.parity_groups) + "},\n";
-  out += "  \"overhead\": {\"le_ratio\": ";
-  common::append_json_fixed(out, r.baseline.logic_elements > 0
-                              ? static_cast<double>(r.hardened.logic_elements) /
-                                    static_cast<double>(
-                                        r.baseline.logic_elements)
-                              : 0.0);
-  out += ", \"fmax_ratio\": ";
-  common::append_json_fixed(out, r.baseline.fmax_mhz > 0
-                              ? r.hardened.fmax_mhz / r.baseline.fmax_mhz
-                              : 0.0);
-  out += "},\n";
-  // Static schedule statistics of the cone restriction (see ConeStats):
-  // identical across engines, knobs, and shards by construction.
-  out += "  \"cone\": {\"instructions\": " +
-         std::to_string(r.cone.instructions) + ", \"mean_span_fraction\": ";
-  common::append_json_fixed(out, r.cone.mean_span_fraction);
-  out += ", \"schedule_mean_cone_fraction\": ";
-  common::append_json_fixed(out, r.cone.schedule_mean_cone_fraction);
-  out += ", \"instructions_full\": " +
-         std::to_string(r.cone.instructions_full) +
-         ", \"instructions_cone\": " +
-         std::to_string(r.cone.instructions_cone) + "},\n";
-  if (r.shard_count > 1) {
-    // Exact merge carriers (campaign_io.hpp): the superaccumulator and the
-    // min-PSNR bit pattern let `faultcampaign merge` reproduce the
-    // unsharded bytes without re-rounding.  Absent from unsharded reports,
-    // which is exactly what the merged output must look like.
-    const double shard_min = r.corrupted > 0
-                                 ? r.min_psnr_db
-                                 : std::numeric_limits<double>::infinity();
-    static const char* const digits = "0123456789abcdef";
-    std::string min_hex(16, '0');
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(shard_min);
-    for (int i = 0; i < 16; ++i) {
-      min_hex[static_cast<std::size_t>(i)] =
-          digits[(bits >> (4 * (15 - i))) & 0xF];
-    }
-    out += "  \"shard\": {\"index\": " + std::to_string(r.shard_index) +
-           ", \"count\": " + std::to_string(r.shard_count) +
-           ", \"trial_begin\": " + std::to_string(r.trial_begin) +
-           ", \"trial_end\": " + std::to_string(r.trial_end) +
-           ", \"min_psnr_bits\": \"" + min_hex + "\", \"psnr_acc\": \"" +
-           r.psnr_acc.to_hex() + "\"},\n";
-  }
-  out += "  \"trial_list\": [";
-  for (std::size_t i = 0; i < r.trials.size(); ++i) {
-    const FaultTrial& t = r.trials[i];
-    out += i ? ",\n    " : "\n    ";
-    out += std::string("{\"kind\": \"") + rtl::to_string(t.fault.kind) +
-           "\", \"net\": " + std::to_string(t.fault.net) + ", \"net_name\": \"" +
-           t.net_name + "\", \"cycle\": " + std::to_string(t.fault.cycle) +
-           ", \"outcome\": \"" + to_string(t.outcome) +
-           "\", \"max_abs_error\": " + std::to_string(t.max_abs_error) +
-           ", \"psnr_db\": ";
-    common::append_json_fixed(out, t.psnr_db);
-    out += "}";
-  }
-  out += r.trials.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"trials_kept\": " + std::to_string(r.trials.size()) + "\n";
-  out += "}\n";
-  return out;
 }
 
 }  // namespace dwt::explore

@@ -4,10 +4,16 @@
 // degradation of the coefficient stream, and prices the hardening through
 // the same APEX mapper + static-timing machinery as paper Table 3 -- adding
 // a resilience axis to the area/throughput/power trade-off space.
+//
+// What a campaign counts is one CampaignSummary: the run folds each trial
+// into it, a checkpoint persists it, a result carries it, and the shard
+// merge sums the shards' summaries (campaign_io.hpp), so every path holds
+// the same seven numbers and prints them through the same report writer.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -128,6 +134,41 @@ struct FaultTrial {
   std::int64_t max_abs_error = 0;
 };
 
+/// What a campaign counts over the trials it folded.  Every number is
+/// exact (counts, a minimum, an exact sum), so summaries folded per chunk,
+/// restored from a checkpoint or added per shard equal the straight
+/// per-trial fold bit for bit.
+struct CampaignSummary {
+  std::uint64_t trials_run = 0;
+  std::uint64_t masked = 0;
+  std::uint64_t detected = 0;
+  std::uint64_t sdc = 0;
+  /// Trials whose coefficient stream differs from golden (any outcome).
+  std::uint64_t corrupted = 0;
+  /// Lowest corrupted-trial PSNR; +inf while no trial is corrupted.
+  double min_psnr_db = std::numeric_limits<double>::infinity();
+  /// Exact sum of the corrupted trials' PSNRs, so checkpoint and shard
+  /// boundaries cannot perturb the rounding of the mean.
+  common::ExactAcc psnr_acc;
+
+  /// Folds one classified trial.
+  void add(const FaultTrial& trial);
+  /// Folds another summary, as if its trials followed this one's.
+  void add(const CampaignSummary& other);
+
+  /// Correctly-rounded mean corrupted-trial PSNR; +inf when none.
+  [[nodiscard]] double mean_psnr_db() const {
+    return corrupted > 0
+               ? psnr_acc.round() / static_cast<double>(corrupted)
+               : std::numeric_limits<double>::infinity();
+  }
+  [[nodiscard]] double sdc_rate() const {
+    return trials_run == 0
+               ? 0.0
+               : static_cast<double>(sdc) / static_cast<double>(trials_run);
+  }
+};
+
 /// Area/f_max of one netlist through simplify -> APEX map -> STA.
 struct SynthesisCost {
   std::size_t logic_elements = 0;
@@ -155,20 +196,14 @@ struct ConeStats {
   std::uint64_t instructions_cone = 0;
 };
 
-struct CampaignResult {
+/// A finished campaign (or one shard of it): its summary plus what it ran
+/// on and what it cost.
+struct CampaignResult : CampaignSummary {
   hw::DesignSpec spec;
   rtl::HardeningStyle harden = rtl::HardeningStyle::kNone;
   rtl::HardeningReport harden_report;
   SynthesisCost baseline;  ///< unhardened design
   SynthesisCost hardened;  ///< == baseline when harden == kNone
-  std::size_t trials_run = 0;
-  std::size_t masked = 0;
-  std::size_t detected = 0;
-  std::size_t sdc = 0;
-  /// Over the corrupted (non-golden-output) trials; 0 when none corrupted.
-  double min_psnr_db = 0.0;
-  double mean_psnr_db = 0.0;
-  std::size_t corrupted = 0;
   std::uint64_t seed = 0;
   std::size_t samples = 0;
   std::vector<rtl::FaultKind> kinds;
@@ -180,16 +215,6 @@ struct CampaignResult {
   unsigned shard_index = 0;
   std::size_t trial_begin = 0;
   std::size_t trial_end = 0;
-  /// Exact sum of the corrupted trials' PSNRs; mean_psnr_db is its
-  /// correctly-rounded value over `corrupted`, and shard reports serialize
-  /// it so merges never re-round.
-  common::ExactAcc psnr_acc;
-
-  [[nodiscard]] double sdc_rate() const {
-    return trials_run == 0
-               ? 0.0
-               : static_cast<double>(sdc) / static_cast<double>(trials_run);
-  }
 };
 
 /// Runs the campaign.  Deterministic: identical options produce an identical
@@ -202,6 +227,8 @@ struct CampaignResult {
 [[nodiscard]] TradeoffPoint resilience_point(const CampaignResult& r);
 
 /// Deterministic JSON report (stable key order, fixed float formatting).
+/// Defined in campaign_io.cpp, beside the shard merge that prints merged
+/// reports through the same writer.
 [[nodiscard]] std::string to_json(const CampaignResult& r);
 
 }  // namespace dwt::explore

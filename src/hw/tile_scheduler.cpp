@@ -1,6 +1,8 @@
 #include "hw/tile_scheduler.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -13,13 +15,8 @@
 namespace dwt::hw {
 namespace {
 
-void validate(std::size_t w, std::size_t h, const TileOptions& options) {
-  if (w == 0 || h == 0) {
-    throw std::invalid_argument("tile_scheduler: empty image");
-  }
-  if (options.tile_w == 0 || options.tile_h == 0) {
-    throw std::invalid_argument("tile_scheduler: zero tile dimensions");
-  }
+/// The options' own checks; TileGrid rejects zero image or tile sizes.
+void validate(const TileOptions& options) {
   if (options.octaves < 1) {
     throw std::invalid_argument("tile_scheduler: octaves < 1");
   }
@@ -41,7 +38,6 @@ core::BackendRequest backend_request(const TileOptions& options) {
   req.design = options.design;
   req.adder = options.adder;
   req.max_octaves = options.octaves;
-  req.frac_bits = options.frac_bits;
   req.opt_level = options.opt_level;
   req.exec_tier = options.exec_tier;
   return req;
@@ -54,19 +50,27 @@ core::BackendRequest backend_request(const TileOptions& options) {
 /// its private backend session); `process` transforms one tile with that
 /// state.
 template <typename MakeState, typename Process>
-TileStats run_pool(const std::vector<TileRect>& tiles, unsigned threads,
+TileStats run_pool(const TileGrid& grid, unsigned threads,
                    MakeState make_state, Process process) {
   TileStats stats;
-  stats.tiles = tiles.size();
-  // Per-tile cycle accounting lands in a slot per tile and is summed in
-  // tile order afterwards, keeping the totals scheduling-independent too.
-  std::vector<Dwt2dRunStats> per_tile(tiles.size());
-  stats.threads_used = common::run_pool(tiles.size(), threads, [&]() {
-    return [&, state = make_state()](std::size_t t) mutable {
-      per_tile[t] = process(state, tiles[t]);
+  stats.tiles = grid.size();
+  // Each worker sums the cycle accounting of the tiles it ran; the fields
+  // are integers, so the totals do not depend on which worker ran which.
+  std::mutex mutex;
+  std::deque<Dwt2dRunStats> sums;
+  stats.threads_used = common::run_pool(grid.size(), threads, [&]() {
+    Dwt2dRunStats* sum = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      sum = &sums.emplace_back();
+    }
+    return [&, sum, state = make_state()](std::size_t t) mutable {
+      const Dwt2dRunStats s = process(state, grid[t]);
+      sum->total_cycles += s.total_cycles;
+      sum->line_passes += s.line_passes;
     };
   });
-  for (const Dwt2dRunStats& s : per_tile) {
+  for (const Dwt2dRunStats& s : sums) {
     stats.total_cycles += s.total_cycles;
     stats.line_passes += s.line_passes;
   }
@@ -77,19 +81,17 @@ struct NoState {};
 
 }  // namespace
 
-std::vector<TileRect> tile_grid(std::size_t w, std::size_t h,
-                                std::size_t tile_w, std::size_t tile_h) {
-  if (w == 0 || h == 0 || tile_w == 0 || tile_h == 0) {
-    throw std::invalid_argument("tile_grid: zero dimensions");
+TileGrid::TileGrid(std::size_t w, std::size_t h, std::size_t tile_w,
+                   std::size_t tile_h)
+    : w_(w),
+      h_(h),
+      tile_w_(tile_w),
+      tile_h_(tile_h),
+      cols_(tile_w == 0 ? 0 : (w + tile_w - 1) / tile_w),
+      rows_(tile_h == 0 ? 0 : (h + tile_h - 1) / tile_h) {
+  if (size() == 0) {
+    throw std::invalid_argument("TileGrid: zero image or tile dimensions");
   }
-  std::vector<TileRect> tiles;
-  for (std::size_t y0 = 0; y0 < h; y0 += tile_h) {
-    for (std::size_t x0 = 0; x0 < w; x0 += tile_w) {
-      tiles.push_back(TileRect{x0, y0, std::min(tile_w, w - x0),
-                               std::min(tile_h, h - y0)});
-    }
-  }
-  return tiles;
 }
 
 namespace {
@@ -101,15 +103,15 @@ namespace {
 template <class T>
 TileStats run_tiles(dsp::PlaneView<T> plane, const TileOptions& options,
                     bool inverse) {
-  validate(plane.width, plane.height, options);
+  validate(options);
   if (inverse && options.backend != nullptr &&
       !options.backend->caps().inverse_2d) {
     throw std::invalid_argument(
         "tile_inverse: no hardware inverse system; use the software backend "
         "(the hardware forward is bit-identical to kLiftingFixed)");
   }
-  const std::vector<TileRect> tiles =
-      tile_grid(plane.width, plane.height, options.tile_w, options.tile_h);
+  const TileGrid tiles(plane.width, plane.height, options.tile_w,
+                       options.tile_h);
   const auto window = [&plane](const TileRect& t) {
     return plane.window(t.x0, t.y0, t.w, t.h);
   };
@@ -133,11 +135,9 @@ TileStats run_tiles(dsp::PlaneView<T> plane, const TileOptions& options,
       tiles, options.threads, []() { return NoState{}; },
       [&](NoState&, const TileRect& t) {
         if (inverse) {
-          (void)dsp::dwt2d_inverse(method.value(), window(t), options.octaves,
-                                   options.frac_bits);
+          (void)dsp::dwt2d_inverse(method.value(), window(t), options.octaves);
         } else {
-          (void)dsp::dwt2d_forward(method.value(), window(t), options.octaves,
-                                   options.frac_bits);
+          (void)dsp::dwt2d_forward(method.value(), window(t), options.octaves);
         }
         return Dwt2dRunStats{};
       });

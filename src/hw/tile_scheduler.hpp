@@ -16,10 +16,10 @@
 // once for them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "dsp/dwt1d.hpp"
 #include "dsp/image.hpp"
@@ -44,8 +44,9 @@ struct TileOptions {
   std::size_t tile_h = 64;   ///< nominal tile height
   unsigned threads = 0;      ///< worker count; 0 = hardware concurrency
   int octaves = 1;           ///< octaves per tile
-  dsp::Method method = dsp::Method::kLiftingFixed;  ///< in-thread dsp engine
-  int frac_bits = dsp::kDefaultFracBits;
+  /// In-thread dsp engine; the fixed-point methods run at
+  /// dsp::kDefaultFracBits, the precision of the paper's gate-level cores.
+  dsp::Method method = dsp::Method::kLiftingFixed;
   /// Execution engine; nullptr runs the dsp transform selected by `method`
   /// in-thread, and a software backend its own software_method() the same
   /// way.  Gate-level backends compute the fixed-point lifting transform
@@ -73,9 +74,26 @@ struct TileStats {
 
 /// Row-major tile decomposition of a w x h image; edge tiles absorb the
 /// remainder, so tiles can be any size from 1 x 1 up to tile_w x tile_h.
-[[nodiscard]] std::vector<TileRect> tile_grid(std::size_t w, std::size_t h,
-                                              std::size_t tile_w,
-                                              std::size_t tile_h);
+/// Each tile's rectangle is computed from its index, so a grid of any
+/// size costs no memory.
+class TileGrid {
+ public:
+  /// Throws std::invalid_argument when any dimension is zero.
+  TileGrid(std::size_t w, std::size_t h, std::size_t tile_w,
+           std::size_t tile_h);
+
+  [[nodiscard]] std::size_t size() const { return cols_ * rows_; }
+
+  /// Tile `i` in row-major order, i < size().
+  [[nodiscard]] TileRect operator[](std::size_t i) const {
+    const std::size_t x0 = i % cols_ * tile_w_;
+    const std::size_t y0 = i / cols_ * tile_h_;
+    return {x0, y0, std::min(tile_w_, w_ - x0), std::min(tile_h_, h_ - y0)};
+  }
+
+ private:
+  std::size_t w_, h_, tile_w_, tile_h_, cols_, rows_;
+};
 
 /// In-place tile-parallel forward transform: every tile ends up in the
 /// packed LL|HL / LH|HH layout local to the tile.  Deterministic: the

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -198,8 +200,7 @@ TEST(CampaignCheckpointTest, SerializationRoundTrips) {
   cp.detected = 2;
   cp.sdc = 10;
   cp.corrupted = 12;
-  cp.min_psnr_bits =
-      std::bit_cast<std::uint64_t>(21.75);
+  cp.min_psnr_db = 21.75;
   cp.psnr_acc.add(21.75);
   cp.psnr_acc.add(38.5);
   FaultTrial t;
@@ -216,7 +217,14 @@ TEST(CampaignCheckpointTest, SerializationRoundTrips) {
   const CampaignCheckpoint back = parse_checkpoint(serialize_checkpoint(cp));
   EXPECT_EQ(back.fingerprint, cp.fingerprint);
   EXPECT_EQ(back.cursor, cp.cursor);
+  EXPECT_EQ(back.masked, cp.masked);
+  EXPECT_EQ(back.detected, cp.detected);
+  EXPECT_EQ(back.sdc, cp.sdc);
   EXPECT_EQ(back.corrupted, cp.corrupted);
+  // Not stored: every folded trial has exactly one outcome.
+  EXPECT_EQ(back.trials_run, 17u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.min_psnr_db),
+            std::bit_cast<std::uint64_t>(cp.min_psnr_db));
   EXPECT_EQ(back.psnr_acc, cp.psnr_acc);
   ASSERT_EQ(back.kept.size(), 1u);
   EXPECT_EQ(back.kept[0].net_name, t.net_name);
@@ -346,6 +354,83 @@ TEST(CampaignCheckpointTest, ResumeMaySwitchEngines) {
   std::remove(path.c_str());
 }
 
+TEST(CampaignCheckpointTest, RefusesCountsThatDisagreeWithTheCursor) {
+  const std::string path = temp_path("dwt_ck_counts_test.txt");
+  std::remove(path.c_str());
+  ResilienceOptions opt = shard_campaign();
+  opt.checkpoint_file = path;
+  opt.checkpoint_every = 10;
+  struct Stop {};
+  opt.checkpoint_hook = [](std::size_t) { throw Stop{}; };
+  EXPECT_THROW(run_campaign(opt), Stop);
+
+  // Ten trials done, but the outcome counts add up to eleven.
+  std::optional<CampaignCheckpoint> cp = load_checkpoint(path);
+  ASSERT_TRUE(cp.has_value());
+  ASSERT_EQ(cp->trials_run, 10u);
+  ++cp->masked;
+  write_checkpoint_atomic(path, *cp);
+  opt.checkpoint_hook = nullptr;
+  EXPECT_THROW(run_campaign(opt), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Recorded formats: tests/fixtures/campaign holds files an earlier build
+// wrote (see its README); the writers must still print them byte for byte.
+// ---------------------------------------------------------------------------
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::string fixture(const std::string& name) {
+  return read_bytes(std::string(DWT_CAMPAIGN_FIXTURES) + "/" + name);
+}
+
+/// The campaign the recorded files come from.
+ResilienceOptions recorded_campaign() {
+  ResilienceOptions opt;
+  opt.design = hw::DesignId::kDesign1;
+  opt.kinds = {rtl::FaultKind::kSeuFlip, rtl::FaultKind::kGlitch,
+               rtl::FaultKind::kStuckAt0, rtl::FaultKind::kStuckAt1};
+  opt.trials = 300;
+  opt.samples = 16;
+  opt.seed = 24;
+  return opt;
+}
+
+TEST(CampaignFormats, ReportsMatchTheRecordedFiles) {
+  ResilienceOptions opt = recorded_campaign();
+  EXPECT_EQ(to_json(run_campaign(opt)), fixture("report.json"));
+  opt.shard_count = 3;
+  for (unsigned i = 0; i < 3; ++i) {
+    opt.shard_index = i;
+    EXPECT_EQ(to_json(run_campaign(opt)),
+              fixture("shard" + std::to_string(i) + ".json"))
+        << "shard " << i;
+  }
+}
+
+TEST(CampaignFormats, FirstChunkCheckpointMatchesTheRecordedFile) {
+  const std::string path = temp_path("dwt_ck_recorded_test.txt");
+  std::remove(path.c_str());
+  ResilienceOptions opt = recorded_campaign();
+  opt.checkpoint_file = path;
+  opt.checkpoint_every = 100;
+  struct Stop {};
+  opt.checkpoint_hook = [](std::size_t) { throw Stop{}; };
+  EXPECT_THROW(run_campaign(opt), Stop);
+  const std::string recorded = fixture("first_chunk.ckpt");
+  EXPECT_EQ(read_bytes(path), recorded);
+  EXPECT_EQ(serialize_checkpoint(parse_checkpoint(recorded)), recorded);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Hostile input: both readers fail as themselves, with std::runtime_error
 // ---------------------------------------------------------------------------
@@ -356,8 +441,6 @@ std::string checkpoint_with_trials(std::size_t kept) {
   cp.fingerprint = campaign_fingerprint(shard_campaign());
   cp.cursor = kept;
   cp.masked = kept;
-  cp.min_psnr_bits = std::bit_cast<std::uint64_t>(
-      std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < kept; ++i) {
     FaultTrial t;
     t.fault.kind = static_cast<rtl::FaultKind>(i % 4);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/registry.hpp"
 #include "dsp/dwt2d.hpp"
@@ -19,10 +22,11 @@ dsp::Image shifted_image(std::size_t w, std::size_t h, std::uint64_t seed) {
 }
 
 TEST(TileGrid, CoversImageExactlyOnce) {
-  const auto tiles = tile_grid(129, 97, 64, 64);
+  const TileGrid tiles(129, 97, 64, 64);
   ASSERT_EQ(tiles.size(), 6u);  // 3 columns (64+64+1) x 2 rows (64+33)
   std::vector<int> hits(129 * 97, 0);
-  for (const TileRect& t : tiles) {
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    const TileRect t = tiles[i];
     EXPECT_GE(t.w, 1u);
     EXPECT_GE(t.h, 1u);
     for (std::size_t y = 0; y < t.h; ++y) {
@@ -35,8 +39,44 @@ TEST(TileGrid, CoversImageExactlyOnce) {
 }
 
 TEST(TileGrid, RejectsZeroDimensions) {
-  EXPECT_THROW(tile_grid(0, 8, 4, 4), std::invalid_argument);
-  EXPECT_THROW(tile_grid(8, 8, 0, 4), std::invalid_argument);
+  EXPECT_THROW(TileGrid(0, 8, 4, 4), std::invalid_argument);
+  EXPECT_THROW(TileGrid(8, 8, 0, 4), std::invalid_argument);
+}
+
+/// This process's peak resident set size (VmHWM) in bytes, or -1.
+long long peak_rss_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
+  }
+  return -1;
+}
+
+TEST(TileGrid, PixelTilesCostNoMemoryPerTile) {
+  // Two million 1 x 1 tiles, as any dwt97d client may ask for.  A
+  // one-sample tile lifts to itself.  Neither the grid nor the cycle
+  // accounting may keep a record per tile: a stored grid and per-tile stats
+  // would cost 48 bytes a tile, about 96 MiB here.
+  dsp::Plane<std::int32_t> plane(2048, 1024);
+  for (std::size_t i = 0; i < plane.data().size(); ++i) {
+    plane.data()[i] = static_cast<std::int32_t>(i % 509) - 254;
+  }
+  const dsp::Plane<std::int32_t> source = plane;
+  const long long before = peak_rss_bytes();
+  ASSERT_GT(before, 0) << "VmHWM missing from /proc/self/status";
+
+  TileOptions opt;
+  opt.tile_w = 1;
+  opt.tile_h = 1;
+  opt.octaves = 2;
+  opt.threads = 2;
+  const TileStats stats = tile_forward(plane, opt);
+  const long long grown = peak_rss_bytes() - before;
+  EXPECT_EQ(stats.tiles, 2048u * 1024u);
+  EXPECT_EQ(plane.data(), source.data());
+  EXPECT_LT(grown, 16LL << 20) << "VmHWM grew by " << (grown >> 20)
+                               << " MiB";
 }
 
 TEST(TileScheduler, DeterministicAcrossThreadCounts) {

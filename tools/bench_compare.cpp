@@ -11,7 +11,9 @@
 // ignored entirely with --skip-perf (for cross-machine comparisons, where
 // absolute throughput is meaningless but the deterministic record set still
 // pins the optimizer's behavior).  A record present on one side only is an
-// error: schema drift must be an explicit baseline update.
+// error: schema drift must be an explicit baseline update.  A document that
+// lists one (design, metric) key twice is malformed (exit 2), since only
+// one of its values could be compared.
 //
 // The parser handles exactly the byte-stable single-record-per-line format
 // common::JsonRecordWriter emits; it is not a general JSON reader.
@@ -95,9 +97,12 @@ bool load(const char* path, Document* doc) {
     }
     rec.value = value;
     const std::string key = design + " / " + metric;
-    if (doc->records.emplace(key, std::move(rec)).second) {
-      doc->order.push_back(key);
+    if (!doc->records.emplace(key, std::move(rec)).second) {
+      std::fprintf(stderr, "bench_compare: repeated record '%s' in %s\n",
+                   key.c_str(), path);
+      return false;
     }
+    doc->order.push_back(key);
   }
   if (doc->records.empty()) {
     std::fprintf(stderr, "bench_compare: no records in %s\n", path);
