@@ -1,4 +1,5 @@
-// dwt97d serving throughput: an in-process DwtServer under a concurrent
+// dwt97d serving throughput: an in-process DwtServer (a thread per
+// connection, at most `workers` transforms at once) under a concurrent
 // socket load generator.  Phases cover the serving envelope -- thumbnail
 // tiles, 4K frames, odd-dimension tiles, and a concurrent multi-design mix
 // across backends -- and every single response is byte-compared against the

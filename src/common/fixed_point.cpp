@@ -6,7 +6,7 @@
 namespace dwt::common {
 
 Fixed Fixed::from_double(double value, int frac_bits) {
-  if (frac_bits < 0 || frac_bits > 60) {
+  if (frac_bits < 0 || frac_bits > kMaxFracBits) {
     throw std::invalid_argument("Fixed::from_double: frac_bits out of range");
   }
   const double scaled = value * static_cast<double>(std::int64_t{1} << frac_bits);

@@ -21,6 +21,9 @@ class Fixed {
     return Fixed(raw, frac_bits);
   }
 
+  /// The widest fraction from_double accepts (0..kMaxFracBits).
+  static constexpr int kMaxFracBits = 60;
+
   /// Rounds a real value to the nearest representable fixed-point value
   /// (round half away from zero, matching the paper's rounded constants).
   static Fixed from_double(double value, int frac_bits);

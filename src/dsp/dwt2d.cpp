@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <mutex>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -101,18 +99,31 @@ void transform(Method m, PlaneView<T> p, int octaves, int frac_bits,
   });
 }
 
-/// A pass bound per (method, frac_bits, direction), computed once.
+/// A pass bound per (method, frac_bits, direction), computed once into a
+/// fixed table that later calls read without a lock.  A method without an
+/// integer table, or a frac_bits outside the coefficients' range, is
+/// computed on every call, so it throws on every call.
 PassBound cached_pass_bound(Method m, int frac_bits, bool inverse) {
-  static std::mutex mutex;
-  static std::map<std::tuple<Method, int, bool>, PassBound> cache;
-  const std::lock_guard<std::mutex> lock(mutex);
-  const auto key = std::make_tuple(m, frac_bits, inverse);
-  if (const auto it = cache.find(key); it != cache.end()) return it->second;
-  PassBound b;
-  with_table<std::int64_t>(m, frac_bits, [&](const auto& table) {
-    b = pass_bound(table, inverse);
-  });
-  return cache.emplace(key, b).first->second;
+  const auto compute = [&] {
+    PassBound b;
+    with_table<std::int64_t>(m, frac_bits, [&](const auto& table) {
+      b = pass_bound(table, inverse);
+    });
+    return b;
+  };
+  // Only what cannot throw runs under call_once: after a throwing call,
+  // call_once as ThreadSanitizer intercepts it never returns.
+  constexpr int kFracBits = common::Fixed::kMaxFracBits + 1;
+  if (!is_fixed(m) || frac_bits < 0 || frac_bits >= kFracBits) {
+    return compute();
+  }
+  static struct {
+    std::once_flag once;
+    PassBound bound;
+  } table[static_cast<int>(Method::kReversible53) + 1][kFracBits][2];
+  auto& entry = table[static_cast<int>(m)][frac_bits][inverse ? 1 : 0];
+  std::call_once(entry.once, [&] { entry.bound = compute(); });
+  return entry.bound;
 }
 
 /// The largest magnitude in a window (a plain min/max reduction, which

@@ -8,7 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <chrono>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -76,14 +76,14 @@ hw::TileOptions tile_options(const Request& req,
   opt.method = dsp::Method::kLiftingFixed;
   opt.octaves = req.octaves;
   opt.tile_w = opt.tile_h = req.tile != 0 ? req.tile : 64;
-  // The pool is the concurrency: one in-request thread keeps workers
-  // independent, and tile output is byte-identical at every thread count,
-  // so this still matches the CLI's default-threaded run byte for byte.
+  // The connections are the concurrency, and tile output is byte-identical
+  // at every thread count, so one in-request thread still matches the
+  // CLI's default-threaded run byte for byte.
   opt.threads = 1;
   opt.backend = backend;
   opt.design = req.design;
   opt.opt_level = req.opt_level;
-  // Workers always run the fastest execution tier the host supports
+  // Requests always run the fastest execution tier the host supports
   // (kAuto); the DWT_EXEC_TIER environment variable on the daemon is the
   // operational kill-switch back to the interpreter.  Tier choice never
   // changes response bytes, so this is invisible to clients.
@@ -204,20 +204,15 @@ void DwtServer::start() {
   if (::listen(listen_fd_, SOMAXCONN) != 0) {
     throw std::runtime_error("DwtServer: listen() failed");
   }
-  worker_threads_.reserve(n_workers_);
-  for (unsigned i = 0; i < n_workers_; ++i) {
-    worker_threads_.emplace_back(&DwtServer::worker_loop, this);
-  }
   accept_thread_ = std::thread(&DwtServer::accept_loop, this);
 }
 
 void DwtServer::begin_drain() {
   {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    draining_.store(true);
+    const std::lock_guard<std::mutex> lock(gate_mutex_);
+    draining_ = true;
   }
   shutdown_requested_.store(true);
-  queue_cv_.notify_all();
   // The listener stays open: clients arriving during the drain get a
   // structured kShuttingDown answer instead of a silently dropped
   // connection.  Only stop() tears the accept loop down.
@@ -231,21 +226,24 @@ void DwtServer::stop() {
     (void)!::write(stop_pipe_[1], &wake, 1);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Workers exit once the queue is drained; every accepted request has its
-  // promise fulfilled by then.
-  queue_cv_.notify_all();
-  for (std::thread& t : worker_threads_) t.join();
-  // Wake connection readers blocked on their client's next frame.
+  // Every ticket taken before the drain is admitted and runs to the end.
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex_);
+    gate_cv_.wait(lock, [this] {
+      return tickets_admitted_ == tickets_taken_ && running_ == 0;
+    });
+  }
+  // Wake connection threads blocked on their client's next frame.  With
+  // the accept thread joined, only the connection threads still touch the
+  // list, and each changes nothing but its own fd, under the lock.
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Connection& c : conns_) {
+      if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+    }
   }
-  std::vector<std::thread> conns;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) t.join();
+  for (Connection& c : conns_) c.thread.join();
+  conns_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -262,25 +260,21 @@ void DwtServer::stop() {
 }
 
 std::size_t DwtServer::queue_size() const {
-  const std::lock_guard<std::mutex> lock(queue_mutex_);
-  return queue_.size();
+  const std::lock_guard<std::mutex> lock(gate_mutex_);
+  return static_cast<std::size_t>(tickets_taken_ - tickets_admitted_);
 }
 
 void DwtServer::set_paused(bool paused) {
   {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    const std::lock_guard<std::mutex> lock(gate_mutex_);
     paused_ = paused;
   }
-  queue_cv_.notify_all();
+  gate_cv_.notify_all();
 }
 
 std::string DwtServer::metrics_json() const {
   return metrics_.render_json(queue_size(), options_.queue_depth, n_workers_,
                               core::ArtifactCache::instance().stats());
-}
-
-bool DwtServer::send_response(int fd, const Response& resp) {
-  return write_frame(fd, encode_response(resp));
 }
 
 void DwtServer::accept_loop() {
@@ -296,7 +290,14 @@ void DwtServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;
+      if (errno == EBADF || errno == EINVAL || errno == ENOTSOCK) return;
+      // Out of descriptors or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM), or
+      // a network error of the pending connection.  That connection keeps
+      // the listener readable, so wait 50 ms on the stop pipe alone, then
+      // retry.
+      pollfd stop = {stop_pipe_[0], POLLIN, 0};
+      if (::poll(&stop, 1, 50) > 0) return;  // stop() began
+      continue;
     }
     if (options_.unix_socket_path.empty()) {
       // Request/response pairs are single small segments; without this a
@@ -305,22 +306,21 @@ void DwtServer::accept_loop() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
     const std::lock_guard<std::mutex> lock(conn_mutex_);
-    // Join the readers whose clients have gone, so a finished connection
+    // Join the threads whose clients have gone, so a finished connection
     // does not keep its thread stack mapped until stop().
-    for (const std::thread::id id : finished_conns_) {
-      const auto it = std::find_if(
-          conn_threads_.begin(), conn_threads_.end(),
-          [id](const std::thread& t) { return t.get_id() == id; });
-      it->join();
-      conn_threads_.erase(it);
-    }
-    finished_conns_.clear();
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(&DwtServer::connection_loop, this, fd);
+    conns_.remove_if([](Connection& c) {
+      if (c.fd >= 0) return false;
+      c.thread.join();
+      return true;
+    });
+    Connection& conn = conns_.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread(&DwtServer::connection_loop, this, &conn);
   }
 }
 
-void DwtServer::connection_loop(int fd) {
+void DwtServer::connection_loop(Connection* conn) {
+  const int fd = conn->fd;
   for (;;) {
     std::vector<std::uint8_t> buf;
     std::uint32_t len = 0;
@@ -329,117 +329,92 @@ void DwtServer::connection_loop(int fd) {
     if (got == FrameStatus::kBadLength) {
       // Framing is unrecoverable: answer, then close.
       metrics_.record_protocol_error();
-      (void)send_response(
-          fd, error_response(Status::kBadFrame,
-                             "frame length " + std::to_string(len) +
-                                 " outside 1.." +
-                                 std::to_string(kMaxFrameBytes)));
+      (void)write_frame(
+          fd, encode_response(error_response(
+                  Status::kBadFrame, "frame length " + std::to_string(len) +
+                                         " outside 1.." +
+                                         std::to_string(kMaxFrameBytes))));
       break;
     }
     std::string parse_error;
     std::optional<Request> req =
         decode_request(buf.data(), buf.size(), &parse_error);
     // The request owns a copy of its payload: free the raw frame (up to a
-    // whole 4K PGM) before the connection waits for the worker's answer.
+    // whole 4K PGM) before the request waits for its turn.
     std::vector<std::uint8_t>().swap(buf);
+    Response resp;
     if (!req) {
       // The frame boundary is intact, so the connection survives a
       // malformed request: structured error, then keep reading.
       metrics_.record_protocol_error();
-      if (!send_response(fd, error_response(Status::kBadFrame,
-                                            "bad request frame: " +
-                                                parse_error))) {
-        break;
-      }
-      continue;
-    }
-    if (req->op == Op::kMetrics) {
-      Response resp;
-      resp.status = Status::kOk;
+      resp = error_response(Status::kBadFrame,
+                            "bad request frame: " + parse_error);
+    } else if (req->op == Op::kMetrics) {
       resp.op = Op::kMetrics;
       const std::string json = metrics_json();
       resp.payload.assign(json.begin(), json.end());
-      if (!send_response(fd, resp)) break;
-      continue;
-    }
-    if (req->op == Op::kShutdown) {
-      Response resp;
-      resp.status = Status::kOk;
+    } else if (req->op == Op::kShutdown) {
       resp.op = Op::kShutdown;
       shutdown_requested_.store(true);
-      if (!send_response(fd, resp)) break;
-      continue;
+    } else {
+      // One outstanding request per connection: responses stay in request
+      // order without per-request IDs, and concurrency comes from the
+      // number of connections (the load generator opens many).
+      resp = run_transform(*req);
     }
-    submit(fd, std::move(*req));
+    if (!write_frame(fd, encode_response(resp))) break;
   }
   const std::lock_guard<std::mutex> lock(conn_mutex_);
-  conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
   ::close(fd);
-  finished_conns_.push_back(std::this_thread::get_id());
+  conn->fd = -1;
 }
 
-void DwtServer::submit(int fd, Request&& req) {
-  auto item = std::make_shared<WorkItem>();
-  item->request = std::move(req);
-  item->enqueued_at = std::chrono::steady_clock::now();
-  std::future<Response> result = item->promise.get_future();
+Response DwtServer::run_transform(const Request& req) {
+  const auto arrived = std::chrono::steady_clock::now();
   {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (draining_.load()) {
+    std::unique_lock<std::mutex> lock(gate_mutex_);
+    if (draining_) {
       lock.unlock();
       metrics_.record_rejected_shutting_down();
-      (void)send_response(
-          fd, error_response(Status::kShuttingDown, "server is draining"));
-      return;
+      return error_response(Status::kShuttingDown, "server is draining");
     }
-    if (queue_.size() >= options_.queue_depth) {
+    if (tickets_taken_ - tickets_admitted_ >= options_.queue_depth) {
       lock.unlock();
       metrics_.record_rejected_queue_full();
-      (void)send_response(
-          fd, error_response(Status::kQueueFull,
-                             "request queue is full (depth " +
-                                 std::to_string(options_.queue_depth) + ")"));
-      return;
+      return error_response(Status::kQueueFull,
+                            "request queue is full (depth " +
+                                std::to_string(options_.queue_depth) + ")");
     }
-    queue_.push_back(item);
+    const std::uint64_t ticket = tickets_taken_++;
+    gate_cv_.wait(lock, [&] {
+      return ticket == tickets_admitted_ && !paused_ &&
+             running_ < n_workers_;
+    });
+    ++tickets_admitted_;
+    ++running_;
   }
-  queue_cv_.notify_one();
-  // One outstanding request per connection: responses stay in request
-  // order without per-request IDs, and concurrency comes from the number
-  // of connections (the load generator opens many).
-  (void)send_response(fd, result.get());
-}
-
-void DwtServer::worker_loop() {
-  for (;;) {
-    std::shared_ptr<WorkItem> item;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return (!queue_.empty() && !paused_) ||
-               (draining_.load() && queue_.empty());
-      });
-      if (queue_.empty()) return;  // draining and fully drained
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    Response resp;
-    try {
-      resp = execute_request(item->request);
-    } catch (const std::exception& e) {
-      resp = error_response(Status::kInternalError, e.what());
-    }
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - item->enqueued_at)
-                        .count();
-    if (resp.status == Status::kOk) {
-      metrics_.record_ok(backend_metrics_key(item->request),
-                         static_cast<std::uint64_t>(us));
-    } else {
-      metrics_.record_error();
-    }
-    item->promise.set_value(std::move(resp));
+  gate_cv_.notify_all();  // the next ticket may fit too
+  Response resp;
+  try {
+    resp = execute_request(req);
+  } catch (const std::exception& e) {
+    resp = error_response(Status::kInternalError, e.what());
   }
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - arrived)
+                      .count();
+  if (resp.status == Status::kOk) {
+    metrics_.record_ok(backend_metrics_key(req),
+                       static_cast<std::uint64_t>(us));
+  } else {
+    metrics_.record_error();
+  }
+  {
+    const std::lock_guard<std::mutex> lock(gate_mutex_);
+    --running_;
+  }
+  gate_cv_.notify_all();
+  return resp;
 }
 
 }  // namespace dwt::server

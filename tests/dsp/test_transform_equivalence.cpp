@@ -5,16 +5,19 @@
 // window on every row then every column, through Image::at) for
 // dwt2d_forward and dwt2d_inverse on Images and on int32 planes.  Equality
 // is exact, doubles included.  The int32 guard is checked against
-// worst-case inputs run on int64, and the AVX2 build of the int32 kernel
-// against the portable one.
+// worst-case inputs run on int64, its bound table against bounds computed
+// directly, and the AVX2 build of the int32 kernel against the portable
+// one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -533,6 +536,70 @@ TEST(LiftingGuard, RefusesInt64OverflowAtLargeFracBits) {
         }
       }
     }
+  }
+}
+
+TEST(LiftingGuard, BoundTableMatchesDirectBoundsAcrossThreads) {
+  // The guard reads each (method, frac_bits, direction) bound from a table
+  // filled on first use.  Eight threads start together and read every
+  // entry, from staggered offsets so first uses overlap; each must read
+  // the bound pass_bound computes on the method's own table.
+  struct Want {
+    Method m;
+    int frac_bits;
+    bool inverse;
+    PassBound b;
+  };
+  std::vector<Want> wants;
+  const auto add = [&](Method m, int f, const auto& table) {
+    for (const bool inverse : {false, true}) {
+      wants.push_back({m, f, inverse, pass_bound(table, inverse)});
+    }
+  };
+  for (const int f : {0, 8, 60}) {
+    add(Method::kFirFixed, f,
+        fixed97_taps<std::int64_t>(Dwt97FirFixedCoeffs::rounded(f)));
+    add(Method::kFirHwFloat, f,
+        hw97_taps<std::int64_t>(Dwt97FirCoeffs::daubechies97()));
+    add(Method::kLiftingFixed, f,
+        fixed97_steps(LiftingFixedCoeffs::rounded(f)));
+    add(Method::kLiftingHwFloat, f, hw97_steps(LiftingCoeffs::daubechies97()));
+    add(Method::kReversible53, f, reversible53_steps());
+  }
+  constexpr int kOctaves = 2;
+  constexpr double kMaxAbs = 128.0;
+  constexpr std::size_t kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t i = 0; i < wants.size(); ++i) {
+        const Want& w = wants[(i + t * 3) % wants.size()];
+        const ChainBound got =
+            lifting_bound(w.m, w.frac_bits, w.inverse, kOctaves, kMaxAbs);
+        const ChainBound want = chain_bound(w.b, 2 * kOctaves, kMaxAbs);
+        if (got.peak != want.peak || got.out != want.out) ++mismatches[t];
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+  // Outside the table: fixed coefficients reject the frac_bits, and a
+  // float method has no integer table, on every call.
+  for (const int f : {-1, 61}) {
+    EXPECT_THROW((void)lifting_bound(Method::kLiftingFixed, f, false, 1, 1.0),
+                 std::invalid_argument)
+        << f;
+  }
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_THROW(
+        (void)lifting_bound(Method::kLiftingFloat, 8, false, 1, 1.0),
+        std::invalid_argument);
   }
 }
 

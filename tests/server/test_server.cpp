@@ -1,21 +1,26 @@
 // DwtServer end-to-end: framed requests over real sockets against a live
-// worker pool.  The byte-identity tests recompute the `dwt97cli tile`
-// pipeline in-process (tile output is byte-identical at every thread
-// count, so the single-threaded reference is the CLI's answer) and require
-// the server to return exactly those bytes at 1, 2 and 8 workers under a
-// concurrent mixed-design load; the admission-control tests use the
-// start_paused hook to make queue-full and drain rejection deterministic.
+// server.  The byte-identity tests recompute the `dwt97cli tile` pipeline
+// in-process (tile output is byte-identical at every thread count, so the
+// single-threaded reference is the CLI's answer) and require the server to
+// return exactly those bytes at 1, 2 and 8 workers under a concurrent
+// mixed-design load; the admission-control tests hold the admission gate
+// with the start_paused hook to make queue-full and drain rejection
+// deterministic, with one and with several requests waiting.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -251,73 +256,96 @@ TEST(DwtServer, MalformedP5PayloadsGetBadRequestOnALiveConnection) {
   server.stop();
 }
 
-TEST(DwtServer, QueueFullRejectionIsDeterministic) {
-  ServerOptions opt;
-  opt.workers = 1;
-  opt.queue_depth = 1;
-  opt.start_paused = true;  // freeze the pool so the queue cannot drain
-  DwtServer server(opt);
-  server.start();
-  const dsp::Image img = dsp::make_still_tone_image(16, 16, 2);
-  const Request req = tile_request(img, "", hw::DesignId::kDesign2, 1);
-
-  const int first = dial(server);
-  ASSERT_TRUE(write_frame(first, encode_request(req)));
-  while (server.queue_size() < 1) {
+/// Sends `req` on `n` new connections without reading the answers, and
+/// waits until the server counts all n as waiting at its admission gate.
+std::vector<int> send_waiting(const DwtServer& server, const Request& req,
+                              std::size_t n) {
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < n; ++i) {
+    fds.push_back(dial(server));
+    EXPECT_TRUE(write_frame(fds.back(), encode_request(req)));
+  }
+  while (server.queue_size() < n) {
     std::this_thread::yield();
   }
+  return fds;
+}
 
-  // The queue (depth 1) is now full and the pool is frozen: the second
-  // request is rejected with kQueueFull, deterministically.
-  const int second = dial(server);
-  const Response rejected = exchange(second, req);
-  EXPECT_EQ(rejected.status, Status::kQueueFull);
-  ::close(second);
+TEST(DwtServer, QueueFullRejectionIsDeterministic) {
+  struct Case {
+    unsigned workers;
+    std::size_t queue_depth;
+  };
+  for (const Case c : {Case{1, 1}, Case{2, 4}}) {
+    ServerOptions opt;
+    opt.workers = c.workers;
+    opt.queue_depth = c.queue_depth;
+    opt.start_paused = true;  // hold the gate so the queue cannot drain
+    DwtServer server(opt);
+    server.start();
+    const dsp::Image img = dsp::make_still_tone_image(16, 16, 2);
+    const Request req = tile_request(img, "", hw::DesignId::kDesign2, 1);
 
-  server.set_paused(false);
-  EXPECT_EQ(receive(first).status, Status::kOk);
-  ::close(first);
+    const std::vector<int> waiting = send_waiting(server, req, c.queue_depth);
+    EXPECT_EQ(server.queue_size(), c.queue_depth);
 
-  const MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.rejected_queue_full, 1u);
-  EXPECT_EQ(m.requests_ok, 1u);
-  server.stop();
+    // The queue is now full and the gate held: the next request is rejected
+    // with kQueueFull, deterministically.
+    const int next = dial(server);
+    const Response rejected = exchange(next, req);
+    EXPECT_EQ(rejected.status, Status::kQueueFull);
+    ::close(next);
+
+    server.set_paused(false);
+    for (const int fd : waiting) {
+      EXPECT_EQ(receive(fd).status, Status::kOk);
+      ::close(fd);
+    }
+
+    const MetricsSnapshot m = server.metrics();
+    EXPECT_EQ(m.rejected_queue_full, 1u);
+    EXPECT_EQ(m.requests_ok, c.queue_depth);
+    EXPECT_EQ(server.queue_size(), 0u);
+    server.stop();
+  }
 }
 
 TEST(DwtServer, GracefulDrainFinishesQueuedWorkAndRejectsNew) {
-  ServerOptions opt;
-  opt.workers = 2;
-  opt.queue_depth = 8;
-  opt.start_paused = true;
-  DwtServer server(opt);
-  server.start();
-  const dsp::Image img = dsp::make_still_tone_image(16, 16, 5);
-  const Request req = tile_request(img, "", hw::DesignId::kDesign2, 1);
+  for (const std::size_t n_queued : {std::size_t{1}, std::size_t{8}}) {
+    ServerOptions opt;
+    opt.workers = 2;
+    opt.queue_depth = 8;
+    opt.start_paused = true;
+    DwtServer server(opt);
+    server.start();
+    const dsp::Image img = dsp::make_still_tone_image(16, 16, 5);
+    const Request req = tile_request(img, "", hw::DesignId::kDesign2, 1);
 
-  const int queued = dial(server);
-  ASSERT_TRUE(write_frame(queued, encode_request(req)));
-  while (server.queue_size() < 1) {
-    std::this_thread::yield();
+    const std::vector<int> queued = send_waiting(server, req, n_queued);
+    EXPECT_EQ(server.queue_size(), n_queued);
+
+    server.begin_drain();
+    EXPECT_TRUE(server.shutdown_requested());
+
+    // Post-drain arrivals are answered with kShuttingDown, not dropped.
+    const int late = dial(server);
+    const Response rejected = exchange(late, req);
+    EXPECT_EQ(rejected.status, Status::kShuttingDown);
+    ::close(late);
+
+    // The queued requests still complete once the gate opens.
+    server.set_paused(false);
+    for (const int fd : queued) {
+      EXPECT_EQ(receive(fd).status, Status::kOk);
+      ::close(fd);
+    }
+
+    server.stop();
+    const MetricsSnapshot m = server.metrics();
+    EXPECT_EQ(m.rejected_shutting_down, 1u);
+    EXPECT_EQ(m.requests_ok, n_queued);
+    EXPECT_EQ(server.queue_size(), 0u);
   }
-
-  server.begin_drain();
-  EXPECT_TRUE(server.shutdown_requested());
-
-  // Post-drain arrivals are answered with kShuttingDown, not dropped.
-  const int late = dial(server);
-  const Response rejected = exchange(late, req);
-  EXPECT_EQ(rejected.status, Status::kShuttingDown);
-  ::close(late);
-
-  // The queued request still completes once the pool thaws.
-  server.set_paused(false);
-  EXPECT_EQ(receive(queued).status, Status::kOk);
-  ::close(queued);
-
-  server.stop();
-  const MetricsSnapshot m = server.metrics();
-  EXPECT_EQ(m.rejected_shutting_down, 1u);
-  EXPECT_EQ(m.requests_ok, 1u);
 }
 
 TEST(DwtServer, MetricsAndShutdownOpsServeOverUnixSocket) {
@@ -493,6 +521,74 @@ TEST(DwtServer, FinishedConnectionsReleaseTheirThreads) {
   const long long grown = proc_status_bytes("VmSize") - before;
   server.stop();
   EXPECT_LT(grown, 256LL << 20) << "VmSize grew by " << (grown >> 20) << " MiB";
+}
+
+/// The highest descriptor this process has open.
+int highest_open_fd() {
+  int highest = 0;
+  for (const auto& fd : std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(fd.path().filename().string()));
+  }
+  return highest;
+}
+
+TEST(DwtServer, AcceptResumesAfterDescriptorExhaustion) {
+  ServerOptions opt;
+  opt.workers = 1;
+  DwtServer server(opt);
+  server.start();
+  Request metrics;
+  metrics.op = Op::kMetrics;
+  // A metrics exchange that gives up after `seconds`, so a server that no
+  // longer accepts fails the test instead of hanging it.
+  const auto answers = [&](int fd, time_t seconds) {
+    const timeval timeout{seconds, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::string error;
+    return dwt::server::exchange(fd, metrics, &error).has_value();
+  };
+
+  // Client and server share this process's descriptor table: leave room
+  // for a few dozen descriptors above the highest one open now.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct RestoreLimit {
+    rlimit limit;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+  int spare = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(spare, 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(highest_open_fd()) + 33;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+  // Idle clients, each answered, until one is not: the server's accept
+  // failed for want of a descriptor.  When the server took the last one
+  // instead, the spare makes room for exactly one more client.
+  std::vector<int> idle;
+  bool refused = false;
+  while (!refused && idle.size() < 256) {
+    int fd = -1;
+    try {
+      fd = connect_endpoint(std::to_string(server.port()));
+    } catch (const std::exception&) {
+      if (spare < 0) break;
+      ::close(spare);
+      spare = -1;
+      continue;
+    }
+    idle.push_back(fd);
+    refused = !answers(fd, 1);
+  }
+  for (const int fd : idle) ::close(fd);
+  if (spare >= 0) ::close(spare);
+  ASSERT_TRUE(refused) << "descriptors never ran out";
+
+  // Freed descriptors: a fresh client is answered.
+  const int fresh = dial(server);
+  EXPECT_TRUE(answers(fresh, 3)) << "accept did not resume";
+  ::close(fresh);
+  server.stop();
 }
 
 }  // namespace

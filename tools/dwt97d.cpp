@@ -10,11 +10,11 @@
 //   dwt97d shutdown --connect SPEC
 //
 // SPEC is `unix:PATH` or a TCP port number on 127.0.0.1.  `serve` runs the
-// bounded-queue worker-pool server (src/server) until SIGINT/SIGTERM or a
-// shutdown request arrives, then drains gracefully.  The client subcommands
-// frame one request, print or write the response, and exit nonzero on any
-// error status -- `dwt97d tile` output is byte-identical to `dwt97cli tile`
-// under the same knobs.
+// server (src/server; --workers bounds the transforms running at once)
+// until SIGINT/SIGTERM or a shutdown request, then drains gracefully.  The
+// client subcommands frame one request, print or write the response, and
+// exit nonzero on any error status -- `dwt97d tile` output is
+// byte-identical to `dwt97cli tile` under the same knobs.
 #include <unistd.h>
 
 #include <chrono>
