@@ -74,7 +74,6 @@ dwt::explore::ResilienceOptions base_options(dwt::hw::DesignId design,
   opt.seed = 2005;
   opt.keep_trials = false;
   opt.threads = 1;  // isolate the algorithm, not the thread pool
-  opt.lanes = 256;
   return opt;
 }
 

@@ -8,9 +8,9 @@
 // Besides the throughput matrix the bench reports the optimizer's
 // per-level instruction counts and reductions, the execution-tier matrix
 // (switch interpreter vs native x86-64 block over a precomputed stimulus
-// ring, per level and lane width), and the
-// fault-campaign throughput of the 64-lane seed path vs the 256-lane wide
-// path on the smoke workload (the acceptance metric for the wide engine).
+// ring, per level and lane width), and the fault-campaign throughput of
+// the campaign engine (256 lanes on the overlay-safe tape) on the smoke
+// workload.
 //
 // `--smoke` runs a fast pass and enforces the CI gates: every optimization
 // level must stay differentially equivalent to the interpreted engine, the
@@ -156,11 +156,9 @@ void threaded_vectors_per_sec(
   *vps = static_cast<double>(cycles * 256 * threads) / seconds_since(t0);
 }
 
-/// Trials/s of one compiled fault campaign at the given lane count (all
-/// shared artifacts are pre-built by the caller, so this times the batched
-/// simulation itself).
-double campaign_trials_per_sec(unsigned lanes, OptLevel level,
-                               std::size_t trials, std::size_t samples) {
+/// Trials/s of one compiled fault campaign (all shared artifacts are
+/// pre-built by the caller, so this times the batched simulation itself).
+double campaign_trials_per_sec(std::size_t trials, std::size_t samples) {
   dwt::explore::ResilienceOptions opt;
   opt.design = dwt::hw::DesignId::kDesign3;
   opt.kinds = {dwt::rtl::FaultKind::kSeuFlip, dwt::rtl::FaultKind::kStuckAt0};
@@ -169,8 +167,6 @@ double campaign_trials_per_sec(unsigned lanes, OptLevel level,
   opt.seed = 42;
   opt.keep_trials = false;
   opt.threads = 1;  // time the lane packing, not the thread pool
-  opt.lanes = lanes;
-  opt.opt_level = level;
   const auto t0 = Clock::now();
   const dwt::explore::CampaignResult r = dwt::explore::run_campaign(opt);
   const double dt = seconds_since(t0);
@@ -352,36 +348,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fault-campaign throughput: the seed engine (64 lanes on the raw tape --
-  // exactly what campaigns ran before the optimizer and wide lanes existed)
-  // vs today's default (256 lanes on the overlay-safe tape), same workload,
-  // artifacts pre-warmed so no tape build lands in a timed window.
+  // Fault-campaign throughput of the campaign engine (256 lanes on the
+  // overlay-safe tape), artifacts pre-warmed so no tape build lands in the
+  // timed window.
   {
     const dwt::hw::DesignSpec spec = dwt::hw::design_spec(
         dwt::hw::DesignId::kDesign3);
     (void)cache.mapped(spec.config);
     (void)cache.tape(spec.config, dwt::rtl::HardeningStyle::kNone,
-                     OptLevel::kNone);
-    (void)cache.tape(spec.config, dwt::rtl::HardeningStyle::kNone,
                      OptLevel::kSafe);
-    // Best-of-3 per point: campaigns share the host with whatever else is
-    // running, and one descheduled slice would otherwise decide the ratio.
-    double tps64 = 0.0;
-    double tps256 = 0.0;
+    // Best of 3: campaigns share the host with whatever else is running,
+    // and one descheduled slice would otherwise decide the figure.
+    double tps = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      tps64 = std::max(tps64, campaign_trials_per_sec(
-          64, OptLevel::kNone, campaign_trials, campaign_samples));
-      tps256 = std::max(tps256, campaign_trials_per_sec(
-          256, OptLevel::kSafe, campaign_trials, campaign_samples));
+      tps = std::max(tps, campaign_trials_per_sec(campaign_trials,
+                                                  campaign_samples));
     }
-    json.add("Design 3", "campaign_throughput_l64", tps64, "trials/s");
-    json.add("Design 3", "campaign_throughput_l256", tps256, "trials/s");
-    json.add("Design 3", "campaign_speedup_256_vs_64", tps256 / tps64,
-             "ratio");
+    json.add("Design 3", "campaign_throughput_l256", tps, "trials/s");
     std::printf(
-        "\nFault campaign (Design 3): %.0f trials/s seed engine (64 lanes, "
-        "raw tape),\n%.0f default engine (256 lanes, o1 tape): %.2fx\n",
-        tps64, tps256, tps256 / tps64);
+        "\nFault campaign (Design 3): %.0f trials/s (256 lanes, o1 tape)\n",
+        tps);
   }
 
   // ISSUE acceptance gate: across the five-design matrix the native tier

@@ -104,9 +104,9 @@ std::uint64_t parse_u64(const std::string& s, const char* what,
 
 std::string campaign_fingerprint(const ResilienceOptions& options) {
   // Every option that can change the produced bytes; performance knobs
-  // (engine, lanes, threads, opt level, cone, chunk size) are deliberately
-  // absent -- the engines are bit-exact, so a checkpoint may resume under
-  // different performance settings.  keep_trials participates raw: its
+  // (engine, threads, replay, chunk size) are deliberately absent -- the
+  // engines are bit-exact, so a checkpoint may resume under different
+  // performance settings.  keep_trials participates raw: its
   // auto-disable threshold is a pure function of trials/shard fields, which
   // are already fingerprinted.
   std::string fp;

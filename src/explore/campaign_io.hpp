@@ -44,9 +44,9 @@ struct CampaignCheckpoint : CampaignSummary {
 };
 
 /// Identity of the byte stream a campaign produces: every option that can
-/// change the results participates; pure performance knobs (engine, lanes,
-/// threads, optimization level, cone restriction) do not, since the engines
-/// are bit-exact -- a checkpoint taken on one engine may resume on another.
+/// change the results participates; pure performance knobs (engine,
+/// threads, golden-trace replay, chunk size) do not, since the engines are
+/// bit-exact -- a checkpoint taken on one engine may resume on another.
 [[nodiscard]] std::string campaign_fingerprint(const ResilienceOptions& options);
 
 /// Serializes / parses the checkpoint text format.  parse_checkpoint throws

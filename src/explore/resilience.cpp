@@ -27,7 +27,7 @@ namespace {
 
 /// Default trials per execution chunk (summary fold + checkpoint cadence).
 /// Larger chunks let the cycle-sorted batching (run_compiled_chunk) pack
-/// each 64*W-lane batch into a tighter strike-cycle window, which shortens
+/// each 256-lane batch into a tighter strike-cycle window, which shortens
 /// the cycles a replaying batch must simulate; 16k trials is still only a
 /// few MB of chunk-local records.
 constexpr std::size_t kDefaultChunk = 16384;
@@ -158,9 +158,6 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   if (options.kinds.empty()) {
     throw std::invalid_argument("run_campaign: no fault kinds enabled");
   }
-  if (options.lanes != 64 && options.lanes != 128 && options.lanes != 256) {
-    throw std::invalid_argument("run_campaign: lanes must be 64, 128 or 256");
-  }
   if (options.shard_count == 0) {
     throw std::invalid_argument("run_campaign: zero shards");
   }
@@ -231,14 +228,12 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
           ? dut.netlist.output(rtl::kErrorFlagPort).bits.front()
           : rtl::kNullNet;
   const bool compiled = options.engine == CampaignEngine::kCompiled;
-  // Fault overlays pin individual nets, so kFull's slot sharing is off the
-  // table: clamp to the fault-overlay-safe level.
-  const rtl::compiled::OptLevel level =
-      options.opt_level == rtl::compiled::OptLevel::kFull
-          ? rtl::compiled::OptLevel::kSafe
-          : options.opt_level;
-  std::shared_ptr<const rtl::compiled::Tape> tape;
-  if (compiled) tape = cache.tape(result.spec.config, options.harden, level);
+  // Fault overlays pin individual nets, so the compiled engine runs the
+  // fault-overlay-safe tape (rtl/compiled/opt/passes.hpp); its cone index
+  // models the schedule on both engines.
+  constexpr rtl::compiled::OptLevel kLevel = rtl::compiled::OptLevel::kSafe;
+  const std::shared_ptr<const rtl::compiled::Tape> tape =
+      cache.tape(result.spec.config, options.harden, kLevel);
 
   // Golden-trace replay: compiled engine only, and only while the trace
   // fits the in-memory budget.  Purely a throughput knob -- a replaying
@@ -249,9 +244,9 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
           total_cycles, tape->slot_count()) > kTraceBytesLimit) {
     replay = false;
     std::fprintf(stderr,
-                 "run_campaign: cone restriction disabled (golden trace "
-                 "would exceed the in-memory budget); falling back to "
-                 "full-tape batches\n");
+                 "run_campaign: golden-trace replay off (the trace would "
+                 "exceed the in-memory budget); every batch simulates "
+                 "every cycle\n");
   }
   std::shared_ptr<rtl::compiled::GoldenTrace> trace;
   if (replay) trace = std::make_shared<rtl::compiled::GoldenTrace>(*tape);
@@ -263,10 +258,10 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   hw::StreamResult golden;
   if (compiled) {
     rtl::compiled::WideBatchSession<1> sess(
-        cache.tape(result.spec.config, rtl::HardeningStyle::kNone, level));
+        cache.tape(result.spec.config, rtl::HardeningStyle::kNone, kLevel));
     sess.sim().set_native(
-        cache.native_for(options.exec_tier, result.spec.config,
-                         rtl::HardeningStyle::kNone, level, 1));
+        cache.native_for(rtl::compiled::ExecTier::kAuto, result.spec.config,
+                         rtl::HardeningStyle::kNone, kLevel, 1));
     golden = std::move(hw::run_stream_batch(built, sess, stimulus, 1).front());
   } else {
     rtl::Simulator sim(built.netlist);
@@ -277,8 +272,9 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     bool flagged = false;
     if (compiled) {
       rtl::compiled::WideBatchSession<1> clean(tape);
-      clean.sim().set_native(cache.native_for(
-          options.exec_tier, result.spec.config, options.harden, level, 1));
+      clean.sim().set_native(
+          cache.native_for(rtl::compiled::ExecTier::kAuto, result.spec.config,
+                           options.harden, kLevel, 1));
       if (flag_net != rtl::kNullNet) clean.watch(flag_net);
       // The fault-free pass doubles as the golden trace recording for the
       // replaying batches.
@@ -306,16 +302,13 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   const std::vector<rtl::NetId> stuck = rtl::stuck_targets(dut.netlist);
   const std::vector<rtl::NetId> glitch = rtl::glitch_targets(dut.netlist);
 
-  // The static cone statistics are computed over the fault-overlay-safe
-  // tape regardless of engine, opt level or restriction state, so the JSON
-  // block is identical on every knob setting and in every shard.
-  const std::shared_ptr<const rtl::compiled::Tape> safe_tape = cache.tape(
-      result.spec.config, options.harden, rtl::compiled::OptLevel::kSafe);
-  const std::shared_ptr<const rtl::compiled::ConeIndex> safe_cone =
-      cache.cone_index(result.spec.config, options.harden,
-                       rtl::compiled::OptLevel::kSafe);
-  result.cone.instructions = safe_cone->instr_count();
-  result.cone.mean_span_fraction = safe_cone->mean_span_fraction();
+  // The static cone statistics are computed over the same tape on either
+  // engine, with replay on or off, so the JSON block is identical on every
+  // setting and in every shard.
+  const std::shared_ptr<const rtl::compiled::ConeIndex> cone =
+      cache.cone_index(result.spec.config, options.harden, kLevel);
+  result.cone.instructions = cone->instr_count();
+  result.cone.mean_span_fraction = cone->mean_span_fraction();
 
   // Pre-draw the whole fault schedule -- every shard draws all of it.  The
   // rng stream is consumed in trial order exactly as the sequential runner
@@ -346,8 +339,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     fault.cycle = static_cast<std::uint64_t>(
         rng.uniform(0, static_cast<std::int64_t>(total_cycles) - 2));
     fault.glitch_value = rng.uniform(0, 1) != 0;
-    const rtl::compiled::ConeSpan span =
-        safe_cone->span_of_net(*safe_tape, fault.net);
+    const rtl::compiled::ConeSpan span = cone->span_of_net(*tape, fault.net);
     cone_frac_sum += result.cone.instructions > 0
                          ? static_cast<double>(span.length()) /
                                static_cast<double>(result.cone.instructions)
@@ -397,7 +389,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   // Chunked execution: each chunk is a contiguous trial range, classified
   // into a chunk-local buffer (bounded memory) and folded into the summary
   // in trial order (identical floating-point/counter order on every
-  // engine, thread count, lane width and chunk size).
+  // engine, thread count and chunk size).
   const std::size_t chunk_size =
       options.checkpoint_every != 0 ? options.checkpoint_every : kDefaultChunk;
 
@@ -415,7 +407,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     }
   };
 
-  // Compiled chunk: up to 64*W trials per tape pass, batches sharded across
+  // Compiled chunk: up to 256 trials per tape pass, batches sharded across
   // a worker pool.  With replay on, the chunk's trials are first ordered by
   // (persistence, injection cycle, cone interval): stuck faults hold their
   // force forever and retire only once the golden trace absorbs their
@@ -425,19 +417,17 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   // and keeps its post-drain retirement window tight.  Every batch still
   // writes only its own trials, so results are independent of the ordering,
   // scheduling and thread count.
-  const auto run_compiled_chunk = [&]<unsigned W>(std::size_t c0,
-                                                  std::size_t c1,
-                                                  std::vector<FaultTrial>& out) {
-    constexpr std::size_t kBatchLanes =
-        rtl::compiled::WideBatchSession<W>::kTotalLanes;
+  using BatchSession = rtl::compiled::WideBatchSession<4>;
+  const auto run_compiled_chunk = [&](std::size_t c0, std::size_t c1,
+                                      std::vector<FaultTrial>& out) {
+    constexpr std::size_t kBatchLanes = BatchSession::kTotalLanes;
     const std::size_t n = c1 - c0;
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     if (replay) {
       const auto key = [&](std::uint32_t i) {
         const rtl::Fault& f = faults[c0 - shard_begin + i];
-        const rtl::compiled::ConeSpan span =
-            safe_cone->span_of_net(*safe_tape, f.net);
+        const rtl::compiled::ConeSpan span = cone->span_of_net(*tape, f.net);
         const bool sticky = f.kind == rtl::FaultKind::kStuckAt0 ||
                             f.kind == rtl::FaultKind::kStuckAt1;
         return std::tuple<bool, std::uint64_t, std::uint32_t, std::uint32_t,
@@ -452,14 +442,14 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     // Every session shares the cache's native block; the simulator runs it
     // for clock edges and unforced settles.
     const std::shared_ptr<const rtl::compiled::NativeBlock> native =
-        cache.native_for(options.exec_tier, result.spec.config, options.harden,
-                         level, W);
+        cache.native_for(rtl::compiled::ExecTier::kAuto, result.spec.config,
+                         options.harden, kLevel, BatchSession::Sim::kWords);
     common::run_pool(n_batches, options.threads, [&]() {
       return [&](std::size_t b) {
         const std::size_t t0 = b * kBatchLanes;
         const unsigned lanes =
             static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
-        rtl::compiled::WideBatchSession<W> sess(tape, trace);
+        BatchSession sess(tape, trace);
         sess.sim().set_native(native);
         for (unsigned l = 0; l < lanes; ++l) {
           sess.arm(l, faults[c0 - shard_begin + order[t0 + l]]);
@@ -484,17 +474,7 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     const std::size_t c1 = std::min(shard_end, c0 + chunk_size);
     chunk.assign(c1 - c0, FaultTrial{});
     if (compiled) {
-      switch (options.lanes) {
-        case 64:
-          run_compiled_chunk.template operator()<1>(c0, c1, chunk);
-          break;
-        case 128:
-          run_compiled_chunk.template operator()<2>(c0, c1, chunk);
-          break;
-        default:
-          run_compiled_chunk.template operator()<4>(c0, c1, chunk);
-          break;
-      }
+      run_compiled_chunk(c0, c1, chunk);
     } else {
       run_interpreted_chunk(c0, c1, chunk);
     }

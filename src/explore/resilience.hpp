@@ -22,8 +22,6 @@
 #include "common/exact_acc.hpp"
 #include "explore/pareto.hpp"
 #include "hw/designs.hpp"
-#include "rtl/compiled/exec_tier.hpp"
-#include "rtl/compiled/tape.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/harden.hpp"
 
@@ -31,11 +29,12 @@ namespace dwt::explore {
 
 /// Execution backend for a campaign.  Both engines are bit-exact: identical
 /// options produce identical CampaignResults (and identical JSON) on either,
-/// which the test suite asserts.  The compiled engine packs 64 fault trials
-/// into one bit-parallel pass and shards batches across a worker pool.
+/// which the test suite asserts.  The compiled engine packs 256 fault
+/// trials into one bit-parallel pass over the fault-overlay-safe tape and
+/// shards batches across a worker pool.
 enum class CampaignEngine {
   kInterpreted,  ///< scalar rtl::Simulator + rtl::FaultInjector, one trial at a time
-  kCompiled,     ///< rtl::compiled batch engine, 64 trials per tape pass
+  kCompiled,     ///< rtl::compiled batch engine, 256 trials per tape pass
 };
 
 /// Maps a core registry backend name onto the campaign engine that runs on
@@ -68,23 +67,6 @@ struct ResilienceOptions {
   /// hardware thread.  Ignored by the interpreted engine.  Results are
   /// deterministic regardless of the thread count.
   unsigned threads = 0;
-  /// Fault trials packed per compiled tape pass: 64, 128 or 256 (lane-block
-  /// width 1, 2 or 4 state words per slot).  Ignored by the interpreted
-  /// engine.  Classification is per-trial, so results -- and the JSON
-  /// report -- are byte-identical at every lane count.
-  unsigned lanes = 256;
-  /// Tape optimization level for the compiled engine.  kFull is clamped to
-  /// kSafe: fault overlays pin individual nets, which needs the
-  /// fault-overlay-safe slot mapping (see rtl/compiled/opt/passes.hpp).
-  rtl::compiled::OptLevel opt_level = rtl::compiled::OptLevel::kSafe;
-  /// Execution tier for the compiled engine's tape walks (kAuto = fastest
-  /// the host supports; DWT_EXEC_TIER overrides).  Force-pinned settles
-  /// always run the interpreter regardless, so this is purely a throughput
-  /// knob: results -- and the JSON report -- are
-  /// byte-identical at every setting, and it is deliberately absent from
-  /// the checkpoint fingerprint like the other performance knobs.  Ignored
-  /// by the interpreted engine.
-  rtl::compiled::ExecTier exec_tier = rtl::compiled::ExecTier::kAuto;
   /// Golden-trace replay for the compiled engine (the name predates it):
   /// the fault-free run is recorded once, and each batch serves the cycles
   /// before its first fault and after it rejoins the fault-free state from
@@ -181,8 +163,8 @@ struct SynthesisCost {
 /// cone interval would execute.  No engine runs that way -- every batch
 /// settles the whole tape -- so these are properties of the schedule, not
 /// of the run.  Computed from the ConeIndex and the full drawn schedule, so
-/// the block is identical on both engines, at every lane/thread/opt knob,
-/// with replay on or off, and in every shard of a sharded run.
+/// the block is identical on both engines, at every thread count, with
+/// replay on or off, and in every shard of a sharded run.
 struct ConeStats {
   std::size_t instructions = 0;  ///< tape length (cone fraction denominator)
   /// Mean cone-interval fraction over all slots with a non-empty cone.

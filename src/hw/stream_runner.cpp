@@ -177,9 +177,6 @@ std::vector<StreamResult> run_stream_batch(
 template std::vector<StreamResult> run_stream_batch<1>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<1>&,
     std::span<const std::int64_t>, unsigned);
-template std::vector<StreamResult> run_stream_batch<2>(
-    const BuiltDatapath&, rtl::compiled::WideBatchSession<2>&,
-    std::span<const std::int64_t>, unsigned);
 template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);

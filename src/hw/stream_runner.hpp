@@ -70,9 +70,6 @@ template <unsigned W>
 extern template std::vector<StreamResult> run_stream_batch<1>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<1>&,
     std::span<const std::int64_t>, unsigned);
-extern template std::vector<StreamResult> run_stream_batch<2>(
-    const BuiltDatapath&, rtl::compiled::WideBatchSession<2>&,
-    std::span<const std::int64_t>, unsigned);
 extern template std::vector<StreamResult> run_stream_batch<4>(
     const BuiltDatapath&, rtl::compiled::WideBatchSession<4>&,
     std::span<const std::int64_t>, unsigned);

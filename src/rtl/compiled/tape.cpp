@@ -35,14 +35,6 @@ const char* to_string(OptLevel level) {
   return "?";
 }
 
-std::vector<Slot> Tape::const1_slots() const {
-  std::vector<Slot> out;
-  for (Slot s = 0; s < const_image_.size(); ++s) {
-    if (const_image_[s] != 0) out.push_back(s);
-  }
-  return out;
-}
-
 std::shared_ptr<const Tape> compile(const Netlist& nl) {
   auto tape = std::make_shared<Tape>();
   Tape& t = *tape;

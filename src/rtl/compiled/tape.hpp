@@ -128,10 +128,6 @@ class Tape {
     return const_image_;
   }
 
-  /// Slots holding constant 1; pre-set to all-ones lanes (derived view of
-  /// const_image(), kept for compatibility and tests).
-  [[nodiscard]] std::vector<Slot> const1_slots() const;
-
   /// Longest combinational path in instructions (levelization depth).
   [[nodiscard]] std::size_t depth() const { return depth_; }
 

@@ -52,16 +52,28 @@ std::vector<std::uint8_t> encode_request(const Request& req) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_response(const Response& resp) {
-  std::vector<std::uint8_t> out;
-  out.reserve(7 + resp.payload.size());
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(resp.status));
+ResponseHeader response_header(const Response& resp) {
+  ResponseHeader h;
+  const auto put = [&h](unsigned v) {
+    h.bytes[h.size++] = static_cast<std::uint8_t>(v);
+  };
+  put(kProtocolVersion);
+  put(static_cast<unsigned>(resp.status));
   if (resp.status == Status::kOk) {
-    out.push_back(static_cast<std::uint8_t>(resp.op));
-    put_u16(out, resp.width);
-    put_u16(out, resp.height);
+    put(static_cast<unsigned>(resp.op));
+    for (const std::uint16_t v : {resp.width, resp.height}) {
+      put(v & 0xFF);
+      put(v >> 8);
+    }
   }
+  return h;
+}
+
+std::vector<std::uint8_t> encode_response(const Response& resp) {
+  const ResponseHeader head = response_header(resp);
+  std::vector<std::uint8_t> out;
+  out.reserve(head.size + resp.payload.size());
+  out.insert(out.end(), head.bytes.begin(), head.bytes.begin() + head.size);
   out.insert(out.end(), resp.payload.begin(), resp.payload.end());
   return out;
 }

@@ -33,8 +33,10 @@
 //   error: UTF-8 message for the remainder of the frame
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,19 @@ struct Response {
 /// Renders a request/response as one frame payload (no length prefix).
 [[nodiscard]] std::vector<std::uint8_t> encode_request(const Request& req);
 [[nodiscard]] std::vector<std::uint8_t> encode_response(const Response& resp);
+
+/// The bytes an encoded response starts with: version and status, then for
+/// an ok response the op echo, width and height.  encode_response(resp) is
+/// these bytes followed by resp.payload; the server sends the two as one
+/// frame without joining them.
+struct ResponseHeader {
+  std::array<std::uint8_t, 7> bytes{};
+  std::size_t size = 0;
+  [[nodiscard]] std::span<const std::uint8_t> view() const {
+    return {bytes.data(), size};
+  }
+};
+[[nodiscard]] ResponseHeader response_header(const Response& resp);
 
 /// Parses a frame payload.  Returns std::nullopt and sets `error` when the
 /// bytes are not a valid frame of the expected kind; the caller turns that

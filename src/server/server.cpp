@@ -91,6 +91,12 @@ hw::TileOptions tile_options(const Request& req,
   return opt;
 }
 
+/// Writes `resp` as one frame: its header and its payload go out as two
+/// parts of one send, so the payload (up to a whole 4K PGM) is never copied.
+bool send_response(int fd, const Response& resp) {
+  return write_frame(fd, response_header(resp).view(), resp.payload);
+}
+
 }  // namespace
 
 std::string backend_metrics_key(const Request& req) {
@@ -329,11 +335,11 @@ void DwtServer::connection_loop(Connection* conn) {
     if (got == FrameStatus::kBadLength) {
       // Framing is unrecoverable: answer, then close.
       metrics_.record_protocol_error();
-      (void)write_frame(
-          fd, encode_response(error_response(
-                  Status::kBadFrame, "frame length " + std::to_string(len) +
-                                         " outside 1.." +
-                                         std::to_string(kMaxFrameBytes))));
+      (void)send_response(
+          fd, error_response(Status::kBadFrame,
+                             "frame length " + std::to_string(len) +
+                                 " outside 1.." +
+                                 std::to_string(kMaxFrameBytes)));
       break;
     }
     std::string parse_error;
@@ -362,7 +368,7 @@ void DwtServer::connection_loop(Connection* conn) {
       // number of connections (the load generator opens many).
       resp = run_transform(*req);
     }
-    if (!write_frame(fd, encode_response(resp))) break;
+    if (!send_response(fd, resp)) break;
   }
   const std::lock_guard<std::mutex> lock(conn_mutex_);
   ::close(fd);

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -46,23 +47,38 @@ int connect_addr(int family, const sockaddr* addr, socklen_t len) {
 
 }  // namespace
 
-bool write_frame(int fd, std::span<const std::uint8_t> payload) {
-  const auto n = static_cast<std::uint32_t>(payload.size());
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + payload.size());
-  for (int shift = 0; shift < 32; shift += 8) {
-    frame.push_back(static_cast<std::uint8_t>((n >> shift) & 0xFF));
+bool write_frame(int fd, std::span<const std::uint8_t> head,
+                 std::span<const std::uint8_t> tail) {
+  const auto n = static_cast<std::uint32_t>(head.size() + tail.size());
+  std::uint8_t prefix[4];
+  for (int i = 0; i < 4; ++i) {
+    prefix[i] = static_cast<std::uint8_t>((n >> (8 * i)) & 0xFF);
   }
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  const std::uint8_t* p = frame.data();
-  std::size_t left = frame.size();
-  while (left > 0) {
-    const ssize_t put = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (put > 0) {
-      p += put;
-      left -= static_cast<std::size_t>(put);
-    } else if (put == 0 || errno != EINTR) {
+  iovec parts[3] = {
+      {prefix, sizeof(prefix)},
+      {const_cast<std::uint8_t*>(head.data()), head.size()},
+      {const_cast<std::uint8_t*>(tail.data()), tail.size()}};
+  msghdr msg{};
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 3;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t put = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (put <= 0) {
+      if (put < 0 && errno == EINTR) continue;
       return false;
+    }
+    // Drop the parts the kernel took whole and resume inside the next one
+    // (empty parts are dropped too).
+    auto sent = static_cast<std::size_t>(put);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      iovec& part = *msg.msg_iov;
+      part.iov_base = static_cast<std::uint8_t*>(part.iov_base) + sent;
+      part.iov_len -= sent;
     }
   }
   return true;

@@ -3,9 +3,10 @@
 // server, the dwt97d client, the serving bench and the tests.
 //
 // A frame is a little-endian u32 payload length followed by that many
-// payload bytes.  write_frame sends both in one send: a separate 4-byte
-// segment would interact with Nagle + delayed ACK on loopback and cap
-// small-tile throughput at ~25 req/s per connection.  read_frame rejects a
+// payload bytes.  write_frame gathers the prefix and the payload's parts
+// into one sendmsg, without copying them: a separate 4-byte segment would
+// interact with Nagle + delayed ACK on loopback and cap small-tile
+// throughput at ~25 req/s per connection.  read_frame rejects a
 // declared length of 0 or above kMaxFrameBytes before reading any payload,
 // and grows its buffer in 64 KiB steps only as bytes arrive, so a declared
 // length costs memory only once its bytes are on the wire.
@@ -28,10 +29,12 @@ enum class FrameStatus {
   kBadLength,  ///< declared length 0 or above kMaxFrameBytes; nothing read
 };
 
-/// Sends one frame (length prefix and payload in one send, MSG_NOSIGNAL so
-/// a vanished peer is an error return rather than SIGPIPE).  False when the
-/// peer is gone.
-[[nodiscard]] bool write_frame(int fd, std::span<const std::uint8_t> payload);
+/// Sends one frame whose payload is `head` followed by `tail` (length
+/// prefix and both parts in one sendmsg, resumed after a partial send;
+/// MSG_NOSIGNAL so a vanished peer is an error return rather than SIGPIPE).
+/// False when the peer is gone.
+[[nodiscard]] bool write_frame(int fd, std::span<const std::uint8_t> head,
+                               std::span<const std::uint8_t> tail = {});
 
 /// Reads one frame into `payload` (replacing its contents).  Once a length
 /// header has arrived, `*declared` holds it, also when it is rejected.

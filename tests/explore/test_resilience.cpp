@@ -128,7 +128,7 @@ TEST(Resilience, CompiledAndInterpretedEnginesProduceIdenticalReports) {
 TEST(Resilience, ThreadCountDoesNotChangeCompiledCampaign) {
   ResilienceOptions opt =
       small_campaign(hw::DesignId::kDesign2, rtl::HardeningStyle::kNone);
-  opt.trials = 70;  // spills into a second 64-lane batch
+  opt.trials = 600;  // three 256-lane batches for the pool to share
   opt.engine = CampaignEngine::kCompiled;
   opt.threads = 1;
   const CampaignResult serial = run_campaign(opt);
@@ -137,31 +137,9 @@ TEST(Resilience, ThreadCountDoesNotChangeCompiledCampaign) {
   EXPECT_EQ(to_json(serial), to_json(pooled));
 }
 
-// Lane width (how many trials ride one tape pass) and tape optimization
-// level are pure throughput knobs: the report is byte-identical across all
-// of them, and kFull quietly clamps to the overlay-safe level rather than
-// corrupting fault forces.
-TEST(Resilience, LaneWidthAndOptLevelDoNotChangeReport) {
-  ResilienceOptions opt =
-      small_campaign(hw::DesignId::kDesign3, rtl::HardeningStyle::kParity);
-  opt.kinds = {rtl::FaultKind::kSeuFlip, rtl::FaultKind::kStuckAt0};
-  opt.trials = 70;  // spills into a second batch at 64 lanes
-  opt.engine = CampaignEngine::kCompiled;
-  opt.lanes = 64;
-  opt.opt_level = rtl::compiled::OptLevel::kNone;
-  const std::string narrow_raw = to_json(run_campaign(opt));
-  opt.lanes = 128;
-  opt.opt_level = rtl::compiled::OptLevel::kSafe;
-  EXPECT_EQ(to_json(run_campaign(opt)), narrow_raw);
-  opt.lanes = 256;
-  EXPECT_EQ(to_json(run_campaign(opt)), narrow_raw);
-  opt.opt_level = rtl::compiled::OptLevel::kFull;  // clamps to kSafe
-  EXPECT_EQ(to_json(run_campaign(opt)), narrow_raw);
-}
-
-// Golden-trace replay (ResilienceOptions::cone) is a throughput knob too:
-// on pipelines of every depth, hardened or not, each report is byte-identical
-// with replay on and off, at 64 and 256 lanes, trial list included.
+// Golden-trace replay (ResilienceOptions::cone) is a throughput knob: on
+// pipelines of every depth, hardened or not, each report is byte-identical
+// with replay on and off, trial list included, across batch boundaries.
 TEST(Resilience, GoldenReplayDoesNotChangeReport) {
   for (const hw::DesignId design : {hw::DesignId::kDesign1,
                                     hw::DesignId::kDesign3,
@@ -172,22 +150,15 @@ TEST(Resilience, GoldenReplayDoesNotChangeReport) {
       ResilienceOptions opt = small_campaign(design, harden);
       opt.kinds = {rtl::FaultKind::kSeuFlip, rtl::FaultKind::kGlitch,
                    rtl::FaultKind::kStuckAt0, rtl::FaultKind::kStuckAt1};
-      opt.trials = 300;  // five batches at 64 lanes, two at 256
+      opt.trials = 700;  // three 256-lane batches, the last one partial
       opt.keep_trials = true;
       opt.engine = CampaignEngine::kCompiled;
       opt.cone = false;
-      opt.lanes = 256;
       const std::string want = to_json(run_campaign(opt));
-      for (const unsigned lanes : {64u, 256u}) {
-        for (const bool replay : {false, true}) {
-          opt.lanes = lanes;
-          opt.cone = replay;
-          EXPECT_EQ(to_json(run_campaign(opt)), want)
-              << "design " << static_cast<int>(design) << " harden "
-              << rtl::to_string(harden) << " lanes " << lanes << " replay "
-              << replay;
-        }
-      }
+      opt.cone = true;
+      EXPECT_EQ(to_json(run_campaign(opt)), want)
+          << "design " << static_cast<int>(design) << " harden "
+          << rtl::to_string(harden);
     }
   }
 }
@@ -202,9 +173,6 @@ TEST(Resilience, RejectsDegenerateOptions) {
   EXPECT_THROW(run_campaign(opt), std::invalid_argument);
   opt.samples = 16;
   opt.kinds.clear();
-  EXPECT_THROW(run_campaign(opt), std::invalid_argument);
-  opt.kinds = {rtl::FaultKind::kSeuFlip};
-  opt.lanes = 100;  // not a whole number of 64-lane blocks
   EXPECT_THROW(run_campaign(opt), std::invalid_argument);
 }
 

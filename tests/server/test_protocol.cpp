@@ -53,6 +53,9 @@ TEST(ServerProtocol, ResponseRoundTripsThroughEncodeDecode) {
   resp.height = 480;
   resp.payload = {1, 2, 3, 4};
   const std::vector<std::uint8_t> frame = encode_response(resp);
+  // Version, status, op echo, width and height (u16 LE), then the payload.
+  EXPECT_EQ(frame, (std::vector<std::uint8_t>{1, 0, 1, 0x80, 0x02, 0xE0, 0x01,
+                                              1, 2, 3, 4}));
   std::string error;
   const auto got = decode_response(frame.data(), frame.size(), &error);
   ASSERT_TRUE(got.has_value()) << error;

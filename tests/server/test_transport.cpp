@@ -1,14 +1,17 @@
 // The shared frame transport over a socketpair: bounded reads of hostile
-// length headers, EOF anywhere inside a frame, and write/read round trips
-// across the 64 KiB buffer-growth step.
+// length headers, EOF anywhere inside a frame, write/read round trips
+// across the 64 KiB buffer-growth step, and a two-part frame larger than
+// the socket buffer sent in several interrupted sends.
 #include "server/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
@@ -133,6 +136,43 @@ TEST(FrameTransport, WriteThenReadRoundTripsAcrossChunkBoundaries) {
     EXPECT_EQ(declared, size);
     EXPECT_EQ(got, sent) << size << " bytes";
   }
+}
+
+TEST(FrameTransport, TwoPartFrameLargerThanTheSocketBufferArrivesWhole) {
+  SocketPair sp;
+  int sndbuf = 0;
+  socklen_t optlen = sizeof(sndbuf);
+  ASSERT_EQ(
+      ::getsockopt(sp.fds[1], SOL_SOCKET, SO_SNDBUF, &sndbuf, &optlen), 0);
+  const std::vector<std::uint8_t> head = {1, 7, 2, 0x80, 0x07, 0x38, 0x04};
+  std::vector<std::uint8_t> tail(4 * static_cast<std::size_t>(sndbuf) + 13);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    tail[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  // Nothing reads until the writer has filled the socket buffer and
+  // waits; a signal then ends that sendmsg early (no SA_RESTART), so the
+  // frame goes out in several sends, each resuming where the last stopped.
+  struct sigaction ignore {};
+  struct sigaction old {};
+  ignore.sa_handler = [](int) {};
+  sigemptyset(&ignore.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &ignore, &old), 0);
+  bool wrote = false;
+  std::thread writer([&] { wrote = write_frame(sp.fds[1], head, tail); });
+  for (int i = 0; i < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+  }
+  std::vector<std::uint8_t> got;
+  std::uint32_t declared = 0;
+  EXPECT_EQ(read_frame(sp.fds[0], &got, &declared), FrameStatus::kOk);
+  writer.join();
+  ::sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_TRUE(wrote);
+  std::vector<std::uint8_t> sent = head;
+  sent.insert(sent.end(), tail.begin(), tail.end());
+  EXPECT_EQ(declared, sent.size());
+  EXPECT_EQ(got, sent);
 }
 
 TEST(FrameTransport, WriteToVanishedPeerFailsWithoutSignal) {

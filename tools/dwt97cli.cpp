@@ -5,7 +5,6 @@
 //   dwt97cli tile          <in.pgm> <out.pgm> [--octaves N] [--tile N]
 //                          [--threads N] [--backend NAME] [--design D]
 //                          [--adder ARCH] [--opt-level 0|1|2]
-//                          [--exec-tier interpreter|native|auto]
 //   dwt97cli gen           <out.pgm> <width> <height> [seed]
 //   dwt97cli synth         [design 1..5] [--adder ARCH]
 //   dwt97cli verilog       <design 1..5> <out.v> [--adder ARCH]
@@ -55,8 +54,7 @@ int usage() {
                "[--tile N] [--threads N]\n"
                "                      [--backend NAME] [--design D] "
                "[--adder ARCH]\n"
-               "                      [--opt-level 0|1|2] [--exec-tier "
-               "interpreter|native|auto]\n"
+               "                      [--opt-level 0|1|2]\n"
                "  dwt97cli gen        <out.pgm> <width> <height> [seed]\n"
                "  dwt97cli synth      [design 1..5] [--adder ARCH]\n"
                "  dwt97cli verilog    <design 1..5> <out.v> [--adder ARCH]\n"
@@ -150,14 +148,7 @@ int cmd_tile(int argc, char** argv) {
            // Tape optimization level for the rtl-compiled backend; other
            // engines ignore it.  Every level streams bit-identical output,
            // so this is a perf knob (and a CI cross-check hook).
-           cli::uint_flag("--opt-level", 0, 2, &opt.opt_level),
-           // How the rtl-compiled backend walks its tape: the switch
-           // interpreter, the JIT'd native tier, or auto (fastest
-           // supported).  Every tier writes bit-identical output;
-           // DWT_EXEC_TIER overrides.
-           cli::value_flag("--exec-tier", [&](const char* v) {
-             return dwt::rtl::compiled::parse_exec_tier(v, &opt.exec_tier);
-           })})) {
+           cli::uint_flag("--opt-level", 0, 2, &opt.opt_level)})) {
     return usage();
   }
   opt.tile_h = opt.tile_w;

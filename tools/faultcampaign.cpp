@@ -5,10 +5,8 @@
 //                 [--trials N]
 //                 [--seed S] [--harden none|tmr|parity] [--samples N]
 //                 [--threads N] [--backend rtl-interpreted|rtl-compiled]
-//                 [--lanes 64|128|256] [--opt-level 0|1] [--no-cone]
-//                 [--exec-tier interpreter|native|auto]
-//                 [--shards N --shard-index I] [--checkpoint FILE]
-//                 [--checkpoint-every N]
+//                 [--no-cone] [--shards N --shard-index I]
+//                 [--checkpoint FILE] [--checkpoint-every N]
 //                 [--no-trial-list] [--out report.json]
 //   faultcampaign merge OUT.json SHARD.json...
 //
@@ -19,19 +17,18 @@
 // fast (default) `rtl-compiled` bit-parallel engine.  `--backend` takes the
 // core registry names dwt97cli, dwt97d and the benches use; campaigns
 // inject faults at netlist granularity, so only the gate-level rtl
-// backends are accepted.  `--lanes` packs that many fault trials into
-// one compiled tape pass; `--opt-level` picks the tape optimization level
-// (0 = raw, 1 = fault-overlay-safe passes; the full level drops the
-// overlay guarantees campaigns need and is rejected here); `--no-cone`
+// backends are accepted.  The compiled engine packs 256 fault trials into
+// one pass over the fault-overlay-safe tape on the fastest execution tier
+// the host supports (DWT_EXEC_TIER overrides it process-wide).  `--no-cone`
 // turns off golden-trace replay, so every batch simulates every cycle
 // instead of serving the cycles before its first fault and after it
 // retires from the recorded fault-free run (the flag keeps the name of the
-// cone-restricted engine replay replaced).  None of these knobs changes the
-// report bytes.  `--adder` swaps the design's adder
-// architecture (carry-chain, ripple-gates, kogge-stone, brent-kung,
-// hybrid-ksbk): unlike the perf knobs this changes the netlist and hence
-// the fault space, so it IS part of the campaign identity (and of the
-// checkpoint fingerprint).
+// cone-restricted engine replay replaced).  Neither `--backend`,
+// `--threads` nor `--no-cone` changes the report bytes.  `--adder` swaps
+// the design's adder architecture (carry-chain, ripple-gates, kogge-stone,
+// brent-kung, hybrid-ksbk): unlike the perf knobs this changes the netlist
+// and hence the fault space, so it IS part of the campaign identity (and
+// of the checkpoint fingerprint).
 //
 // Scale-out: `--shards N --shard-index I` executes only shard I's
 // contiguous slice of the trial schedule (same seed on every shard);
@@ -64,10 +61,8 @@ int usage() {
       "                [--faults seu,glitch,sa0,sa1]\n"
       "                [--trials N] [--seed S] [--harden none|tmr|parity]\n"
       "                [--samples N] [--backend rtl-interpreted|rtl-compiled]\n"
-      "                [--lanes 64|128|256] [--opt-level 0|1] [--no-cone]\n"
-      "                [--exec-tier interpreter|native|auto]\n"
-      "                [--shards N --shard-index I] [--checkpoint FILE]\n"
-      "                [--checkpoint-every N]\n"
+      "                [--no-cone] [--shards N --shard-index I]\n"
+      "                [--checkpoint FILE] [--checkpoint-every N]\n"
       "                [--threads N] [--no-trial-list] [--out report.json]\n"
       "  faultcampaign merge OUT.json SHARD.json...\n");
   return 2;
@@ -144,7 +139,8 @@ int main(int argc, char** argv) {
                              return true;
                            }),
            // Changes the netlist (and hence the fault space), unlike the
-           // backend/lanes/tier knobs which never change the report bytes.
+           // backend/threads/replay knobs which never change the report
+           // bytes.
            cli::value_flag(
                "--adder",
                [&](const char* v) {
@@ -185,31 +181,8 @@ int main(int argc, char** argv) {
                  return engine.has_value();
                },
                "campaigns run on rtl-interpreted or rtl-compiled"),
-           cli::value_flag(
-               "--lanes",
-               [&](const char* v) {
-                 unsigned long long n = 0;
-                 if (!cli::parse_uint(v, 64, 256, &n) ||
-                     (n != 64 && n != 128 && n != 256)) {
-                   return false;
-                 }
-                 opt.lanes = static_cast<unsigned>(n);
-                 return true;
-               },
-               "64, 128 or 256"),
-           cli::uint_flag("--opt-level", 0, 1, &opt.opt_level,
-                          "0 or 1; level 2 drops the fault-overlay "
-                          "guarantees campaigns need"),
            cli::uint_flag("--threads", 0, 1024, &opt.threads),
            cli::switch_flag("--no-cone", [&] { opt.cone = false; }),
-           // How the compiled engine walks its tape.  Like --lanes,
-           // --threads and --opt-level this never changes the report bytes.
-           cli::value_flag(
-               "--exec-tier",
-               [&](const char* v) {
-                 return dwt::rtl::compiled::parse_exec_tier(v, &opt.exec_tier);
-               },
-               "interpreter, native or auto"),
            cli::uint_flag("--shards", 1, 1ULL << 20, &opt.shard_count),
            cli::uint_flag("--shard-index", 0, 1ULL << 20, &opt.shard_index),
            cli::text_flag("--checkpoint", &opt.checkpoint_file),
