@@ -4,6 +4,8 @@
 // ASIC-portability endpoint the paper argues structural descriptions serve.
 //
 //   ./hw_simulation [design-number 1..5]
+//
+// Exits 1 when the bit-true check counts a mismatch.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -79,5 +81,5 @@ int main(int argc, char** argv) {
     rtl::write_verilog(dp.netlist, "dwt_lifting_core", v);
   }
   std::printf("  wrote dwt_core.v (synthesizable structural Verilog)\n");
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

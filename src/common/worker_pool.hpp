@@ -46,14 +46,10 @@ unsigned run_pool(std::size_t items, unsigned threads, MakeWorker make_worker) {
       if (!first_error) first_error = std::current_exception();
     }
   };
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned i = 0; i < n_threads; ++i) pool.emplace_back(worker);
-    for (std::thread& th : pool) th.join();
-  }
+  std::vector<std::thread> pool;
+  for (unsigned i = 1; i < n_threads; ++i) pool.emplace_back(worker);
+  worker();
+  for (std::thread& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
   return std::max(1u, n_threads);
 }

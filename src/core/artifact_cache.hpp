@@ -10,7 +10,7 @@
 // (datapath config, hardening style) content key and hands out shared
 // immutable artifacts: the netlist, tape and mapped structures are all
 // read-only after construction (simulator state lives in per-consumer
-// Simulator/CompiledSimulator/MappedActivitySim instances), so one artifact
+// Simulator/WideSimulator/MappedActivitySim instances), so one artifact
 // safely feeds any number of threads.
 //
 // Concurrency contract: a key is built exactly once.  Racing requesters

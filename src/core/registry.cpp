@@ -10,8 +10,6 @@
 #include "core/artifact_cache.hpp"
 #include "dsp/dwt2d.hpp"
 #include "fpga/mapped_sim.hpp"
-#include "rtl/compiled/batch_fault.hpp"
-#include "rtl/simulator.hpp"
 
 namespace dwt::core {
 namespace {
@@ -79,20 +77,29 @@ class SoftwareBackend final : public ExecutionBackend {
 // Gate-level engines.  All artifacts come from the shared ArtifactCache;
 // per-call/per-session objects carry only simulator state.
 
-/// Aliases the cached artifact's datapath: the returned pointer shares the
-/// artifact's lifetime, so the netlist outlives every simulator built on it.
-std::shared_ptr<const hw::BuiltDatapath> share_datapath(
-    std::shared_ptr<const CachedDesign> d) {
+/// The cached datapath of a request, aliased so the returned pointer shares
+/// the artifact's lifetime and the netlist outlives every simulator built
+/// on it.
+std::shared_ptr<const hw::BuiltDatapath> cached_datapath(
+    const BackendRequest& req) {
+  std::shared_ptr<const CachedDesign> d = ArtifactCache::instance().design(
+      hw::design_config(req.design, req.max_octaves, req.adder));
   const hw::BuiltDatapath* dp = &d->dp;
   return {std::move(d), dp};
 }
 
-class RtlInterpretedBackend final : public ExecutionBackend {
+/// A netlist engine is its 1-D core: stream() runs a fresh core over one
+/// line, and the 2-D session is the figure-4 system around one.
+class NetlistBackend final : public ExecutionBackend {
  public:
-  std::string_view name() const override { return "rtl-interpreted"; }
-  std::string_view description() const override {
-    return "gate-level netlist on the scalar zero-delay simulator";
-  }
+  using MakeCore = hw::LineCore (*)(const BackendRequest&);
+
+  NetlistBackend(std::string_view name, std::string_view description,
+                 MakeCore make_core)
+      : name_(name), description_(description), make_core_(make_core) {}
+
+  std::string_view name() const override { return name_; }
+  std::string_view description() const override { return description_; }
 
   BackendCaps caps() const override {
     BackendCaps c;
@@ -105,58 +112,17 @@ class RtlInterpretedBackend final : public ExecutionBackend {
 
   hw::StreamResult stream(const BackendRequest& req,
                           std::span<const std::int64_t> x) const override {
-    const std::shared_ptr<const CachedDesign> d = ArtifactCache::instance().design(
-        hw::design_config(req.design, req.max_octaves, req.adder));
-    rtl::Simulator sim(d->dp.netlist);
-    return hw::run_stream(d->dp, sim, x);
+    return make_core_(req)(x);
   }
 
   hw::Dwt2dSystem make_2d_session(const BackendRequest& req) const override {
-    return hw::Dwt2dSystem(share_datapath(ArtifactCache::instance().design(
-        hw::design_config(req.design, req.max_octaves, req.adder))));
-  }
-};
-
-class RtlCompiledBackend final : public ExecutionBackend {
- public:
-  std::string_view name() const override { return "rtl-compiled"; }
-  std::string_view description() const override {
-    return "gate-level netlist on the bit-parallel compiled-tape simulator";
+    return hw::Dwt2dSystem(make_core_(req));
   }
 
-  BackendCaps caps() const override {
-    BackendCaps c;
-    c.gate_level = true;
-    c.cycle_accurate = true;
-    c.bit_exact = true;
-    c.forward_2d = true;
-    return c;
-  }
-
-  hw::StreamResult stream(const BackendRequest& req,
-                          std::span<const std::int64_t> x) const override {
-    ArtifactCache& cache = ArtifactCache::instance();
-    const hw::DatapathConfig cfg =
-        hw::design_config(req.design, req.max_octaves, req.adder);
-    const std::shared_ptr<const CachedDesign> d = cache.design(cfg);
-    rtl::compiled::WideBatchSession<1> session(
-        cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level));
-    session.sim().set_native(cache.native_for(
-        req.exec_tier, cfg, rtl::HardeningStyle::kNone, req.opt_level, 1));
-    return std::move(
-        hw::run_stream_batch(d->dp, session, x, /*lanes=*/1).front());
-  }
-
-  hw::Dwt2dSystem make_2d_session(const BackendRequest& req) const override {
-    ArtifactCache& cache = ArtifactCache::instance();
-    const hw::DatapathConfig cfg =
-        hw::design_config(req.design, req.max_octaves, req.adder);
-    return hw::Dwt2dSystem(
-        share_datapath(cache.design(cfg)),
-        cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level),
-        cache.native_for(req.exec_tier, cfg, rtl::HardeningStyle::kNone,
-                         req.opt_level, 1));
-  }
+ private:
+  std::string_view name_;
+  std::string_view description_;
+  MakeCore make_core_;
 };
 
 class FpgaMappedBackend final : public ExecutionBackend {
@@ -196,8 +162,25 @@ const std::vector<const ExecutionBackend*>& all_backends() {
       "software-fixed",
       "lifting scheme, fixed-point coefficients (bit-exactness reference)",
       dsp::Method::kLiftingFixed, /*bit_exact=*/true};
-  static const RtlInterpretedBackend rtl_interpreted;
-  static const RtlCompiledBackend rtl_compiled;
+  static const NetlistBackend rtl_interpreted{
+      "rtl-interpreted",
+      "gate-level netlist on the scalar zero-delay simulator",
+      [](const BackendRequest& req) {
+        return hw::scalar_core(cached_datapath(req));
+      }};
+  static const NetlistBackend rtl_compiled{
+      "rtl-compiled",
+      "gate-level netlist on the bit-parallel compiled-tape simulator",
+      [](const BackendRequest& req) {
+        ArtifactCache& cache = ArtifactCache::instance();
+        const hw::DatapathConfig cfg =
+            hw::design_config(req.design, req.max_octaves, req.adder);
+        return hw::compiled_core(
+            cached_datapath(req),
+            cache.tape(cfg, rtl::HardeningStyle::kNone, req.opt_level),
+            cache.native_for(req.exec_tier, cfg, rtl::HardeningStyle::kNone,
+                             req.opt_level, 1));
+      }};
   static const FpgaMappedBackend fpga_mapped;
   static const std::vector<const ExecutionBackend*> backends = {
       &software_float, &software_fixed, &rtl_interpreted, &rtl_compiled,

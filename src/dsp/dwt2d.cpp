@@ -29,24 +29,6 @@ void require_window(PlaneView<T> p, int octaves, const char* who) {
   if (octaves < 1) throw std::invalid_argument(std::string(who) + ": octaves < 1");
 }
 
-/// Every octave of a transform through `line`: forward from the whole
-/// window inwards, inverse from the smallest LL outwards.  Octave i + 1
-/// lifts the LL region that i halvings of the window leave; the regions
-/// are recomputed rather than listed, so a sweep allocates nothing.
-template <class T, class Line>
-void sweep_octaves(PlaneView<T> p, int octaves, bool inverse, Line&& line) {
-  for (int i = 0; i < octaves; ++i) {
-    std::size_t w = p.width, h = p.height;
-    // Halving a 1 x 1 region leaves it 1 x 1.
-    for (int o = inverse ? octaves - 1 - i : i; o > 0 && (w > 1 || h > 1);
-         --o) {
-      w = low_size(w);
-      h = low_size(h);
-    }
-    sweep_octave(p.data, p.pitch, w, h, inverse, line);
-  }
-}
-
 /// Calls f with the table of method `m` on samples of type T -- the tap
 /// table of a FIR row or the step table of a lifting row -- doubles for the
 /// two float methods and integers for the other five.

@@ -55,6 +55,24 @@ void sweep_octave(T* plane, std::size_t pitch, std::size_t w, std::size_t h,
   }
 }
 
+/// Every octave of a transform through `line`: forward from the whole
+/// window inwards, inverse from the smallest LL outwards.  Octave i + 1
+/// lifts the LL region that i halvings of the window leave; the regions
+/// are recomputed rather than listed, so a sweep allocates nothing.
+template <class T, class Line>
+void sweep_octaves(PlaneView<T> p, int octaves, bool inverse, Line&& line) {
+  for (int i = 0; i < octaves; ++i) {
+    std::size_t w = p.width, h = p.height;
+    // Halving a 1 x 1 region leaves it 1 x 1.
+    for (int o = inverse ? octaves - 1 - i : i; o > 0 && (w > 1 || h > 1);
+         --o) {
+      w = (w + 1) / 2;
+      h = (h + 1) / 2;
+    }
+    sweep_octave(p.data, p.pitch, w, h, inverse, line);
+  }
+}
+
 /// The int32 guard of an integer method: sound bounds for `octaves` 2-D
 /// octaves in one direction from values inside +-max_abs.  A lifting method
 /// lifts on int32 when fits_int32 holds for it, else on int64; either kind

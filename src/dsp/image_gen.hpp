@@ -21,7 +21,7 @@ namespace dwt::dsp {
 /// The first `samples` pixels of the row-major scan of a `width`-wide
 /// make_still_tone_image(seed), each rounded and DC level shifted to the
 /// signed 8-bit domain the 1-D cores consume: the stimulus of the
-/// explorer's activity workload, profile_backends and the fault campaigns.
+/// explorer's activity workload and the fault campaigns.
 [[nodiscard]] std::vector<std::int64_t> still_tone_samples(
     std::size_t samples, std::size_t width, std::uint64_t seed);
 

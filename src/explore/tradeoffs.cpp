@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/registry.hpp"
-#include "dsp/image_gen.hpp"
-
 namespace dwt::explore {
 namespace {
 
@@ -52,48 +49,6 @@ TradeoffAnalysis paper_tradeoffs() {
                  r.power_mw_15mhz});
   }
   return analyze(m);
-}
-
-std::vector<BackendProfile> profile_backends(std::size_t samples,
-                                             std::uint64_t seed) {
-  if (samples < 8 || samples % 2 != 0) {
-    throw std::invalid_argument(
-        "profile_backends: samples must be even and >= 8");
-  }
-  // Image-derived stimulus in the signed 8-bit input domain, matching the
-  // resilience campaigns' workload.
-  const std::vector<std::int64_t> stimulus =
-      dsp::still_tone_samples(samples, 64, seed);
-
-  const core::ExecutionBackend* reference =
-      core::find_backend("software-fixed");
-  if (reference == nullptr) {
-    throw std::logic_error("profile_backends: no software-fixed backend");
-  }
-  const hw::StreamResult golden =
-      reference->stream(core::BackendRequest{}, stimulus);
-
-  std::vector<BackendProfile> profiles;
-  for (const core::ExecutionBackend* backend : core::all_backends()) {
-    BackendProfile p;
-    p.backend = backend->name();
-    p.description = backend->description();
-    const core::BackendCaps caps = backend->caps();
-    p.gate_level = caps.gate_level;
-    p.cycle_accurate = caps.cycle_accurate;
-    p.bit_exact = caps.bit_exact;
-    p.matches_reference = true;
-    for (const hw::DesignSpec& spec : hw::all_designs()) {
-      core::BackendRequest req;
-      req.design = spec.id;
-      const hw::StreamResult r = backend->stream(req, stimulus);
-      p.stream_cycles.push_back(r.cycles);
-      p.matches_reference =
-          p.matches_reference && r.low == golden.low && r.high == golden.high;
-    }
-    profiles.push_back(std::move(p));
-  }
-  return profiles;
 }
 
 std::vector<RatioClaim> TradeoffAnalysis::claims() const {

@@ -1,11 +1,8 @@
 // Quantitative checks of the paper's concluding claims (section 5): the
 // area/power/frequency ratios between pipelined and non-pipelined operator
-// designs and between behavioral and structural descriptions -- plus a
-// cross-engine profile that sweeps every registered execution backend over
-// the five designs.
+// designs and between behavioral and structural descriptions.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,28 +38,5 @@ struct TradeoffAnalysis {
 
 /// Same ratios computed from the paper's own Table 3 numbers.
 [[nodiscard]] TradeoffAnalysis paper_tradeoffs();
-
-/// One registry engine profiled over the five paper designs with a shared
-/// deterministic stimulus.
-struct BackendProfile {
-  std::string backend;      ///< registry name
-  std::string description;
-  bool gate_level = false;
-  bool cycle_accurate = false;
-  bool bit_exact = false;
-  /// Stream cycles consumed per design, paper order (all zero for the
-  /// software engines, which have no clock).
-  std::vector<std::uint64_t> stream_cycles;
-  /// Integer coefficient streams of all five designs are bit-identical to
-  /// the software fixed-point reference.
-  bool matches_reference = false;
-};
-
-/// Streams one deterministic image-derived signal through every registered
-/// backend x design pair (via core::all_backends(), so a newly registered
-/// engine shows up automatically) and cross-checks each against the
-/// software fixed-point reference.  `samples` must be even and >= 8.
-[[nodiscard]] std::vector<BackendProfile> profile_backends(
-    std::size_t samples = 256, std::uint64_t seed = 2005);
 
 }  // namespace dwt::explore

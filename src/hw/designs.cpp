@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <stdexcept>
+#include <string>
 
 namespace dwt::hw {
 
@@ -113,8 +114,10 @@ std::optional<DesignId> parse_design(std::string_view text) {
 
 DatapathConfig design_config(DesignId id, int max_octaves,
                              std::optional<rtl::AdderArch> adder) {
-  if (max_octaves < 1) {
-    throw std::invalid_argument("design_config: max_octaves < 1");
+  if (max_octaves < 1 || max_octaves > 9) {
+    throw std::invalid_argument(
+        "design_config: a gate-level core transforms 1..9 octaves, not " +
+        std::to_string(max_octaves));
   }
   DatapathConfig cfg = design_spec(id).config;
   if (max_octaves > 1) {

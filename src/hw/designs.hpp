@@ -65,7 +65,9 @@ struct DesignSpec {
 /// controller provisions a wider core sized by interval analysis instead of
 /// the paper's measured 8-bit-input ranges.  `adder` swaps the design's
 /// adder architecture (the (design x adder) sweep axis); nullopt keeps the
-/// paper's realization.
+/// paper's realization.  Inputs widen by 2 bits per octave and the datapath
+/// takes at most 24, so `max_octaves` outside 1..9 throws
+/// std::invalid_argument.
 [[nodiscard]] DatapathConfig design_config(
     DesignId id, int max_octaves = 1,
     std::optional<rtl::AdderArch> adder = std::nullopt);

@@ -46,7 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "rtl/compiled/compiled_simulator.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
 #include "rtl/fault.hpp"

@@ -7,7 +7,7 @@
 
 #include "common/rng.hpp"
 #include "rtl/compiled/batch_fault.hpp"
-#include "rtl/compiled/compiled_simulator.hpp"
+#include "rtl/compiled/wide_simulator.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/simulator.hpp"
 
@@ -60,7 +60,7 @@ EquivalenceReport check_equivalence(const Netlist& nl, std::uint64_t cycles,
   if (cycles == 0) {
     throw std::invalid_argument("check_equivalence: zero cycles");
   }
-  lanes_to_check = std::min(lanes_to_check, kLanes);
+  lanes_to_check = std::min(lanes_to_check, WideSimulator<1>::kTotalLanes);
   const std::vector<NetId>& pis = nl.primary_inputs();
 
   common::Rng rng(seed);
@@ -71,7 +71,7 @@ EquivalenceReport check_equivalence(const Netlist& nl, std::uint64_t cycles,
   report.cycles = cycles;
   report.lanes_checked = lanes_to_check;
 
-  CompiledSimulator batch(compile(nl, level));
+  WideSimulator<1> batch(compile(nl, level));
   std::vector<Simulator> scalar;
   scalar.reserve(lanes_to_check);
   for (unsigned l = 0; l < lanes_to_check; ++l) scalar.emplace_back(nl);
@@ -79,7 +79,7 @@ EquivalenceReport check_equivalence(const Netlist& nl, std::uint64_t cycles,
   for (std::uint64_t c = 0; c < cycles; ++c) {
     for (std::size_t i = 0; i < pis.size(); ++i) {
       const std::uint64_t w = stimulus[c * pis.size() + i];
-      batch.set_input_mask(pis[i], w);
+      batch.set_input_block(pis[i], LaneBlock<1>{{w}});
       for (unsigned l = 0; l < lanes_to_check; ++l) {
         scalar[l].set_input(pis[i], ((w >> l) & 1) != 0);
       }
@@ -103,7 +103,7 @@ EquivalenceReport check_fault_equivalence(const Netlist& nl,
     throw std::invalid_argument(
         "check_fault_equivalence: level is not fault-overlay safe");
   }
-  lanes_to_check = std::min(lanes_to_check, kLanes);
+  lanes_to_check = std::min(lanes_to_check, WideSimulator<1>::kTotalLanes);
   const std::vector<NetId>& pis = nl.primary_inputs();
 
   common::Rng rng(seed);

@@ -7,12 +7,15 @@
 // (W=4 is one 256-bit AVX2 op or two SSE2 ops per gate).  Lane L of the
 // batch lives in word L/64, bit L%64.
 //
-// Semantics are those of CompiledSimulator (see compiled_simulator.hpp),
-// which is now the W=1 instantiation: zero-delay settle over the levelized
-// tape, two-phase clock edge, force/flip fault overlays as lane masks --
-// here widened to lane *blocks*.  State resets copy the tape's constant
-// image (one broadcast per slot), so per-trial resets are a straight memcpy
-// rather than a walk over constant slots.
+// Semantics match the scalar zero-delay rtl::Simulator lane for lane:
+// eval() settles the combinational cloud (dependency-ordered tape pass),
+// clock_edge() moves every DFF's settled D word into its Q word (two-phase,
+// race-free), step() = eval() + clock_edge(), and all state resets to 0,
+// constants excepted.  Fault overlays are lane blocks: force() pins chosen
+// lanes of a net during eval, flip_state() XORs freshly clocked DFF lanes
+// (SEU).  State resets copy the tape's constant image (one broadcast per
+// slot), so per-trial resets are a straight memcpy rather than a walk over
+// constant slots.
 //
 // On optimized tapes some nets may be unmaterialized (Tape::materialized()
 // == false): observing or driving them throws, but force()/release() on

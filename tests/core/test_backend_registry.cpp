@@ -11,7 +11,6 @@
 #include "dsp/dwt2d.hpp"
 #include "dsp/image.hpp"
 #include "dsp/image_gen.hpp"
-#include "explore/tradeoffs.hpp"
 #include "hw/designs.hpp"
 
 namespace dwt::core {
@@ -65,25 +64,40 @@ TEST(BackendRegistry, CapabilityFlagsMatchTheEngineContracts) {
 // whose caps() claim bit-exactness streams the SAME integer coefficients as
 // the software fixed-point reference, on every Table 3 design, for even and
 // odd stream lengths.  A newly registered engine is held to this matrix
-// automatically.
+// automatically.  On the resilience campaigns' image-derived stimulus the
+// engines that do not claim it (the float model, whose fractional
+// coefficients are rounded) must differ from the reference, or the claim
+// would test nothing.
 TEST(BackendRegistry, BitExactBackendsMatchTheFixedPointReference) {
   const ExecutionBackend* reference = find_backend("software-fixed");
   ASSERT_NE(reference, nullptr);
   common::Rng rng(97);
+  std::vector<std::vector<std::int64_t>> inputs;
   for (const std::size_t len : {64u, 33u, 5u}) {
-    std::vector<std::int64_t> x(len);
+    std::vector<std::int64_t>& x = inputs.emplace_back(len);
     for (std::int64_t& v : x) v = rng.uniform(-128, 127);
+  }
+  const std::vector<std::int64_t>& still_tone =
+      inputs.emplace_back(dsp::still_tone_samples(48, 64, /*seed=*/11));
+  for (const std::vector<std::int64_t>& x : inputs) {
     for (const hw::DesignSpec& spec : hw::all_designs()) {
       BackendRequest req;
       req.design = spec.id;
       const hw::StreamResult golden = reference->stream(req, x);
       for (const ExecutionBackend* backend : all_backends()) {
-        if (!backend->caps().bit_exact) continue;
+        const bool exact = backend->caps().bit_exact;
+        if (!exact && &x != &still_tone) continue;
         const hw::StreamResult got = backend->stream(req, x);
         const std::string what = std::string(backend->name()) + " on " +
-                                 spec.name + " len " + std::to_string(len);
-        EXPECT_EQ(got.low, golden.low) << what;
-        EXPECT_EQ(got.high, golden.high) << what;
+                                 spec.name + " len " +
+                                 std::to_string(x.size());
+        if (exact) {
+          EXPECT_EQ(got.low, golden.low) << what;
+          EXPECT_EQ(got.high, golden.high) << what;
+        } else {
+          EXPECT_FALSE(got.low == golden.low && got.high == golden.high)
+              << what;
+        }
         if (backend->caps().cycle_accurate) {
           EXPECT_GT(got.cycles, 0u) << what;
         } else {
@@ -134,26 +148,6 @@ TEST(BackendRegistry, UnsupportedEntryPointsThrow) {
   ASSERT_NE(mapped, nullptr);
   EXPECT_THROW((void)mapped->make_2d_session(BackendRequest{}),
                std::invalid_argument);
-}
-
-// profile_backends drives the whole registry through the tradeoffs layer;
-// its matrix is what EXPERIMENTS.md publishes, so pin the semantics: every
-// bit-exact engine matches the reference, the float model does not.
-TEST(BackendRegistry, ProfileBackendsPinsTheEquivalenceMatrix) {
-  const std::vector<explore::BackendProfile> profiles =
-      explore::profile_backends(/*samples=*/48, /*seed=*/11);
-  ASSERT_EQ(profiles.size(), all_backends().size());
-  for (const explore::BackendProfile& p : profiles) {
-    ASSERT_EQ(p.stream_cycles.size(), 5u) << p.backend;
-    EXPECT_EQ(p.matches_reference, p.bit_exact) << p.backend;
-    for (const std::uint64_t cycles : p.stream_cycles) {
-      if (p.cycle_accurate) {
-        EXPECT_GT(cycles, 0u) << p.backend;
-      } else {
-        EXPECT_EQ(cycles, 0u) << p.backend;
-      }
-    }
-  }
 }
 
 }  // namespace

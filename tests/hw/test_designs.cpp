@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "rtl/stats.hpp"
 
 namespace dwt::hw {
@@ -156,6 +159,20 @@ TEST(Designs, DesignConfigWidensWithOctaveDepth) {
   EXPECT_GT(three.input_bits, one.input_bits);
   EXPECT_THROW((void)design_config(DesignId::kDesign2, 0),
                std::invalid_argument);
+  // Inputs widen 2 bits per octave up to the datapath's 24: nine octaves
+  // elaborate, ten are refused with the supported range.
+  EXPECT_EQ(build_lifting_datapath(design_config(DesignId::kDesign2, 9))
+                .in_even.bits.size(),
+            24u);
+  for (const int octaves : {10, 16}) {
+    try {
+      (void)design_config(DesignId::kDesign2, octaves);
+      ADD_FAILURE() << octaves << " octaves accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("1..9"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

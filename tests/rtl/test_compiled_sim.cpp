@@ -1,4 +1,4 @@
-#include "rtl/compiled/compiled_simulator.hpp"
+#include "rtl/compiled/wide_simulator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,11 @@
 
 namespace dwt::rtl::compiled {
 namespace {
+
+constexpr unsigned kLanes = WideSimulator<1>::kTotalLanes;
+
+/// The one-word lane block whose bit L is `word`'s bit L.
+LaneBlock<1> blk(std::uint64_t word) { return LaneBlock<1>{{word}}; }
 
 TEST(CompiledTape, AssignsEveryNetASlot) {
   Netlist nl;
@@ -42,51 +47,51 @@ TEST(CompiledSim, GateTruthTablesAllLanes) {
   const NetId n_mux = nl.add_cell(CellKind::kMux2, a, b, s);
   const NetId n_sum = nl.add_cell(CellKind::kAddSum, a, b, s);
   const NetId n_carry = nl.add_cell(CellKind::kAddCarry, a, b, s);
-  CompiledSimulator sim(nl);
+  WideSimulator<1> sim(nl);
   const std::uint64_t va = 0xDEADBEEFCAFEF00Dull;
   const std::uint64_t vb = 0x0123456789ABCDEFull;
   const std::uint64_t vs = 0xF0F0F0F0F0F0F0F0ull;
-  sim.set_input_mask(a, va);
-  sim.set_input_mask(b, vb);
-  sim.set_input_mask(s, vs);
+  sim.set_input_block(a, blk(va));
+  sim.set_input_block(b, blk(vb));
+  sim.set_input_block(s, blk(vs));
   sim.eval();
-  EXPECT_EQ(sim.lane_mask(n_not), ~va);
-  EXPECT_EQ(sim.lane_mask(n_and), va & vb);
-  EXPECT_EQ(sim.lane_mask(n_or), va | vb);
-  EXPECT_EQ(sim.lane_mask(n_xor), va ^ vb);
-  EXPECT_EQ(sim.lane_mask(n_mux), (vs & vb) | (~vs & va));
-  EXPECT_EQ(sim.lane_mask(n_sum), va ^ vb ^ vs);
-  EXPECT_EQ(sim.lane_mask(n_carry), (va & vb) | (vs & (va ^ vb)));
+  EXPECT_EQ(sim.block(n_not).w[0], ~va);
+  EXPECT_EQ(sim.block(n_and).w[0], va & vb);
+  EXPECT_EQ(sim.block(n_or).w[0], va | vb);
+  EXPECT_EQ(sim.block(n_xor).w[0], va ^ vb);
+  EXPECT_EQ(sim.block(n_mux).w[0], (vs & vb) | (~vs & va));
+  EXPECT_EQ(sim.block(n_sum).w[0], va ^ vb ^ vs);
+  EXPECT_EQ(sim.block(n_carry).w[0], (va & vb) | (vs & (va ^ vb)));
 }
 
 TEST(CompiledSim, Const1DrivesAllLanes) {
   Netlist nl;
   const NetId one = nl.add_cell(CellKind::kConst1);
   const NetId inv = nl.add_cell(CellKind::kNot, one);
-  CompiledSimulator sim(nl);
+  WideSimulator<1> sim(nl);
   sim.eval();
-  EXPECT_EQ(sim.lane_mask(one), ~std::uint64_t{0});
-  EXPECT_EQ(sim.lane_mask(inv), 0u);
+  EXPECT_EQ(sim.block(one).w[0], ~std::uint64_t{0});
+  EXPECT_EQ(sim.block(inv).w[0], 0u);
   sim.reset();  // constants survive reset
   sim.eval();
-  EXPECT_EQ(sim.lane_mask(one), ~std::uint64_t{0});
+  EXPECT_EQ(sim.block(one).w[0], ~std::uint64_t{0});
 }
 
 TEST(CompiledSim, DffSamplesOnClockEdgePerLane) {
   Netlist nl;
   const NetId d = nl.add_input("d");
   const NetId q = nl.add_cell(CellKind::kDff, d);
-  CompiledSimulator sim(nl);
+  WideSimulator<1> sim(nl);
   const std::uint64_t pattern = 0xAAAA5555AAAA5555ull;
-  sim.set_input_mask(d, pattern);
+  sim.set_input_block(d, blk(pattern));
   sim.eval();
-  EXPECT_EQ(sim.lane_mask(q), 0u);  // not clocked yet
+  EXPECT_EQ(sim.block(q).w[0], 0u);  // not clocked yet
   sim.clock_edge();
-  EXPECT_EQ(sim.lane_mask(q), pattern);
+  EXPECT_EQ(sim.block(q).w[0], pattern);
   EXPECT_EQ(sim.cycles(), 0u);  // only step() advances the cycle count
-  sim.set_input_mask(d, ~pattern);
+  sim.set_input_block(d, blk(~pattern));
   sim.step();
-  EXPECT_EQ(sim.lane_mask(q), ~pattern);
+  EXPECT_EQ(sim.block(q).w[0], ~pattern);
   EXPECT_EQ(sim.cycles(), 1u);
 }
 
@@ -96,7 +101,7 @@ TEST(CompiledSim, BusLaneIoRoundTrips) {
   const Bus in = nl.add_input_bus("a", 8);
   const Bus reg = b.reg(in, "r");
   nl.bind_output("y", reg);
-  CompiledSimulator sim(nl);
+  WideSimulator<1> sim(nl);
   for (unsigned lane = 0; lane < kLanes; ++lane) {
     sim.set_bus(in, lane, static_cast<std::int64_t>(lane) - 32);
   }
@@ -116,15 +121,15 @@ TEST(CompiledSim, ForcePinsOnlySelectedLanes) {
   Netlist nl;
   const NetId a = nl.add_input("a");
   const NetId inv = nl.add_cell(CellKind::kNot, a);
-  CompiledSimulator sim(nl);
-  sim.set_input_mask(a, 0);
+  WideSimulator<1> sim(nl);
+  sim.set_input_block(a, blk(0));
   // Pin lane 0 of the NOT's output low and lane 1 high.
-  sim.force(inv, 0b11u, 0b10u);
+  sim.force(inv, blk(0b11u), blk(0b10u));
   sim.eval();
   EXPECT_FALSE(sim.value(inv, 0));
   EXPECT_TRUE(sim.value(inv, 1));
   EXPECT_TRUE(sim.value(inv, 2));  // unpinned lanes evaluate normally
-  sim.release(inv, 0b11u);
+  sim.release(inv, blk(0b11u));
   sim.eval();
   EXPECT_TRUE(sim.value(inv, 0));
   EXPECT_TRUE(sim.value(inv, 1));
@@ -135,10 +140,10 @@ TEST(CompiledSim, ForcedInputPropagatesThroughCloud) {
   const NetId a = nl.add_input("a");
   const NetId b = nl.add_input("b");
   const NetId n_and = nl.add_cell(CellKind::kAnd2, a, b);
-  CompiledSimulator sim(nl);
-  sim.set_input_mask(a, 0);
-  sim.set_input_mask(b, ~std::uint64_t{0});
-  sim.force(a, 1u, 1u);  // stuck-at-1 on lane 0 of a source net
+  WideSimulator<1> sim(nl);
+  sim.set_input_block(a, blk(0));
+  sim.set_input_block(b, blk(~std::uint64_t{0}));
+  sim.force(a, blk(1u), blk(1u));  // stuck-at-1 on lane 0 of a source net
   sim.eval();
   EXPECT_TRUE(sim.value(n_and, 0));
   EXPECT_FALSE(sim.value(n_and, 1));
@@ -149,14 +154,14 @@ TEST(CompiledSim, FlipStateStrikesDffLanes) {
   const NetId d = nl.add_input("d");
   const NetId q = nl.add_cell(CellKind::kDff, d);
   const NetId comb = nl.add_cell(CellKind::kNot, d);
-  CompiledSimulator sim(nl);
-  sim.set_input_mask(d, 0);
+  WideSimulator<1> sim(nl);
+  sim.set_input_block(d, blk(0));
   sim.step();
-  sim.flip_state(q, 0b101u);
+  sim.flip_state(q, blk(0b101u));
   EXPECT_TRUE(sim.value(q, 0));
   EXPECT_FALSE(sim.value(q, 1));
   EXPECT_TRUE(sim.value(q, 2));
-  EXPECT_THROW(sim.flip_state(comb, 1u), std::invalid_argument);
+  EXPECT_THROW(sim.flip_state(comb, blk(1u)), std::invalid_argument);
 }
 
 TEST(CompiledSim, SharedTapeAcrossSimulators) {
@@ -165,15 +170,15 @@ TEST(CompiledSim, SharedTapeAcrossSimulators) {
   const NetId b = nl.add_input("b");
   const NetId x = nl.add_cell(CellKind::kXor2, a, b);
   const auto tape = compile(nl);
-  CompiledSimulator s1(tape), s2(tape);
-  s1.set_input_mask(a, 0xFFull);
-  s1.set_input_mask(b, 0x0Full);
-  s2.set_input_mask(a, 0x01ull);
-  s2.set_input_mask(b, 0x01ull);
+  WideSimulator<1> s1(tape), s2(tape);
+  s1.set_input_block(a, blk(0xFFull));
+  s1.set_input_block(b, blk(0x0Full));
+  s2.set_input_block(a, blk(0x01ull));
+  s2.set_input_block(b, blk(0x01ull));
   s1.eval();
   s2.eval();
-  EXPECT_EQ(s1.lane_mask(x), 0xF0ull);
-  EXPECT_EQ(s2.lane_mask(x), 0u);  // independent state, shared tape
+  EXPECT_EQ(s1.block(x).w[0], 0xF0ull);
+  EXPECT_EQ(s2.block(x).w[0], 0u);  // independent state, shared tape
 }
 
 }  // namespace

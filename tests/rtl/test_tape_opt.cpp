@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "rtl/compiled/batch_fault.hpp"
-#include "rtl/compiled/compiled_simulator.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
 #include "rtl/fault.hpp"
 #include "rtl/netlist.hpp"
@@ -80,15 +79,15 @@ TEST(TapeOpt, FoldedValuesAreBitExact) {
   const Netlist nl = fold_fixture(&a);
   for (const bool safe : {true, false}) {
     const auto folded = opt::fold_constants(*compile(nl), safe);
-    CompiledSimulator ref(compile(nl));
-    CompiledSimulator sim(folded);
+    WideSimulator<1> ref(compile(nl));
+    WideSimulator<1> sim(folded);
     const std::uint64_t stim = 0xDEADBEEFCAFEF00Dull;
-    ref.set_input_mask(a, stim);
-    sim.set_input_mask(a, stim);
+    ref.set_input_block(a, LaneBlock<1>{{stim}});
+    sim.set_input_block(a, LaneBlock<1>{{stim}});
     ref.eval();
     sim.eval();
     for (NetId n = 0; n < nl.net_count(); ++n) {
-      EXPECT_EQ(sim.block(n).w[0], ref.lane_mask(n))
+      EXPECT_EQ(sim.block(n).w[0], ref.block(n).w[0])
           << "net " << n << " safe=" << safe;
     }
   }
@@ -118,11 +117,11 @@ TEST(TapeOpt, DeadSlotEliminationKeepsRoots) {
 
   // Forcing an eliminated net is a silent no-op (matches the interpreter,
   // where the dead cone reaches no observable); observing it throws.
-  CompiledSimulator sim(pruned);
-  sim.force(dead1, ~std::uint64_t{0}, ~std::uint64_t{0});
-  sim.release(dead1, ~std::uint64_t{0});
+  WideSimulator<1> sim(pruned);
+  sim.force(dead1, LaneBlock<1>::ones(), LaneBlock<1>::ones());
+  sim.release(dead1, LaneBlock<1>::ones());
   sim.eval();
-  EXPECT_THROW((void)sim.lane_mask(dead1), std::invalid_argument);
+  EXPECT_THROW((void)sim.block(dead1), std::invalid_argument);
 }
 
 TEST(TapeOpt, FullAdderFusionPairsSymmetricTuples) {
@@ -155,19 +154,19 @@ TEST(TapeOpt, FullAdderFusionPairsSymmetricTuples) {
   ASSERT_NE(fa, nullptr);
   EXPECT_EQ(fa->out2, fused->slot_of(g));
 
-  CompiledSimulator sim(fused);
+  WideSimulator<1> sim(fused);
   const std::uint64_t va = 0xF0F0F0F0F0F0F0F0ull;
   const std::uint64_t vb = 0xCCCCCCCCCCCCCCCCull;
   const std::uint64_t vc = 0xAAAAAAAAAAAAAAAAull;
-  sim.set_input_mask(a, va);
-  sim.set_input_mask(b, vb);
-  sim.set_input_mask(c, vc);
+  sim.set_input_block(a, LaneBlock<1>{{va}});
+  sim.set_input_block(b, LaneBlock<1>{{vb}});
+  sim.set_input_block(c, LaneBlock<1>{{vc}});
   sim.eval();
-  EXPECT_EQ(sim.lane_mask(s), va ^ vb ^ vc);
-  EXPECT_EQ(sim.lane_mask(s2), va ^ vb ^ vc);
-  EXPECT_EQ(sim.lane_mask(g), (va & vb) | (vc & (va ^ vb)));
-  EXPECT_EQ(sim.lane_mask(g2), (va & vb) | (vc & (va ^ vb)));
-  EXPECT_EQ(sim.lane_mask(lone), vb);  // maj(a, b, b) = b
+  EXPECT_EQ(sim.block(s).w[0], va ^ vb ^ vc);
+  EXPECT_EQ(sim.block(s2).w[0], va ^ vb ^ vc);
+  EXPECT_EQ(sim.block(g).w[0], (va & vb) | (vc & (va ^ vb)));
+  EXPECT_EQ(sim.block(g2).w[0], (va & vb) | (vc & (va ^ vb)));
+  EXPECT_EQ(sim.block(lone).w[0], vb);  // maj(a, b, b) = b
 }
 
 TEST(TapeOpt, RenumberCompactsOrphanedSlots) {

@@ -461,6 +461,14 @@ TEST(DwtServer, ExecuteRequestMatchesOpContracts) {
   Request metrics;
   metrics.op = Op::kMetrics;
   EXPECT_EQ(execute_request(metrics).status, Status::kBadRequest);
+
+  // A gate-level core is built for at most 9 octaves; the protocol takes
+  // up to 16, and the answer names the core's range.
+  const Response deep = execute_request(
+      tile_request(img, "rtl-compiled", hw::DesignId::kDesign3, 10));
+  EXPECT_EQ(deep.status, Status::kBadRequest);
+  EXPECT_NE(response_message(deep).find("1..9"), std::string::npos)
+      << response_message(deep);
 }
 
 /// A /proc/self/status size field ("VmRSS", "VmSize") in bytes.
