@@ -1,13 +1,14 @@
 #include "explore/resilience.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -409,8 +410,8 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
 
   // Compiled chunk: up to 256 trials per tape pass, batches sharded across
   // a worker pool.  With replay on, the chunk's trials are first ordered by
-  // (persistence, injection cycle, cone interval): stuck faults hold their
-  // force forever and retire only once the golden trace absorbs their
+  // one key, (persistence, strike cycle, trial index): stuck faults hold
+  // their force forever and retire only once the golden trace absorbs their
   // forced value into a constant tail (a later and rarer event than a
   // transient's pipeline drain), so they are segregated from the
   // transients, and cycle-sorting both maximizes each batch's pre-fault skip
@@ -418,6 +419,17 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   // writes only its own trials, so results are independent of the ordering,
   // scheduling and thread count.
   using BatchSession = rtl::compiled::WideBatchSession<4>;
+  // One session per pool worker for the whole campaign, reset for each
+  // batch it runs, so its state arrays are allocated once.  Every session
+  // shares the cache's native block; the simulator runs it for clock edges
+  // and for settles, forced lanes included.
+  std::vector<std::unique_ptr<BatchSession>> sessions(
+      compiled ? common::resolve_threads(options.threads) : 0);
+  const std::shared_ptr<const rtl::compiled::NativeBlock> native =
+      compiled ? cache.native_for(rtl::compiled::ExecTier::kAuto,
+                                  result.spec.config, options.harden, kLevel,
+                                  BatchSession::Sim::kWords)
+               : nullptr;
   const auto run_compiled_chunk = [&](std::size_t c0, std::size_t c1,
                                       std::vector<FaultTrial>& out) {
     constexpr std::size_t kBatchLanes = BatchSession::kTotalLanes;
@@ -425,32 +437,35 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     if (replay) {
-      const auto key = [&](std::uint32_t i) {
+      // One word per trial: persistence in bit 63, the strike cycle in bits
+      // 32..62 (a trace within its budget is shorter than 2^31 cycles), the
+      // trial index in the low 32 bits.
+      static_assert(kTraceBytesLimit / 8 < (std::uint64_t{1} << 31));
+      std::vector<std::uint64_t> keys(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
         const rtl::Fault& f = faults[c0 - shard_begin + i];
-        const rtl::compiled::ConeSpan span = cone->span_of_net(*tape, f.net);
         const bool sticky = f.kind == rtl::FaultKind::kStuckAt0 ||
                             f.kind == rtl::FaultKind::kStuckAt1;
-        return std::tuple<bool, std::uint64_t, std::uint32_t, std::uint32_t,
-                          std::uint32_t>(sticky, f.cycle, span.lo, span.hi, i);
-      };
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return key(a) < key(b);
-                });
+        keys[i] = (std::uint64_t{sticky} << 63) | (f.cycle << 32) | i;
+      }
+      std::sort(keys.begin(), keys.end());
+      for (std::size_t k = 0; k < n; ++k) {
+        order[k] = static_cast<std::uint32_t>(keys[k]);
+      }
     }
     const std::size_t n_batches = (n + kBatchLanes - 1) / kBatchLanes;
-    // Every session shares the cache's native block; the simulator runs it
-    // for clock edges and unforced settles.
-    const std::shared_ptr<const rtl::compiled::NativeBlock> native =
-        cache.native_for(rtl::compiled::ExecTier::kAuto, result.spec.config,
-                         options.harden, kLevel, BatchSession::Sim::kWords);
+    std::atomic<std::size_t> next_worker{0};
     common::run_pool(n_batches, options.threads, [&]() {
-      return [&](std::size_t b) {
+      std::unique_ptr<BatchSession>& mine = sessions[next_worker++];
+      if (!mine) {
+        mine = std::make_unique<BatchSession>(tape, trace);
+        mine->sim().set_native(native);
+      }
+      return [&, &sess = *mine](std::size_t b) {
         const std::size_t t0 = b * kBatchLanes;
         const unsigned lanes =
             static_cast<unsigned>(std::min<std::size_t>(kBatchLanes, n - t0));
-        BatchSession sess(tape, trace);
-        sess.sim().set_native(native);
+        sess.reset();
         for (unsigned l = 0; l < lanes; ++l) {
           sess.arm(l, faults[c0 - shard_begin + order[t0 + l]]);
         }

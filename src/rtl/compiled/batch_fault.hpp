@@ -39,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -141,6 +142,25 @@ class WideBatchSession {
     }
   }
 
+  /// Readies the session for another batch over the same tape and trace,
+  /// as if newly made (the attached native block stays): power-on state
+  /// and no armed faults, pins, watches, watch hits or trace recording.
+  /// A campaign worker resets one session per batch instead of allocating
+  /// its state arrays again.
+  void reset() {
+    sim_.reset();
+    armed_.clear();
+    watched_.clear();
+    watch_mask_ = Block{};
+    trace_ = nullptr;
+    cycle_ = 0;
+    first_cycle_ = std::numeric_limits<std::uint64_t>::max();
+    last_fault_cycle_ = 0;
+    stuck_tail_cycle_ = 0;
+    converged_cycle_ = std::numeric_limits<std::uint64_t>::max();
+    skipped_cycles_ = 0;
+  }
+
   /// Schedules `f` on one lane.  Throws std::invalid_argument on a bad
   /// lane/net, an SEU whose target is not a DFF output, or a tape rewritten
   /// beyond the fault-overlay-safe optimization level.  A replaying session
@@ -239,8 +259,10 @@ class WideBatchSession {
   /// Reads the first `lanes` lanes of a bus in one pass: per bus bit the
   /// slot is resolved once and its W state words fanned out to the lane
   /// values, instead of `lanes` read_bus calls re-resolving every bit.
-  /// This is the batched runners' hot read path (stream_runner.cpp).  After
-  /// a replayed cycle every lane reads the trace's one golden value.
+  /// This is the batched runners' hot read path (stream_runner.cpp).  A
+  /// session with a golden trace starts every lane at the trace's value and
+  /// extracts bit by bit only the lanes whose bits differ from it (none
+  /// after a replayed cycle).
   void read_bus_all(const Bus& bus, std::int64_t* out, unsigned lanes) const {
     if (bus.bits.empty()) {
       throw std::invalid_argument("WideBatchSession::read_bus_all: empty bus");
@@ -248,19 +270,17 @@ class WideBatchSession {
     if (lanes == 0 || lanes > kTotalLanes) {
       throw std::invalid_argument("WideBatchSession::read_bus_all: bad lanes");
     }
-    const bool golden = replayed_last();
-    const unsigned read = golden ? 1 : lanes;
-    std::fill(out, out + read, std::int64_t{0});
+    if (golden_ && cycle_ > 0) {
+      read_diverging(bus, out, lanes);
+      return;
+    }
+    std::fill(out, out + lanes, std::int64_t{0});
     for (std::size_t i = 0; i < bus.bits.size(); ++i) {
       const Slot s = sim_.checked_slot(bus.bits[i]);
-      if (golden) {
-        if (golden_->after_edge(cycle_ - 1, s)) out[0] |= std::int64_t{1} << i;
-        continue;
-      }
-      for (unsigned k = 0; k * kWordLanes < read; ++k) {
+      for (unsigned k = 0; k * kWordLanes < lanes; ++k) {
         const std::uint64_t w = sim_.slot_word(s, k);
         const unsigned base = k * kWordLanes;
-        const unsigned count = std::min(kWordLanes, read - base);
+        const unsigned count = std::min(kWordLanes, lanes - base);
         for (unsigned j = 0; j < count; ++j) {
           out[base + j] |= static_cast<std::int64_t>((w >> j) & 1) << i;
         }
@@ -270,11 +290,10 @@ class WideBatchSession {
     if (w < 64) {
       const std::int64_t sign = std::int64_t{1} << (w - 1);
       const std::int64_t wrap = std::int64_t{1} << w;
-      for (unsigned l = 0; l < read; ++l) {
+      for (unsigned l = 0; l < lanes; ++l) {
         if (out[l] & sign) out[l] -= wrap;
       }
     }
-    std::fill(out + read, out + lanes, out[0]);
   }
 
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
@@ -331,6 +350,40 @@ class WideBatchSession {
         sim_.flip_state(a.fault.net, Block::lane_bit(a.lane));
       } else if (a.fault.kind == FaultKind::kGlitch) {
         sim_.release(a.fault.net, Block::lane_bit(a.lane));
+      }
+    }
+  }
+
+  /// read_bus_all with a trace, after the first step: every lane gets the
+  /// bus's golden value after the last edge, then each lane among the
+  /// first `lanes` whose bits differ from it is read from the simulator.
+  void read_diverging(const Bus& bus, std::int64_t* out,
+                      unsigned lanes) const {
+    const bool replayed = replayed_last();
+    std::int64_t golden = 0;
+    Block diff{};
+    for (std::size_t i = 0; i < bus.bits.size(); ++i) {
+      const Slot s = sim_.checked_slot(bus.bits[i]);
+      const bool bit = golden_->after_edge(cycle_ - 1, s);
+      if (bit) golden |= std::int64_t{1} << i;
+      if (replayed) continue;  // the simulator's state is stale
+      const std::uint64_t want = bit ? ~std::uint64_t{0} : 0;
+      for (unsigned k = 0; k < W; ++k) diff.w[k] |= sim_.slot_word(s, k) ^ want;
+    }
+    const int w = bus.width();
+    if (w < 64 && (golden & (std::int64_t{1} << (w - 1)))) {
+      golden -= std::int64_t{1} << w;
+    }
+    std::fill(out, out + lanes, golden);
+    for (unsigned k = 0; k * kWordLanes < lanes; ++k) {
+      const unsigned count = std::min(kWordLanes, lanes - k * kWordLanes);
+      std::uint64_t lane_bits =
+          count == kWordLanes ? diff.w[k]
+                              : diff.w[k] & ((std::uint64_t{1} << count) - 1);
+      for (; lane_bits != 0; lane_bits &= lane_bits - 1) {
+        const unsigned lane =
+            k * kWordLanes + static_cast<unsigned>(std::countr_zero(lane_bits));
+        out[lane] = sim_.read_bus(bus, lane);
       }
     }
   }

@@ -4,13 +4,15 @@
 // bit-identical over the same LaneBlock<W> state:
 //
 //   kSwitch   -- the per-instruction `switch` interpreter loop.  Portable,
-//                and the only tier that handles fault overlays.
+//                and it runs every settle with fault overlays at W=1 and on
+//                kFull tapes.
 //   kNative   -- the tape lowered to straight-line x86-64 machine code in
 //                an mmap'd executable buffer (native_block.hpp): scalar for
 //                W=1, VEX/AVX2 for W=2/4.  Selected by runtime CPU-feature
-//                detection; only unforced evals run natively, settles with
-//                forced lanes drop to the interpreter so campaign results
-//                stay byte-identical.
+//                detection.  At W=2/4 on fault-overlay-safe tapes settles
+//                with forced lanes run natively too, pinning each result
+//                with the interpreter's masks, so campaign results stay
+//                byte-identical.
 //
 // kAuto, the default everywhere a tier is plumbed through options structs,
 // resolves to the fastest supported tier (native where the host allows,

@@ -32,9 +32,13 @@ class Emitter {
 
   [[nodiscard]] const std::vector<std::uint8_t>& code() const { return code_; }
 
-  // Memory operand bases: rdi = state array, rsi = edge scratch buffer.
+  // Memory operand bases: rdi = state array; rsi = edge scratch buffer
+  // (edge entry) or keep masks (forced entry); rdx = pinned values (forced
+  // entry).
   static constexpr unsigned kState = 7;    // rdi, SysV arg 1
   static constexpr unsigned kScratch = 6;  // rsi, SysV arg 2
+  static constexpr unsigned kKeep = 6;     // rsi, SysV arg 2
+  static constexpr unsigned kVal = 2;      // rdx, SysV arg 3
 
   // -- scalar (W=1): rax=0 rcx=1 rdx=2 rsi=6 scratch ----------------------
   void mov_load(unsigned reg, std::uint32_t slot, unsigned base = kState) {
@@ -67,20 +71,22 @@ class Emitter {
     u8(0x7F);
     mem_modrm(reg, slot, base);
   }
-  void vpand_mem(unsigned dst, unsigned src1, std::uint32_t slot) {
+  void vpand_mem(unsigned dst, unsigned src1, std::uint32_t slot,
+                 unsigned base = kState) {
     vex(1, src1);
     u8(0xDB);
-    mem_modrm(dst, slot);
+    mem_modrm(dst, slot, base);
   }
   void vpandn_mem(unsigned dst, unsigned src1, std::uint32_t slot) {
     vex(1, src1);
     u8(0xDF);
     mem_modrm(dst, slot);
   }
-  void vpor_mem(unsigned dst, unsigned src1, std::uint32_t slot) {
+  void vpor_mem(unsigned dst, unsigned src1, std::uint32_t slot,
+                unsigned base = kState) {
     vex(1, src1);
     u8(0xEB);
-    mem_modrm(dst, slot);
+    mem_modrm(dst, slot, base);
   }
   void vpxor_mem(unsigned dst, unsigned src1, std::uint32_t slot) {
     vex(1, src1);
@@ -129,8 +135,8 @@ class Emitter {
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  /// REX.W <op> [base + slot*words*8] with a disp32 (mod=10; rdi and rsi
-  /// both encode without a SIB byte).
+  /// REX.W <op> [base + slot*words*8] with a disp32 (mod=10; rdi, rsi and
+  /// rdx all encode without a SIB byte).
   void mem_op(std::uint8_t op, unsigned reg, std::uint32_t slot,
               unsigned base = kState) {
     u8(0x48);
@@ -230,13 +236,21 @@ struct VexForward {
   std::uint32_t in_v2 = kNone;
 };
 
-void emit_vex(Emitter& e, const Instr& it, VexForward* fwd) {
+void emit_vex(Emitter& e, const Instr& it, VexForward* fwd, bool forced) {
   // v0 = result accumulator, v1/v2 = scratch, v3 = forwarded operand,
   // v7 = all-ones (prologue).
+  //
+  // `forced` pins each result to its slot's fault overlay before the store,
+  // so the forwarded register holds the pinned value too.
   //
   // `take` copies a forwarded operand into v3 (the copy is eliminated at
   // register rename) before v0/v2 are clobbered; at most one operand per
   // instruction is forwarded, the rest load from memory as before.
+  const auto pin = [&](unsigned reg, std::uint32_t slot) {
+    if (!forced) return;
+    e.vpand_mem(reg, reg, slot, Emitter::kKeep);
+    e.vpor_mem(reg, reg, slot, Emitter::kVal);
+  };
   const auto take = [&](std::uint32_t slot) -> bool {
     if (slot == fwd->in_v0) {
       e.v_mov_rr(3, 0);
@@ -377,6 +391,8 @@ void emit_vex(Emitter& e, const Instr& it, VexForward* fwd) {
         e.vpand_mem(0, 0, it.c);   // v0 = (a ^ b) & c
         e.vpor_rr(0, 0, 1);        // v0 = carry
       }
+      pin(2, it.out);
+      pin(0, it.out2);
       e.v_store(2, it.out);
       e.v_store(0, it.out2);
       fwd->in_v0 = it.out2;
@@ -384,6 +400,7 @@ void emit_vex(Emitter& e, const Instr& it, VexForward* fwd) {
       return;
     }
   }
+  pin(0, it.out);
   e.v_store(0, it.out);
   fwd->in_v0 = it.out;
   fwd->in_v2 = VexForward::kNone;
@@ -497,19 +514,31 @@ std::shared_ptr<const NativeBlock> NativeBlock::build(const Tape& tape,
   if (span > 0x7FFFFFFFull) return nullptr;
 
   Emitter e(words);
-  if (words != 1) e.vpcmpeqd_self(7);
-  VexForward fwd;
-  for (const Instr& it : tape.instrs()) {
-    if (words == 1) {
-      emit_scalar(e, it);
-    } else {
-      emit_vex(e, it, &fwd);
+  // One settle pass; `forced` selects the fault-overlay variant (VEX only).
+  const auto emit_settle = [&](bool forced) {
+    if (words != 1) e.vpcmpeqd_self(7);
+    VexForward fwd;
+    for (const Instr& it : tape.instrs()) {
+      if (words == 1) {
+        emit_scalar(e, it);
+      } else {
+        emit_vex(e, it, &fwd, forced);
+      }
     }
-  }
-  if (words == 4) e.vzeroupper();
-  e.ret();
+    if (words == 4) e.vzeroupper();
+    e.ret();
+  };
+  emit_settle(false);
   const std::size_t edge_offset = e.code().size();
   emit_edge(e, tape.dffs(), words);
+  // The forced entry goes last, so blocks without one are byte-identical
+  // to the settle-and-edge layout.  kFull tapes alias nets onto shared
+  // slots, where a per-slot pin is not the netlist's per-net pin.
+  std::size_t forced_offset = 0;
+  if (words != 1 && tape.fault_overlay_safe()) {
+    forced_offset = e.code().size();
+    emit_settle(true);
+  }
 
   const std::size_t code_size = e.code().size();
   const long page = ::sysconf(_SC_PAGESIZE);
@@ -526,7 +555,8 @@ std::shared_ptr<const NativeBlock> NativeBlock::build(const Tape& tape,
     return nullptr;
   }
   return std::shared_ptr<const NativeBlock>(new NativeBlock(
-      map, map_size, code_size, edge_offset, words, tape.instrs().size()));
+      map, map_size, code_size, edge_offset, forced_offset, words,
+      tape.instrs().size()));
 }
 
 NativeBlock::~NativeBlock() {

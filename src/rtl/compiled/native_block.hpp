@@ -12,9 +12,18 @@
 //
 // The emitted code computes exactly the same word-wise boolean functions as
 // WideSimulator::exec<false>, so outputs are byte-identical by
-// construction.  Fault overlays (forced lanes) are NOT handled here;
-// WideSimulator only enters the native block for unforced evals and drops
-// to the switch interpreter otherwise.
+// construction.
+//
+// Blocks for fault-overlay-safe tapes (OptLevel kNone/kSafe) at W=2/4 carry
+// a third entry, run_forced(), the settle with fault overlays: every
+// instruction result is ANDed with its slot's keep mask and ORed with its
+// pinned value before it is stored or forwarded -- exec<true>'s per-slot
+// pin, applied to every slot (an unpinned slot has keep = ~0, value = 0).
+// The masks are the simulator's slot-major force_keep_/force_val_ arrays,
+// laid out like the state.  Source slots (inputs, registers, constants)
+// are pinned by the caller before the call, as on the interpreter.  Blocks
+// for kFull tapes and at W=1 have no forced entry; their forced settles
+// run on the switch interpreter.
 //
 // A second entry point, run_edge(), lowers the clock edge: the portable
 // engine's two-phase DFF copy (d -> scratch, scratch -> q) is replaced by a
@@ -57,6 +66,16 @@ class NativeBlock {
   /// words, laid out exactly as WideSimulator<W>::state_.
   void run(std::uint64_t* state) const { fn_(state); }
 
+  /// Whether run_forced() exists (see header note).
+  [[nodiscard]] bool has_forced() const { return forced_fn_ != nullptr; }
+  /// One settle with fault overlays: run() with every instruction result
+  /// pinned as `(result & keep[slot]) | val[slot]`.  `keep` and `val` are
+  /// laid out exactly like `state`.  Requires has_forced().
+  void run_forced(std::uint64_t* state, const std::uint64_t* keep,
+                  const std::uint64_t* val) const {
+    forced_fn_(state, keep, val);
+  }
+
   /// One clock edge: q <- d for every tape DFF, with simultaneous-edge
   /// semantics (see header note).  `scratch` must hold at least
   /// dff_count * words() words; it is only touched for registers on a copy
@@ -74,9 +93,14 @@ class NativeBlock {
  private:
   using Fn = void (*)(std::uint64_t*);
   using EdgeFn = void (*)(std::uint64_t*, std::uint64_t*);
+  using ForcedFn = void (*)(std::uint64_t*, const std::uint64_t*,
+                            const std::uint64_t*);
 
+  /// `forced_offset` 0 means the block has no forced entry (offset 0 is
+  /// the settle entry).
   NativeBlock(void* map, std::size_t map_size, std::size_t code_size,
-              std::size_t edge_offset, unsigned words, std::size_t instr_count)
+              std::size_t edge_offset, std::size_t forced_offset,
+              unsigned words, std::size_t instr_count)
       : map_(map),
         map_size_(map_size),
         code_size_(code_size),
@@ -84,7 +108,12 @@ class NativeBlock {
         instr_count_(instr_count),
         fn_(reinterpret_cast<Fn>(map)),
         edge_fn_(reinterpret_cast<EdgeFn>(static_cast<std::uint8_t*>(map) +
-                                          edge_offset)) {}
+                                          edge_offset)),
+        forced_fn_(forced_offset == 0
+                       ? nullptr
+                       : reinterpret_cast<ForcedFn>(
+                             static_cast<std::uint8_t*>(map) +
+                             forced_offset)) {}
 
   void* map_;
   std::size_t map_size_;
@@ -93,6 +122,7 @@ class NativeBlock {
   std::size_t instr_count_;
   Fn fn_;
   EdgeFn edge_fn_;
+  ForcedFn forced_fn_;  // null: forced settles run on the interpreter
 };
 
 }  // namespace dwt::rtl::compiled

@@ -165,8 +165,9 @@ class WideSimulator {
 
   // Execution tier --------------------------------------------------------
   /// Attaches a pre-built native block (core::ArtifactCache::native_for
-  /// hands out the cache-shared one) so whole-tape unforced settles and
-  /// clock edges run the JIT'd code.  A null block, or a DWT_EXEC_TIER
+  /// hands out the cache-shared one) so settles and clock edges run the
+  /// JIT'd code -- settles with pinned lanes too when the block has a
+  /// forced entry (NativeBlock::has_forced).  A null block, or a DWT_EXEC_TIER
   /// override demoting native, leaves the switch interpreter.  Throws if
   /// the block was built for another width or tape.  Tier choice never
   /// changes results: both tiers compute identical words.
@@ -229,10 +230,11 @@ class WideSimulator {
   }
 
   // Clocking --------------------------------------------------------------
-  /// Settles the whole tape: natively when a block is attached and no lane
-  /// is forced, else on the interpreter, which computes the same words.
-  /// Released constant-image slots are reloaded first and active pins
-  /// applied, since both are per-slot overlays rather than instructions.
+  /// Settles the whole tape: natively when a block is attached (with a
+  /// pinned lane, only if the block has a forced entry), else on the
+  /// interpreter, which computes the same words.  Released constant-image
+  /// slots are reloaded first and active pins applied, since both are
+  /// per-slot overlays rather than instructions.
   void eval() {
     if (!restore_pending_.empty()) {
       // Released constant-source slots: reload the whole slot from the
@@ -246,8 +248,6 @@ class WideSimulator {
     }
     std::uint64_t* const s = state_.data();
     if (forced_slots_.empty()) {
-      // The native block has no overlay hooks, so it runs unforced settles
-      // only.
       if (native_) {
         native_->run(s);
         return;
@@ -256,6 +256,11 @@ class WideSimulator {
       return;
     }
     apply_forces();
+    if (native_ && native_->has_forced()) {
+      // Pins every instruction result with the same masks exec<true> uses.
+      native_->run_forced(s, force_keep_.data(), force_val_.data());
+      return;
+    }
     for (const Instr& it : tape_->instrs()) exec<true>(s, it);
   }
 
@@ -413,9 +418,17 @@ class WideSimulator {
     for (unsigned k = 0; k < W; ++k) state_[s * W + k] ^= lanes.w[k];
   }
 
-  /// Clears all state back to power-on zero: one copy of the tape's
-  /// constant image, no per-slot bookkeeping.
+  /// Clears all state back to power-on zero and drops every pin: one copy
+  /// of the tape's constant image, plus one mask reset per pinned slot.
   void reset() {
+    for (const Slot s : forced_slots_) {
+      forced_[s] = 0;
+      for (unsigned k = 0; k < W; ++k) {
+        force_keep_[s * W + k] = ~std::uint64_t{0};
+        force_val_[s * W + k] = 0;
+      }
+    }
+    forced_slots_.clear();
     load_const_image();
     for (const Slot s : restore_pending_) restore_flag_[s] = 0;
     restore_pending_.clear();
@@ -543,8 +556,8 @@ class WideSimulator {
   std::shared_ptr<const Tape> tape_;
   std::shared_ptr<const NativeBlock> native_;  // null: switch interpreter
   StateVec state_;                         // slot-major, W words per slot
-  std::vector<std::uint64_t> force_keep_;  // per word: ~forced-lanes mask
-  std::vector<std::uint64_t> force_val_;   // per word: pinned values
+  StateVec force_keep_;                    // per word: ~forced-lanes mask
+  StateVec force_val_;                     // per word: pinned values
   std::vector<std::uint8_t> forced_;       // per slot flag
   std::vector<Slot> forced_slots_;         // slots with any active pin
   std::vector<std::uint8_t> const_src_;    // slot fed only by const_image()

@@ -1,6 +1,8 @@
 #include "server/protocol.hpp"
 
+#include <cstddef>
 #include <cstring>
+#include <utility>
 
 namespace dwt::server {
 
@@ -78,8 +80,14 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
   return out;
 }
 
-std::optional<Request> decode_request(const std::uint8_t* data,
-                                      std::size_t size, std::string* error) {
+namespace {
+
+/// decode_request's one body.  `frame`, when given, is the vector holding
+/// `data`; the payload then takes over its storage instead of a copy.
+std::optional<Request> decode_request_from(const std::uint8_t* data,
+                                           std::size_t size,
+                                           std::vector<std::uint8_t>* frame,
+                                           std::string* error) {
   constexpr std::size_t kHeader = 13;
   if (size < kHeader) {
     fail(error, "request frame shorter than the fixed header");
@@ -131,7 +139,15 @@ std::optional<Request> decode_request(const std::uint8_t* data,
   }
   req.backend.assign(reinterpret_cast<const char*>(data + kHeader),
                      backend_len);
-  req.payload.assign(data + kHeader + backend_len, data + size);
+  if (frame != nullptr) {
+    // Drop the header bytes in front of the payload, in place.
+    req.payload = std::move(*frame);
+    req.payload.erase(req.payload.begin(),
+                      req.payload.begin() +
+                          static_cast<std::ptrdiff_t>(kHeader + backend_len));
+  } else {
+    req.payload.assign(data + kHeader + backend_len, data + size);
+  }
   if (req.format == PayloadFormat::kRaw8 && req.op != Op::kMetrics &&
       req.op != Op::kShutdown) {
     if (req.width == 0 || req.height == 0) {
@@ -146,6 +162,18 @@ std::optional<Request> decode_request(const std::uint8_t* data,
     }
   }
   return req;
+}
+
+}  // namespace
+
+std::optional<Request> decode_request(const std::uint8_t* data,
+                                      std::size_t size, std::string* error) {
+  return decode_request_from(data, size, nullptr, error);
+}
+
+std::optional<Request> decode_request(std::vector<std::uint8_t>&& frame,
+                                      std::string* error) {
+  return decode_request_from(frame.data(), frame.size(), &frame, error);
 }
 
 std::optional<Response> decode_response(const std::uint8_t* data,

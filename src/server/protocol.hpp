@@ -118,6 +118,11 @@ struct ResponseHeader {
 /// into a kBadFrame response (requests) or a client-side error (responses).
 [[nodiscard]] std::optional<Request> decode_request(
     const std::uint8_t* data, std::size_t size, std::string* error);
+/// decode_request over a frame the caller gives up: the request's payload
+/// takes over the frame's buffer instead of copying out of it (a 4K tile
+/// is 8 MB).  `frame` is left in a valid but unspecified state.
+[[nodiscard]] std::optional<Request> decode_request(
+    std::vector<std::uint8_t>&& frame, std::string* error);
 [[nodiscard]] std::optional<Response> decode_response(
     const std::uint8_t* data, std::size_t size, std::string* error);
 

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "codec/codec.hpp"
 #include "common/worker_pool.hpp"
@@ -343,11 +344,9 @@ void DwtServer::connection_loop(Connection* conn) {
       break;
     }
     std::string parse_error;
-    std::optional<Request> req =
-        decode_request(buf.data(), buf.size(), &parse_error);
-    // The request owns a copy of its payload: free the raw frame (up to a
-    // whole 4K PGM) before the request waits for its turn.
-    std::vector<std::uint8_t>().swap(buf);
+    // The request's payload takes over the frame's buffer (up to a whole
+    // 4K PGM) rather than copying it.
+    std::optional<Request> req = decode_request(std::move(buf), &parse_error);
     Response resp;
     if (!req) {
       // The frame boundary is intact, so the connection survives a

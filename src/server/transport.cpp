@@ -97,7 +97,14 @@ FrameStatus read_frame(int fd, std::vector<std::uint8_t>* payload,
   if (len == 0 || len > kMaxFrameBytes) return FrameStatus::kBadLength;
   while (payload->size() < len) {
     const std::size_t have = payload->size();
-    payload->resize(std::min<std::size_t>(len, have + kReadChunkBytes));
+    const std::size_t want = std::min<std::size_t>(len, have + kReadChunkBytes);
+    if (want > payload->capacity()) {
+      // Geometric growth, capped at the declared length: the last step
+      // ends at exactly `len`, not at the next power of two past it.
+      payload->reserve(
+          std::min<std::size_t>(len, std::max(want, 2 * payload->capacity())));
+    }
+    payload->resize(want);
     if (!recv_all(fd, payload->data() + have, payload->size() - have)) {
       return FrameStatus::kClosed;
     }

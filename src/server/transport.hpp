@@ -8,8 +8,10 @@
 // interact with Nagle + delayed ACK on loopback and cap small-tile
 // throughput at ~25 req/s per connection.  read_frame rejects a
 // declared length of 0 or above kMaxFrameBytes before reading any payload,
-// and grows its buffer in 64 KiB steps only as bytes arrive, so a declared
-// length costs memory only once its bytes are on the wire.
+// and reads in 64 KiB steps into a buffer that grows only as bytes arrive,
+// so a declared length costs memory only once its bytes are on the wire;
+// the buffer doubles, and its last growth step ends at exactly the
+// declared length.
 #pragma once
 
 #include <cstdint>

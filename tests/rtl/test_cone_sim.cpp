@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -149,12 +151,40 @@ std::shared_ptr<GoldenTrace> record_golden(const hw::BuiltDatapath& dp,
   return trace;
 }
 
+/// A campaign-like random schedule over all four fault kinds on `dp`, one
+/// fault per lane.
+std::vector<Fault> draw_faults(const hw::BuiltDatapath& dp,
+                               std::uint64_t total_cycles, unsigned lanes,
+                               std::uint64_t seed) {
+  const std::vector<NetId> seu = seu_targets(dp.netlist);
+  const std::vector<NetId> stuck = stuck_targets(dp.netlist);
+  const std::vector<NetId> glitch = glitch_targets(dp.netlist);
+  const FaultKind kinds[] = {FaultKind::kSeuFlip, FaultKind::kGlitch,
+                             FaultKind::kStuckAt0, FaultKind::kStuckAt1};
+  common::Rng rng(seed);
+  std::vector<Fault> faults(lanes);
+  for (Fault& f : faults) {
+    f.kind = kinds[static_cast<std::size_t>(rng.uniform(0, 3))];
+    const std::vector<NetId>& pool = f.kind == FaultKind::kSeuFlip ? seu
+                                     : f.kind == FaultKind::kGlitch ? glitch
+                                                                    : stuck;
+    f.net = pool[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    f.cycle = static_cast<std::uint64_t>(
+        rng.uniform(0, static_cast<std::int64_t>(total_cycles) - 2));
+    f.glitch_value = rng.uniform(0, 1) != 0;
+  }
+  return faults;
+}
+
 /// Draws a campaign-like random schedule over all fault kinds, arms it on
 /// both sessions, and requires bit-identical per-lane streams and watch
-/// masks.  With `native`, the replaying session runs the cache's native
-/// block as a campaign attaches it (unforced settles and clock edges JIT'd,
-/// forced settles on the interpreter) against an interpreter-only session
-/// without the trace.
+/// masks.  The replaying session also reads only its first 1, 63, 65 and
+/// 200 lanes (those that fit), each from a fresh session with every lane
+/// armed, so masked tail lanes of a partial word are in play.  With
+/// `native`, the replaying session runs the cache's native block as a
+/// campaign attaches it (settles and clock edges JIT'd, forced settles too
+/// at W=4) against an interpreter-only session without the trace.
 template <unsigned W>
 void expect_replay_matches_full(hw::DesignId id, HardeningStyle harden,
                                 bool native = false) {
@@ -174,49 +204,35 @@ void expect_replay_matches_full(hw::DesignId id, HardeningStyle harden,
   const NetId flag = harden == HardeningStyle::kParity
                          ? dp.netlist.output(kErrorFlagPort).bits.front()
                          : kNullNet;
-  const std::vector<NetId> seu = seu_targets(dp.netlist);
-  const std::vector<NetId> stuck = stuck_targets(dp.netlist);
-  const std::vector<NetId> glitch = glitch_targets(dp.netlist);
-  const FaultKind kinds[] = {FaultKind::kSeuFlip, FaultKind::kGlitch,
-                             FaultKind::kStuckAt0, FaultKind::kStuckAt1};
-
-  common::Rng rng(1234);
   constexpr unsigned kLanes = WideBatchSession<W>::kTotalLanes;
+  const std::vector<Fault> faults = draw_faults(dp, total_cycles, kLanes, 1234);
+  const auto arm = [&](WideBatchSession<W>& sess) {
+    for (unsigned l = 0; l < kLanes; ++l) sess.arm(l, faults[l]);
+    if (flag != kNullNet) sess.watch(flag);
+  };
   WideBatchSession<W> full(tape);
-  WideBatchSession<W> restricted(tape, trace);
-  if (native) {
-    restricted.sim().set_native(cache.native_for(
-        ExecTier::kNative, spec.config, harden, OptLevel::kSafe, W));
-    ASSERT_EQ(restricted.sim().exec_tier(), ExecTier::kNative);
-  }
-  std::vector<Fault> faults(kLanes);
-  for (unsigned l = 0; l < kLanes; ++l) {
-    Fault& f = faults[l];
-    f.kind = kinds[static_cast<std::size_t>(rng.uniform(0, 3))];
-    const std::vector<NetId>& pool = f.kind == FaultKind::kSeuFlip ? seu
-                                     : f.kind == FaultKind::kGlitch ? glitch
-                                                                    : stuck;
-    f.net = pool[static_cast<std::size_t>(
-        rng.uniform(0, static_cast<std::int64_t>(pool.size()) - 1))];
-    f.cycle = static_cast<std::uint64_t>(
-        rng.uniform(0, static_cast<std::int64_t>(total_cycles) - 2));
-    f.glitch_value = rng.uniform(0, 1) != 0;
-    full.arm(l, f);
-    restricted.arm(l, f);
-  }
-  if (flag != kNullNet) {
-    full.watch(flag);
-    restricted.watch(flag);
-  }
+  arm(full);
   const auto want = hw::run_stream_batch(dp, full, x, kLanes);
-  const auto got = hw::run_stream_batch(dp, restricted, x, kLanes);
-  ASSERT_EQ(want.size(), got.size());
-  for (unsigned l = 0; l < kLanes; ++l) {
-    EXPECT_EQ(want[l].low, got[l].low) << "lane " << l;
-    EXPECT_EQ(want[l].high, got[l].high) << "lane " << l;
-  }
-  for (unsigned k = 0; k < W; ++k) {
-    EXPECT_EQ(full.watch_block().w[k], restricted.watch_block().w[k]);
+  ASSERT_EQ(want.size(), kLanes);
+  for (const unsigned lanes : {kLanes, 1u, 63u, 65u, 200u}) {
+    if (lanes > kLanes) continue;
+    SCOPED_TRACE("reading " + std::to_string(lanes) + " lanes");
+    WideBatchSession<W> restricted(tape, trace);
+    if (native) {
+      restricted.sim().set_native(cache.native_for(
+          ExecTier::kNative, spec.config, harden, OptLevel::kSafe, W));
+      ASSERT_EQ(restricted.sim().exec_tier(), ExecTier::kNative);
+    }
+    arm(restricted);
+    const auto got = hw::run_stream_batch(dp, restricted, x, lanes);
+    ASSERT_EQ(got.size(), lanes);
+    for (unsigned l = 0; l < lanes; ++l) {
+      EXPECT_EQ(want[l].low, got[l].low) << "lane " << l;
+      EXPECT_EQ(want[l].high, got[l].high) << "lane " << l;
+    }
+    for (unsigned k = 0; k < W; ++k) {
+      EXPECT_EQ(full.watch_block().w[k], restricted.watch_block().w[k]);
+    }
   }
 }
 
@@ -253,6 +269,71 @@ TEST(ConeSession, MatchesFullSessionDesign2ParityNative) {
                                 HardeningStyle::kParity, true);
   expect_replay_matches_full<4>(hw::DesignId::kDesign2,
                                 HardeningStyle::kParity, true);
+}
+
+// A session reset after a batch runs the next batch exactly as a new
+// session does, with and without a trace: pins (a constant net's
+// included), watches, watch hits and replay state do not carry over.
+TEST(ConeSession, ResetSessionMatchesNewSession) {
+  core::ArtifactCache& cache = core::ArtifactCache::instance();
+  for (const auto& [id, harden] :
+       {std::pair{hw::DesignId::kDesign2, HardeningStyle::kParity},
+        std::pair{hw::DesignId::kDesign3, HardeningStyle::kTmr}}) {
+    const hw::DesignSpec spec = hw::design_spec(id);
+    const auto design = cache.design(spec.config, harden);
+    const hw::BuiltDatapath& dp = design->dp;
+    const auto tape = cache.tape(spec.config, harden, OptLevel::kSafe);
+    const auto native = cache.native_for(ExecTier::kAuto, spec.config,
+                                         harden, OptLevel::kSafe, 4);
+    const std::vector<std::int64_t> x = stimulus(16);
+    const std::uint64_t total_cycles = hw::stream_cycle_count(dp, x.size());
+    const NetId flag = harden == HardeningStyle::kParity
+                           ? dp.netlist.output(kErrorFlagPort).bits.front()
+                           : kNullNet;
+    // A net only the constant image writes, to be left pinned.
+    NetId const_net = kNullNet;
+    std::vector<std::uint8_t> written(tape->slot_count(), 0);
+    for (const Instr& it : tape->instrs()) {
+      written[it.out] = 1;
+      if (it.out2 != kNullSlot) written[it.out2] = 1;
+    }
+    for (Slot s = 0; s < tape->slot_count() && const_net == kNullNet; ++s) {
+      const NetId n = tape->net_of(s);
+      if (!written[s] && !tape->is_primary_input(n) &&
+          !tape->is_dff_output(n)) {
+        const_net = n;
+      }
+    }
+    ASSERT_NE(const_net, kNullNet);
+    for (const auto& trace :
+         {record_golden(dp, tape, x), std::shared_ptr<GoldenTrace>()}) {
+      SCOPED_TRACE(spec.name + (trace ? " replaying" : " full"));
+      WideBatchSession<4> reused(tape, trace);
+      reused.sim().set_native(native);
+      reused.sim().force(const_net, LaneBlock<4>::ones(), LaneBlock<4>::ones());
+      reused.step();
+      for (const std::uint64_t seed : {11u, 12u, 13u}) {
+        const std::vector<Fault> faults =
+            draw_faults(dp, total_cycles, 256, seed);
+        WideBatchSession<4> fresh(tape, trace);
+        fresh.sim().set_native(native);
+        reused.reset();
+        for (WideBatchSession<4>* sess : {&fresh, &reused}) {
+          for (unsigned l = 0; l < 256; ++l) sess->arm(l, faults[l]);
+          if (flag != kNullNet) sess->watch(flag);
+        }
+        const auto want = hw::run_stream_batch(dp, fresh, x, 256);
+        const auto got = hw::run_stream_batch(dp, reused, x, 256);
+        for (unsigned l = 0; l < 256; ++l) {
+          ASSERT_EQ(want[l].low, got[l].low) << seed << " lane " << l;
+          ASSERT_EQ(want[l].high, got[l].high) << seed << " lane " << l;
+        }
+        EXPECT_EQ(fresh.watch_block(), reused.watch_block()) << seed;
+        EXPECT_EQ(fresh.skipped_cycles(), reused.skipped_cycles()) << seed;
+        EXPECT_EQ(fresh.retired(), reused.retired()) << seed;
+      }
+    }
+  }
 }
 
 TEST(ConeSession, SkipsCyclesBeforeEarliestFault) {

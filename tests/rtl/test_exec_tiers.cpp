@@ -1,9 +1,9 @@
 // Execution-tier seam: the native tier must compute exactly the words the
-// switch interpreter computes -- on clean runs, under fault overlays (where
-// the native tier transparently drops to the interpreter), and across
-// resets.  Also pins the tier-resolution policy: kAuto picks the fastest
-// supported tier and DWT_EXEC_TIER overrides every request, failing safe to
-// the interpreter on values it cannot parse.
+// switch interpreter computes -- on clean runs, under fault overlays (the
+// native forced settle at W=2/4 on o1 tapes), and across resets.  Also pins
+// the tier-resolution policy: kAuto picks the fastest supported tier and
+// DWT_EXEC_TIER overrides every request, failing safe to the interpreter on
+// values it cannot parse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,18 +14,22 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/artifact_cache.hpp"
 #include "hw/designs.hpp"
 #include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/native_block.hpp"
 #include "rtl/compiled/tape.hpp"
 #include "rtl/compiled/wide_simulator.hpp"
+#include "rtl/harden.hpp"
 
 namespace dwt {
 namespace {
 
 using rtl::compiled::ExecTier;
+using rtl::compiled::Instr;
 using rtl::compiled::NativeBlock;
 using rtl::compiled::OptLevel;
+using rtl::compiled::Slot;
 using rtl::compiled::Tape;
 using rtl::compiled::WideSimulator;
 
@@ -34,7 +38,7 @@ using rtl::compiled::WideSimulator;
 /// net to match on every cycle.
 template <unsigned W>
 void expect_native_matches(const rtl::Netlist& nl, OptLevel level,
-                           std::uint64_t seed, bool with_faults) {
+                           std::uint64_t seed) {
   using Block = rtl::compiled::LaneBlock<W>;
   const std::shared_ptr<const Tape> tape = rtl::compiled::compile(nl, level);
   WideSimulator<W> ref(tape);
@@ -53,33 +57,122 @@ void expect_native_matches(const rtl::Netlist& nl, OptLevel level,
       ref.set_input_block(pi, b);
       sub.set_input_block(pi, b);
     }
-    if (with_faults && cycle == 6) {
-      // Pin a handful of lanes of the first few nets; the native tier must
-      // drop to the interpreter and still match.
-      for (rtl::NetId n = 0; n < nl.net_count() && n < 5; ++n) {
-        Block lanes;
-        Block values;
-        for (unsigned k = 0; k < W; ++k) {
-          lanes.w[k] = rng.next_u64();
-          values.w[k] = rng.next_u64();
-        }
-        ref.force(n, lanes, values);
-        sub.force(n, lanes, values);
-      }
-    }
-    if (with_faults && cycle == 14) {
-      for (rtl::NetId n = 0; n < nl.net_count() && n < 5; ++n) {
-        ref.release(n, Block::ones());
-        sub.release(n, Block::ones());
-      }
-    }
     ref.step();
     sub.step();
     for (rtl::NetId n = 0; n < nl.net_count(); ++n) {
       if (!tape->materialized(n)) continue;
       ASSERT_EQ(ref.block(n), sub.block(n))
-          << "native W=" << W << " net " << n
-          << " cycle " << cycle << " faults=" << with_faults;
+          << "native W=" << W << " net " << n << " cycle " << cycle;
+    }
+  }
+}
+
+/// The same comparison with pins on random lanes of an o1 tape, so the
+/// native subject runs its forced settle: every cycle a one-cycle pin on a
+/// few random instruction outputs (kFullAdd's second output among them,
+/// where the tape fused full adders) and on a source net; a stuck set of
+/// outputs held across 10 edges; and a one-cycle pin on a const-source
+/// slot, whose release reloads the constant image at the next settle.
+/// Adds the number of full-adder carries pinned to `*carry_pins`.
+template <unsigned W>
+void expect_native_matches_forced(const rtl::Netlist& nl, std::uint64_t seed,
+                                  std::size_t* carry_pins) {
+  using Block = rtl::compiled::LaneBlock<W>;
+  const std::shared_ptr<const Tape> tape =
+      rtl::compiled::compile(nl, OptLevel::kSafe);
+  WideSimulator<W> ref(tape);
+  WideSimulator<W> sub(tape);
+  sub.set_native(NativeBlock::build(*tape, W));
+  if (std::getenv("DWT_EXEC_TIER") == nullptr) {
+    ASSERT_EQ(sub.exec_tier(), ExecTier::kNative);
+    ASSERT_TRUE(sub.native_block()->has_forced());
+  }
+
+  // Pin targets: instruction outputs, full-adder carries, source nets
+  // (inputs and registers) and one slot only the constant image writes.
+  std::vector<rtl::NetId> outs;
+  std::vector<rtl::NetId> carries;
+  std::vector<std::uint8_t> written(tape->slot_count(), 0);
+  for (const Instr& it : tape->instrs()) {
+    outs.push_back(tape->net_of(it.out));
+    written[it.out] = 1;
+    if (it.op == rtl::compiled::Op::kFullAdd) {
+      carries.push_back(tape->net_of(it.out2));
+      written[it.out2] = 1;
+    }
+  }
+  std::vector<rtl::NetId> sources;
+  rtl::NetId const_net = rtl::kNullNet;
+  for (Slot s = 0; s < tape->slot_count(); ++s) {
+    const rtl::NetId n = tape->net_of(s);
+    if (tape->is_primary_input(n) || tape->is_dff_output(n)) {
+      sources.push_back(n);
+    } else if (!written[s] && const_net == rtl::kNullNet) {
+      const_net = n;
+    }
+  }
+  ASSERT_FALSE(sources.empty());
+  ASSERT_NE(const_net, rtl::kNullNet);
+
+  common::Rng rng(seed);
+  const auto random_block = [&rng] {
+    Block b;
+    for (unsigned k = 0; k < W; ++k) b.w[k] = rng.next_u64();
+    return b;
+  };
+  const auto pick = [&rng](const std::vector<rtl::NetId>& pool) {
+    return pool[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+  const auto pick_carry = [&] {
+    if (carries.empty()) return pick(outs);
+    ++*carry_pins;
+    return pick(carries);
+  };
+  struct Pin {
+    rtl::NetId net;
+    Block lanes;
+  };
+  const auto force = [&](rtl::NetId net) {
+    const Pin pin{net, random_block()};
+    const Block values = random_block();
+    ref.force(net, pin.lanes, values);
+    sub.force(net, pin.lanes, values);
+    return pin;
+  };
+  const auto release = [&](const std::vector<Pin>& pins) {
+    for (const Pin& pin : pins) {
+      ref.release(pin.net, pin.lanes);
+      sub.release(pin.net, pin.lanes);
+    }
+  };
+
+  const std::vector<rtl::NetId>& pis = nl.primary_inputs();
+  std::vector<Pin> stuck;
+  for (std::uint64_t cycle = 0; cycle < 32; ++cycle) {
+    for (const rtl::NetId pi : pis) {
+      const Block b = random_block();
+      ref.set_input_block(pi, b);
+      sub.set_input_block(pi, b);
+    }
+    if (cycle == 4) {
+      for (int i = 0; i < 6; ++i) stuck.push_back(force(pick(outs)));
+      for (int i = 0; i < 2; ++i) stuck.push_back(force(pick_carry()));
+    }
+    if (cycle == 14) {
+      release(stuck);
+      stuck.clear();
+    }
+    std::vector<Pin> glitches = {force(pick(outs)), force(pick(outs)),
+                                 force(pick_carry()), force(pick(sources))};
+    if (cycle == 7) glitches.push_back(force(const_net));
+    ref.step();
+    sub.step();
+    release(glitches);
+    for (rtl::NetId n = 0; n < nl.net_count(); ++n) {
+      if (!tape->materialized(n)) continue;
+      ASSERT_EQ(ref.block(n), sub.block(n))
+          << "native forced W=" << W << " net " << n << " cycle " << cycle;
     }
   }
 }
@@ -157,22 +250,44 @@ TEST(ExecTier, NativeMatchesSwitchAllWidths) {
   for (const OptLevel level :
        {OptLevel::kNone, OptLevel::kSafe, OptLevel::kFull}) {
     if (rtl::compiled::native_supported(1)) {
-      expect_native_matches<1>(dp.netlist, level, 301, false);
+      expect_native_matches<1>(dp.netlist, level, 301);
     }
     if (rtl::compiled::native_supported(4)) {
-      expect_native_matches<2>(dp.netlist, level, 302, false);
-      expect_native_matches<4>(dp.netlist, level, 303, false);
+      expect_native_matches<2>(dp.netlist, level, 302);
+      expect_native_matches<4>(dp.netlist, level, 303);
     }
   }
 }
 
 TEST(ExecTier, NativeMatchesSwitchUnderFaultOverlays) {
-  // Forces make eval() bypass the native block; results must still match.
   if (!rtl::compiled::native_supported(4)) {
     GTEST_SKIP() << "native tier unsupported on this host";
   }
-  const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign5);
-  expect_native_matches<4>(dp.netlist, OptLevel::kSafe, 401, true);
+  core::ArtifactCache& cache = core::ArtifactCache::instance();
+  std::uint64_t seed = 401;
+  std::size_t carry_pins = 0;
+  for (const hw::DesignSpec& spec : hw::all_designs()) {
+    const hw::DatapathConfig& cfg = spec.config;
+    for (const rtl::HardeningStyle harden :
+         {rtl::HardeningStyle::kNone, rtl::HardeningStyle::kTmr,
+          rtl::HardeningStyle::kParity}) {
+      SCOPED_TRACE(spec.name + " " + rtl::to_string(harden));
+      const auto design = cache.design(cfg, harden);
+      expect_native_matches_forced<2>(design->dp.netlist, seed++, &carry_pins);
+      expect_native_matches_forced<4>(design->dp.netlist, seed++, &carry_pins);
+    }
+    // o2 blocks have no forced entry, and their code is what it was before
+    // the entry existed: bench/BENCH_compiled_sim.json's native_code_bytes.
+    const auto o2 = NativeBlock::build(
+        *cache.tape(cfg, rtl::HardeningStyle::kNone, OptLevel::kFull), 4);
+    ASSERT_NE(o2, nullptr);
+    EXPECT_FALSE(o2->has_forced());
+    constexpr std::size_t kO2CodeBytes[] = {26392, 17972, 37256, 32264,
+                                            53404};
+    EXPECT_EQ(o2->code_size(), kO2CodeBytes[hw::design_index(spec.id) - 1]);
+  }
+  // The behavioral designs' o1 tapes fuse full adders.
+  EXPECT_GT(carry_pins, 0u);
 }
 
 TEST(ExecTier, NativeBlockIsDeterministicAndSized) {
@@ -240,8 +355,8 @@ TEST(ExecTier, NativeEdgeOrdersChainsRingsAndSelfLoops) {
   const rtl::NetId obs2 = nl.add_cell(rtl::CellKind::kXor2, qs, qx);
   nl.bind_output("obs", rtl::Bus{{obs1, obs2}});
 
-  expect_native_matches<1>(nl, OptLevel::kNone, 501, false);
-  expect_native_matches<4>(nl, OptLevel::kNone, 502, false);
+  expect_native_matches<1>(nl, OptLevel::kNone, 501);
+  expect_native_matches<4>(nl, OptLevel::kNone, 502);
 }
 
 TEST(ExecTier, TierSurvivesReset) {

@@ -45,6 +45,38 @@ TEST(ServerProtocol, RequestRoundTripsThroughEncodeDecode) {
   EXPECT_EQ(got->payload, req.payload);
 }
 
+/// A 3840x2160 PGM tile request without a backend name: 13 header bytes,
+/// then the PGM's 17 header bytes and 8,294,400 samples.
+Request four_k_tile_request() {
+  Request req;
+  req.op = Op::kTileRoundTrip;
+  req.format = PayloadFormat::kPgm;
+  const std::string head = "P5\n3840 2160\n255\n";
+  req.payload.assign(head.begin(), head.end());
+  req.payload.resize(head.size() + std::size_t{3840} * 2160);
+  for (std::size_t i = head.size(); i < req.payload.size(); ++i) {
+    req.payload[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  return req;
+}
+
+TEST(ServerProtocol, DecodedPayloadReusesTheFrameBuffer) {
+  const Request req = four_k_tile_request();
+  std::vector<std::uint8_t> frame = encode_request(req);
+  ASSERT_EQ(frame.size(), 8294430u);
+  const std::uint8_t* storage = frame.data();
+  const std::size_t capacity = frame.capacity();
+  std::string error;
+  const std::optional<Request> got = decode_request(std::move(frame), &error);
+  ASSERT_TRUE(got.has_value()) << error;
+  EXPECT_EQ(got->payload.data(), storage);
+  EXPECT_EQ(got->payload.capacity(), capacity);
+  EXPECT_EQ(got->payload, req.payload);
+  EXPECT_EQ(got->op, req.op);
+  EXPECT_EQ(got->format, req.format);
+  EXPECT_TRUE(got->backend.empty());
+}
+
 TEST(ServerProtocol, ResponseRoundTripsThroughEncodeDecode) {
   Response resp;
   resp.status = Status::kOk;
@@ -183,11 +215,31 @@ bool decodes_or_rejects_cleanly(const std::vector<std::uint8_t>& bytes,
   return again.has_value() && encode(*again) == once;
 }
 
+/// decode_request over borrowed bytes, checked against the overload that
+/// takes the frame over: a disagreement is a rejection without a message.
+std::optional<Request> decode_request_both(const std::uint8_t* data,
+                                           std::size_t size,
+                                           std::string* error) {
+  std::optional<Request> borrowed = decode_request(data, size, error);
+  std::string taken_error;
+  const std::optional<Request> taken = decode_request(
+      std::vector<std::uint8_t>(data, data + size), &taken_error);
+  const bool agree =
+      borrowed.has_value() == taken.has_value() &&
+      (borrowed ? encode_request(*borrowed) == encode_request(*taken)
+                : *error == taken_error);
+  if (!agree) {
+    error->clear();
+    return std::nullopt;
+  }
+  return borrowed;
+}
+
 TEST(ServerProtocol, MutatedFramesDecodeOrRejectCleanly) {
   const std::size_t unclean = test::count_unclean_mutations(
       protocol_seeds(), 20261017, 50000, /*header_bytes=*/13,
       [](const std::vector<std::uint8_t>& m) {
-        return decodes_or_rejects_cleanly<Request>(m, decode_request,
+        return decodes_or_rejects_cleanly<Request>(m, decode_request_both,
                                                    encode_request) &&
                decodes_or_rejects_cleanly<Response>(m, decode_response,
                                                     encode_response);

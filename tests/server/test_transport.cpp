@@ -1,7 +1,8 @@
 // The shared frame transport over a socketpair: bounded reads of hostile
 // length headers, EOF anywhere inside a frame, write/read round trips
-// across the 64 KiB buffer-growth step, and a two-part frame larger than
-// the socket buffer sent in several interrupted sends.
+// across the 64 KiB read step, a 4K tile frame read into a buffer of
+// exactly its length, and a two-part frame larger than the socket buffer
+// sent in several interrupted sends.
 #include "server/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -136,6 +137,27 @@ TEST(FrameTransport, WriteThenReadRoundTripsAcrossChunkBoundaries) {
     EXPECT_EQ(declared, size);
     EXPECT_EQ(got, sent) << size << " bytes";
   }
+}
+
+TEST(FrameTransport, LastGrowthStepEndsAtTheDeclaredLength) {
+  // The size of a 3840x2160 PGM tile request: the buffer that holds it must
+  // not round up past the frame (it becomes the request's payload).
+  constexpr std::size_t kFrame = 8294430;
+  std::vector<std::uint8_t> sent(kFrame);
+  for (std::size_t i = 0; i < kFrame; ++i) {
+    sent[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  SocketPair sp;
+  bool wrote = false;
+  std::thread writer([&] { wrote = write_frame(sp.fds[1], sent); });
+  std::vector<std::uint8_t> got;
+  std::uint32_t declared = 0;
+  EXPECT_EQ(read_frame(sp.fds[0], &got, &declared), FrameStatus::kOk);
+  writer.join();
+  EXPECT_TRUE(wrote);
+  EXPECT_EQ(declared, kFrame);
+  EXPECT_EQ(got.capacity(), kFrame);
+  EXPECT_EQ(got, sent);
 }
 
 TEST(FrameTransport, TwoPartFrameLargerThanTheSocketBufferArrivesWhole) {
