@@ -50,8 +50,6 @@ class JsonRecordWriter {
     records_.push_back({design, metric, value, unit});
   }
 
-  [[nodiscard]] std::size_t record_count() const { return records_.size(); }
-
   /// Renders the whole document.
   [[nodiscard]] std::string render() const;
 

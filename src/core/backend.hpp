@@ -1,36 +1,39 @@
-// The unified execution seam: one abstraction over every way this repo can
+// The unified execution seam: one engine type over every way this repo can
 // run the 9/7 lifting transform, from the pure software models to the
 // gate-level and FPGA-mapped simulations.  The paper's whole point is
-// comparing the *same* transform across implementation styles; the
-// ExecutionBackend interface is that comparison surface as an API.  Each
-// backend is parameterized by DesignId (gate-level engines elaborate the
-// corresponding Table 3 architecture; software engines ignore it) and draws
-// its elaboration/compilation artifacts from the shared ArtifactCache, so
-// any number of workers can run the same backend without re-elaborating.
+// comparing the *same* transform across implementation styles; every style
+// is a row of the registry (core/registry.hpp) holding one of two things:
+//   - the dsp method a software engine runs in-thread, exactly as the tile
+//     pipeline runs its default path, or
+//   - the line-core factory of a netlist engine: its 2-D session is the
+//     figure-4 system (hw::Dwt2dSystem) around one 1-D core, which lifts
+//     int32 windows in place.
+// Netlist engines are parameterized by DesignId (they elaborate the
+// corresponding Table 3 architecture) and draw their elaboration,
+// compilation and mapping artifacts from the shared ArtifactCache, so any
+// number of workers can run the same engine without re-elaborating.
 //
-// Registered engines (see core/registry.hpp):
+// Registered engines:
 //   software-float    dsp lifting model, float coefficients  (not bit-exact)
 //   software-fixed    dsp fixed-point model -- the bit-exactness reference
 //   rtl-interpreted   scalar zero-delay gate-level simulator
 //   rtl-compiled      bit-parallel compiled-tape simulator
-//   fpga-mapped       APEX-mapped transport-delay simulator (1-D only)
+//   fpga-mapped       APEX-mapped transport-delay simulator
 #pragma once
 
-#include <cstdint>
 #include <optional>
-#include <span>
 #include <string_view>
+#include <variant>
 
 #include "dsp/dwt1d.hpp"
 #include "hw/designs.hpp"
 #include "hw/dwt2d_system.hpp"
-#include "hw/stream_runner.hpp"
 #include "rtl/compiled/exec_tier.hpp"
 #include "rtl/compiled/tape.hpp"
 
 namespace dwt::core {
 
-/// Parameters a backend needs to instantiate its engine.
+/// Parameters a netlist engine needs to build its core.
 struct BackendRequest {
   hw::DesignId design = hw::DesignId::kDesign2;  ///< gate-level core choice
   /// Gate-level cores are sized for this 2-D recursion depth (LL
@@ -55,49 +58,62 @@ struct BackendRequest {
   rtl::compiled::ExecTier exec_tier = rtl::compiled::ExecTier::kAuto;
 };
 
-/// Capability flags: what a backend's results mean and which entry points
-/// it implements.
+/// What an engine's results mean; derived from what the engine holds.
 struct BackendCaps {
-  bool gate_level = false;      ///< backed by an elaborated netlist
-  bool cycle_accurate = false;  ///< StreamResult::cycles is meaningful
+  /// Backed by an elaborated netlist, whose 2-D sessions count the clock
+  /// cycles every line consumes.
+  bool gate_level = false;
   /// Output is bit-identical to the software fixed-point reference.
   bool bit_exact = false;
-  /// 2-D transforms supported: in-thread through software_method() for a
-  /// software engine, through make_2d_session for a netlist engine.
-  bool forward_2d = false;
-  bool inverse_2d = false;  ///< the 2-D inverse too (software engines)
+  bool inverse_2d = false;  ///< a 2-D inverse too (software engines)
 };
 
+/// One engine of the registry.
 class ExecutionBackend {
  public:
-  virtual ~ExecutionBackend() = default;
+  /// A netlist engine's core factory: the 1-D core of the request's design.
+  using MakeCore = hw::LineCore (*)(const BackendRequest&);
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::string_view description() const = 0;
-  [[nodiscard]] virtual BackendCaps caps() const = 0;
+  constexpr ExecutionBackend(std::string_view name,
+                             std::string_view description, dsp::Method method)
+      : name_(name), description_(description), engine_(method) {}
+  constexpr ExecutionBackend(std::string_view name,
+                             std::string_view description, MakeCore make_core)
+      : name_(name), description_(description), engine_(make_core) {}
 
-  /// Streams integer samples (any non-zero length; odd lengths follow the
-  /// JPEG2000 (1,1) symmetric extension) through the engine and returns the
-  /// coefficient window.  Gate-level backends report consumed clock cycles;
-  /// software backends report 0.
-  [[nodiscard]] virtual hw::StreamResult stream(
-      const BackendRequest& req, std::span<const std::int64_t> x) const = 0;
+  [[nodiscard]] std::string_view name() const { return name_; }
+  [[nodiscard]] std::string_view description() const { return description_; }
+
+  [[nodiscard]] BackendCaps caps() const {
+    const std::optional<dsp::Method> method = software_method();
+    BackendCaps c;
+    c.gate_level = !method;
+    c.bit_exact = !method || *method == dsp::Method::kLiftingFixed;
+    c.inverse_2d = method.has_value();
+    return c;
+  }
 
   /// The dsp method a software engine computes; nullopt for netlist
   /// engines.  The tile pipeline runs a software engine in-thread through
   /// this method, exactly as it runs its default path.
-  [[nodiscard]] virtual std::optional<dsp::Method> software_method() const {
+  [[nodiscard]] std::optional<dsp::Method> software_method() const {
+    if (const dsp::Method* m = std::get_if<dsp::Method>(&engine_)) return *m;
     return std::nullopt;
   }
 
-  /// Creates a per-worker 2-D session: the figure-4 system around the
-  /// engine's shared cached core, which transforms int32 windows in place.
-  /// Netlist engines with caps().forward_2d only; throws
-  /// std::invalid_argument for the others.  Sessions are single-threaded
-  /// and cheap (the netlist, tape and native code come from the
-  /// ArtifactCache); create one per worker.
-  [[nodiscard]] virtual hw::Dwt2dSystem make_2d_session(
+  /// Creates a per-worker 2-D session: the figure-4 system around a fresh
+  /// core of the request's design, which transforms int32 windows in place.
+  /// Netlist engines only; throws std::invalid_argument for a software
+  /// engine.  Sessions are single-threaded and cheap (the netlist, tape,
+  /// mapping and native code come from the ArtifactCache); create one per
+  /// worker.
+  [[nodiscard]] hw::Dwt2dSystem make_2d_session(
       const BackendRequest& req) const;
+
+ private:
+  std::string_view name_;
+  std::string_view description_;
+  std::variant<dsp::Method, MakeCore> engine_;
 };
 
 }  // namespace dwt::core

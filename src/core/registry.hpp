@@ -1,21 +1,22 @@
-// The backend registry: every ExecutionBackend the build knows about,
-// addressable by stable name.  Tools expose the names through --backend /
-// --list-backends, benches select engines by name, and the equivalence
-// tests iterate the registry so a newly registered engine is automatically
-// held to the bit-exactness contract its caps() declare.
+// The backend registry: every engine the build knows about, one
+// ExecutionBackend row each, addressable by stable name.  Tools expose the
+// names through --backend / list-backends, benches select engines by name,
+// and the equivalence tests iterate the registry so a newly registered
+// engine is automatically held to the bit-exactness contract its caps()
+// declare.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/backend.hpp"
 
 namespace dwt::core {
 
-/// Every registered engine, in presentation order.  Pointers are to
-/// process-lifetime singletons; never freed, safe to cache.
-[[nodiscard]] const std::vector<const ExecutionBackend*>& all_backends();
+/// Every registered engine, in presentation order.  The rows live for the
+/// whole process; pointers to them are safe to cache.
+[[nodiscard]] std::span<const ExecutionBackend> all_backends();
 
 /// Looks an engine up by registry name ("software-float", "software-fixed",
 /// "rtl-interpreted", "rtl-compiled", "fpga-mapped").  Returns nullptr for

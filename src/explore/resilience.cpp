@@ -252,22 +252,14 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
   std::shared_ptr<rtl::compiled::GoldenTrace> trace;
   if (replay) trace = std::make_shared<rtl::compiled::GoldenTrace>(*tape);
 
-  // Golden references: the unhardened design defines correctness; the
-  // hardened one must reproduce it fault-free (a transform bug fails loudly
-  // here rather than skewing the campaign).  Each engine produces its own
-  // golden -- they are bit-exact, so the reports stay byte-identical.
-  hw::StreamResult golden;
-  if (compiled) {
-    rtl::compiled::WideBatchSession<1> sess(
-        cache.tape(result.spec.config, rtl::HardeningStyle::kNone, kLevel));
-    sess.sim().set_native(
-        cache.native_for(rtl::compiled::ExecTier::kAuto, result.spec.config,
-                         rtl::HardeningStyle::kNone, kLevel, 1));
-    golden = std::move(hw::run_stream_batch(built, sess, stimulus, 1).front());
-  } else {
+  // Golden references: the unhardened design on the scalar reference
+  // simulator defines correctness on both engines; the hardened one must
+  // reproduce it fault-free on the campaign's engine (a transform bug fails
+  // loudly here rather than skewing the campaign).
+  const hw::StreamResult golden = [&] {
     rtl::Simulator sim(built.netlist);
-    golden = hw::run_stream(built, sim, stimulus);
-  }
+    return hw::run_stream(built, sim, stimulus);
+  }();
   {
     hw::StreamResult check;
     bool flagged = false;

@@ -30,6 +30,15 @@ LineCore compiled_core(
   };
 }
 
+LineCore mapped_core(std::shared_ptr<const BuiltDatapath> dp,
+                     std::shared_ptr<const fpga::MappedNetlist> mapped) {
+  auto sim = std::make_shared<fpga::MappedActivitySim>(*mapped);
+  return [dp = std::move(dp), mapped = std::move(mapped),
+          sim = std::move(sim)](std::span<const std::int64_t> line) {
+    return run_stream_mapped(*dp, *sim, line);
+  };
+}
+
 Dwt2dSystem::Dwt2dSystem(DesignId design, int max_octaves)
     : core_(scalar_core(std::make_shared<const BuiltDatapath>(
           build_lifting_datapath(design_config(design, max_octaves))))) {}

@@ -2,11 +2,12 @@
 // that schedules row then column passes (performing the boundary mirroring)
 // and one 1D-DWT core.  The controller runs the core cycle-accurately and
 // accounts the cycles every octave consumes.  The core is one LineCore, on
-// either the scalar zero-delay simulator or the bit-parallel compiled engine
-// (lane 0); both produce bit-identical coefficients and cycle counts.  The
-// frame memory is an int32 plane window, lifted in place: a netlist
-// backend's 2-D session (core::ExecutionBackend::make_2d_session) is this
-// system around the backend's core.
+// the scalar zero-delay simulator, on lane 0 of the bit-parallel compiled
+// engine or on the APEX-mapped transport-delay simulator; all three produce
+// bit-identical coefficients and cycle counts.  The frame memory is an int32
+// plane window, lifted in place: every netlist engine's 2-D session
+// (core::ExecutionBackend::make_2d_session) is this system around the
+// engine's core, and it is the core's one consumer.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,12 @@ using LineCore = std::function<StreamResult(std::span<const std::int64_t>)>;
     std::shared_ptr<const BuiltDatapath> dp,
     std::shared_ptr<const rtl::compiled::Tape> tape,
     std::shared_ptr<const rtl::compiled::NativeBlock> native);
+
+/// The core of `dp` on the transport-delay simulator of `mapped`, the APEX
+/// mapping of dp's netlist (mapped->source is &dp->netlist).
+[[nodiscard]] LineCore mapped_core(
+    std::shared_ptr<const BuiltDatapath> dp,
+    std::shared_ptr<const fpga::MappedNetlist> mapped);
 
 struct Dwt2dRunStats {
   std::uint64_t total_cycles = 0;

@@ -20,16 +20,10 @@ void validate(const TileOptions& options) {
   if (options.octaves < 1) {
     throw std::invalid_argument("tile_scheduler: octaves < 1");
   }
-  if (options.backend != nullptr) {
-    if (!options.backend->caps().forward_2d) {
-      throw std::invalid_argument(
-          "tile_scheduler: backend does not support 2-D transforms");
-    }
-    if (options.backend->caps().gate_level &&
-        options.method != dsp::Method::kLiftingFixed) {
-      throw std::invalid_argument(
-          "tile_scheduler: hardware backend implements kLiftingFixed only");
-    }
+  if (options.backend != nullptr && options.backend->caps().gate_level &&
+      options.method != dsp::Method::kLiftingFixed) {
+    throw std::invalid_argument(
+        "tile_scheduler: hardware backend implements kLiftingFixed only");
   }
 }
 

@@ -7,10 +7,10 @@
 // Because the tape is levelized (writers precede readers), that cone is
 // covered by one contiguous *interval* of instruction indices, and the
 // ConeIndex precomputes that interval for every slot.  Campaigns use the
-// intervals as a static model of their fault schedule (the report's `cone`
-// block) and to order the trials of a batch; every batch settles the whole
-// tape, since on the pipelined designs the union of a batch's intervals
-// covers all of it.
+// intervals only as a static model of their fault schedule (the report's
+// `cone` block): a batch's trials are ordered by persistence and strike
+// cycle alone, and every batch settles the whole tape, since on the
+// pipelined designs the union of a batch's intervals covers all of it.
 //
 // The index is immutable after build() and carries no pointers back into
 // the tape, so one index can be shared (via shared_ptr<const ConeIndex>)

@@ -117,9 +117,6 @@ class Tape {
   [[nodiscard]] bool is_dff_output(NetId net) const {
     return dff_q_flag_.at(net) != 0;
   }
-  [[nodiscard]] bool is_primary_output(NetId net) const {
-    return po_flag_.at(net) != 0;
-  }
 
   /// Power-on lane image, one word per slot: ~0 for constant-1 slots
   /// (kConst1 cells and instructions folded to 1), 0 everywhere else.
@@ -152,7 +149,7 @@ class Tape {
   std::vector<NetId> net_of_slot_;      // slot -> NetId
   std::vector<std::uint8_t> pi_flag_;   // per NetId
   std::vector<std::uint8_t> dff_q_flag_;  // per NetId
-  std::vector<std::uint8_t> po_flag_;   // per NetId
+  std::vector<std::uint8_t> po_flag_;   // per NetId; dead-slot pass roots
   std::vector<std::uint64_t> const_image_;  // per slot: 0 or ~0
   std::size_t depth_ = 0;
   OptLevel level_ = OptLevel::kNone;

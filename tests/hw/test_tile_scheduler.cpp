@@ -150,11 +150,11 @@ TEST(TileScheduler, HardwareBackendMatchesSoftwareFixedPoint) {
 }
 
 TEST(TileScheduler, RegistryBackendsAgreeOnTiles) {
-  // Every 2-D-capable registry backend must tile identically to the
-  // in-thread path (`backend == nullptr`) with the method it computes --
-  // kLiftingFixed for the bit-exact engines, kLiftingFloat for
-  // software-float -- cycle accounting aside.  The integer-valued ones must
-  // agree on an int32 plane too.
+  // Every registry backend must tile identically to the in-thread path
+  // (`backend == nullptr`) with the method it computes -- kLiftingFixed
+  // for the bit-exact engines, kLiftingFloat for software-float -- cycle
+  // accounting aside.  The integer-valued ones must agree on an int32
+  // plane too.
   const dsp::Image source = shifted_image(23, 19, 17);
   TileOptions opt;
   opt.tile_w = 8;
@@ -168,27 +168,26 @@ TEST(TileScheduler, RegistryBackendsAgreeOnTiles) {
   dsp::Image float_reference = source;
   (void)tile_forward(float_reference, float_opt);
   EXPECT_NE(float_reference.data(), fixed_reference.data());
-  for (const core::ExecutionBackend* backend : core::all_backends()) {
-    const core::BackendCaps caps = backend->caps();
-    if (!caps.forward_2d) continue;
-    opt.backend = backend;
+  for (const core::ExecutionBackend& backend : core::all_backends()) {
+    const core::BackendCaps caps = backend.caps();
+    opt.backend = &backend;
     const dsp::Image& reference =
         caps.bit_exact ? fixed_reference : float_reference;
     dsp::Image plane = source;
     const TileStats stats = tile_forward(plane, opt);
-    EXPECT_EQ(plane.data(), reference.data()) << backend->name();
-    if (caps.cycle_accurate) {
-      EXPECT_GT(stats.total_cycles, 0u) << backend->name();
+    EXPECT_EQ(plane.data(), reference.data()) << backend.name();
+    if (caps.gate_level) {
+      EXPECT_GT(stats.total_cycles, 0u) << backend.name();
     } else {
-      EXPECT_EQ(stats.total_cycles, 0u) << backend->name();
+      EXPECT_EQ(stats.total_cycles, 0u) << backend.name();
     }
-    EXPECT_EQ(integer_valued(opt), caps.bit_exact) << backend->name();
+    EXPECT_EQ(integer_valued(opt), caps.bit_exact) << backend.name();
     if (!integer_valued(opt)) continue;
     dsp::Plane<std::int32_t> ints = dsp::to_int32_plane(source);
     const TileStats int_stats = tile_forward(ints, opt);
-    EXPECT_EQ(dsp::to_image(ints).data(), reference.data()) << backend->name();
-    EXPECT_EQ(int_stats.total_cycles, stats.total_cycles) << backend->name();
-    EXPECT_EQ(int_stats.line_passes, stats.line_passes) << backend->name();
+    EXPECT_EQ(dsp::to_image(ints).data(), reference.data()) << backend.name();
+    EXPECT_EQ(int_stats.total_cycles, stats.total_cycles) << backend.name();
+    EXPECT_EQ(int_stats.line_passes, stats.line_passes) << backend.name();
   }
 }
 
@@ -208,8 +207,8 @@ TEST(TileScheduler, RejectsBadOptions) {
   opt.backend = core::find_backend("rtl-interpreted");
   EXPECT_THROW(tile_inverse(img, opt), std::invalid_argument);
   opt = TileOptions{};
-  opt.backend = core::find_backend("fpga-mapped");  // 1-D only: no 2-D caps
-  EXPECT_THROW(tile_forward(img, opt), std::invalid_argument);
+  opt.backend = core::find_backend("fpga-mapped");  // no 2-D inverse
+  EXPECT_THROW(tile_inverse(img, opt), std::invalid_argument);
   dsp::Image empty;
   opt = TileOptions{};
   EXPECT_THROW(tile_forward(empty, opt), std::invalid_argument);

@@ -251,16 +251,14 @@ int cmd_verilog(int argc, char** argv) {
 }
 
 int cmd_list_backends() {
-  std::printf("%-16s %-5s %-6s %-6s %-4s %-4s %s\n", "backend", "gates",
-              "cycles", "exact", "2d", "inv", "description");
-  for (const dwt::core::ExecutionBackend* b : dwt::core::all_backends()) {
-    const dwt::core::BackendCaps caps = b->caps();
-    std::printf("%-16s %-5s %-6s %-6s %-4s %-4s %s\n",
-                std::string(b->name()).c_str(), caps.gate_level ? "yes" : "-",
-                caps.cycle_accurate ? "yes" : "-",
-                caps.bit_exact ? "yes" : "-", caps.forward_2d ? "yes" : "-",
+  std::printf("%-16s %-5s %-6s %-4s %s\n", "backend", "gates", "exact",
+              "inv", "description");
+  for (const dwt::core::ExecutionBackend& b : dwt::core::all_backends()) {
+    const dwt::core::BackendCaps caps = b.caps();
+    std::printf("%-16s %-5s %-6s %-4s %s\n", std::string(b.name()).c_str(),
+                caps.gate_level ? "yes" : "-", caps.bit_exact ? "yes" : "-",
                 caps.inverse_2d ? "yes" : "-",
-                std::string(b->description()).c_str());
+                std::string(b.description()).c_str());
   }
   return 0;
 }
