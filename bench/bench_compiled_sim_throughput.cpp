@@ -3,7 +3,7 @@
 // optimization x lane-width matrix, in stimulus vectors per second on all
 // five Table 3 designs.  One "vector" is one clock cycle of fresh
 // randomized primary inputs; a compiled tape pass advances 64*W vectors
-// (W = 1, 2 or 4 state words per slot).
+// (W = 1 or 4 state words per slot).
 //
 // Besides the throughput matrix the bench reports the optimizer's
 // per-level instruction counts and reductions, the execution-tier matrix
@@ -254,18 +254,12 @@ int main(int argc, char** argv) {
                            static_cast<double>(raw_instrs),
                  "ratio");
       }
-      for (const unsigned width : {1u, 2u, 4u}) {
+      for (const unsigned width : {1u, 4u}) {
         double vps = 0.0;
-        switch (width) {
-          case 1:
-            wide_vectors_per_sec<1>(tape, dp, compiled_cycles, 7, &vps);
-            break;
-          case 2:
-            wide_vectors_per_sec<2>(tape, dp, compiled_cycles, 7, &vps);
-            break;
-          default:
-            wide_vectors_per_sec<4>(tape, dp, compiled_cycles, 7, &vps);
-            break;
+        if (width == 1) {
+          wide_vectors_per_sec<1>(tape, dp, compiled_cycles, 7, &vps);
+        } else {
+          wide_vectors_per_sec<4>(tape, dp, compiled_cycles, 7, &vps);
         }
         const unsigned lanes = 64 * width;
         json.add(spec.name,

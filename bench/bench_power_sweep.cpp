@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   dwt::bench::JsonReporter json("bench_power_sweep", argc, argv);
   dwt::explore::Explorer explorer;
-  const auto& device = explorer.options().device;
+  const auto device = dwt::fpga::ApexDeviceParams::apex20ke();
   const auto evals = explorer.evaluate_all();
   const auto& d2 = evals[1];
   const auto& d3 = evals[2];

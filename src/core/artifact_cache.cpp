@@ -6,45 +6,17 @@
 
 namespace dwt::core {
 
-std::string config_key(const hw::DatapathConfig& cfg,
-                       rtl::HardeningStyle harden) {
-  std::string key;
-  key.reserve(48);
-  key += "mul=";
-  key += std::to_string(static_cast<int>(cfg.multiplier));
-  key += ";add=";
-  key += std::to_string(static_cast<int>(cfg.adder_style));
-  key += ";pipe=";
-  key += cfg.pipelined_operators ? '1' : '0';
-  key += ";gran=";
-  key += std::to_string(cfg.pipeline_granularity);
-  key += ";in=";
-  key += std::to_string(cfg.input_bits);
-  key += ";frac=";
-  key += std::to_string(cfg.frac_bits);
-  key += ";rec=";
-  key += std::to_string(static_cast<int>(cfg.recoding));
-  key += ";sum=";
-  key += std::to_string(static_cast<int>(cfg.sum_structure));
-  key += ";pw=";
-  key += cfg.paper_widths ? '1' : '0';
-  key += ";hard=";
-  key += std::to_string(static_cast<int>(harden));
-  return key;
-}
-
 namespace {
 
 /// Looks `key` up, building via `build()` on a miss.  The build runs outside
 /// the lock (so independent keys elaborate in parallel and a build may
 /// recursively request other keys) while racing requesters of the same key
 /// wait on the winner's future.
-
-template <typename T, typename Build>
+template <typename T, typename Key, typename Build>
 std::shared_ptr<const T> get_or_build(
     std::mutex& mutex,
-    std::map<std::string, std::shared_future<std::shared_ptr<const T>>>& map,
-    std::uint64_t& builds, std::uint64_t& hits, const std::string& key,
+    std::map<Key, std::shared_future<std::shared_ptr<const T>>>& map,
+    std::uint64_t& builds, std::uint64_t& hits, const Key& key,
     Build&& build) {
   std::promise<std::shared_ptr<const T>> promise;
   bool won = false;
@@ -79,9 +51,8 @@ std::shared_ptr<const T> get_or_build(
 
 std::shared_ptr<const CachedDesign> ArtifactCache::design(
     const hw::DatapathConfig& cfg, rtl::HardeningStyle harden) {
-  const std::string key = config_key(cfg, harden);
   return get_or_build(
-      mutex_, designs_.map, designs_.builds, designs_.hits, key,
+      mutex_, designs_.map, designs_.builds, designs_.hits, Key{cfg, harden},
       [&]() -> std::shared_ptr<const CachedDesign> {
         auto artifact = std::make_shared<CachedDesign>();
         artifact->harden = harden;
@@ -100,13 +71,8 @@ std::shared_ptr<const CachedDesign> ArtifactCache::design(
 std::shared_ptr<const rtl::compiled::Tape> ArtifactCache::tape(
     const hw::DatapathConfig& cfg, rtl::HardeningStyle harden,
     rtl::compiled::OptLevel level) {
-  std::string key = config_key(cfg, harden);
-  if (level != rtl::compiled::OptLevel::kNone) {
-    key += ";opt=";
-    key += std::to_string(static_cast<int>(level));
-  }
-  return get_or_build(mutex_, tapes_.map, tapes_.builds, tapes_.hits, key,
-                      [&]() {
+  return get_or_build(mutex_, tapes_.map, tapes_.builds, tapes_.hits,
+                      Key{cfg, harden, level}, [&]() {
                         const std::shared_ptr<const CachedDesign> d =
                             design(cfg, harden);
                         return rtl::compiled::compile(d->dp.netlist, level);
@@ -116,14 +82,8 @@ std::shared_ptr<const rtl::compiled::Tape> ArtifactCache::tape(
 std::shared_ptr<const rtl::compiled::ConeIndex> ArtifactCache::cone_index(
     const hw::DatapathConfig& cfg, rtl::HardeningStyle harden,
     rtl::compiled::OptLevel level) {
-  std::string key = config_key(cfg, harden);
-  if (level != rtl::compiled::OptLevel::kNone) {
-    key += ";opt=";
-    key += std::to_string(static_cast<int>(level));
-  }
-  key += ";cone";
-  return get_or_build(mutex_, cones_.map, cones_.builds, cones_.hits, key,
-                      [&]() {
+  return get_or_build(mutex_, cones_.map, cones_.builds, cones_.hits,
+                      Key{cfg, harden, level}, [&]() {
                         const std::shared_ptr<const rtl::compiled::Tape> t =
                             tape(cfg, harden, level);
                         return rtl::compiled::ConeIndex::build(*t);
@@ -133,15 +93,9 @@ std::shared_ptr<const rtl::compiled::ConeIndex> ArtifactCache::cone_index(
 std::shared_ptr<const rtl::compiled::NativeBlock> ArtifactCache::native_block(
     const hw::DatapathConfig& cfg, rtl::HardeningStyle harden,
     rtl::compiled::OptLevel level, unsigned words) {
-  std::string key = config_key(cfg, harden);
-  if (level != rtl::compiled::OptLevel::kNone) {
-    key += ";opt=";
-    key += std::to_string(static_cast<int>(level));
-  }
-  key += ";native=";
-  key += std::to_string(words);
   return get_or_build(
-      mutex_, natives_.map, natives_.builds, natives_.hits, key,
+      mutex_, natives_.map, natives_.builds, natives_.hits,
+      Key{cfg, harden, level, words},
       [&]() -> std::shared_ptr<const rtl::compiled::NativeBlock> {
         const std::shared_ptr<const rtl::compiled::Tape> t =
             tape(cfg, harden, level);
@@ -162,9 +116,8 @@ std::shared_ptr<const rtl::compiled::NativeBlock> ArtifactCache::native_for(
 
 std::shared_ptr<const MappedDesign> ArtifactCache::mapped(
     const hw::DatapathConfig& cfg, rtl::HardeningStyle harden) {
-  const std::string key = config_key(cfg, harden);
   return get_or_build(
-      mutex_, mapped_.map, mapped_.builds, mapped_.hits, key,
+      mutex_, mapped_.map, mapped_.builds, mapped_.hits, Key{cfg, harden},
       [&]() -> std::shared_ptr<const MappedDesign> {
         const std::shared_ptr<const CachedDesign> d = design(cfg, harden);
         // Build in place inside the shared_ptr: `mapped.source` points at

@@ -11,19 +11,22 @@
 // immutable artifacts: the netlist, tape and mapped structures are all
 // read-only after construction (simulator state lives in per-consumer
 // Simulator/WideSimulator/MappedActivitySim instances), so one artifact
-// safely feeds any number of threads.
+// safely feeds any number of threads.  Each kind of artifact has its own
+// store, keyed by the whole DatapathConfig (compared member-wise) plus the
+// hardening style, and for tapes and what derives from them the
+// optimization level and lane width.
 //
 // Concurrency contract: a key is built exactly once.  Racing requesters
 // block on the winner's build and then share the same pointer -- the
 // "same pointer across threads, never rebuilds" property the tests pin.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "fpga/tech_mapper.hpp"
 #include "hw/designs.hpp"
@@ -65,13 +68,6 @@ struct CacheStats {
   std::uint64_t native_hits = 0;
 };
 
-/// Content key of a (datapath config, hardening style) pair.  Every
-/// DatapathConfig field participates; when a field is added to
-/// DatapathConfig it MUST be appended here, or distinct configurations
-/// would alias one cache entry.
-[[nodiscard]] std::string config_key(const hw::DatapathConfig& cfg,
-                                     rtl::HardeningStyle harden);
-
 class ArtifactCache {
  public:
   ArtifactCache() = default;
@@ -84,29 +80,28 @@ class ArtifactCache {
       rtl::HardeningStyle harden = rtl::HardeningStyle::kNone);
 
   /// Compiled bit-parallel tape of the (possibly hardened) datapath at the
-  /// requested optimization level.  Each level is its own cache entry (the
-  /// key gains an ";opt=N" suffix for N > 0, so O0 keys -- and the build
-  /// counters pinned by existing consumers -- are unchanged), built
-  /// directly via compile(netlist, level) from the shared design artifact.
+  /// requested optimization level.  Each level is its own cache entry,
+  /// built directly via compile(netlist, level) from the shared design
+  /// artifact.
   [[nodiscard]] std::shared_ptr<const rtl::compiled::Tape> tape(
       const hw::DatapathConfig& cfg,
       rtl::HardeningStyle harden = rtl::HardeningStyle::kNone,
       rtl::compiled::OptLevel level = rtl::compiled::OptLevel::kNone);
 
   /// Fan-out cone index of the tape the same (cfg, harden, level) triple
-  /// yields -- keyed beside it (";cone" suffix) and likewise built exactly
-  /// once, so every cone-restricted campaign batch shares one index.
+  /// yields -- likewise built exactly once, so every campaign shares one
+  /// index.
   [[nodiscard]] std::shared_ptr<const rtl::compiled::ConeIndex> cone_index(
       const hw::DatapathConfig& cfg,
       rtl::HardeningStyle harden = rtl::HardeningStyle::kNone,
       rtl::compiled::OptLevel level = rtl::compiled::OptLevel::kNone);
 
   /// JIT'd machine code for the tape the same (cfg, harden, level) triple
-  /// yields, at `words` lane words per slot -- keyed beside the tape
-  /// (";native=W" suffix) so one emitted block feeds every simulator of a
-  /// configuration at that width.  Returns null (and still caches the
-  /// null, the build attempt is counted once) when the host cannot run
-  /// native code for this width; callers fall back to the interpreter.
+  /// yields, at `words` lane words per slot, so one emitted block feeds
+  /// every simulator of a configuration at that width.  Returns null (and
+  /// still caches the null, the build attempt is counted once) when the
+  /// host cannot run native code for this width; callers fall back to the
+  /// interpreter.
   [[nodiscard]] std::shared_ptr<const rtl::compiled::NativeBlock> native_block(
       const hw::DatapathConfig& cfg, rtl::HardeningStyle harden,
       rtl::compiled::OptLevel level, unsigned words);
@@ -137,9 +132,19 @@ class ArtifactCache {
   static ArtifactCache& instance();
 
  private:
+  /// What an artifact is built from.  Stores that do not depend on a
+  /// field leave it at its default.
+  struct Key {
+    hw::DatapathConfig config;
+    rtl::HardeningStyle harden = rtl::HardeningStyle::kNone;
+    rtl::compiled::OptLevel level = rtl::compiled::OptLevel::kNone;
+    unsigned words = 0;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+
   template <typename T>
   struct Store {
-    std::map<std::string, std::shared_future<std::shared_ptr<const T>>> map;
+    std::map<Key, std::shared_future<std::shared_ptr<const T>>> map;
     std::uint64_t builds = 0;
     std::uint64_t hits = 0;
   };

@@ -1,34 +1,21 @@
 #include "explore/explorer.hpp"
 
-#include <stdexcept>
-
-#include "common/rng.hpp"
 #include "core/artifact_cache.hpp"
 #include "dsp/image_gen.hpp"
 #include "hw/stream_runner.hpp"
 
 namespace dwt::explore {
+namespace {
 
-Explorer::Explorer(ExplorerOptions options) : options_(std::move(options)) {
-  if (options_.reference_mhz <= 0 || options_.workload_samples < 64 ||
-      options_.workload_samples % 2 != 0) {
-    throw std::invalid_argument("Explorer: bad options");
-  }
-}
+constexpr double kReferenceMhz = 15.0;  ///< Table 3 power reference
+constexpr std::size_t kWorkloadSamples = 2048;
+constexpr std::uint64_t kWorkloadSeed = 2005;
+
+}  // namespace
 
 std::vector<std::int64_t> Explorer::workload_stream() const {
-  if (options_.workload == Workload::kStillToneImage) {
-    // Row-major scan of a 128-wide synthetic still-tone image.
-    return dsp::still_tone_samples(options_.workload_samples, 128,
-                                   options_.seed);
-  }
-  std::vector<std::int64_t> samples;
-  samples.reserve(options_.workload_samples);
-  common::Rng rng(options_.seed);
-  for (std::size_t i = 0; i < options_.workload_samples; ++i) {
-    samples.push_back(rng.uniform(-128, 127));
-  }
-  return samples;
+  // Row-major scan of a 128-wide synthetic still-tone image.
+  return dsp::still_tone_samples(kWorkloadSamples, 128, kWorkloadSeed);
 }
 
 DesignEvaluation Explorer::evaluate(const hw::DesignSpec& spec) const {
@@ -48,7 +35,8 @@ DesignEvaluation Explorer::evaluate(const hw::DesignSpec& spec) const {
   eval.netlist_stats = rtl::compute_stats(dp.netlist);
   eval.mapped = md->mapped;
 
-  fpga::TimingAnalyzer sta(eval.mapped, options_.device);
+  const fpga::ApexDeviceParams device = fpga::ApexDeviceParams::apex20ke();
+  fpga::TimingAnalyzer sta(eval.mapped, device);
   eval.timing = sta.analyze();
 
   // Switching activity: stream the workload through the mapped-netlist
@@ -62,14 +50,14 @@ DesignEvaluation Explorer::evaluate(const hw::DesignSpec& spec) const {
   }
 
   const fpga::PowerBreakdown pb = fpga::estimate_power(
-      eval.mapped, eval.activity, options_.device, options_.reference_mhz);
+      eval.mapped, eval.activity, device, kReferenceMhz);
 
   fpga::SynthesisReport& r = eval.report;
   r.name = spec.name;
   r.logic_elements = eval.mapped.le_count();
   r.fmax_mhz = eval.timing.fmax_mhz;
   r.power_mw = pb.total_mw();
-  r.reference_mhz = options_.reference_mhz;
+  r.reference_mhz = kReferenceMhz;
   // The paper counts pipeline stages as the input-to-output latency.
   r.pipeline_stages = eval.info.latency;
   r.chain_les = eval.mapped.chain_le_count();

@@ -1,9 +1,9 @@
 // Design-space exploration driver -- the paper's methodology as an API.
 // For each architecture it elaborates the netlist, runs synthesis-style
-// cleanup, maps to APEX logic elements, analyzes timing, streams an
-// image-like workload through the transport-delay mapped simulator to
-// measure switching activity (glitches included), and estimates power at
-// the Table-3 reference frequency.
+// cleanup, maps to APEX logic elements, analyzes timing on the APEX 20KE,
+// streams rows of a synthetic still-tone image through the transport-delay
+// mapped simulator to measure switching activity (glitches included), and
+// estimates power at the Table-3 reference frequency of 15 MHz.
 #pragma once
 
 #include <memory>
@@ -17,19 +17,6 @@
 #include "rtl/stats.hpp"
 
 namespace dwt::explore {
-
-enum class Workload {
-  kStillToneImage,  ///< rows of the synthetic photograph (paper: Lena tile)
-  kRandomNoise,     ///< uncorrelated samples (pessimistic activity)
-};
-
-struct ExplorerOptions {
-  double reference_mhz = 15.0;        ///< Table 3 power reference frequency
-  std::size_t workload_samples = 2048;///< stream length for activity capture
-  Workload workload = Workload::kStillToneImage;
-  std::uint64_t seed = 2005;
-  fpga::ApexDeviceParams device = fpga::ApexDeviceParams::apex20ke();
-};
 
 struct DesignEvaluation {
   hw::DesignSpec spec;
@@ -48,8 +35,6 @@ struct DesignEvaluation {
 
 class Explorer {
  public:
-  explicit Explorer(ExplorerOptions options = {});
-
   /// Full evaluation of one architecture.
   [[nodiscard]] DesignEvaluation evaluate(const hw::DesignSpec& spec) const;
 
@@ -61,13 +46,9 @@ class Explorer {
   /// (design x adder) rows of the extended Pareto sweep.
   [[nodiscard]] std::vector<DesignEvaluation> evaluate_adder_variants() const;
 
-  [[nodiscard]] const ExplorerOptions& options() const { return options_; }
-
-  /// The sample stream used for activity measurement.
+  /// The sample stream used for activity measurement: 2048 samples of a
+  /// 128-wide still-tone image (paper: a Lena tile), seed 2005.
   [[nodiscard]] std::vector<std::int64_t> workload_stream() const;
-
- private:
-  ExplorerOptions options_;
 };
 
 }  // namespace dwt::explore

@@ -58,9 +58,9 @@ SynthesisCost synthesize(const fpga::MappedNetlist& mapped) {
 /// One pass over each band, at that band's length, yields the PSNR over the
 /// concatenated low/high bands (the double operations of dsp::psnr, in its
 /// order) and the largest absolute coefficient error; the stream is
-/// corrupted iff that error is nonzero.
-FaultTrial classify_trial(const rtl::Fault& fault, const std::string& net_name,
-                          const hw::StreamResult& got,
+/// corrupted iff that error is nonzero.  The net's name is filled in only
+/// for trials the run keeps.
+FaultTrial classify_trial(const rtl::Fault& fault, const hw::StreamResult& got,
                           const hw::StreamResult& golden, bool watch_hit) {
   double sse = 0.0;
   std::int64_t worst = 0;
@@ -80,7 +80,6 @@ FaultTrial classify_trial(const rtl::Fault& fault, const std::string& net_name,
 
   FaultTrial trial;
   trial.fault = fault;
-  trial.net_name = net_name;
   if (watch_hit) {
     trial.outcome = FaultOutcome::kDetected;
   } else if (worst != 0) {
@@ -260,14 +259,21 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     rtl::Simulator sim(built.netlist);
     return hw::run_stream(built, sim, stimulus);
   }();
+  // The compiled engine runs every batch, and the fault-free check, on one
+  // session type sharing the cache's native block; the simulator runs it
+  // for clock edges and for settles, forced lanes included.
+  using BatchSession = rtl::compiled::WideBatchSession<4>;
+  const std::shared_ptr<const rtl::compiled::NativeBlock> native =
+      compiled ? cache.native_for(rtl::compiled::ExecTier::kAuto,
+                                  result.spec.config, options.harden, kLevel,
+                                  BatchSession::Sim::kWords)
+               : nullptr;
   {
     hw::StreamResult check;
     bool flagged = false;
     if (compiled) {
-      rtl::compiled::WideBatchSession<1> clean(tape);
-      clean.sim().set_native(
-          cache.native_for(rtl::compiled::ExecTier::kAuto, result.spec.config,
-                           options.harden, kLevel, 1));
+      BatchSession clean(tape);
+      clean.sim().set_native(native);
       if (flag_net != rtl::kNullNet) clean.watch(flag_net);
       // The fault-free pass doubles as the golden trace recording for the
       // replaying batches.
@@ -395,33 +401,24 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
       inj.arm(fault);
       if (flag_net != rtl::kNullNet) inj.watch(flag_net);
       const hw::StreamResult got = hw::run_stream_faulty(dut, inj, stimulus);
-      out[t - c0] = classify_trial(fault, dut.netlist.net(fault.net).name, got,
-                                   golden, inj.watch_triggered());
+      out[t - c0] = classify_trial(fault, got, golden, inj.watch_triggered());
     }
   };
 
   // Compiled chunk: up to 256 trials per tape pass, batches sharded across
   // a worker pool.  With replay on, the chunk's trials are first ordered by
-  // one key, (persistence, strike cycle, trial index): stuck faults hold
-  // their force forever and retire only once the golden trace absorbs their
-  // forced value into a constant tail (a later and rarer event than a
-  // transient's pipeline drain), so they are segregated from the
-  // transients, and cycle-sorting both maximizes each batch's pre-fault skip
-  // and keeps its post-drain retirement window tight.  Every batch still
-  // writes only its own trials, so results are independent of the ordering,
-  // scheduling and thread count.
-  using BatchSession = rtl::compiled::WideBatchSession<4>;
+  // one key, (persistence, strike cycle, trial index): a batch holding a
+  // stuck fault never retires (the force outlives every cycle), so stuck
+  // faults are segregated from the transients, whose batches then retire
+  // once their upsets drain; cycle-sorting both maximizes each batch's
+  // pre-fault skip and keeps its post-drain retirement window tight.  Every
+  // batch still writes only its own trials, so results are independent of
+  // the ordering, scheduling and thread count.
+  //
   // One session per pool worker for the whole campaign, reset for each
-  // batch it runs, so its state arrays are allocated once.  Every session
-  // shares the cache's native block; the simulator runs it for clock edges
-  // and for settles, forced lanes included.
+  // batch it runs, so its state arrays are allocated once.
   std::vector<std::unique_ptr<BatchSession>> sessions(
       compiled ? common::resolve_threads(options.threads) : 0);
-  const std::shared_ptr<const rtl::compiled::NativeBlock> native =
-      compiled ? cache.native_for(rtl::compiled::ExecTier::kAuto,
-                                  result.spec.config, options.harden, kLevel,
-                                  BatchSession::Sim::kWords)
-               : nullptr;
   const auto run_compiled_chunk = [&](std::size_t c0, std::size_t c1,
                                       std::vector<FaultTrial>& out) {
     constexpr std::size_t kBatchLanes = BatchSession::kTotalLanes;
@@ -467,9 +464,8 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
         const auto& watch = sess.watch_block();
         for (unsigned l = 0; l < lanes; ++l) {
           const std::uint32_t idx = order[t0 + l];
-          const rtl::Fault& fault = faults[c0 - shard_begin + idx];
-          out[idx] = classify_trial(fault, dut.netlist.net(fault.net).name,
-                                    got[l], golden, watch.get(l));
+          out[idx] = classify_trial(faults[c0 - shard_begin + idx], got[l],
+                                    golden, watch.get(l));
         }
       };
     });
@@ -487,7 +483,10 @@ CampaignResult run_campaign(const ResilienceOptions& options) {
     }
     for (FaultTrial& trial : chunk) {
       state.add(trial);
-      if (keep) state.kept.push_back(std::move(trial));
+      if (keep) {
+        trial.net_name = dut.netlist.net(trial.fault.net).name;
+        state.kept.push_back(std::move(trial));
+      }
     }
     state.cursor = c1;
     if (use_checkpoint) {

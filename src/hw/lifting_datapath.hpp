@@ -13,6 +13,7 @@
 // (paper figure 4), so the core itself is boundary-free.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,6 +45,11 @@ struct DatapathConfig {
   /// Size internal registers to the measured ranges of paper section 3.1
   /// (true) or to conservative interval-analysis bounds (false; ablation).
   bool paper_widths = true;
+
+  /// Member-wise, so every field -- one added later included -- tells two
+  /// configurations apart (core::ArtifactCache keys on it).
+  friend auto operator<=>(const DatapathConfig&,
+                          const DatapathConfig&) = default;
 };
 
 /// Value range of each named pipeline register group (paper section 3.1).

@@ -22,16 +22,12 @@
 //     whole state is golden, so watches and bus reads are served from the
 //     trace -- and the first fault's cycle starts from the registers the
 //     trace holds for it;
-//   * once every armed fault has struck and any remaining force is provably
-//     a no-op, each post-edge register state is compared against the trace;
-//     the first match retires the batch, and the remaining cycles are served
-//     from the trace like the prefix.  Transient faults (SEUs, glitches)
-//     release their forces and drain out of the pipeline in a handful of
-//     cycles.  Stuck-at forces persist, but a batch can still retire once
-//     the trace itself holds every stuck slot at its forced value for the
-//     rest of the run (the "stuck tail"): from there the force pins what
-//     the circuit computes anyway, so golden registers again imply a golden
-//     future.
+//   * once every armed fault has struck and no lane is pinned, each
+//     post-edge register state is compared against the trace; the first
+//     match retires the batch, and the remaining cycles are served from the
+//     trace like the prefix.  Transient faults (SEUs, glitches) release
+//     their forces and drain out of the pipeline in a handful of cycles.
+//     Stuck-at forces persist, so a batch holding one never retires.
 //
 // Replay changes only which cycles are simulated: watch masks and bus reads
 // are bit-identical to a session without the trace, lane for lane
@@ -156,7 +152,6 @@ class WideBatchSession {
     cycle_ = 0;
     first_cycle_ = std::numeric_limits<std::uint64_t>::max();
     last_fault_cycle_ = 0;
-    stuck_tail_cycle_ = 0;
     converged_cycle_ = std::numeric_limits<std::uint64_t>::max();
     skipped_cycles_ = 0;
   }
@@ -190,9 +185,6 @@ class WideBatchSession {
     if (!golden_) return;
     first_cycle_ = std::min(first_cycle_, f.cycle);
     last_fault_cycle_ = std::max(last_fault_cycle_, f.cycle);
-    if (f.kind == FaultKind::kStuckAt0 || f.kind == FaultKind::kStuckAt1) {
-      stuck_tail_cycle_ = std::max(stuck_tail_cycle_, stuck_tail(f));
-    }
   }
 
   /// Monitors a net (e.g. the parity error flag) on every lane: bit L of
@@ -246,15 +238,6 @@ class WideBatchSession {
     if (golden_ && converged(c)) converged_cycle_ = c + 1;
     ++cycle_;
   }
-  [[nodiscard]] std::int64_t read_bus(const Bus& bus, unsigned lane) const {
-    if (!replayed_last()) return sim_.read_bus(bus, lane);
-    if (lane >= kTotalLanes) {
-      throw std::invalid_argument("WideBatchSession::read_bus: bad lane");
-    }
-    std::int64_t v = 0;
-    read_bus_all(bus, &v, 1);
-    return v;
-  }
 
   /// Reads the first `lanes` lanes of a bus in one pass: per bus bit the
   /// slot is resolved once and its W state words fanned out to the lane
@@ -305,8 +288,8 @@ class WideBatchSession {
     return skipped_cycles_;
   }
   /// True once the whole batch has matched the golden trace for good (all
-  /// strikes delivered, every remaining force a provable no-op, registers
-  /// golden); every later cycle is served from the trace.
+  /// strikes delivered, no lane pinned, registers golden); every later
+  /// cycle is served from the trace.
   [[nodiscard]] bool retired() const {
     return converged_cycle_ != std::numeric_limits<std::uint64_t>::max();
   }
@@ -398,30 +381,13 @@ class WideBatchSession {
     return cycle_ > 0 && replayed(cycle_ - 1);
   }
 
-  /// The first cycle from which the trace holds a stuck fault's slot at its
-  /// forced value to the end of the run.  A stuck net without a tape slot
-  /// cannot be checked against the trace, so its tail is the whole run.
-  [[nodiscard]] std::uint64_t stuck_tail(const Fault& f) const {
-    const Slot s = sim_.tape().slot_of(f.net);
-    std::uint64_t tail = golden_->cycles();
-    if (s != kNullSlot) {
-      const bool want = f.kind == FaultKind::kStuckAt1;
-      while (tail > 0 && golden_->get(tail - 1, s) == want) --tail;
-    }
-    return tail;
-  }
-
   /// Whether every cycle after `c` matches the trace: all strikes
-  /// delivered, every remaining pin a no-op (glitches release at their
-  /// strike cycle, so past the last fault only stuck forces remain, and
-  /// those are no-ops from the stuck tail on), and every register golden
-  /// after the edge -- the combinational state is a function of the
+  /// delivered, no lane pinned (glitches release at their strike cycle, so
+  /// past the last fault only stuck forces remain), and every register
+  /// golden after the edge -- the combinational state is a function of the
   /// registers and the lane-uniform inputs.
   [[nodiscard]] bool converged(std::uint64_t c) const {
-    if (c < last_fault_cycle_ ||
-        (sim_.any_forced() && c + 1 < stuck_tail_cycle_)) {
-      return false;
-    }
+    if (c < last_fault_cycle_ || sim_.any_forced()) return false;
     for (const DffSlots& dff : sim_.tape().dffs()) {
       const std::uint64_t want = golden_->broadcast(c, dff.d);
       for (unsigned k = 0; k < W; ++k) {
@@ -441,9 +407,6 @@ class WideBatchSession {
 
   std::uint64_t first_cycle_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t last_fault_cycle_ = 0;  // latest armed strike
-  /// First cycle from which every stuck force tracks the golden trace to
-  /// the end of the run (0 when the batch has no stuck-at faults).
-  std::uint64_t stuck_tail_cycle_ = 0;
   /// First cycle of the golden tail after retirement; max() = not retired.
   std::uint64_t converged_cycle_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t skipped_cycles_ = 0;

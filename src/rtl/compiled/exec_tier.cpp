@@ -35,9 +35,8 @@ bool native_supported(unsigned words) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (words == 1) return true;
 #if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return words == 4 && __builtin_cpu_supports("avx2") != 0;
 #else
-  (void)words;
   return false;
 #endif
 #else

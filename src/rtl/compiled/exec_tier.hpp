@@ -8,8 +8,8 @@
 //                kFull tapes.
 //   kNative   -- the tape lowered to straight-line x86-64 machine code in
 //                an mmap'd executable buffer (native_block.hpp): scalar for
-//                W=1, VEX/AVX2 for W=2/4.  Selected by runtime CPU-feature
-//                detection.  At W=2/4 on fault-overlay-safe tapes settles
+//                W=1, VEX/AVX2 for W=4.  Selected by runtime CPU-feature
+//                detection.  At W=4 on fault-overlay-safe tapes settles
 //                with forced lanes run natively too, pinning each result
 //                with the interpreter's masks, so campaign results stay
 //                byte-identical.
@@ -45,7 +45,8 @@ enum class ExecTier {
 
 /// True when the native emitter can target this host for tapes of `words`
 /// lane words per slot: x86-64 always for words == 1 (scalar 64-bit code),
-/// AVX2 required for words == 2 or 4 (VEX 128/256-bit code).
+/// AVX2 required for words == 4 (VEX 256-bit code); false for any other
+/// width.
 [[nodiscard]] bool native_supported(unsigned words);
 
 /// Maps a requested tier to the concrete tier that should run, applying (in

@@ -60,7 +60,7 @@ class Emitter {
   void or_rr(unsigned dst, unsigned src) { rr_op(0x09, dst, src); }
   void xor_rr(unsigned dst, unsigned src) { rr_op(0x31, dst, src); }
 
-  // -- VEX (W=2 -> xmm / L=0, W=4 -> ymm / L=1): regs 0..3 scratch, 7 = ~0
+  // -- VEX (W=4, ymm): regs 0..3 scratch, 7 = ~0
   void v_load(unsigned reg, std::uint32_t slot, unsigned base = kState) {
     vex(2, 0);
     u8(0x6F);
@@ -155,10 +155,10 @@ class Emitter {
   /// 2-byte VEX prefix: pp selects the mandatory prefix (1 = 66 for the
   /// integer ops, 2 = F3 for vmovdqu); vvvv is the first source register
   /// (pass 0 when the op takes none -- reg 0 one's-complements to the
-  /// required 1111 field).  L comes from the lane width.
+  /// required 1111 field).  L = 1: every VEX op is 256 bits wide.
   void vex(unsigned pp, unsigned vvvv) {
     u8(0xC5);
-    u8(0x80 | ((~vvvv & 0xFu) << 3) | (words_ == 4 ? 4 : 0) | pp);
+    u8(0x80 | ((~vvvv & 0xFu) << 3) | 4 | pp);
   }
 
   unsigned words_;
@@ -505,9 +505,7 @@ void emit_edge(Emitter& e, const std::vector<DffSlots>& dffs, unsigned words) {
 
 std::shared_ptr<const NativeBlock> NativeBlock::build(const Tape& tape,
                                                       unsigned words) {
-  if ((words != 1 && words != 2 && words != 4) || !native_supported(words)) {
-    return nullptr;
-  }
+  if (!native_supported(words)) return nullptr;
   // Every slot must be addressable as [rdi + disp32].
   const std::uint64_t span =
       static_cast<std::uint64_t>(tape.slot_count()) * words * 8;

@@ -3,8 +3,8 @@
 // NativeBlock::build() lowers every instruction of a levelized Tape into a
 // flat run of x86-64 machine code operating directly on the WideSimulator's
 // slot-major state array (W lane words per slot, the same layout the
-// interpreter walks): 64-bit scalar ALU code for W=1, VEX-encoded 128/256-
-// bit AVX integer code for W=2/4.  There is no dispatch, no loop and no
+// interpreter walks): 64-bit scalar ALU code for W=1, VEX-encoded 256-bit
+// AVX2 integer code for W=4.  There is no dispatch, no loop and no
 // per-instruction call -- the whole settle pass is one function call into
 // an mmap'd executable buffer:
 //
@@ -14,7 +14,7 @@
 // WideSimulator::exec<false>, so outputs are byte-identical by
 // construction.
 //
-// Blocks for fault-overlay-safe tapes (OptLevel kNone/kSafe) at W=2/4 carry
+// Blocks for fault-overlay-safe tapes (OptLevel kNone/kSafe) at W=4 carry
 // a third entry, run_forced(), the settle with fault overlays: every
 // instruction result is ANDed with its slot's keep mask and ORed with its
 // pinned value before it is stored or forwarded -- exec<true>'s per-slot
@@ -36,9 +36,10 @@
 // DFF-heavy designs the edge, not the settle, is the step() bottleneck, so
 // the native tier lowers both.
 //
-// build() returns nullptr when the host cannot run the code (non-x86-64,
-// missing AVX2 for W>1, W^X mapping refused by the kernel, or a tape too
-// large for disp32 addressing) -- callers fall back to the interpreter.
+// build() returns nullptr for a width other than 1 or 4 and when the host
+// cannot run the code (non-x86-64, missing AVX2 for W=4, W^X mapping
+// refused by the kernel, or a tape too large for disp32 addressing) --
+// callers fall back to the interpreter.
 // Blocks are immutable after construction and safe to share across threads.
 #pragma once
 

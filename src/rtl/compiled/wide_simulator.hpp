@@ -4,7 +4,8 @@
 // vectors: every signal slot holds a LaneBlock<W> -- W consecutive
 // std::uint64_t lane words -- and the instruction kernels run fixed-trip
 // loops over the W words, which the compiler unrolls and auto-vectorizes
-// (W=4 is one 256-bit AVX2 op or two SSE2 ops per gate).  Lane L of the
+// (W=4 is one 256-bit AVX2 op or two SSE2 ops per gate).  W is 1 or 4: 64
+// lanes for one-line sessions, 256 for campaign batches.  Lane L of the
 // batch lives in word L/64, bit L%64.
 //
 // Semantics match the scalar zero-delay rtl::Simulator lane for lane:
@@ -50,7 +51,7 @@ inline constexpr unsigned kWordLanes = 64;
 /// half of all 32-byte slot accesses straddle a cache line -- the native
 /// tier's ymm loads/stores (and the compiler's vectorized interpreter
 /// kernels) pay a split-access penalty on every other slot.  64-byte
-/// alignment makes every W=2/W=4 slot line-local.
+/// alignment makes every W=4 slot line-local.
 template <typename T>
 struct CacheAlignedAllocator {
   using value_type = T;
@@ -77,8 +78,8 @@ using StateVec = std::vector<std::uint64_t, CacheAlignedAllocator<std::uint64_t>
 /// W consecutive lane words: the per-slot state unit of WideSimulator<W>.
 template <unsigned W>
 struct LaneBlock {
-  static_assert(W == 1 || W == 2 || W == 4,
-                "LaneBlock: supported widths are 1, 2 and 4 words");
+  static_assert(W == 1 || W == 4,
+                "LaneBlock: supported widths are 1 and 4 words");
   std::array<std::uint64_t, W> w{};
 
   static constexpr unsigned kLaneCount = kWordLanes * W;

@@ -28,6 +28,12 @@ namespace {
 /// The JPEG2000 DC level shift: 8-bit samples become signed around zero.
 constexpr std::int32_t kLevelShift = 128;
 
+/// Widest and tallest frame a gate-level backend transforms per request.
+/// Simulating the netlist costs microseconds per pixel and more, so one
+/// request could otherwise hold a transform slot for minutes;
+/// `dwt97cli tile` runs any size.
+constexpr std::size_t kGateLevelMaxSide = 256;
+
 /// The request's pixels as an int32 plane, each stored as v - offset.  A
 /// PGM payload goes through the one hardened parser (truncated
 /// header/pixels, comment handling, dimension and maxval caps).
@@ -121,6 +127,17 @@ Response execute_request(const Request& req) {
     plane = decode_plane(req, transform_op ? kLevelShift : 0);
   } catch (const std::exception& e) {
     return error_response(Status::kBadRequest, e.what());
+  }
+  if (transform_op && backend != nullptr && backend->caps().gate_level &&
+      (plane.width() > kGateLevelMaxSide ||
+       plane.height() > kGateLevelMaxSide)) {
+    const std::string side = std::to_string(kGateLevelMaxSide);
+    return error_response(
+        Status::kBadRequest,
+        "gate-level backend " + req.backend + " serves frames up to " + side +
+            "x" + side + " pixels (got " + std::to_string(plane.width()) +
+            "x" + std::to_string(plane.height()) +
+            "); run `dwt97cli tile` for larger frames");
   }
   Response resp;
   resp.op = req.op;

@@ -51,7 +51,8 @@ struct ServerOptions {
 /// runs once admitted, exposed so tests and the load generator can compute
 /// expected responses without a socket.  Invalid content (unknown backend,
 /// malformed PGM payload via the hardened dsp::read_pgm checks, unsupported
-/// op) comes back as a structured error response, never an exception.
+/// op, a frame wider or taller than 256 pixels for a gate-level backend)
+/// comes back as a structured error response, never an exception.
 [[nodiscard]] Response execute_request(const Request& req);
 
 /// Metrics key for a request's backend ("default" for the in-thread

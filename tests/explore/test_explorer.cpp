@@ -84,7 +84,7 @@ TEST_F(ExplorerSuite, GlitchActivityLowerWhenPipelined) {
 
 TEST_F(ExplorerSuite, PowerProjectionScalesWithFrequency) {
   const auto& e = evals()[1];
-  const auto p40 = e.power_at(40.0, Explorer().options().device);
+  const auto p40 = e.power_at(40.0, fpga::ApexDeviceParams::apex20ke());
   EXPECT_GT(p40.total_mw(), e.report.power_mw);
   EXPECT_NEAR(p40.logic_mw, e.report.power_breakdown.logic_mw * 40.0 / 15.0,
               1e-6);
@@ -119,32 +119,16 @@ TEST(Explorer, PrefixAdderVariantShiftsTheFrontier) {
 }
 
 TEST(Explorer, WorkloadStreamsAreDeterministic) {
-  Explorer ex;
+  const Explorer ex;
   EXPECT_EQ(ex.workload_stream(), ex.workload_stream());
-  ExplorerOptions noisy;
-  noisy.workload = Workload::kRandomNoise;
-  Explorer ex2(noisy);
-  EXPECT_NE(ex.workload_stream(), ex2.workload_stream());
+  EXPECT_EQ(ex.workload_stream().size(), 2048u);
 }
 
 TEST(Explorer, WorkloadFitsSignedEightBits) {
-  for (const Workload w : {Workload::kStillToneImage, Workload::kRandomNoise}) {
-    ExplorerOptions opt;
-    opt.workload = w;
-    for (const std::int64_t v : Explorer(opt).workload_stream()) {
-      EXPECT_GE(v, -128);
-      EXPECT_LE(v, 127);
-    }
+  for (const std::int64_t v : Explorer().workload_stream()) {
+    EXPECT_GE(v, -128);
+    EXPECT_LE(v, 127);
   }
-}
-
-TEST(Explorer, RejectsBadOptions) {
-  ExplorerOptions opt;
-  opt.reference_mhz = 0;
-  EXPECT_THROW(Explorer{opt}, std::invalid_argument);
-  opt = {};
-  opt.workload_samples = 10;
-  EXPECT_THROW(Explorer{opt}, std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -374,128 +376,126 @@ TEST(ConeSession, SkipsCyclesBeforeEarliestFault) {
   EXPECT_EQ(sess.skipped_cycles(), late);
 }
 
-// a -> NOT -> DFF -> NOT, driven a=1 for 4 cycles then a=0: the inverter
-// output n1 is golden-0 early and golden-1 for the rest of the run, a
-// constant tail a stuck-at-1 force disappears into.
-TEST(ConeSession, StuckAtRetiresOnceGoldenTailMatchesForce) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId n1 = nl.add_cell(CellKind::kNot, a);
-  const NetId q = nl.add_cell(CellKind::kDff, n1);
-  const NetId y = nl.add_cell(CellKind::kNot, q);
-  const auto tape = compile(nl);
-  constexpr std::uint64_t kCycles = 12;
-  const auto drive = [a](auto& sess, std::uint64_t c) {
-    Bus bus;
-    bus.bits = {a};
-    // A 1-bit bus is signed: -1 drives the bit high.
-    sess.set_bus(bus, c < 4 ? -1 : 0);
-  };
-  auto trace = std::make_shared<GoldenTrace>(*tape);
-  {
-    WideSimulator<1> sim(tape);
-    for (std::uint64_t c = 0; c < kCycles; ++c) {
-      sim.set_input_block(a, c < 4 ? WideSimulator<1>::Block::ones()
-                                   : WideSimulator<1>::Block::zeros());
-      sim.eval();
-      trace->append(sim);
-      sim.clock_edge();
-    }
-  }
+// ---------------------------------------------------------------------------
+// Stuck-at faults never retire a batch: the force pins its net for the rest
+// of the run.  Each case records the trace of a lane-uniform drive, runs one
+// stuck-at fault on a session simulating every cycle and on one replaying
+// the trace, and requires every lane of the observed buses to read the same
+// after every cycle.
+// ---------------------------------------------------------------------------
 
-  Fault f;
-  f.kind = FaultKind::kStuckAt1;
-  f.net = n1;
-  f.cycle = 1;
+using Drive = std::function<void(WideBatchSession<1>&, std::uint64_t)>;
+
+std::shared_ptr<GoldenTrace> record_driven(std::shared_ptr<const Tape> tape,
+                                           std::uint64_t cycles,
+                                           const Drive& drive) {
+  auto trace = std::make_shared<GoldenTrace>(*tape);
+  WideBatchSession<1> clean(std::move(tape));
+  clean.set_trace(trace.get());
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    drive(clean, c);
+    clean.step();
+  }
+  return trace;
+}
+
+void expect_stuck_never_retires(std::shared_ptr<const Tape> tape,
+                                std::shared_ptr<const GoldenTrace> trace,
+                                const Fault& f, const Drive& drive,
+                                const std::vector<Bus>& observed) {
+  constexpr unsigned kLanes = WideBatchSession<1>::kTotalLanes;
   WideBatchSession<1> full(tape);
   WideBatchSession<1> sess(tape, trace);
   full.arm(0, f);
   sess.arm(0, f);
-  Bus ybus;
-  ybus.bits = {y};
-  for (std::uint64_t c = 0; c < kCycles; ++c) {
+  std::vector<std::int64_t> want(kLanes), got(kLanes);
+  for (std::uint64_t c = 0; c < trace->cycles(); ++c) {
     drive(full, c);
     drive(sess, c);
     full.step();
     sess.step();
-    EXPECT_EQ(full.read_bus(ybus, 0), sess.read_bus(ybus, 0)) << "cycle " << c;
+    for (const Bus& bus : observed) {
+      full.read_bus_all(bus, want.data(), kLanes);
+      sess.read_bus_all(bus, got.data(), kLanes);
+      ASSERT_EQ(want, got) << "cycle " << c;
+    }
+    EXPECT_FALSE(sess.retired()) << "cycle " << c;
   }
-  // The forced 1 equals golden n1 from cycle 4 on, and the register goes
-  // golden after the edge of cycle 4, so cycles 5..11 are trace-served --
-  // plus the pre-fault cycle 0, eight skipped cycles in all.
-  EXPECT_TRUE(sess.retired());
-  EXPECT_EQ(sess.skipped_cycles(), (kCycles - 5) + 1);
+  // Only the cycles before the fault are served from the trace.
+  EXPECT_EQ(sess.skipped_cycles(), f.cycle);
+}
+
+// a -> NOT -> DFF -> NOT, driven a=1 for 4 cycles then a=0: the inverter
+// output n1 is golden-0 early and golden-1 for the rest of the run.
+struct InverterPipe {
+  Netlist nl;
+  NetId a = nl.add_input("a");
+  NetId n1 = nl.add_cell(CellKind::kNot, a);
+  NetId q = nl.add_cell(CellKind::kDff, n1);
+  NetId y = nl.add_cell(CellKind::kNot, q);
+  std::shared_ptr<const Tape> tape = compile(nl);
+  static constexpr std::uint64_t kCycles = 12;
+
+  void drive(WideBatchSession<1>& sess, std::uint64_t c) const {
+    Bus bus;
+    bus.bits = {a};
+    // A 1-bit bus is signed: -1 drives the bit high.
+    sess.set_bus(bus, c < 4 ? -1 : 0);
+  }
+  void run_stuck(FaultKind kind) const {
+    const Drive d = [this](WideBatchSession<1>& s, std::uint64_t c) {
+      drive(s, c);
+    };
+    Fault f;
+    f.kind = kind;
+    f.net = n1;
+    f.cycle = 1;
+    Bus ybus;
+    ybus.bits = {y};
+    expect_stuck_never_retires(tape, record_driven(tape, kCycles, d), f, d,
+                               {ybus});
+  }
+};
+
+// The forced 1 equals golden n1 from cycle 4 on, and the register goes
+// golden after the edge of cycle 4, yet the pin stays: no retirement.
+TEST(ConeSession, StuckAtMatchingGoldenTailNeverRetires) {
+  InverterPipe().run_stuck(FaultKind::kStuckAt1);
 }
 
 // Same circuit, stuck-at-0 against a golden-1 tail: the force never stops
-// mattering, so the batch must not retire -- and must still match the full
-// session bit for bit.
+// mattering.
 TEST(ConeSession, StuckAtAgainstGoldenTailNeverRetires) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId n1 = nl.add_cell(CellKind::kNot, a);
-  const NetId q = nl.add_cell(CellKind::kDff, n1);
-  const NetId y = nl.add_cell(CellKind::kNot, q);
-  const auto tape = compile(nl);
-  constexpr std::uint64_t kCycles = 12;
-  auto trace = std::make_shared<GoldenTrace>(*tape);
-  {
-    WideSimulator<1> sim(tape);
-    for (std::uint64_t c = 0; c < kCycles; ++c) {
-      sim.set_input_block(a, c < 4 ? WideSimulator<1>::Block::ones()
-                                   : WideSimulator<1>::Block::zeros());
-      sim.eval();
-      trace->append(sim);
-      sim.clock_edge();
-    }
-  }
-
-  Fault f;
-  f.kind = FaultKind::kStuckAt0;
-  f.net = n1;
-  f.cycle = 1;
-  WideBatchSession<1> full(tape);
-  WideBatchSession<1> sess(tape, trace);
-  full.arm(0, f);
-  sess.arm(0, f);
-  Bus abus, ybus;
-  abus.bits = {a};
-  ybus.bits = {y};
-  for (std::uint64_t c = 0; c < kCycles; ++c) {
-    full.set_bus(abus, c < 4 ? -1 : 0);  // 1-bit bus is signed
-    sess.set_bus(abus, c < 4 ? -1 : 0);
-    full.step();
-    sess.step();
-    EXPECT_EQ(full.read_bus(ybus, 0), sess.read_bus(ybus, 0)) << "cycle " << c;
-  }
-  EXPECT_FALSE(sess.retired());
-  EXPECT_EQ(sess.skipped_cycles(), 1u);  // the pre-fault cycle 0 only
+  InverterPipe().run_stuck(FaultKind::kStuckAt0);
 }
 
-// On a real design: find a stuck target whose golden trace ends in a long
-// constant tail, force it to that tail value from the start, and require
-// the batch to retire while staying bit-identical to the full session.
-TEST(ConeSession, StuckAtRetiresOnRealDesignConstantTail) {
+// On a real design: drive 16 sample pairs, then hold the last one, so the
+// pipeline settles; force the stuck target whose golden trace turns
+// constant latest (with room left to drain) to its tail value.
+TEST(ConeSession, StuckAtOnRealDesignConstantTailNeverRetires) {
   core::ArtifactCache& cache = core::ArtifactCache::instance();
   const hw::DesignSpec spec = hw::design_spec(hw::DesignId::kDesign1);
-  const auto dp = cache.design(spec.config);
+  const auto design = cache.design(spec.config);
+  const hw::BuiltDatapath& dp = design->dp;
   const auto tape =
       cache.tape(spec.config, HardeningStyle::kNone, OptLevel::kSafe);
   const auto cone =
       cache.cone_index(spec.config, HardeningStyle::kNone, OptLevel::kSafe);
-  const std::vector<std::int64_t> x = stimulus(16);
-  const auto trace = record_golden(dp->dp, tape, x);
-  const std::uint64_t cycles = trace->cycles();
-  const std::uint64_t margin =
-      static_cast<std::uint64_t>(dp->dp.info.latency) + 4;
+  const std::vector<std::int64_t> x = stimulus(32);
+  const std::uint64_t margin = static_cast<std::uint64_t>(dp.info.latency) + 4;
+  const std::uint64_t cycles = 16 + 3 * margin;
+  const Drive drive = [&](WideBatchSession<1>& sess, std::uint64_t c) {
+    const std::size_t pair = std::min<std::uint64_t>(c, 15);
+    sess.set_bus(dp.in_even, x[2 * pair]);
+    sess.set_bus(dp.in_odd, x[2 * pair + 1]);
+  };
+  const auto trace = record_driven(tape, cycles, drive);
 
-  // Pick the candidate whose constant tail starts latest while still
-  // leaving the pipeline room to drain the divergence before the run ends
-  // (tail > 0 means the force genuinely corrupts earlier cycles).
+  // tail > 0: the force genuinely corrupts the cycles before the tail.
   NetId best = kNullNet;
   bool best_value = false;
   std::uint64_t best_tail = 0;
-  for (const NetId n : stuck_targets(dp->dp.netlist)) {
+  for (const NetId n : stuck_targets(dp.netlist)) {
     const Slot s = tape->slot_of(n);
     if (s == kNullSlot || cone->span_of_net(*tape, n).empty()) continue;
     const bool v = trace->get(cycles - 1, s);
@@ -512,18 +512,8 @@ TEST(ConeSession, StuckAtRetiresOnRealDesignConstantTail) {
   Fault f;
   f.kind = best_value ? FaultKind::kStuckAt1 : FaultKind::kStuckAt0;
   f.net = best;
-  f.cycle = 0;
-  WideBatchSession<1> full(tape);
-  WideBatchSession<1> sess(tape, trace);
-  full.arm(0, f);
-  sess.arm(0, f);
-  const auto want = hw::run_stream_batch(dp->dp, full, x, 1);
-  const auto got = hw::run_stream_batch(dp->dp, sess, x, 1);
-  ASSERT_EQ(want.size(), got.size());
-  EXPECT_EQ(want[0].low, got[0].low);
-  EXPECT_EQ(want[0].high, got[0].high);
-  EXPECT_TRUE(sess.retired());
-  EXPECT_GT(sess.skipped_cycles(), 0u);
+  f.cycle = 1;
+  expect_stuck_never_retires(tape, trace, f, drive, {dp.out_low, dp.out_high});
 }
 
 TEST(ConeSession, RejectsLateArmAndForeignArtifacts) {

@@ -1,6 +1,6 @@
 // Execution-tier seam: the native tier must compute exactly the words the
 // switch interpreter computes -- on clean runs, under fault overlays (the
-// native forced settle at W=2/4 on o1 tapes), and across resets.  Also pins
+// native forced settle at W=4 on o1 tapes), and across resets.  Also pins
 // the tier-resolution policy: kAuto picks the fastest supported tier and
 // DWT_EXEC_TIER overrides every request, failing safe to the interpreter on
 // values it cannot parse.
@@ -253,7 +253,6 @@ TEST(ExecTier, NativeMatchesSwitchAllWidths) {
       expect_native_matches<1>(dp.netlist, level, 301);
     }
     if (rtl::compiled::native_supported(4)) {
-      expect_native_matches<2>(dp.netlist, level, 302);
       expect_native_matches<4>(dp.netlist, level, 303);
     }
   }
@@ -273,7 +272,6 @@ TEST(ExecTier, NativeMatchesSwitchUnderFaultOverlays) {
           rtl::HardeningStyle::kParity}) {
       SCOPED_TRACE(spec.name + " " + rtl::to_string(harden));
       const auto design = cache.design(cfg, harden);
-      expect_native_matches_forced<2>(design->dp.netlist, seed++, &carry_pins);
       expect_native_matches_forced<4>(design->dp.netlist, seed++, &carry_pins);
     }
     // o2 blocks have no forced entry, and their code is what it was before
@@ -312,7 +310,10 @@ TEST(ExecTier, SetNativeRejectsMismatchedBlock) {
   }
   const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign1);
   const auto tape = rtl::compiled::compile(dp.netlist, OptLevel::kFull);
-  const auto wrong_width = NativeBlock::build(*tape, 2);
+  // Blocks come in the simulator's two widths only.
+  EXPECT_FALSE(rtl::compiled::native_supported(2));
+  EXPECT_EQ(NativeBlock::build(*tape, 2), nullptr);
+  const auto wrong_width = NativeBlock::build(*tape, 1);
   ASSERT_NE(wrong_width, nullptr);
   WideSimulator<4> sim(tape);
   EXPECT_THROW(sim.set_native(wrong_width), std::invalid_argument);
@@ -362,9 +363,9 @@ TEST(ExecTier, NativeEdgeOrdersChainsRingsAndSelfLoops) {
 TEST(ExecTier, TierSurvivesReset) {
   const hw::BuiltDatapath dp = hw::build_design(hw::DesignId::kDesign2);
   const auto tape = rtl::compiled::compile(dp.netlist, OptLevel::kFull);
-  WideSimulator<2> a(tape);
-  WideSimulator<2> b(tape);
-  b.set_native(NativeBlock::build(*tape, 2));
+  WideSimulator<4> a(tape);
+  WideSimulator<4> b(tape);
+  b.set_native(NativeBlock::build(*tape, 4));
   common::Rng rng(77);
   const std::vector<rtl::NetId>& pis = dp.netlist.primary_inputs();
   for (int round = 0; round < 2; ++round) {
@@ -372,8 +373,8 @@ TEST(ExecTier, TierSurvivesReset) {
     b.reset();
     for (int cycle = 0; cycle < 8; ++cycle) {
       for (const rtl::NetId pi : pis) {
-        rtl::compiled::LaneBlock<2> blk;
-        for (unsigned k = 0; k < 2; ++k) blk.w[k] = rng.next_u64();
+        rtl::compiled::LaneBlock<4> blk;
+        for (unsigned k = 0; k < 4; ++k) blk.w[k] = rng.next_u64();
         a.set_input_block(pi, blk);
         b.set_input_block(pi, blk);
       }

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/artifact_cache.hpp"
 #include "core/registry.hpp"
 #include "dsp/dwt2d.hpp"
 #include "dsp/image.hpp"
@@ -469,6 +470,37 @@ TEST(DwtServer, ExecuteRequestMatchesOpContracts) {
   EXPECT_EQ(deep.status, Status::kBadRequest);
   EXPECT_NE(response_message(deep).find("1..9"), std::string::npos)
       << response_message(deep);
+}
+
+// A gate-level backend transforms frames up to 256x256 per request; a wider
+// one is answered before any transform runs (no core asks the artifact
+// cache for its design), and the answer names the limit and the CLI that
+// has none.
+TEST(DwtServer, GateLevelRequestsAreBoundedTo256Square) {
+  core::ArtifactCache& cache = core::ArtifactCache::instance();
+  const auto design_requests = [&cache] {
+    const core::CacheStats s = cache.stats();
+    return s.design_builds + s.design_hits;
+  };
+  const std::uint64_t before = design_requests();
+  for (const Op op : {Op::kTileRoundTrip, Op::kForward}) {
+    Request wide = tile_request(dsp::make_still_tone_image(257, 256, 4),
+                                "rtl-compiled", hw::DesignId::kDesign4, 1);
+    wide.op = op;
+    const Response r = execute_request(wide);
+    EXPECT_EQ(r.status, Status::kBadRequest);
+    const std::string msg = response_message(r);
+    EXPECT_NE(msg.find("256x256"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("dwt97cli tile"), std::string::npos) << msg;
+  }
+  Request tall = tile_request(dsp::make_still_tone_image(8, 257, 4),
+                              "rtl-interpreted", hw::DesignId::kDesign4, 1);
+  EXPECT_EQ(execute_request(tall).status, Status::kBadRequest);
+  EXPECT_EQ(design_requests(), before);
+  // The software path has no such limit.
+  Request software = tile_request(dsp::make_still_tone_image(257, 256, 4), "",
+                                  hw::DesignId::kDesign4, 1);
+  EXPECT_EQ(execute_request(software).status, Status::kOk);
 }
 
 /// A /proc/self/status size field ("VmRSS", "VmSize") in bytes.
