@@ -60,10 +60,11 @@ void BM_Dwt2dMultiOctave(benchmark::State& state) {
 }
 BENCHMARK(BM_Dwt2dMultiOctave)->Arg(64)->Arg(128)->Arg(256);
 
-// The stages `dwt97d` runs for its default `tile` request on the int32
+// The stages of `dwt97d`'s default `tile` request, timed apart on an int32
 // plane: parse the PGM payload into level-shifted samples, the tile
 // forward and inverse (64-pixel tiles, two octaves, one thread), and the
-// clamping P5 render.  Args are the frame's width and height.
+// clamping P5 render; then the one-pass round trip the request runs.  Args
+// are the frame's width and height.
 std::vector<std::uint8_t> served_pgm(const benchmark::State& state) {
   return dwt::dsp::render_pgm(dwt::dsp::make_still_tone_image(
       static_cast<std::size_t>(state.range(0)),
@@ -132,10 +133,23 @@ void BM_ServedRender(benchmark::State& state) {
   set_pixels(state);
 }
 
+/// What `dwt97d` runs for the request: the four stages above in one pass
+/// over the tiles, from the payload's bytes to the answer's.
+void BM_ServedRoundTrip(benchmark::State& state) {
+  const std::vector<std::uint8_t> pgm = served_pgm(state);
+  for (auto _ : state) {
+    std::vector<std::uint8_t> decoded;
+    benchmark::DoNotOptimize(dwt::hw::tile_round_trip(
+        dwt::dsp::pgm_pixels(pgm, "bench", &decoded), served_options()));
+  }
+  set_pixels(state);
+}
+
 BENCHMARK(BM_ServedParse)->Args({3840, 2160})->Args({64, 64});
 BENCHMARK(BM_ServedForward)->Args({3840, 2160})->Args({64, 64});
 BENCHMARK(BM_ServedInverse)->Args({3840, 2160})->Args({64, 64});
 BENCHMARK(BM_ServedRender)->Args({3840, 2160})->Args({64, 64});
+BENCHMARK(BM_ServedRoundTrip)->Args({3840, 2160})->Args({64, 64});
 
 void BM_GateLevelSimulation(benchmark::State& state) {
   const auto dp = dwt::hw::build_design(

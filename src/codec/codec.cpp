@@ -50,9 +50,6 @@ int choose_order(const std::vector<std::int64_t>& values) {
   return k;
 }
 
-/// The JPEG2000 DC level shift: 8-bit pixels become signed around zero.
-constexpr double kLevelShift = 128.0;
-
 /// f(v) for every coefficient v of band rectangle r, row-major.
 template <class T, class F>
 std::vector<std::int64_t> band_values(const dsp::Plane<T>& plane,
@@ -98,7 +95,7 @@ EncodedImage encode_image(const dsp::Image& image, const EncodeOptions& opt) {
   dsp::Plane<std::int32_t> ints;
   dsp::Image reals;
   if (lossless) {
-    ints = dsp::to_int32_plane(image, kLevelShift);
+    ints = dsp::to_int32_plane(image, dsp::kLevelShift);
     (void)dsp::dwt2d_forward(dsp::Method::kReversible53, ints.view(),
                              opt.octaves);
   } else {

@@ -303,11 +303,11 @@ int dwt2d_int32(KernelBuild build, Method m, PlaneView<std::int32_t> window,
 }
 
 void level_shift_forward(Image& img) {
-  for (double& v : img.data()) v -= 128.0;
+  for (double& v : img.data()) v -= kLevelShift;
 }
 
 void level_shift_inverse(Image& img) {
-  for (double& v : img.data()) v += 128.0;
+  for (double& v : img.data()) v += kLevelShift;
 }
 
 void round_coefficients(Image& plane) {

@@ -124,7 +124,7 @@ enum class KernelBuild { kPortable, kAvx2 };
 int dwt2d_int32(KernelBuild build, Method m, PlaneView<std::int32_t> window,
                 int octaves, bool inverse, int frac_bits = kDefaultFracBits);
 
-/// DC level shift helpers (x -> x - 128 and back).
+/// DC level shift helpers (x -> x - kLevelShift and back).
 void level_shift_forward(Image& img);
 void level_shift_inverse(Image& img);
 

@@ -121,11 +121,19 @@ std::string pgm_header(std::size_t w, std::size_t h) {
   return "P5\n" + std::to_string(w) + " " + std::to_string(h) + "\n255\n";
 }
 
-/// The one PGM parser: validates the document and stores each sample v as
-/// v - offset in a w x h plane of T (int32, or double for an Image).
-template <class T>
-Plane<T> parse(std::span<const std::uint8_t> bytes, const std::string& name,
-               std::int32_t offset) {
+/// Every sample of `from` through `f` into the same-shaped `to`.
+template <class From, class To, class F>
+void convert(PlaneView<From> from, PlaneView<To> to, F f) {
+  for (std::size_t y = 0; y < from.height; ++y) {
+    std::transform(from.row(y), from.row(y) + from.width, to.row(y), f);
+  }
+}
+
+}  // namespace
+
+PlaneView<const std::uint8_t> pgm_pixels(std::span<const std::uint8_t> bytes,
+                                         const std::string& name,
+                                         std::vector<std::uint8_t>* decoded) {
   PgmReader in(bytes, name);
   const std::string_view magic = in.token();
   if (magic != "P5" && magic != "P2") in.fail("unsupported PGM magic");
@@ -148,9 +156,10 @@ Plane<T> parse(std::span<const std::uint8_t> bytes, const std::string& name,
   // allocated.
   const std::size_t n = static_cast<std::size_t>(w * h);
   in.require(binary ? n : 2 * n);
-  Plane<T> out(static_cast<std::size_t>(w), static_cast<std::size_t>(h));
-  const auto sample = [offset](auto v) {
-    return static_cast<T>(v) - static_cast<T>(offset);
+  const auto view = [&](const std::uint8_t* data) {
+    return PlaneView<const std::uint8_t>{data, static_cast<std::size_t>(w),
+                                         static_cast<std::size_t>(w),
+                                         static_cast<std::size_t>(h)};
   };
   if (binary) {
     const std::span<const std::uint8_t> pixels = in.take(n);
@@ -159,63 +168,62 @@ Plane<T> parse(std::span<const std::uint8_t> bytes, const std::string& name,
                                      [maxval](std::uint8_t v) { return v > maxval; });
       if (over != pixels.end()) in.check_sample(*over, maxval);
     }
-    std::transform(pixels.begin(), pixels.end(), out.data().begin(), sample);
-    return out;
+    return view(pixels.data());
   }
-  for (T& px : out.data()) {
+  decoded->resize(n);
+  for (std::uint8_t& px : *decoded) {
     in.skip_space();
     const std::optional<long long> v = in.integer();
     if (!v) in.fail("truncated data");
     in.check_sample(*v, maxval);
-    px = sample(*v);
+    px = static_cast<std::uint8_t>(*v);
   }
-  return out;
+  return view(decoded->data());
 }
 
-}  // namespace
+PlaneView<const std::uint8_t> u8_view(std::span<const std::uint8_t> pixels,
+                                      std::size_t w, std::size_t h) {
+  if (w == 0 || h == 0 || pixels.size() / w < h) {
+    throw std::invalid_argument("u8_view: fewer than width * height pixels");
+  }
+  return {pixels.data(), w, w, h};
+}
+
+Plane<std::int32_t> u8_plane(PlaneView<const std::uint8_t> pixels,
+                             std::int32_t offset) {
+  Plane<std::int32_t> plane(pixels.width, pixels.height);
+  convert(pixels, plane.view(),
+          [offset](std::uint8_t v) { return std::int32_t{v} - offset; });
+  return plane;
+}
 
 Plane<std::int32_t> parse_pgm(std::span<const std::uint8_t> bytes,
                               const std::string& name, std::int32_t offset) {
-  return parse<std::int32_t>(bytes, name, offset);
+  std::vector<std::uint8_t> decoded;
+  return u8_plane(pgm_pixels(bytes, name, &decoded), offset);
 }
 
-Plane<std::int32_t> u8_plane(std::span<const std::uint8_t> pixels,
-                             std::size_t w, std::size_t h,
-                             std::int32_t offset) {
-  if (w == 0 || h == 0 || pixels.size() / w < h) {
-    throw std::invalid_argument("u8_plane: fewer than width * height pixels");
-  }
-  Plane<std::int32_t> plane(w, h);
-  std::transform(pixels.begin(), pixels.begin() + w * h, plane.data().begin(),
-                 [offset](std::uint8_t v) { return std::int32_t{v} - offset; });
-  return plane;
+std::vector<std::uint8_t> blank_pgm(std::size_t w, std::size_t h) {
+  const std::string header = pgm_header(w, h);
+  std::vector<std::uint8_t> out(header.begin(), header.end());
+  out.resize(header.size() + w * h);
+  return out;
 }
 
 std::vector<std::uint8_t> render_pgm(const Plane<std::int32_t>& plane,
                                      std::int32_t offset) {
-  const std::string header = pgm_header(plane.width(), plane.height());
-  std::vector<std::uint8_t> out(header.begin(), header.end());
-  out.resize(header.size() + plane.data().size());
-  // Clamping before the offset keeps v + offset inside int32.
+  std::vector<std::uint8_t> out = blank_pgm(plane.width(), plane.height());
   std::transform(plane.data().begin(), plane.data().end(),
-                 out.begin() + static_cast<std::ptrdiff_t>(header.size()),
-                 [offset](std::int32_t v) {
-                   return static_cast<std::uint8_t>(
-                       std::clamp(v, -offset, 255 - offset) + offset);
-                 });
+                 pgm_body(std::span(out), plane.width(), plane.height()).data,
+                 [offset](std::int32_t v) { return to_pixel(v, offset); });
   return out;
 }
 
 std::vector<std::uint8_t> render_pgm(const Image& img, double offset) {
-  const std::string header = pgm_header(img.width(), img.height());
-  std::vector<std::uint8_t> out(header.begin(), header.end());
-  out.resize(header.size() + img.data().size());
+  std::vector<std::uint8_t> out = blank_pgm(img.width(), img.height());
   std::transform(img.data().begin(), img.data().end(),
-                 out.begin() + static_cast<std::ptrdiff_t>(header.size()),
-                 [offset](double v) {
-                   return static_cast<std::uint8_t>(
-                       std::clamp(std::round(v + offset), 0.0, 255.0));
-                 });
+                 pgm_body(std::span(out), img.width(), img.height()).data,
+                 [offset](double v) { return to_pixel(v, offset); });
   return out;
 }
 
@@ -245,7 +253,13 @@ Image read_pgm(std::istream& in, const std::string& name) {
     in.read(chunk, sizeof(chunk));
     bytes.insert(bytes.end(), chunk, chunk + in.gcount());
   } while (in);
-  return parse<double>(bytes, name, 0);
+  std::vector<std::uint8_t> decoded;
+  const PlaneView<const std::uint8_t> pixels =
+      pgm_pixels(bytes, name, &decoded);
+  Image img(pixels.width, pixels.height);
+  convert(pixels, img.view(),
+          [](std::uint8_t v) { return static_cast<double>(v); });
+  return img;
 }
 
 void write_pgm(const Image& img, const std::string& path) {

@@ -105,13 +105,30 @@ constexpr StepTable<ShiftMul<T>, 2> reversible53_steps() {
   return {{{{-1, 0, 1}, {1, 2, 2}}}, {1, 0, 0}, {1, 0, 0}, {1, 0, 0}, {1, 0, 0}};
 }
 
+/// This thread's ladder scratch for samples of type T, at least n of them:
+/// one buffer per thread and sample type, grown on demand and kept, so a
+/// transform of many small windows (tiles) allocates nothing once its
+/// thread has lifted the largest.  A ladder block writes every slot before
+/// reading it and calls nothing that lifts, so the blocks of every ladder
+/// on the thread can share it.  Left uninitialised.
+template <class T>
+T* ladder_scratch(std::size_t n) {
+  thread_local std::unique_ptr<T[]> buffer;
+  thread_local std::size_t size = 0;
+  if (size < n) {
+    buffer = std::make_unique_for_overwrite<T[]>(n);
+    size = n;
+  }
+  return buffer.get();
+}
+
 /// The forward (or, with `inverse`, the inverse) transform as a line
 /// operation.  ladder(x, n, stride, lanes, lane_stride) lifts `lanes` lines
 /// of n samples in place, sample i of line j being
 /// x[i * stride + j * lane_stride]: the rows of a w x h region are
 /// (top, w, 1, h, pitch) and its columns (top, h, pitch, w, 1), so one call
 /// lifts a whole pass.  Lines go through in blocks of at most kBlockLines,
-/// and the scratch holds one block.
+/// and the thread's ladder scratch holds one block.
 template <class Mul, std::size_t Steps>
 class LiftingLadder {
  public:
@@ -153,12 +170,7 @@ class LiftingLadder {
     const bool rows = stride == 1;
     const std::size_t slot = rows ? 1 : lanes;  // slot i to slot i + 1
     const std::size_t line = rows ? slots : 1;  // line j to line j + 1
-    if (scratch_size_ < 2 * slots * lanes) {
-      // Left uninitialised: every slot is written before it is read.
-      scratch_size_ = 2 * slots * lanes;
-      scratch_ = std::make_unique_for_overwrite<T[]>(scratch_size_);
-    }
-    T* s = scratch_.get();
+    T* s = ladder_scratch<T>(2 * slots * lanes);
     T* d = s + slots * lanes;
     const auto same = [](T v) { return v; };
     // Sample k of every line to or from its slot.  The forward input and
@@ -306,8 +318,6 @@ class LiftingLadder {
 
   StepTable<Mul, Steps> steps_;
   bool inverse_;
-  std::unique_ptr<T[]> scratch_;
-  std::size_t scratch_size_ = 0;
 };
 
 }  // namespace dwt::dsp

@@ -38,22 +38,24 @@ double psnr(const Image& a, const Image& b, double peak) {
   return 10.0 * std::log10(peak * peak / e);
 }
 
-double psnr(const Plane<std::int32_t>& a, const Plane<std::int32_t>& b,
+double psnr(PlaneView<const std::uint8_t> a, PlaneView<const std::uint8_t> b,
             double peak) {
-  if (a.width() != b.width() || a.height() != b.height() || a.empty()) {
-    throw std::invalid_argument("psnr: plane dimension mismatch or empty");
+  if (a.width != b.width || a.height != b.height || a.width == 0 ||
+      a.height == 0) {
+    throw std::invalid_argument("psnr: pixel plane shape mismatch or empty");
   }
-  // Unsigned: an int32 difference squared fits 64 bits, and pixel planes
-  // (|e| <= 255) keep the sum exact far beyond the 65535 x 65535 cap.
+  // A difference of two bytes squared is below 2^16, so the sum stays exact
+  // far beyond the 65535 x 65535 cap.
   std::uint64_t sse = 0;
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    const std::int64_t e = std::int64_t{a.data()[i]} - b.data()[i];
-    const auto m = static_cast<std::uint64_t>(e < 0 ? -e : e);
-    sse += m * m;
+  for (std::size_t y = 0; y < a.height; ++y) {
+    for (std::size_t x = 0; x < a.width; ++x) {
+      const int e = int{a.row(y)[x]} - int{b.row(y)[x]};
+      sse += static_cast<std::uint64_t>(e * e);
+    }
   }
   if (sse == 0) return std::numeric_limits<double>::infinity();
-  const double e =
-      static_cast<double>(sse) / static_cast<double>(a.data().size());
+  const double e = static_cast<double>(sse) /
+                   static_cast<double>(a.width * a.height);
   return 10.0 * std::log10(peak * peak / e);
 }
 

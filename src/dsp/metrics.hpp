@@ -18,9 +18,9 @@ namespace dwt::dsp {
                           double peak = 255.0);
 [[nodiscard]] double psnr(const Image& a, const Image& b, double peak = 255.0);
 
-/// PSNR of two integer pixel planes from their exact integer squared-error
-/// sum.
-[[nodiscard]] double psnr(const Plane<std::int32_t>& a,
-                          const Plane<std::int32_t>& b, double peak = 255.0);
+/// PSNR of two same-shaped 8-bit pixel planes from their exact integer
+/// squared-error sum.
+[[nodiscard]] double psnr(PlaneView<const std::uint8_t> a,
+                          PlaneView<const std::uint8_t> b, double peak = 255.0);
 
 }  // namespace dwt::dsp

@@ -146,15 +146,57 @@ dsp::PlaneView<std::int32_t> integer_view(dsp::Plane<std::int32_t>& plane,
   return plane.view();
 }
 
-template <class P>
-TileStats round_trip(P& plane, const TileOptions& options) {
-  const TileStats stats = tile_forward(plane, options);
-  TileOptions inv = options;
-  if (inv.backend != nullptr && !inv.backend->caps().inverse_2d) {
-    inv.backend = nullptr;
-  }
-  (void)tile_inverse(plane, inv);
-  return stats;
+/// The round trip's pool: every tile of `pixels` through a worker's tile
+/// scratch of T, from its pixels to its rectangle of `out`.
+template <class T>
+TileStats round_trip_tiles(dsp::PlaneView<const std::uint8_t> pixels,
+                           dsp::PlaneView<std::uint8_t> out,
+                           const TileOptions& options) {
+  validate(options);
+  const TileGrid tiles(pixels.width, pixels.height, options.tile_w,
+                       options.tile_h);
+  // The forward's dsp method (nullopt: a netlist session) and the
+  // inverse's, the default path's method for a netlist engine.
+  const std::optional<dsp::Method> forward =
+      options.backend != nullptr ? options.backend->software_method()
+                                 : options.method;
+  const dsp::Method inverse = forward.value_or(options.method);
+  const core::BackendRequest req = backend_request(options);
+  struct Worker {
+    std::vector<T> scratch;
+    std::optional<Dwt2dSystem> session;
+  };
+  return run_pool(
+      tiles, options.threads,
+      [&] {
+        Worker w;
+        w.scratch.resize(std::min(options.tile_w, pixels.width) *
+                         std::min(options.tile_h, pixels.height));
+        if (!forward) w.session.emplace(options.backend->make_2d_session(req));
+        return w;
+      },
+      [&](Worker& w, const TileRect& t) {
+        const dsp::PlaneView<T> tile{w.scratch.data(), t.w, t.w, t.h};
+        const auto src = pixels.window(t.x0, t.y0, t.w, t.h);
+        const auto dst = out.window(t.x0, t.y0, t.w, t.h);
+        for (std::size_t y = 0; y < t.h; ++y) {
+          std::transform(src.row(y), src.row(y) + t.w, tile.row(y),
+                         [](std::uint8_t v) {
+                           return static_cast<T>(v) - T{dsp::kLevelShift};
+                         });
+        }
+        Dwt2dRunStats stats;
+        if constexpr (std::is_same_v<T, std::int32_t>) {
+          if (w.session) stats = w.session->transform(tile, options.octaves);
+        }
+        if (forward) (void)dsp::dwt2d_forward(*forward, tile, options.octaves);
+        (void)dsp::dwt2d_inverse(inverse, tile, options.octaves);
+        for (std::size_t y = 0; y < t.h; ++y) {
+          std::transform(tile.row(y), tile.row(y) + t.w, dst.row(y),
+                         [](T v) { return dsp::to_pixel(v, T{dsp::kLevelShift}); });
+        }
+        return stats;
+      });
 }
 
 /// The Image entry points: an integer-valued engine runs `run` on the image
@@ -198,14 +240,16 @@ TileStats tile_inverse(dsp::Plane<std::int32_t>& plane,
   return run_tiles(integer_view(plane, options), options, /*inverse=*/true);
 }
 
-TileStats tile_round_trip(dsp::Image& img, const TileOptions& options) {
-  return on_image(img, options,
-                  [&](auto& plane) { return round_trip(plane, options); });
-}
-
-TileStats tile_round_trip(dsp::Plane<std::int32_t>& plane,
+RoundTrip tile_round_trip(dsp::PlaneView<const std::uint8_t> pixels,
                           const TileOptions& options) {
-  return round_trip(plane, options);
+  RoundTrip rt;
+  rt.pgm = dsp::blank_pgm(pixels.width, pixels.height);
+  const dsp::PlaneView<std::uint8_t> out =
+      dsp::pgm_body(std::span(rt.pgm), pixels.width, pixels.height);
+  rt.stats = integer_valued(options)
+                 ? round_trip_tiles<std::int32_t>(pixels, out, options)
+                 : round_trip_tiles<double>(pixels, out, options);
+  return rt;
 }
 
 }  // namespace dwt::hw

@@ -13,13 +13,15 @@
 //    system around the shared cached netlist) on int32 tiles, with the
 //    per-tile cycle accounting aggregated into the stats.
 // Integer-valued engines run on int32 planes; the Image entry points convert
-// once for them.
+// once for them.  The round trip reads 8-bit pixels and writes a PGM
+// document, one tile at a time through each worker's tile scratch.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "dsp/dwt1d.hpp"
 #include "dsp/image.hpp"
@@ -124,11 +126,25 @@ TileStats tile_forward(dsp::Plane<std::int32_t>& plane,
 TileStats tile_inverse(dsp::Plane<std::int32_t>& plane,
                        const TileOptions& options);
 
-/// tile_forward then tile_inverse under the same options, returning the
-/// forward's stats.  A backend without a 2-D inverse inverts through the
-/// default software path: its forward is bit-identical to kLiftingFixed.
-TileStats tile_round_trip(dsp::Image& plane, const TileOptions& options);
-TileStats tile_round_trip(dsp::Plane<std::int32_t>& plane,
+/// What tile_round_trip returns.
+struct RoundTrip {
+  std::vector<std::uint8_t> pgm;  ///< the P5 document of the reconstruction
+  TileStats stats;                ///< the forward's
+};
+
+/// The round trip of 8-bit pixels (a PGM document's, dsp::pgm_pixels, or a
+/// raw payload's, dsp::u8_view) in one pass over the tiles: each worker
+/// level-shifts a tile's pixels (v - dsp::kLevelShift) into its own tile
+/// scratch -- int32 for an integer-valued engine, double otherwise -- runs
+/// the forward then the inverse there, and writes the reconstruction as
+/// pixels (dsp::to_pixel) into the tile's rectangle of the returned
+/// document.  A netlist engine's forward runs in the worker's own figure-4
+/// session and its inverse through the default software path (its forward
+/// is bit-identical to kLiftingFixed).  The bytes equal those of the staged
+/// dsp::u8_plane -> tile_forward -> tile_inverse -> dsp::render_pgm (on
+/// dsp::to_image of the plane for the engines that are not integer-valued),
+/// and no frame-sized plane is made.
+RoundTrip tile_round_trip(dsp::PlaneView<const std::uint8_t> pixels,
                           const TileOptions& options);
 
 }  // namespace dwt::hw

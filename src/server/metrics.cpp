@@ -81,6 +81,7 @@ MetricsSnapshot ServerMetrics::snapshot() const {
 std::string ServerMetrics::render_json(std::size_t queue_depth,
                                        std::size_t queue_capacity,
                                        unsigned workers,
+                                       unsigned tile_threads,
                                        const core::CacheStats& cache) const {
   const MetricsSnapshot s = snapshot();
   common::JsonRecordWriter doc("dwt97d_metrics");
@@ -97,6 +98,7 @@ std::string ServerMetrics::render_json(std::size_t queue_depth,
   count("queue_depth", static_cast<double>(queue_depth));
   count("queue_capacity", static_cast<double>(queue_capacity));
   count("workers", static_cast<double>(workers));
+  count("tile_threads", static_cast<double>(tile_threads));
   doc.add("server", "latency_p50_us", s.latency_p50_us, "us");
   doc.add("server", "latency_p99_us", s.latency_p99_us, "us");
   doc.add("server", "latency_mean_us", s.latency_mean_us, "us");

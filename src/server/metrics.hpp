@@ -48,12 +48,14 @@ class ServerMetrics {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Byte-stable JSON document of the snapshot plus live queue/cache state.
-  /// `queue_depth` is the current queue occupancy, `queue_capacity` and
-  /// `workers` the server configuration, `cache` the shared ArtifactCache
-  /// counters (hit rate = hits / (hits + builds) over every artifact kind).
+  /// `queue_depth` is the current queue occupancy, `queue_capacity`,
+  /// `workers` and `tile_threads` (the threads each transform lifts on) the
+  /// server configuration, `cache` the shared ArtifactCache counters (hit
+  /// rate = hits / (hits + builds) over every artifact kind).
   [[nodiscard]] std::string render_json(std::size_t queue_depth,
                                         std::size_t queue_capacity,
                                         unsigned workers,
+                                        unsigned tile_threads,
                                         const core::CacheStats& cache) const;
 
  private:

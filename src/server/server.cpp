@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cerrno>
 #include <cstring>
@@ -25,32 +26,32 @@ namespace dwt::server {
 
 namespace {
 
-/// The JPEG2000 DC level shift: 8-bit samples become signed around zero.
-constexpr std::int32_t kLevelShift = 128;
-
 /// Widest and tallest frame a gate-level backend transforms per request.
 /// Simulating the netlist costs microseconds per pixel and more, so one
 /// request could otherwise hold a transform slot for minutes;
 /// `dwt97cli tile` runs any size.
 constexpr std::size_t kGateLevelMaxSide = 256;
 
-/// The request's pixels as an int32 plane, each stored as v - offset.  A
-/// PGM payload goes through the one hardened parser (truncated
-/// header/pixels, comment handling, dimension and maxval caps).
-dsp::Plane<std::int32_t> decode_plane(const Request& req,
-                                      std::int32_t offset) {
+/// The request's validated pixels.  A PGM payload goes through the one
+/// hardened parser (truncated header/pixels, comment handling, dimension
+/// and maxval caps); a P2 payload's pixels are decoded into `*decoded`.
+dsp::PlaneView<const std::uint8_t> request_pixels(
+    const Request& req, std::vector<std::uint8_t>* decoded) {
   if (req.format == PayloadFormat::kPgm) {
-    return dsp::parse_pgm(req.payload, "request payload", offset);
+    return dsp::pgm_pixels(req.payload, "request payload", decoded);
   }
-  return dsp::u8_plane(req.payload, req.width, req.height, offset);
+  return dsp::u8_view(req.payload, req.width, req.height);
 }
 
 std::int32_t to_i32(std::int32_t v) { return v; }
 std::int32_t to_i32(double v) { return dsp::round_to_int32(v); }
 
-/// One i32 LE per coefficient, row-major.
+/// The `forward` op's answer: the level-shifted plane (an int32 plane for
+/// integer-valued engines, an Image for the others) through the tile
+/// forward, one i32 LE per coefficient, row-major.
 template <class P>
-std::vector<std::uint8_t> pack_i32_le(const P& plane) {
+std::vector<std::uint8_t> forward_payload(P plane, const hw::TileOptions& opt) {
+  (void)hw::tile_forward(plane, opt);
   std::vector<std::uint8_t> out(plane.data().size() * 4);
   std::uint8_t* o = out.data();
   for (const auto v : plane.data()) {
@@ -60,33 +61,16 @@ std::vector<std::uint8_t> pack_i32_le(const P& plane) {
   return out;
 }
 
-/// The `tile` and `forward` ops over a level-shifted plane: an int32 plane
-/// for integer-valued engines, an Image for the others.
-template <class P>
-Response serve_transform(const Request& req, const hw::TileOptions& opt,
-                         P& plane, Response resp) {
-  if (req.op == Op::kForward) {
-    (void)hw::tile_forward(plane, opt);
-    resp.payload = pack_i32_le(plane);
-  } else {
-    // Exactly `dwt97cli tile`: forward + inverse through the tile
-    // pipeline, reconstruction back as P5 bytes.
-    (void)hw::tile_round_trip(plane, opt);
-    resp.payload = dsp::render_pgm(plane, kLevelShift);
-  }
-  return resp;
-}
-
 hw::TileOptions tile_options(const Request& req,
-                             const core::ExecutionBackend* backend) {
+                             const core::ExecutionBackend* backend,
+                             unsigned tile_threads) {
   hw::TileOptions opt;
   opt.method = dsp::Method::kLiftingFixed;
   opt.octaves = req.octaves;
   opt.tile_w = opt.tile_h = req.tile != 0 ? req.tile : 64;
-  // The connections are the concurrency, and tile output is byte-identical
-  // at every thread count, so one in-request thread still matches the
-  // CLI's default-threaded run byte for byte.
-  opt.threads = 1;
+  // Tile output is byte-identical at every thread count, so the request's
+  // share of the host matches the CLI's run at any --threads byte for byte.
+  opt.threads = tile_threads;
   opt.backend = backend;
   opt.design = req.design;
   opt.opt_level = req.opt_level;
@@ -110,7 +94,11 @@ std::string backend_metrics_key(const Request& req) {
   return req.backend.empty() ? std::string("default") : req.backend;
 }
 
-Response execute_request(const Request& req) {
+unsigned tile_thread_share(unsigned hardware_threads, unsigned workers) {
+  return std::max(1u, hardware_threads / std::max(1u, workers));
+}
+
+Response execute_request(const Request& req, unsigned tile_threads) {
   const core::ExecutionBackend* backend = nullptr;
   if (!req.backend.empty()) {
     backend = core::find_backend(req.backend);
@@ -120,44 +108,52 @@ Response execute_request(const Request& req) {
                                 " (have: " + core::backend_names() + ")");
     }
   }
-  const bool transform_op =
-      req.op == Op::kTileRoundTrip || req.op == Op::kForward;
-  dsp::Plane<std::int32_t> plane;
+  std::vector<std::uint8_t> decoded;
+  dsp::PlaneView<const std::uint8_t> pixels;
   try {
-    plane = decode_plane(req, transform_op ? kLevelShift : 0);
+    pixels = request_pixels(req, &decoded);
   } catch (const std::exception& e) {
     return error_response(Status::kBadRequest, e.what());
   }
+  const bool transform_op =
+      req.op == Op::kTileRoundTrip || req.op == Op::kForward;
   if (transform_op && backend != nullptr && backend->caps().gate_level &&
-      (plane.width() > kGateLevelMaxSide ||
-       plane.height() > kGateLevelMaxSide)) {
+      (pixels.width > kGateLevelMaxSide ||
+       pixels.height > kGateLevelMaxSide)) {
     const std::string side = std::to_string(kGateLevelMaxSide);
     return error_response(
         Status::kBadRequest,
         "gate-level backend " + req.backend + " serves frames up to " + side +
-            "x" + side + " pixels (got " + std::to_string(plane.width()) +
-            "x" + std::to_string(plane.height()) +
+            "x" + side + " pixels (got " + std::to_string(pixels.width) +
+            "x" + std::to_string(pixels.height) +
             "); run `dwt97cli tile` for larger frames");
   }
   Response resp;
   resp.op = req.op;
-  resp.width = static_cast<std::uint16_t>(plane.width());
-  resp.height = static_cast<std::uint16_t>(plane.height());
+  resp.width = static_cast<std::uint16_t>(pixels.width);
+  resp.height = static_cast<std::uint16_t>(pixels.height);
   try {
     switch (req.op) {
       case Op::kTileRoundTrip:
+        // Exactly `dwt97cli tile`: the one-pass round trip, pixels in,
+        // P5 document out.
+        resp.payload =
+            hw::tile_round_trip(pixels, tile_options(req, backend, tile_threads))
+                .pgm;
+        return resp;
       case Op::kForward: {
-        const hw::TileOptions opt = tile_options(req, backend);
-        if (hw::integer_valued(opt)) {
-          return serve_transform(req, opt, plane, resp);
-        }
-        dsp::Image img = dsp::to_image(plane);
-        return serve_transform(req, opt, img, resp);
+        const hw::TileOptions opt = tile_options(req, backend, tile_threads);
+        dsp::Plane<std::int32_t> plane = dsp::u8_plane(pixels, dsp::kLevelShift);
+        resp.payload = hw::integer_valued(opt)
+                           ? forward_payload(std::move(plane), opt)
+                           : forward_payload(dsp::to_image(plane), opt);
+        return resp;
       }
       case Op::kCompress: {
         codec::EncodeOptions opt;
         opt.octaves = req.octaves;
-        resp.payload = codec::encode_image(dsp::to_image(plane), opt).bytes;
+        resp.payload =
+            codec::encode_image(dsp::to_image(dsp::u8_plane(pixels)), opt).bytes;
         return resp;
       }
       case Op::kMetrics:
@@ -175,6 +171,7 @@ Response execute_request(const Request& req) {
 
 DwtServer::DwtServer(ServerOptions options) : options_(std::move(options)) {
   n_workers_ = common::resolve_threads(options_.workers);
+  tile_threads_ = tile_thread_share(common::resolve_threads(0), n_workers_);
   if (options_.queue_depth == 0) {
     throw std::invalid_argument("DwtServer: queue depth must be nonzero");
   }
@@ -298,6 +295,7 @@ void DwtServer::set_paused(bool paused) {
 
 std::string DwtServer::metrics_json() const {
   return metrics_.render_json(queue_size(), options_.queue_depth, n_workers_,
+                              tile_threads_,
                               core::ArtifactCache::instance().stats());
 }
 
@@ -418,7 +416,7 @@ Response DwtServer::run_transform(const Request& req) {
   gate_cv_.notify_all();  // the next ticket may fit too
   Response resp;
   try {
-    resp = execute_request(req);
+    resp = execute_request(req, tile_threads_);
   } catch (const std::exception& e) {
     resp = error_response(Status::kInternalError, e.what());
   }

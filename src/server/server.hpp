@@ -13,8 +13,10 @@
 // core::ArtifactCache, so the first request per (backend, design,
 // opt-level, hardening) configuration pays the build and every later one
 // hits cache.  Responses are computed with the exact pipeline `dwt97cli
-// tile` runs (single-threaded tile scheduling per request), so a response
-// is byte-identical to the equivalent CLI invocation at every worker count.
+// tile` runs, each admitted transform lifting its tiles on its share of the
+// hardware threads (tile_thread_share); tile output does not depend on the
+// thread count, so a response is byte-identical to the equivalent CLI
+// invocation at every worker count.
 //
 // Shutdown is graceful: begin_drain() stops admitting work (new requests
 // get Status::kShuttingDown), stop() then waits for every taken ticket's
@@ -49,11 +51,19 @@ struct ServerOptions {
 
 /// Executes one transform request against the library -- what a connection
 /// runs once admitted, exposed so tests and the load generator can compute
-/// expected responses without a socket.  Invalid content (unknown backend,
-/// malformed PGM payload via the hardened dsp::read_pgm checks, unsupported
-/// op, a frame wider or taller than 256 pixels for a gate-level backend)
-/// comes back as a structured error response, never an exception.
-[[nodiscard]] Response execute_request(const Request& req);
+/// expected responses without a socket.  Its tiles lift on `tile_threads`
+/// threads; the answer is the same at every count.  Invalid content
+/// (unknown backend, malformed PGM payload via the hardened dsp::pgm_pixels
+/// checks, unsupported op, a frame wider or taller than 256 pixels for a
+/// gate-level backend) comes back as a structured error response, never an
+/// exception.
+[[nodiscard]] Response execute_request(const Request& req,
+                                       unsigned tile_threads = 1);
+
+/// The threads each admitted transform lifts its tiles on when `workers`
+/// transforms share `hardware_threads`: max(1, hardware_threads / workers).
+[[nodiscard]] unsigned tile_thread_share(unsigned hardware_threads,
+                                         unsigned workers);
 
 /// Metrics key for a request's backend ("default" for the in-thread
 /// software path, the registry name otherwise).
@@ -86,6 +96,9 @@ class DwtServer {
     return options_.unix_socket_path;
   }
   [[nodiscard]] unsigned workers() const { return n_workers_; }
+  /// Threads per admitted transform: tile_thread_share of the host's
+  /// hardware threads among the workers.
+  [[nodiscard]] unsigned tile_threads() const { return tile_threads_; }
   [[nodiscard]] std::size_t queue_capacity() const {
     return options_.queue_depth;
   }
@@ -123,6 +136,7 @@ class DwtServer {
 
   ServerOptions options_;
   unsigned n_workers_ = 0;
+  unsigned tile_threads_ = 1;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};  ///< wakes the accept poll on stop

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "dsp/dwt2d.hpp"
 #include "dsp/image_gen.hpp"
+#include "hw/tile_scheduler.hpp"
 #include "support/mutation.hpp"
 
 namespace dwt::dsp {
@@ -228,10 +229,55 @@ TEST(Image, ReadAcceptsOddDimensionsAndCommentsEverywhere) {
   std::remove(path.c_str());
 }
 
+/// A tile round trip of a PGM document (default engine, 4-pixel tiles, two
+/// octaves): its answer's bytes, or its error's message.
+std::string round_trip_answer(const std::vector<std::uint8_t>& doc,
+                              bool staged) {
+  hw::TileOptions opt;
+  opt.tile_w = opt.tile_h = 4;
+  opt.octaves = 2;
+  opt.threads = 1;
+  try {
+    std::vector<std::uint8_t> out;
+    if (staged) {
+      Plane<std::int32_t> plane = parse_pgm(doc, "mutant", kLevelShift);
+      (void)hw::tile_forward(plane, opt);
+      (void)hw::tile_inverse(plane, opt);
+      out = render_pgm(plane, kLevelShift);
+    } else {
+      std::vector<std::uint8_t> decoded;
+      out = hw::tile_round_trip(pgm_pixels(doc, "mutant", &decoded), opt).pgm;
+    }
+    return std::string(out.begin(), out.end());
+  } catch (const std::exception& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+TEST(Image, PixelViewsLieInP5BytesAndP2PixelsAreDecoded) {
+  const std::string p5("P5\n3 2\n255\n\x01\x02\x03\x04\x05\xff", 17);
+  const std::vector<std::uint8_t> bytes(p5.begin(), p5.end());
+  std::vector<std::uint8_t> decoded;
+  const PlaneView<const std::uint8_t> view = pgm_pixels(bytes, "p5", &decoded);
+  EXPECT_EQ(view.data, bytes.data() + 11);
+  EXPECT_EQ(view.width, 3u);
+  EXPECT_EQ(view.height, 2u);
+  EXPECT_EQ(view.pitch, 3u);
+  EXPECT_TRUE(decoded.empty());
+  const std::string p2 = "P2\n3 2\n255\n1 2 3\n4 5 255\n";
+  const PlaneView<const std::uint8_t> text = pgm_pixels(
+      std::vector<std::uint8_t>(p2.begin(), p2.end()), "p2", &decoded);
+  EXPECT_EQ(text.data, decoded.data());
+  EXPECT_EQ(decoded, std::vector<std::uint8_t>(bytes.begin() + 11, bytes.end()));
+  EXPECT_THROW((void)u8_view(bytes, 6, 3), std::invalid_argument);
+  EXPECT_EQ(u8_view(bytes, 6, 2).data, bytes.data());
+}
+
 TEST(Image, MutatedPgmParsesOrRejectsCleanly) {
   // Seeds: P5 and P2 documents with a comment line, 1x1 to 64x5.  A mutant
   // either parses, and its render parses back to the same plane, or is
-  // rejected with a read_pgm: error.
+  // rejected with a read_pgm: error.  Either way the one-pass tile round
+  // trip gives the staged round trip's bytes, or the same error.
   std::vector<std::vector<std::uint8_t>> seeds;
   common::Rng rng(5);
   for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{1, 1},
@@ -250,6 +296,9 @@ TEST(Image, MutatedPgmParsesOrRejectsCleanly) {
   const std::size_t unclean = test::count_unclean_mutations(
       seeds, 20261018, 50000, /*header_bytes=*/16,
       [](const std::vector<std::uint8_t>& m) {
+        if (round_trip_answer(m, true) != round_trip_answer(m, false)) {
+          return false;
+        }
         try {
           const Plane<std::int32_t> plane = parse_pgm(m, "mutant");
           const Plane<std::int32_t> back =

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace dwt::dsp {
 namespace {
@@ -53,6 +55,20 @@ TEST(Metrics, ImageOverloadMatchesVector) {
 
 TEST(Metrics, ImageDimensionMismatchRejected) {
   EXPECT_THROW((void)mse(Image(2, 2), Image(4, 1)), std::invalid_argument);
+}
+
+TEST(Metrics, PixelPsnrSumsTheWindowsSquaredErrorExactly) {
+  // Two 3x2 windows of 4-wide byte planes; the column outside each window
+  // differs and must not count.
+  const std::vector<std::uint8_t> a{0, 10, 255, 7, 5, 5, 5, 7};
+  const std::vector<std::uint8_t> b{1, 9, 255, 0, 5, 5, 5, 0};
+  const PlaneView<const std::uint8_t> va{a.data(), 4, 3, 2};
+  const PlaneView<const std::uint8_t> vb{b.data(), 4, 3, 2};
+  EXPECT_TRUE(std::isinf(psnr(va, va)));
+  // Squared error 2 over 6 pixels.
+  EXPECT_DOUBLE_EQ(psnr(va, vb), 10.0 * std::log10(255.0 * 255.0 * 3.0));
+  EXPECT_THROW((void)psnr(va, PlaneView<const std::uint8_t>{b.data(), 4, 2, 2}),
+               std::invalid_argument);
 }
 
 TEST(Metrics, CustomPeak) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -189,6 +190,149 @@ TEST(TileScheduler, RegistryBackendsAgreeOnTiles) {
     EXPECT_EQ(int_stats.total_cycles, stats.total_cycles) << backend.name();
     EXPECT_EQ(int_stats.line_passes, stats.line_passes) << backend.name();
   }
+}
+
+// The one-pass round trip against the staged composition it replaces.
+enum class Payload { kP5, kP2, kRaw8, kP5Maxval100 };
+
+/// A w x h frame as a request payload: a PGM document (P5, P2 with a
+/// comment, or P5 at maxval 100 with its pixels scaled down) or the raw
+/// pixels.
+std::vector<std::uint8_t> payload(Payload kind, std::size_t w, std::size_t h,
+                                  std::uint64_t seed) {
+  const dsp::Image img = dsp::make_still_tone_image(w, h, seed);
+  std::vector<std::uint8_t> px;
+  for (const double v : img.data()) {
+    const auto p = static_cast<int>(std::lround(v));
+    px.push_back(static_cast<std::uint8_t>(
+        kind == Payload::kP5Maxval100 ? p * 100 / 255 : p));
+  }
+  if (kind == Payload::kRaw8) return px;
+  const std::string dims = std::to_string(w) + " " + std::to_string(h);
+  std::string doc;
+  if (kind == Payload::kP2) {
+    doc = "P2\n# staged\n" + dims + "\n255\n";
+    for (const std::uint8_t v : px) doc += std::to_string(v) + "\n";
+  } else {
+    doc = "P5\n" + dims +
+          (kind == Payload::kP5Maxval100 ? "\n100\n" : "\n255\n");
+    doc.append(px.begin(), px.end());
+  }
+  return {doc.begin(), doc.end()};
+}
+
+/// Checks that the bytes form equals the staged composition -- parse_pgm
+/// (u8_plane for raw pixels), tile_forward, tile_inverse, render_pgm, on the
+/// Image forms for an engine that is not integer-valued -- bytes and stats.
+void expect_staged_bytes(Payload kind, std::size_t w, std::size_t h,
+                         const TileOptions& opt) {
+  const std::vector<std::uint8_t> bytes = payload(kind, w, h, w * 7 + h);
+  std::vector<std::uint8_t> decoded;
+  const dsp::PlaneView<const std::uint8_t> pixels =
+      kind == Payload::kRaw8 ? dsp::u8_view(bytes, w, h)
+                             : dsp::pgm_pixels(bytes, "frame", &decoded);
+  const RoundTrip rt = tile_round_trip(pixels, opt);
+
+  const dsp::Plane<std::int32_t> shifted =
+      kind == Payload::kRaw8
+          ? dsp::u8_plane(dsp::u8_view(bytes, w, h), dsp::kLevelShift)
+          : dsp::parse_pgm(bytes, "frame", dsp::kLevelShift);
+  TileOptions inv = opt;
+  if (inv.backend != nullptr && !inv.backend->caps().inverse_2d) {
+    inv.backend = nullptr;
+  }
+  TileStats fwd;
+  std::vector<std::uint8_t> staged;
+  if (integer_valued(opt)) {
+    dsp::Plane<std::int32_t> plane = shifted;
+    fwd = tile_forward(plane, opt);
+    (void)tile_inverse(plane, inv);
+    staged = dsp::render_pgm(plane, dsp::kLevelShift);
+  } else {
+    dsp::Image img = dsp::to_image(shifted);
+    fwd = tile_forward(img, opt);
+    (void)tile_inverse(img, inv);
+    staged = dsp::render_pgm(img, dsp::kLevelShift);
+  }
+  const std::string where =
+      std::to_string(w) + "x" + std::to_string(h) + " payload " +
+      std::to_string(static_cast<int>(kind)) + " tile " +
+      std::to_string(opt.tile_w) + " octaves " + std::to_string(opt.octaves) +
+      " threads " + std::to_string(opt.threads) + " backend " +
+      (opt.backend != nullptr ? std::string(opt.backend->name()) : "default");
+  EXPECT_EQ(rt.pgm, staged) << where;
+  EXPECT_EQ(rt.stats.tiles, fwd.tiles) << where;
+  EXPECT_EQ(rt.stats.threads_used, fwd.threads_used) << where;
+  EXPECT_EQ(rt.stats.total_cycles, fwd.total_cycles) << where;
+  EXPECT_EQ(rt.stats.line_passes, fwd.line_passes) << where;
+}
+
+constexpr std::pair<std::size_t, std::size_t> kFrames[] = {
+    {1, 1}, {33, 17}, {129, 97}, {130, 67}};
+constexpr Payload kPayloads[] = {Payload::kP5, Payload::kP2, Payload::kRaw8,
+                                 Payload::kP5Maxval100};
+
+TEST(TileScheduler, BytesRoundTripMatchesStagedOnSoftwareEngines) {
+  // Every frame x tile x thread count per engine; the payload and the
+  // octave count (1..6) cycle, so each engine meets every one of them.
+  for (const char* name : {"", "software-fixed", "software-float"}) {
+    TileOptions opt;
+    opt.backend = *name != '\0' ? core::find_backend(name) : nullptr;
+    std::size_t i = 0;
+    for (const auto& [w, h] : kFrames) {
+      for (const std::size_t tile : {1u, 7u, 64u, 4096u}) {
+        for (const unsigned threads : {1u, 3u}) {
+          opt.tile_w = opt.tile_h = tile;
+          opt.threads = threads;
+          opt.octaves = static_cast<int>(i % 6) + 1;
+          expect_staged_bytes(kPayloads[i % 4], w, h, opt);
+          ++i;
+        }
+      }
+    }
+  }
+}
+
+TEST(TileScheduler, BytesRoundTripMatchesStagedOnNetlistEngines) {
+  // The compiled Design 3 core forwards every frame in its own figure-4
+  // sessions and inverts through the software path.
+  TileOptions opt;
+  opt.backend = core::find_backend("rtl-compiled");
+  ASSERT_NE(opt.backend, nullptr);
+  opt.design = DesignId::kDesign3;
+  std::size_t i = 0;
+  for (const auto& [w, h] : kFrames) {
+    for (const std::size_t tile : {7u, 64u}) {
+      opt.tile_w = opt.tile_h = tile;
+      opt.threads = i % 2 == 0 ? 1 : 3;
+      opt.octaves = static_cast<int>(i % 6) + 1;
+      expect_staged_bytes(kPayloads[i % 4], w, h, opt);
+      ++i;
+    }
+  }
+  // The APEX-mapped netlist on the transport-delay simulator: one small
+  // frame.
+  opt.backend = core::find_backend("fpga-mapped");
+  ASSERT_NE(opt.backend, nullptr);
+  opt.tile_w = opt.tile_h = 7;
+  opt.threads = 3;
+  opt.octaves = 2;
+  expect_staged_bytes(Payload::kP5, 33, 17, opt);
+}
+
+TEST(TileScheduler, BytesRoundTripPassesEngineErrorsOn) {
+  const std::vector<std::uint8_t> bytes = payload(Payload::kRaw8, 16, 16, 3);
+  const dsp::PlaneView<const std::uint8_t> pixels = dsp::u8_view(bytes, 16, 16);
+  TileOptions opt;
+  opt.octaves = 0;
+  EXPECT_THROW((void)tile_round_trip(pixels, opt), std::invalid_argument);
+  opt = TileOptions{};
+  opt.tile_w = 0;
+  EXPECT_THROW((void)tile_round_trip(pixels, opt), std::invalid_argument);
+  opt = TileOptions{};
+  opt.backend = core::find_backend("rtl-compiled");
+  opt.method = dsp::Method::kReversible53;
+  EXPECT_THROW((void)tile_round_trip(pixels, opt), std::invalid_argument);
 }
 
 TEST(TileScheduler, RejectsBadOptions) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "core/artifact_cache.hpp"
 #include "server/metrics.hpp"
 
 namespace dwt::server {
@@ -85,6 +87,19 @@ TEST(ServerMetrics, SnapshotAggregatesCounters) {
   EXPECT_DOUBLE_EQ(s.latency_mean_us, 20.0);
   EXPECT_EQ(s.backend_requests.at("rtl-compiled"), 2u);
   EXPECT_EQ(s.backend_requests.at("default"), 1u);
+}
+
+TEST(ServerMetrics, JsonReportsTheTileThreadsBesideTheWorkers) {
+  const std::string json = ServerMetrics().render_json(
+      /*queue_depth=*/0, /*queue_capacity=*/8, /*workers=*/2,
+      /*tile_threads=*/3, core::CacheStats{});
+  const std::size_t workers =
+      json.find("\"metric\": \"workers\", \"value\": 2,");
+  const std::size_t tile_threads =
+      json.find("\"metric\": \"tile_threads\", \"value\": 3,");
+  ASSERT_NE(workers, std::string::npos) << json;
+  ASSERT_NE(tile_threads, std::string::npos) << json;
+  EXPECT_LT(workers, tile_threads);
 }
 
 }  // namespace

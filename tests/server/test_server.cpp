@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/worker_pool.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/registry.hpp"
 #include "dsp/dwt2d.hpp"
@@ -470,6 +471,36 @@ TEST(DwtServer, ExecuteRequestMatchesOpContracts) {
   EXPECT_EQ(deep.status, Status::kBadRequest);
   EXPECT_NE(response_message(deep).find("1..9"), std::string::npos)
       << response_message(deep);
+}
+
+// A transform's tiles lift on its share of the host; the answer is the
+// single-threaded CLI pipeline's, on the software engines and a netlist core
+// alike.
+TEST(DwtServer, ExecuteRequestOnSeveralTileThreadsMatchesTheCli) {
+  const dsp::Image img = dsp::make_still_tone_image(130, 67, 6);  // 3x2 tiles
+  for (const std::string backend : {"", "software-float", "rtl-compiled"}) {
+    const Request req =
+        tile_request(img, backend, hw::DesignId::kDesign3, 2);
+    const std::vector<std::uint8_t> want =
+        cli_tile_bytes(img, backend, hw::DesignId::kDesign3, 2);
+    for (const Request& r : {req, as_raw8(req, img)}) {
+      const Response resp = execute_request(r, 3);
+      ASSERT_EQ(resp.status, Status::kOk) << response_message(resp);
+      EXPECT_EQ(resp.payload, want) << "backend '" << backend << "' format "
+                                    << static_cast<int>(r.format);
+    }
+  }
+}
+
+TEST(DwtServer, TileThreadShareSplitsTheHostAmongWorkers) {
+  EXPECT_EQ(tile_thread_share(4, 2), 2u);
+  EXPECT_EQ(tile_thread_share(4, 4), 1u);
+  EXPECT_EQ(tile_thread_share(4, 8), 1u);
+  EXPECT_EQ(tile_thread_share(1, 1), 1u);
+  ServerOptions opt;
+  opt.workers = 2;
+  EXPECT_EQ(DwtServer(opt).tile_threads(),
+            tile_thread_share(common::resolve_threads(0), 2));
 }
 
 // A gate-level backend transforms frames up to 256x256 per request; a wider

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -119,7 +120,8 @@ int cmd_decompress(int argc, char** argv) {
 
 // Forward+inverse through the tile-parallel pipeline and write the
 // reconstruction: a round-trip exerciser for the tile scheduler on real
-// image files (any dimensions).
+// image files (any dimensions), from the file's bytes to the output's in
+// one pass over the tiles.
 int cmd_tile(int argc, char** argv) {
   if (argc < 4) return usage();
   dwt::hw::TileOptions opt;
@@ -152,29 +154,17 @@ int cmd_tile(int argc, char** argv) {
     return usage();
   }
   opt.tile_h = opt.tile_w;
-  // Integer-valued engines run on an int32 plane from the file's bytes to
-  // the output's; the others (software-float) on an Image.
-  constexpr std::int32_t kLevelShift = 128;
-  const dwt::dsp::Plane<std::int32_t> original = dwt::dsp::parse_pgm(
-      cli::read_file<std::vector<std::uint8_t>>(argv[2]), argv[2],
-      kLevelShift);
-  dwt::hw::TileStats stats;
-  std::vector<std::uint8_t> out;
-  const auto round_trip = [&](auto plane) {
-    stats = dwt::hw::tile_round_trip(plane, opt);
-    out = dwt::dsp::render_pgm(plane, kLevelShift);
-  };
-  if (dwt::hw::integer_valued(opt)) {
-    round_trip(original);
-  } else {
-    round_trip(dwt::dsp::to_image(original));
-  }
-  cli::write_file(argv[3], out);
+  const auto bytes = cli::read_file<std::vector<std::uint8_t>>(argv[2]);
+  std::vector<std::uint8_t> decoded;
+  const dwt::dsp::PlaneView<const std::uint8_t> pixels =
+      dwt::dsp::pgm_pixels(bytes, argv[2], &decoded);
+  const dwt::hw::RoundTrip rt = dwt::hw::tile_round_trip(pixels, opt);
+  cli::write_file(argv[3], rt.pgm);
+  const dwt::dsp::PlaneView<const std::uint8_t> back = dwt::dsp::pgm_body(
+      std::span<const std::uint8_t>(rt.pgm), pixels.width, pixels.height);
   std::printf("%s: %zux%zu, %zu tiles on %u threads, round-trip %.2f dB\n",
-              argv[3], original.width(), original.height(), stats.tiles,
-              stats.threads_used,
-              dwt::dsp::psnr(original,
-                             dwt::dsp::parse_pgm(out, argv[3], kLevelShift)));
+              argv[3], pixels.width, pixels.height, rt.stats.tiles,
+              rt.stats.threads_used, dwt::dsp::psnr(pixels, back));
   return 0;
 }
 
